@@ -29,7 +29,6 @@ __all__ = [
     "bl_monomial",
     "bl_add",
     "bl_mul",
-    "bl_coeff",
     "product_coeff",
     "bl_scalar_mul",
     "expand_inverse_one_minus",
@@ -46,7 +45,6 @@ __all__ = [
 class Region(enum.Enum):
     INNER = "INNER"  # |q| < |z1|, |z2|, |z1 z2| < 1
     OUTER = "OUTER"  # |z1| > 1, |z2| > 1
-    WIDE = "WIDE"    # |q| < |u| < 1/|q|; never constructed directly
 
 
 class RegionMismatchError(ValueError):
@@ -104,14 +102,6 @@ class BiLaurentSeries:
         ):
             raise ValueError(f"key {key} outside window {self.window}")
         return self.terms.get(key, q_zero(self.qorder))
-
-    def support_window(self):
-        """Tightest symmetric integer window containing all keys."""
-        if not self.terms:
-            return 0
-        return max(
-            rat_ceil(max(abs(e1), abs(e2))) for (e1, e2) in self.terms
-        )
 
     def keys_sorted(self):
         return sorted(self.terms)
@@ -310,10 +300,6 @@ def bl_scalar_mul(a, s):
         if not prod.is_zero():
             terms[k] = prod
     return BiLaurentSeries(terms, qorder, a.region, _merged_window(terms))
-
-
-def bl_coeff(a, r1, r2):
-    return a.coeff(r1, r2)
 
 
 def expand_inverse_one_minus(

@@ -9,9 +9,9 @@ import argparse
 import json
 import sys
 
-from .rat import Rat, rat, rat_str, parse_rat
+from .rat import Rat, rat_str, parse_rat
 from .series import PuiseuxSeries, eta_series, series_to_json
-from .bilaurent import BiLaurentSeries, bl_to_json
+from .bilaurent import bl_to_json
 from . import thetas, families
 from .identities import (
     registered_ids,
@@ -74,6 +74,13 @@ def _parse_gamma(s):
 # -- expand -------------------------------------------------------------------
 
 
+def _int_index(r):
+    """--r as a pair of ints, for the families indexed by integers."""
+    if any(x.denominator != 1 for x in r):
+        raise ValueError(f"--r must be a pair of integers, got {r[0]},{r[1]}")
+    return tuple(int(x) for x in r)
+
+
 def _expand_series(args):
     order = args.order
     W = args.window
@@ -97,15 +104,15 @@ def _expand_series(args):
     if name == "Gfrak":
         return families.G_frak(args.lam, args.p, order)
     if name == "Ghyper":
-        return families.G_hyper(args.r, order)
+        return families.G_hyper(_int_index(args.r), order)
     if name == "Hfrak":
         return families.H_frak(args.r[0], args.r[1], order)
     if name == "F0":
         return families.F0_series(args.p, order, args.form)
     if name == "coeffF":
-        return families.coeff_F(args.r, args.p, order)
+        return families.coeff_F(_int_index(args.r), args.p, order)
     if name == "rankone":
-        return families.rank_one_coeff(args.p, int(args.r[0]), order)
+        return families.rank_one_coeff(args.p, _int_index(args.r)[0], order)
     if name == "rogers":
         return families.rogers_false_theta(order)
     if name == "Fconst":

@@ -1,19 +1,19 @@
 """Rank-two false theta families and their hypergeometric companions.
 
 All builders return one-variable PuiseuxSeries over exact rationals.
-Lattice sums are enumerated inside an a priori box computed from the
-positive-definite quadratic part: if E(n) = n^T A n + b.n + c with
-smallest eigenvalue lam of A, every lattice point with E(n) < order has
-Euclidean norm at most (|b| + sqrt(|b|^2 + 4 lam (order - c))) / (2 lam).
-The bound is evaluated in floating point and padded, the series itself
-stays exact.
+Every two-variable lattice sum goes through `lattice_sum`, which scales
+the quadratic exponent E(n) to integers and solves E(n) < order exactly
+with integer square roots: first for the range of n1 on which some real
+n2 qualifies, then row by row for n2.  No box is guessed and every step
+is exact integer arithmetic; exactly the lattice points with E(n) < order
+are visited.
 """
 
-import math
+from math import isqrt, lcm
 from functools import lru_cache
 
 from .rat import Rat, rat, rat_floor
-from .series import PuiseuxSeries, zero as q_zero, monomial as q_monomial, pochhammer
+from .series import PuiseuxSeries, zero as q_zero
 from .bilaurent import product_coeff
 from .thetas import t2t_factor, s01_factor, eta5_over_eta2
 
@@ -22,6 +22,7 @@ __all__ = [
     "rho",
     "quad_Q",
     "quad_Qstar",
+    "lattice_sum",
     "G_frak",
     "G_frak_rewrite_p2",
     "G_frak_closed_p2",
@@ -56,20 +57,65 @@ def quad_Qstar(x, y):
     return x * x + y * y + x * y
 
 
-def _lattice_radius(A, b, c, order):
-    """Integer box radius covering {n : n^T A n + b.n + c < order}.
+def _negative_range(alpha, beta, gamma, lower):
+    """The integers x >= lower with alpha x^2 + beta x + gamma < 0.
 
-    A is the symmetric matrix (a11, a12, a22); raises if A is not
-    positive definite.
+    All arguments are integers (lower may be None) and alpha > 0.
     """
-    a11, a12, a22 = (float(x) for x in A)
-    lam = (a11 + a22) / 2 - math.sqrt(((a11 - a22) / 2) ** 2 + a12 * a12)
-    if lam <= 0:
+    disc = beta * beta - 4 * alpha * gamma
+    if disc <= 0:
+        return range(0)
+    s = isqrt(disc)
+    # s^2 <= disc < (s + 1)^2, so [lo, hi] contains both real roots;
+    # shrink it to the integers where the quadratic is negative, of which
+    # there may be none even though the discriminant is positive
+    lo = (-beta - s - 1) // (2 * alpha)
+    hi = -((beta - s - 1) // (2 * alpha))
+    if lower is not None:
+        lo = max(lo, lower)
+    while lo <= hi and (alpha * lo + beta) * lo + gamma >= 0:
+        lo += 1
+    while hi >= lo and (alpha * hi + beta) * hi + gamma >= 0:
+        hi -= 1
+    return range(lo, hi + 1)
+
+
+def lattice_sum(form, linear, const, order, weight, lower=(None, None)):
+    """sum of weight(n1, n2) q^E(n) over integer points n with E(n) < order.
+
+    E(n) = a n1^2 + b n1 n2 + c n2^2 + l1 n1 + l2 n2 + const, where
+    form = (a, b, c) are the coefficients of that polynomial (b is the
+    whole cross coefficient, not half of it) and linear = (l1, l2); all
+    are rationals.  lower = (lo1, lo2) restricts the sum to n_i >= lo_i,
+    None leaving that coordinate unbounded.  Raises ValueError unless the
+    quadratic part is positive definite.
+    """
+    order = rat(order)
+    vals = [rat(x) for x in (*form, *linear, const, order)]
+    d = lcm(*(v.denominator for v in vals))
+    a, b, c, l1, l2, k, top = (v.numerator * (d // v.denominator) for v in vals)
+    if a <= 0 or 4 * a * c - b * b <= 0:
         raise ValueError("quadratic part is not positive definite")
-    nb = math.hypot(float(b[0]), float(b[1]))
-    rhs = max(float(order) - float(c), 0.0)
-    r = (nb + math.sqrt(nb * nb + 4 * lam * rhs)) / (2 * lam)
-    return int(math.ceil(r)) + 2
+    # d E(n) < top has a real solution n2 in the row n1 iff the row's
+    # discriminant (b n1 + l2)^2 - 4 c (a n1^2 + l1 n1 + k - top) is positive
+    rows = _negative_range(
+        4 * a * c - b * b, 4 * c * l1 - 2 * b * l2, 4 * c * (k - top) - l2 * l2, lower[0]
+    )
+    acc = {}
+    for n1 in rows:
+        lin = b * n1 + l2
+        cst = (a * n1 + l1) * n1 + k
+        for n2 in _negative_range(c, lin, cst - top, lower[1]):
+            w = weight(n1, n2)
+            if w:
+                e = (c * n2 + lin) * n2 + cst  # d E(n)
+                acc[e] = acc.get(e, 0) + w
+    return PuiseuxSeries({Rat(e, d): w for e, w in acc.items()}, order)
+
+
+def _pQ(p, s1, s2):
+    """(form, linear, const) of the exponent p Q(n + s) for lattice_sum."""
+    return (p, -p, p), (p * (2 * s1 - s2), p * (2 * s2 - s1)), p * quad_Q(s1, s2)
 
 
 def _check_lambda(lam, p):
@@ -98,57 +144,33 @@ def G_frak(lam, p, order):
     the alternating bracket of q-powers linear in n + lam.
     """
     l1, l2 = _check_lambda(lam, p)
-    order = rat(order)
-    mu1 = l1 - Rat(1, p)
-    mu2 = l2 - Rat(1, p)
-    A = (Rat(p), -Rat(p, 2), Rat(p))
-    terms = {}
-    rad = 0
+    form, (b1, b2), c = _pQ(p, l1 - Rat(1, p), l2 - Rat(1, p))
+    out = q_zero(order)
     for sign, (g1, g2) in _BRACKET:
-        b = (2 * A[0] * mu1 + 2 * A[1] * mu2 + g1, 2 * A[1] * mu1 + 2 * A[2] * mu2 + g2)
-        c = Rat(p) * quad_Q(mu1, mu2) + g1 * l1 + g2 * l2
-        rad = max(rad, _lattice_radius(A, b, c, order))
-    for n1 in range(1, rad + 1):
-        for n2 in range(1, rad + 1):
-            w = min(n1, n2)
-            # no early skip on the quadratic part alone: brackets with a
-            # negative gradient can pull the exponent back below the order
-            base = Rat(p) * quad_Q(n1 + mu1, n2 + mu2)
-            a1 = n1 + l1
-            a2 = n2 + l2
-            for sign, (g1, g2) in _BRACKET:
-                e = base + g1 * a1 + g2 * a2
-                if e < order:
-                    terms[e] = terms.get(e, Rat(0)) + sign * w
-    return PuiseuxSeries(terms, order)
+        out = out + lattice_sum(
+            form,
+            (b1 + g1, b2 + g2),
+            c + g1 * l1 + g2 * l2,
+            order,
+            lambda n1, n2: sign * min(n1, n2),
+            (1, 1),
+        )
+    return out
 
 
 def G_frak_rewrite_p2(lam, order):
     """p = 2 rewrite as three signed shifted A2 partial thetas."""
     l1, l2 = _check_lambda(lam, 2)
-    order = rat(order)
     half = Rat(1, 2)
-    terms = {}
 
-    def add(sign, s1, s2, cond):
-        rad = _lattice_radius(
-            (Rat(2), Rat(-1), Rat(2)),
-            (4 * s1 - 2 * s2, 4 * s2 - 2 * s1),
-            2 * quad_Q(s1, s2),
-            order,
-        )
-        for n1 in range(0, rad + 1):
-            for n2 in range(0, rad + 1):
-                if not cond(n1, n2):
-                    continue
-                e = 2 * quad_Q(n1 + s1, n2 + s2)
-                if e < order:
-                    terms[e] = terms.get(e, Rat(0)) + sign
+    def part(s1, s2, weight):
+        return lattice_sum(*_pQ(2, s1, s2), order, weight, (0, 0))
 
-    add(1, l1 + half, l2 + half, lambda n1, n2: True)
-    add(-1, l1 + half, l2, lambda n1, n2: n2 > n1)
-    add(-1, l1, l2 + half, lambda n1, n2: n1 > n2)
-    return PuiseuxSeries(terms, order)
+    return (
+        part(l1 + half, l2 + half, lambda n1, n2: 1)
+        - part(l1 + half, l2, lambda n1, n2: int(n2 > n1))
+        - part(l1, l2 + half, lambda n1, n2: int(n1 > n2))
+    )
 
 
 def G_frak_closed_p2(r, order):
@@ -160,29 +182,14 @@ def G_frak_closed_p2(r, order):
     r1, r2 = r
     if not (isinstance(r1, int) and isinstance(r2, int)):
         raise ValueError("r must be a pair of integers")
-    order = rat(order)
-    A = (Rat(1, 2), Rat(1, 2), Rat(2))
-    b = (Rat(r1) + Rat(1, 2), 2 * Rat(r2) + 2)
-    c = Rat(r2) + Rat(1, 2)
-    rad = _lattice_radius(A, b, c, order)
-    terms = {}
-    for n1 in range(0, rad + 1):
-        for n2 in range(-rad, rad + 1):
-            w = rho(n2, n2 + r2)
-            if not w:
-                continue
-            e = (
-                A[0] * n1 * n1
-                + 2 * A[1] * n1 * n2
-                + A[2] * n2 * n2
-                + b[0] * n1
-                + b[1] * n2
-                + c
-            )
-            if e < order:
-                s = terms.get(e, Rat(0)) + (w if n1 % 2 == 0 else -w)
-                terms[e] = s
-    return PuiseuxSeries(terms, order)
+    return lattice_sum(
+        (Rat(1, 2), 1, 2),
+        (r1 + Rat(1, 2), 2 * r2 + 2),
+        r2 + Rat(1, 2),
+        order,
+        lambda n1, n2: rho(n2, n2 + r2) * (-1) ** n1,
+        (0, None),
+    )
 
 
 # per-summand integer offsets (l1, l2) of the Weyl-orbit expansion of the
@@ -210,23 +217,15 @@ def coeff_F(r, p, order):
         raise ValueError("r must be a pair of integers")
     if not (isinstance(p, int) and p >= 2):
         raise ValueError("p must be an integer >= 2")
-    order = rat(order)
-    s = Rat(1, p)
-    A = (Rat(p), -Rat(p, 2), Rat(p))
-    rad = _lattice_radius(A, (-1, -1), s, order)
-    terms = {}
-    for n1 in range(-rad, rad + 1):
-        for n2 in range(-rad, rad + 1):
-            e = Rat(p) * quad_Q(n1 - s, n2 - s)
-            if e >= order:
-                continue
-            w = Rat(0)
-            for sign, l1, l2 in _orbit_offsets(n1, n2, r1, r2):
-                if l1 >= 0 and l2 >= 0:
-                    w += sign * min(l1 + 1, l2 + 1)
-            if w:
-                terms[e] = terms.get(e, Rat(0)) + w
-    return PuiseuxSeries(terms, order)
+
+    def weight(n1, n2):
+        w = 0
+        for sign, l1, l2 in _orbit_offsets(n1, n2, r1, r2):
+            if l1 >= 0 and l2 >= 0:
+                w += sign * min(l1 + 1, l2 + 1)
+        return w
+
+    return lattice_sum(*_pQ(p, -Rat(1, p), -Rat(1, p)), order, weight)
 
 
 def F_constant_term(p, order):
@@ -237,31 +236,26 @@ def F_constant_term(p, order):
     """
     if not (isinstance(p, int) and p >= 2):
         raise ValueError("p must be an integer >= 2")
-    order = rat(order)
-    A = (Rat(p, 3), Rat(p, 6), Rat(p, 3))
-    rad = _lattice_radius(A, (-1, -1), Rat(1, p), order)
-    terms = {}
-    for n1 in range(1, rad + 1):
-        for n2 in range(1, rad + 1):
-            if (n1 - n2) % 3:
-                continue
-            base = Rat(p, 3) * quad_Qstar(n1, n2) - n1 - n2 + Rat(1, p)
-            if base >= order:
-                continue
-            w = min(n1, n2)
-            # (1-a)(1-b)(1-ab) expanded; the -ab and +ab terms cancel
-            for sign, off in (
-                (1, 0),
-                (-1, n1),
-                (-1, n2),
-                (1, 2 * n1 + n2),
-                (1, n1 + 2 * n2),
-                (-1, 2 * n1 + 2 * n2),
-            ):
-                e = base + off
-                if e < order:
-                    terms[e] = terms.get(e, Rat(0)) + sign * w
-    return PuiseuxSeries(terms, order)
+    out = q_zero(order)
+    # (1-a)(1-b)(1-ab) expanded; the -ab and +ab terms cancel.  Each
+    # summand's extra power of q is linear in n, so it joins `linear`
+    for sign, (o1, o2) in (
+        (1, (0, 0)),
+        (-1, (1, 0)),
+        (-1, (0, 1)),
+        (1, (2, 1)),
+        (1, (1, 2)),
+        (-1, (2, 2)),
+    ):
+        out = out + lattice_sum(
+            (Rat(p, 3), Rat(p, 3), Rat(p, 3)),
+            (o1 - 1, o2 - 1),
+            Rat(1, p),
+            order,
+            lambda n1, n2: 0 if (n1 - n2) % 3 else sign * min(n1, n2),
+            (1, 1),
+        )
+    return out
 
 
 def partial_theta_A2(lam, p, order):
@@ -270,22 +264,9 @@ def partial_theta_A2(lam, p, order):
     sum over n in Z_{>=0}^2 of min(n1, n2) q^(p Q(n + lam - 1/p)).
     """
     l1, l2 = _check_lambda(lam, p)
-    order = rat(order)
-    mu1 = l1 - Rat(1, p)
-    mu2 = l2 - Rat(1, p)
-    A = (Rat(p), -Rat(p, 2), Rat(p))
-    b = (2 * A[0] * mu1 + 2 * A[1] * mu2, 2 * A[1] * mu1 + 2 * A[2] * mu2)
-    rad = _lattice_radius(A, b, Rat(p) * quad_Q(mu1, mu2), order)
-    terms = {}
-    for n1 in range(0, rad + 1):
-        for n2 in range(0, rad + 1):
-            w = min(n1, n2)
-            if not w:
-                continue
-            e = Rat(p) * quad_Q(n1 + mu1, n2 + mu2)
-            if e < order:
-                terms[e] = terms.get(e, Rat(0)) + w
-    return PuiseuxSeries(terms, order)
+    return lattice_sum(
+        *_pQ(p, l1 - Rat(1, p), l2 - Rat(1, p)), order, min, (0, 0)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -304,17 +285,13 @@ def _inv_poch(n, order):
     return prev * PuiseuxSeries(geom, order)
 
 
-def _A_table(m, order, build):
-    """sum_{n >= 0} q^n / ((q; q)_n (q; q)_{n+m}) truncated below order.
-
-    `build` is a shared truncation order for the cached 1/(q; q)_n
-    factors, so the tables for every m reuse one Pochhammer chain.
-    """
+def _A_table(m, order):
+    """sum_{n >= 0} q^n / ((q; q)_n (q; q)_{n+m}) truncated below order."""
     order = rat(order)
     out = q_zero(order)
     n = 0
     while n < order:
-        prod = _inv_poch(n, build) * _inv_poch(n + m, build)
+        prod = _inv_poch(n, order) * _inv_poch(n + m, order)
         out = out + prod.truncate(order - n).shift(n)
         n += 1
     return out
@@ -334,19 +311,21 @@ def G_hyper(r, order):
         raise ValueError("r must be a pair of integers")
     order = rat(order)
     out = q_zero(order)
+    # each A_m is built once, at the full order, and truncated per n4;
+    # they all share the cached 1/(q; q)_n chain at that order
+    tables = {}
     bound = rat_floor((2 * order + abs(r1) + abs(r2)) / 3) + 2
     for n4 in range(-bound, bound + 1):
-        m1 = abs(n4 - r1)
-        m2 = abs(n4 - r2)
-        m3 = abs(n4)
-        pre = Rat(m1 + m2 + m3, 2)
+        ms = (abs(n4 - r1), abs(n4 - r2), abs(n4))
+        pre = Rat(sum(ms), 2)
         if pre >= order:
             continue
         rel = order - pre
-        prod = _A_table(m1, rel, order) * _A_table(m2, rel, order) * _A_table(
-            m3, rel, order
-        )
-        out = out + prod.truncate(rel).shift(pre)
+        for m in ms:
+            if m not in tables:
+                tables[m] = _A_table(m, order)
+        a1, a2, a3 = (tables[m].truncate(rel) for m in ms)
+        out = out + (a1 * a2 * a3).shift(pre)
     return out
 
 
@@ -369,7 +348,7 @@ def H_frak(r1, r2, order):
     W = rat_floor(order / 2) + rat_floor(mag) + 4
     build = order + Rat(1, 2)  # pad for the q^(-1/8) valuations below
     kernel = [
-        t2t_factor("z1", build, "geometric"),
+        t2t_factor("z1", build, "closed"),
         s01_factor("z2", build, W),
         s01_factor("z12", build, W),
     ]
@@ -386,36 +365,21 @@ def F0_series(p, order, form="GENERAL"):
     """
     if not (isinstance(p, int) and p >= 2):
         raise ValueError("p must be an integer >= 2")
-    order = rat(order)
-    s = Rat(1, p)
+    exponent = _pQ(p, -Rat(1, p), -Rat(1, p))
     if form == "GENERAL":
-        A = (Rat(p), -Rat(p, 2), Rat(p))
-        rad = _lattice_radius(A, (-1, -1), s, order)
-        terms = {}
-        for n1 in range(-rad, rad + 1):
-            for n2 in range(-rad, rad + 1):
-                e = Rat(p) * quad_Q(n1 - s, n2 - s)
-                if e >= order:
-                    continue
-                w = Rat((2 * n1 - n2) * (2 * n2 - n1) * (n1 + n2), 2)
-                if w:
-                    terms[e] = terms.get(e, Rat(0)) + w
-        return PuiseuxSeries(terms, order)
+        return lattice_sum(
+            *exponent,
+            order,
+            lambda n1, n2: Rat((2 * n1 - n2) * (2 * n2 - n1) * (n1 + n2), 2),
+        )
     if form == "P2SIMPLIFIED":
         if p != 2:
             raise ValueError("P2SIMPLIFIED requires p = 2")
-        A = (Rat(2), Rat(-1), Rat(2))
-        rad = _lattice_radius(A, (-1, -1), Rat(1, 2), order)
-        terms = {}
-        for n1 in range(-rad, rad + 1):
-            for n2 in range(-rad, rad + 1):
-                e = 2 * quad_Q(n1 - Rat(1, 2), n2 - Rat(1, 2))
-                if e >= order:
-                    continue
-                w = Rat(12 * n1 * n2 - 3 * n1 * n1 - 3 * n2 * n2 - n1 - n2, 4)
-                if w:
-                    terms[e] = terms.get(e, Rat(0)) + w
-        return PuiseuxSeries(terms, order)
+        return lattice_sum(
+            *exponent,
+            order,
+            lambda n1, n2: Rat(12 * n1 * n2 - 3 * n1 * n1 - 3 * n2 * n2 - n1 - n2, 4),
+        )
     raise ValueError(f"unknown form {form!r}")
 
 

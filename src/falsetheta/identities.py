@@ -24,7 +24,6 @@ from .rat import Rat, rat, rat_str
 from .series import (
     PuiseuxSeries,
     zero as q_zero,
-    one as q_one,
     monomial as q_monomial,
     pochhammer,
     eta_series,
@@ -63,10 +62,10 @@ from .families import (
     G_frak_rewrite_p2,
     G_frak_closed_p2,
     coeff_F,
-    F_constant_term,
     G_hyper,
     H_frak,
     F0_series,
+    lattice_sum,
     _inv_poch,
 )
 
@@ -288,20 +287,16 @@ def _weyl_denominator_poly(qorder=1):
 
 def _sgn_weighted_sum(order, extra_half):
     """sum_{n1 >= 0, n2 in Z} sgn*(n2) (-1)^n1 q^(E(n)) with the shifted
-    quadratic exponent; extra_half adds the q^(1/2) prefactor."""
-    order = rat(order)
-    c0 = Rat(1, 2) if extra_half else Rat(0)
-    terms = {}
-    bound = 2 * int(order) + 4
-    for n1 in range(0, bound):
-        if Rat(n1 * (n1 + 1), 2) - n1 * bound > order:
-            break
-        for n2 in range(-bound, bound + 1):
-            e = Rat(n1 * (n1 + 1), 2) + n1 * n2 + 2 * n2 * n2 + 2 * n2 + c0
-            if 0 <= e < order:
-                s = sgn_star(n2) * (1 if n1 % 2 == 0 else -1)
-                terms[e] = terms.get(e, Rat(0)) + s
-    return PuiseuxSeries(terms, order)
+    quadratic exponent E(n) = n1 (n1 + 1)/2 + n1 n2 + 2 n2^2 + 2 n2;
+    extra_half adds the q^(1/2) prefactor."""
+    return lattice_sum(
+        (Rat(1, 2), 1, 2),
+        (Rat(1, 2), 2),
+        Rat(1, 2) if extra_half else 0,
+        order,
+        lambda n1, n2: sgn_star(n2) * (-1) ** n1,
+        (0, None),
+    )
 
 
 def _poch_squares(order):
@@ -603,15 +598,12 @@ def _build_E18(p, order):
             F0_series(2, order, "P2SIMPLIFIED"),
             None,
         )
-    # internal antisymmetric vanishing: sum (n1+n2-1) q^(2Q(n-1/2)) = 0
-    terms = {}
-    bound = math.isqrt(int(order)) + 4
-    for n1 in range(-bound, bound + 1):
-        for n2 in range(-bound, bound + 1):
-            e = 2 * quad_Q(n1 - Rat(1, 2), n2 - Rat(1, 2))
-            if e < order:
-                terms[e] = terms.get(e, Rat(0)) + (n1 + n2 - 1)
-    return PuiseuxSeries(terms, order), q_zero(order), None
+    # internal antisymmetric vanishing: sum (n1+n2-1) q^(2Q(n-1/2)) = 0,
+    # with 2 Q(n - 1/2) = 2 n1^2 - 2 n1 n2 + 2 n2^2 - n1 - n2 + 1/2
+    lhs = lattice_sum(
+        (2, -2, 2), (-1, -1), Rat(1, 2), order, lambda n1, n2: n1 + n2 - 1
+    )
+    return lhs, q_zero(order), None
 
 
 def _build_E19(p, order):

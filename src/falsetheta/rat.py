@@ -13,9 +13,6 @@ try:
 except ImportError:  # pragma: no cover
     Rat = Fraction
 
-ZERO = Rat(0)
-ONE = Rat(1)
-
 
 def rat(x):
     """Coerce an int, string 'a/b', Fraction or Rat to Rat."""

@@ -14,17 +14,13 @@ where val() is the minimal stored exponent (defined as the order for the
 empty series, which is the canonical zero).
 """
 
-from .rat import Rat, rat, rat_str, parse_rat, rat_ceil
+from .rat import Rat, rat, rat_str, parse_rat
 
 __all__ = [
     "PuiseuxSeries",
     "zero",
     "one",
     "monomial",
-    "series_add",
-    "series_mul",
-    "series_invert",
-    "series_scale_q",
     "pochhammer",
     "eta_series",
     "series_to_json",
@@ -219,25 +215,6 @@ def one(order):
 
 def monomial(c, e, order):
     return PuiseuxSeries({rat(e): rat(c)}, order)
-
-
-# -- function-style aliases for the operator forms --------------------------
-
-
-def series_add(a, b):
-    return a + b
-
-
-def series_mul(a, b):
-    return a * b
-
-
-def series_invert(a):
-    return a.invert()
-
-
-def series_scale_q(a, k):
-    return a.scale_q(k)
 
 
 # -- classical builders ------------------------------------------------------

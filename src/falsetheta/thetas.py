@@ -14,15 +14,15 @@ theta expansions; they are always assembled from the closed product form
 
     q^(1/8) (-q; q)_oo / (zeta q, zeta^-1 q; q^2)_oo
 
-expanded factor by factor in the INNER annulus (or from the equivalent
-double-sum closed form; both paths are exposed and cross-checked).
+in the INNER annulus, either from the explicit double-sum rewrite of
+its denominator (the default, and much the faster) or expanded factor
+by factor; identities E6 and E12b cross-check the two paths.
 """
 
 from functools import lru_cache
 
 from .rat import Rat, rat
 from .series import (
-    PuiseuxSeries,
     pochhammer,
     eta_series,
     monomial as q_monomial,
@@ -199,13 +199,14 @@ def calT(qorder, zwindow):
 
 
 @lru_cache(maxsize=None)
-def t2t_factor(unit, qorder, path="geometric"):
+def t2t_factor(unit, qorder, path="closed"):
     """INNER expansion of theta(z; 2 tau) / theta(z; tau) on one unit.
 
-    geometric: q^(1/8) (-q; q)_oo expanded against every inverse factor
-    of (u q, u^-1 q; q^2)_oo one geometric series at a time.
-    closed:    the same prefactor times the explicit double-sum rewrite
+    closed:    q^(1/8) (-q; q)_oo times the explicit double-sum rewrite
     of 1 / (u q, u^-1 q; q^2)_oo.
+    geometric: the same prefactor expanded against every inverse factor
+    of (u q, u^-1 q; q^2)_oo one geometric series at a time; slower, and
+    kept as the independent check of the closed path.
     """
     qorder = rat(qorder)
     scalar = pochhammer(-1, 1, 1, None, qorder - Rat(1, 8)).shift(Rat(1, 8))
@@ -293,7 +294,7 @@ def _f_factors(qorder, path):
 
 
 @lru_cache(maxsize=None)
-def f_series(qorder, zwindow=None, path="geometric"):
+def f_series(qorder, zwindow=None, path="closed"):
     """The meromorphic Jacobi form ratio, INNER region.
 
     Product over the three units z1, z2, z1*z2 of the t2t factor; the
@@ -308,7 +309,7 @@ def f_series(qorder, zwindow=None, path="geometric"):
 
 def f_coeff(r1, r2, qorder):
     """f_series(qorder).coeff(r1, r2), read without building f."""
-    return product_coeff(_f_factors(qorder, "geometric"), r1, r2)
+    return product_coeff(_f_factors(qorder, "closed"), r1, r2)
 
 
 @lru_cache(maxsize=None)
@@ -345,7 +346,7 @@ def J_constant_term(qorder, zwindow):
     keys of the same calT(qorder, zwindow + 2) that J_series uses.
     """
     qorder = rat(qorder)
-    factors = [calT(qorder, zwindow + 2), *_f_factors(qorder, "geometric")]
+    factors = [calT(qorder, zwindow + 2), *_f_factors(qorder, "closed")]
     body = product_coeff(factors, 0, 0)
     return (eta5_over_eta2(qorder) * body).truncate(qorder)
 

@@ -46,6 +46,20 @@ class TestExpand:
         assert code == 0
         assert "O(q^(5/2))" in out
 
+    @pytest.mark.parametrize("name", ["Ghyper", "coeffF", "rankone"])
+    def test_integer_index_families_take_an_integral_r(self, capsys, name):
+        code, out, _ = run(
+            capsys, "expand", name, "--r", "1,-1", "--order", "4", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["order"] == "4/1"
+
+    @pytest.mark.parametrize("name", ["Ghyper", "coeffF", "rankone"])
+    def test_integer_index_families_reject_a_fractional_r(self, capsys, name):
+        code, out, err = run(capsys, "expand", name, "--r", "1/2,0", "--order", "4")
+        assert code == USAGE_ERROR
+        assert out == "" and "--r must be a pair of integers" in err
+
     def test_bad_family_parameter_is_usage_error(self, capsys):
         code, _, err = run(capsys, "expand", "Gfrak", "--p", "1", "--order", "4")
         assert code == USAGE_ERROR

@@ -1,13 +1,15 @@
 """Weighted lattice-sum families and their frozen expansions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from falsetheta.rat import Rat
-from falsetheta.series import PuiseuxSeries
+from falsetheta.series import PuiseuxSeries, zero
 from falsetheta.families import (
     sgn_star,
     rho,
     quad_Q,
+    lattice_sum,
     G_frak,
     G_frak_rewrite_p2,
     G_frak_closed_p2,
@@ -35,6 +37,114 @@ class TestWeights:
 
     def test_quadratic_form(self):
         assert quad_Q(2, 3) == 4 + 9 - 6
+
+
+def _exponent(form, linear, const, n1, n2):
+    a, b, c = form
+    return a * n1 * n1 + b * n1 * n2 + c * n2 * n2 + linear[0] * n1 + linear[1] * n2 + const
+
+
+def _box(form, linear, const, order):
+    """R with max(|n1|, |n2|) < R at every integer point with E(n) < order.
+
+    With delta = 4ac - b^2, 4a Q(n) = (2a n1 + b n2)^2 + delta n2^2 and
+    4c Q(n) = (2c n2 + b n1)^2 + delta n1^2, so Q(n) >= mu m^2 for
+    m = max(|n1|, |n2|) and mu = delta / (4 max(a, c)).  The linear part
+    is at least -L m with L = |l1| + |l2|, and mu m^2 - L m increases
+    for m >= L / (2 mu); so past the first such R where the lower bound
+    reaches the order, E(n) >= order.
+    """
+    a, b, c = form
+    mu = (4 * a * c - b * b) / (4 * max(a, c))
+    L = abs(linear[0]) + abs(linear[1])
+    R = 0
+    while 2 * mu * R < L or mu * R * R - L * R + const < order:
+        R += 1
+    return R
+
+
+def _brute_force(form, linear, const, order, lower):
+    R = _box(form, linear, const, order)
+    return [
+        (n1, n2)
+        for n1 in range(-R, R + 1)
+        for n2 in range(-R, R + 1)
+        if _exponent(form, linear, const, n1, n2) < order
+        and (lower[0] is None or n1 >= lower[0])
+        and (lower[1] is None or n2 >= lower[1])
+    ]
+
+
+def _weight(n1, n2):
+    return n1 - 2 * n2 + 3  # zero at some points, which are still visited
+
+
+def _check_against_brute_force(form, linear, const, order, lower=(None, None)):
+    visited = []
+
+    def weight(n1, n2):
+        visited.append((n1, n2))
+        return _weight(n1, n2)
+
+    got = lattice_sum(form, linear, const, order, weight, lower)
+    points = _brute_force(form, linear, const, order, lower)
+    assert sorted(visited) == points  # each qualifying point exactly once
+    terms = {}
+    for n1, n2 in points:
+        e = _exponent(form, linear, const, n1, n2)
+        terms[e] = terms.get(e, 0) + _weight(n1, n2)
+    assert got == PuiseuxSeries(terms, order)
+    return got
+
+
+def _rationals(lo, hi, den=3):
+    return st.builds(Rat, st.integers(lo, hi), st.integers(1, den))
+
+
+@st.composite
+def positive_definite_forms(draw):
+    """(a, b, c) with |b| < 2 min(a, c) <= 2 sqrt(ac), so 4ac - b^2 > 0."""
+    a = draw(_rationals(1, 4, 2))
+    c = draw(_rationals(1, 4, 2))
+    b = Rat(2 * draw(st.integers(-3, 3)), 4) * min(a, c)
+    return a, b, c
+
+
+class TestLatticeSum:
+    @pytest.mark.parametrize("cone", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    @given(
+        form=positive_definite_forms(),
+        linear=st.tuples(_rationals(-4, 4), _rationals(-4, 4)),
+        const=_rationals(-3, 3),
+        order=_rationals(-2, 15),
+        bounds=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force(self, cone, form, linear, const, order, bounds):
+        # cone marks which coordinates carry a lower bound
+        lower = tuple(x if on else None for x, on in zip(bounds, cone))
+        _check_against_brute_force(form, linear, const, order, lower)
+
+    def test_row_with_positive_discriminant_and_no_integer_point(self):
+        # E = n1^2 + (n2 - 1/2)^2: the rows n1 = +-1 solve
+        # (n2 - 1/2)^2 < 1/8 over the reals but hold no integer n2
+        got = _check_against_brute_force((1, 0, 1), (0, -1), Rat(1, 4), Rat(9, 8))
+        assert dict(got.items()) == {Rat(1, 4): _weight(0, 0) + _weight(0, 1)}
+        # likewise a range of n1 with no integer in it: E = (n1 - 1/2)^2 + n2^2
+        got = _check_against_brute_force((1, 0, 1), (-1, 0), Rat(1, 4), Rat(1, 8))
+        assert got == zero(Rat(1, 8))
+
+    def test_empty_result(self):
+        assert _check_against_brute_force((1, -1, 1), (0, 0), 0, 0) == zero(0)
+        got = _check_against_brute_force((2, 1, 2), (1, 1), 0, 5, (4, 4))
+        assert got == zero(5)
+
+    @pytest.mark.parametrize(
+        "form", [(1, 2, 1), (1, 3, 1), (0, 0, 1), (1, 0, 0), (-1, 0, -1), (1, 0, -1)]
+    )
+    def test_rejects_a_form_that_is_not_positive_definite(self, form):
+        with pytest.raises(ValueError):
+            lattice_sum(form, (0, 0), 0, 5, lambda n1, n2: 1)
 
 
 class TestGFamily:
@@ -86,6 +196,11 @@ class TestCoefficientFamilies:
             Rat(9, 2): Rat(1),
             Rat(13, 2): Rat(-4),
         }
+
+    def test_constant_term_equals_the_index_zero_coefficient(self):
+        # different cones and weights, one enumerator
+        for p in (2, 3):
+            assert F_constant_term(p, Rat(15)) == coeff_F((0, 0), p, Rat(15))
 
     def test_partial_theta_leading(self):
         t = partial_theta_A2((0, 0), 2, Rat(6))
