@@ -21,9 +21,7 @@ from .bilaurent import (
     ExactDivisionError,
     BiLaurentSeries,
     expand_inverse_one_minus,
-    expand_weyl_denominator,
     bl_elliptic_shift,
-    bl_monomial_substitution,
     laurent_poly_exact_divide,
     bl_to_json,
     bl_from_json,

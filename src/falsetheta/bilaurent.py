@@ -9,7 +9,7 @@ different Laurent expansions in different annuli.
 The optional `window` is a symmetric bound |e1|, |e2| <= W on the key
 support.  It is mandatory for expansions whose support at a fixed
 q-order would otherwise be unbounded (the plain geometric series
-1/(1-u), the Weyl denominator); callers choose it as an analysis
+1/(1-u)); callers choose it as an analysis
 parameter and are responsible for pairing it with a compatible q-order.
 """
 
@@ -32,9 +32,7 @@ __all__ = [
     "product_coeff",
     "bl_scalar_mul",
     "expand_inverse_one_minus",
-    "expand_weyl_denominator",
     "bl_elliptic_shift",
-    "bl_monomial_substitution",
     "laurent_poly_exact_divide",
     "UNIT_KEYS",
     "bl_to_json",
@@ -358,26 +356,6 @@ def expand_inverse_one_minus(
     raise ValueError(f"unsupported region {region}")
 
 
-def expand_weyl_denominator(qorder, zwindow, region=Region.OUTER):
-    """OUTER expansion of 1/((1-z1^-1)(1-z2^-1)(1-(z1 z2)^-1)).
-
-    All keys (-l1, -l2) with 0 <= li <= W carry the constant coefficient
-    min(l1+1, l2+1).
-    """
-    if region is not Region.OUTER:
-        raise ValueError("the Weyl denominator is expanded in OUTER only")
-    if zwindow is None:
-        raise ValueError("a finite window is required")
-    qorder = rat(qorder)
-    terms = {}
-    for l1 in range(zwindow + 1):
-        for l2 in range(zwindow + 1):
-            terms[(rat(-l1), rat(-l2))] = q_monomial(
-                min(l1 + 1, l2 + 1), 0, qorder
-            )
-    return BiLaurentSeries(terms, qorder, Region.OUTER, zwindow)
-
-
 def bl_elliptic_shift(a, m1, m2):
     """Substitute z_j -> z_j q^(m_j): key (e1, e2) picks up q^(m1 e1 + m2 e2).
 
@@ -401,22 +379,6 @@ def bl_elliptic_shift(a, m1, m2):
         if not shifted.is_zero():
             terms[k] = shifted
     return BiLaurentSeries(terms, qorder, a.region, a.window)
-
-
-def bl_monomial_substitution(a, matrix):
-    """Remap keys e -> M e for an integer matrix M invertible over Q."""
-    (m11, m12), (m21, m22) = matrix
-    if m11 * m22 - m12 * m21 == 0:
-        raise ValueError("substitution matrix is singular")
-    terms = {}
-    for (e1, e2), c in a.terms.items():
-        key = (m11 * e1 + m12 * e2, m21 * e1 + m22 * e2)
-        if key in terms:
-            terms[key] = terms[key] + c
-        else:
-            terms[key] = c
-    terms = {k: c for k, c in terms.items() if not c.is_zero()}
-    return BiLaurentSeries(terms, a.qorder, a.region, _merged_window(terms))
 
 
 def _constant_terms(a, who):

@@ -81,26 +81,36 @@ def _int_index(r):
     return tuple(int(x) for x in r)
 
 
+def _positive_order(order):
+    if order <= 0:
+        raise ValueError(f"--order must be positive, got {rat_str(order)}")
+    return order
+
+
 def _expand_series(args):
-    order = args.order
+    order = _positive_order(args.order)
     W = args.window
+    if W < 0:
+        raise ValueError(f"--window must be nonnegative, got {W}")
     name = args.name
     if name == "eta":
         return eta_series(args.k, order)
+    # the windows of theta, theta01, f and kwN3 only clip what is printed;
+    # those of thetaA2, calT and J bound what is built
     if name == "theta":
-        return thetas.theta_hat(args.unit, args.k, order, W)
+        return thetas.theta_hat(args.unit, args.k, order).clip(W)
     if name == "theta01":
-        return thetas.theta01(args.unit, args.k, order, W)
+        return thetas.theta01(args.unit, args.k, order).clip(W)
     if name == "thetaA2":
         return thetas.theta_A2(order, W)
     if name == "calT":
         return thetas.calT(order, W)
     if name == "f":
-        return thetas.f_series(order, W)
+        return thetas.f_series(order).clip(W)
     if name == "J":
         return thetas.J_series(order, W)
     if name == "kwN3":
-        return thetas.kw_character_N3(order, W)
+        return thetas.kw_character_N3(order).clip(W)
     if name == "Gfrak":
         return families.G_frak(args.lam, args.p, order)
     if name == "Ghyper":
@@ -168,6 +178,8 @@ def _emit_report(rep, fmt, out):
 
 def cmd_verify(args):
     order = args.order
+    if order is not None:
+        _positive_order(order)
     if args.id == "all":
         reports = run_suite(order_overrides=None if order is None else
                             {i: order for i in registered_ids()},

@@ -1,19 +1,16 @@
 """Rank-two false theta families and their hypergeometric companions.
 
 All builders return one-variable PuiseuxSeries over exact rationals.
-Every two-variable lattice sum goes through `lattice_sum`, which scales
-the quadratic exponent E(n) to integers and solves E(n) < order exactly
-with integer square roots: first for the range of n1 on which some real
-n2 qualifies, then row by row for n2.  No box is guessed and every step
-is exact integer arithmetic; exactly the lattice points with E(n) < order
-are visited.
+Every sum of q^(quadratic in n) is enumerated exactly by the series
+layer: the two-variable lattice sums by `series.lattice_sum`, the
+rank-one sums by `series.quadratic_range`.  No box is guessed; exactly
+the indices with exponent below the truncation order are visited.
 """
 
-from math import isqrt, lcm
 from functools import lru_cache
 
 from .rat import Rat, rat, rat_floor
-from .series import PuiseuxSeries, zero as q_zero
+from .series import PuiseuxSeries, zero as q_zero, quadratic_range, lattice_sum
 from .bilaurent import product_coeff
 from .thetas import t2t_factor, s01_factor, eta5_over_eta2
 
@@ -22,7 +19,6 @@ __all__ = [
     "rho",
     "quad_Q",
     "quad_Qstar",
-    "lattice_sum",
     "G_frak",
     "G_frak_rewrite_p2",
     "G_frak_closed_p2",
@@ -55,62 +51,6 @@ def quad_Q(x, y):
 def quad_Qstar(x, y):
     """The dual quadratic form x^2 + y^2 + x y."""
     return x * x + y * y + x * y
-
-
-def _negative_range(alpha, beta, gamma, lower):
-    """The integers x >= lower with alpha x^2 + beta x + gamma < 0.
-
-    All arguments are integers (lower may be None) and alpha > 0.
-    """
-    disc = beta * beta - 4 * alpha * gamma
-    if disc <= 0:
-        return range(0)
-    s = isqrt(disc)
-    # s^2 <= disc < (s + 1)^2, so [lo, hi] contains both real roots;
-    # shrink it to the integers where the quadratic is negative, of which
-    # there may be none even though the discriminant is positive
-    lo = (-beta - s - 1) // (2 * alpha)
-    hi = -((beta - s - 1) // (2 * alpha))
-    if lower is not None:
-        lo = max(lo, lower)
-    while lo <= hi and (alpha * lo + beta) * lo + gamma >= 0:
-        lo += 1
-    while hi >= lo and (alpha * hi + beta) * hi + gamma >= 0:
-        hi -= 1
-    return range(lo, hi + 1)
-
-
-def lattice_sum(form, linear, const, order, weight, lower=(None, None)):
-    """sum of weight(n1, n2) q^E(n) over integer points n with E(n) < order.
-
-    E(n) = a n1^2 + b n1 n2 + c n2^2 + l1 n1 + l2 n2 + const, where
-    form = (a, b, c) are the coefficients of that polynomial (b is the
-    whole cross coefficient, not half of it) and linear = (l1, l2); all
-    are rationals.  lower = (lo1, lo2) restricts the sum to n_i >= lo_i,
-    None leaving that coordinate unbounded.  Raises ValueError unless the
-    quadratic part is positive definite.
-    """
-    order = rat(order)
-    vals = [rat(x) for x in (*form, *linear, const, order)]
-    d = lcm(*(v.denominator for v in vals))
-    a, b, c, l1, l2, k, top = (v.numerator * (d // v.denominator) for v in vals)
-    if a <= 0 or 4 * a * c - b * b <= 0:
-        raise ValueError("quadratic part is not positive definite")
-    # d E(n) < top has a real solution n2 in the row n1 iff the row's
-    # discriminant (b n1 + l2)^2 - 4 c (a n1^2 + l1 n1 + k - top) is positive
-    rows = _negative_range(
-        4 * a * c - b * b, 4 * c * l1 - 2 * b * l2, 4 * c * (k - top) - l2 * l2, lower[0]
-    )
-    acc = {}
-    for n1 in rows:
-        lin = b * n1 + l2
-        cst = (a * n1 + l1) * n1 + k
-        for n2 in _negative_range(c, lin, cst - top, lower[1]):
-            w = weight(n1, n2)
-            if w:
-                e = (c * n2 + lin) * n2 + cst  # d E(n)
-                acc[e] = acc.get(e, 0) + w
-    return PuiseuxSeries({Rat(e, d): w for e, w in acc.items()}, order)
 
 
 def _pQ(p, s1, s2):
@@ -394,29 +334,19 @@ def rank_one_coeff(p, r, order):
         raise ValueError("p must be an integer >= 2")
     if not isinstance(r, int):
         raise ValueError("r must be an integer")
-    order = rat(order)
     s0 = Rat(p - 1, 2 * p)
+    c = p * s0 * s0
     terms = {}
-    m = abs(r)
-    n = m
-    while Rat(p) * (n + s0) ** 2 < order:
-        e = Rat(p) * (n + s0) ** 2
-        terms[e] = terms.get(e, Rat(0)) + 1
-        n += 1
-    n = -m - 1
-    while Rat(p) * (n + s0) ** 2 < order:
-        e = Rat(p) * (n + s0) ** 2
-        terms[e] = terms.get(e, Rat(0)) - 1
-        n -= 1
+    # p (n + s0)^2 = p n^2 + b n + c, over n >= |r|, and over -n <= -|r| - 1
+    for sign, b, lower in ((1, 2 * p * s0, abs(r)), (-1, -2 * p * s0, abs(r) + 1)):
+        for n in quadratic_range(p, b, c, order, lower):
+            e = (p * n + b) * n + c
+            terms[e] = terms.get(e, 0) + sign
     return PuiseuxSeries(terms, order)
 
 
 def rogers_false_theta(order):
     """Rogers' false theta: sum_{n >= 0} (-1)^n q^(n(n+1)/2)."""
-    order = rat(order)
-    terms = {}
-    n = 0
-    while Rat(n * (n + 1), 2) < order:
-        terms[Rat(n * (n + 1), 2)] = Rat(1) if n % 2 == 0 else Rat(-1)
-        n += 1
-    return PuiseuxSeries(terms, order)
+    half = Rat(1, 2)
+    ns = quadratic_range(half, half, 0, order, 0)
+    return PuiseuxSeries({Rat(n * (n + 1), 2): (-1) ** n for n in ns}, order)

@@ -20,13 +20,15 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rat import Rat, rat, rat_str
+from .rat import Rat, rat, rat_str, rat_ceil
 from .series import (
     PuiseuxSeries,
     zero as q_zero,
     monomial as q_monomial,
     pochhammer,
     eta_series,
+    quadratic_range,
+    lattice_sum,
 )
 from .bilaurent import (
     BiLaurentSeries,
@@ -52,6 +54,7 @@ from .thetas import (
     f_coeff,
     J_constant_term,
     eta5_over_eta2,
+    unit_pochhammer,
     _unit_poly,
 )
 from .families import (
@@ -65,7 +68,6 @@ from .families import (
     G_hyper,
     H_frak,
     F0_series,
-    lattice_sum,
     _inv_poch,
 )
 
@@ -199,9 +201,9 @@ def _partial_fraction_sum(order, W):
     where the rho weight survives, which bounds the enumeration.
     """
     order = rat(order)
+    half = Rat(1, 2)
     terms = {}
-    n = 0
-    while Rat(n * (n + 1), 2) < order:
+    for n in quadratic_range(half, half, 0, order, 0):
         sign = -1 if n % 2 else 1
         for m in ((0,) if n == 0 else (n, -n)):
             for n2 in range(-W, W + 1):
@@ -211,7 +213,6 @@ def _partial_fraction_sum(order, W):
                     key = (rat(n2), Rat(0))
                     add = q_monomial(sign * w, e, order)
                     terms[key] = terms.get(key, q_zero(order)) + add
-        n += 1
     return BiLaurentSeries(terms, order, Region.INNER, W)
 
 
@@ -226,27 +227,19 @@ def _t2t_hyper(unit, order, variant):
     d1, d2 = UNIT_KEYS[unit]
     half = order / 2
     terms = {}
-    n1 = 0
-    while True:
-        alive = False
-        for m in ((0,) if n1 == 0 else (n1, -n1)):
-            a = abs(m)
-            n2 = 0
-            while True:
-                if variant == "poch":
-                    e = Rat(a) / 2 + n2
-                else:
-                    e = Rat(n2 * n2) + n2 * (a + 1) + Rat(a) / 2
-                if e >= half:
-                    break
-                alive = True
-                c = (_inv_poch(n2, half - e) * _inv_poch(a + n2, half - e)).shift(e)
+    # the key u^m, |m| = a, has exponents from a/2 up; a < order
+    for a in range(rat_ceil(order)):
+        low = Rat(a, 2)
+        if variant == "poch":
+            exps = ((n2, low + n2) for n2 in range(rat_ceil(half - low)))
+        else:
+            n2s = quadratic_range(1, a + 1, low, half, 0)
+            exps = ((n2, low + n2 * (n2 + a + 1)) for n2 in n2s)
+        for n2, e in exps:
+            c = (_inv_poch(n2, half - e) * _inv_poch(a + n2, half - e)).shift(e)
+            for m in ((a, -a) if a else (0,)):
                 key = (rat(m * d1), rat(m * d2))
                 terms[key] = terms.get(key, q_zero(half)) + c
-                n2 += 1
-        if not alive and n1 > 0:
-            break
-        n1 += 1
     body = BiLaurentSeries(
         {k: c.scale_q(2) for k, c in terms.items()}, order, Region.INNER
     )
@@ -315,18 +308,7 @@ def _ghyper_q2(r, order):
 @lru_cache(maxsize=None)
 def _inverse_poch_pair(unit, order):
     """1/(u q^(1/2), u^-1 q^(1/2); q)_oo on one unit, INNER."""
-    order = rat(order)
-    out = None
-    j = 0
-    while Rat(1, 2) + j < order:
-        e = Rat(1, 2) + j
-        fac = bl_mul(
-            expand_inverse_one_minus(unit, e, Region.INNER, order),
-            expand_inverse_one_minus(unit, e, Region.INNER, order, invert_unit=True),
-        )
-        out = fac if out is None else bl_mul(out, fac)
-        j += 1
-    return out
+    return unit_pochhammer(unit, Rat(1, 2), 1, order, inverse=True)
 
 
 # -- identity builders ---------------------------------------------------------
@@ -392,8 +374,8 @@ def _build_E4(p, order):
     pf_sum = _partial_fraction_sum(order, W)
     if p["part"] == "expansion":
         acc = BiLaurentSeries({}, order, Region.INNER, W)
-        n = 0
-        while Rat(n * (n + 1), 2) < order:
+        half = Rat(1, 2)
+        for n in quadratic_range(half, half, 0, order, 0):
             sign = -1 if n % 2 else 1
             for m in ((0,) if n == 0 else (n, -n)):
                 base = Rat(m * (m + 1), 2)
@@ -401,7 +383,6 @@ def _build_E4(p, order):
                     "z1", m, Region.INNER, order - base, zwindow=W
                 )
                 acc = bl_add(acc, bl_scalar_mul(g, q_monomial(sign, base, order)))
-            n += 1
         return acc.clip(W).truncate_q(order), pf_sum, W
     # zeta1^(-1/2) eta^3 = pf-sum * theta_hat(z1)
     B = order + Rat(1, 8)
@@ -420,16 +401,7 @@ def _build_E5(p, order):
         return lhs, rhs, None
     # theta_hat(u; 2tau) (u q, u^-1 q; q^2)_oo = theta_hat(u; tau) q^(1/8) (-q; q)_oo
     unit = p["unit"]
-    denom = None
-    j = 0
-    while 1 + 2 * j < order:
-        fac = bl_mul(
-            _unit_poly(unit, 1, -1, 1 + 2 * j, order),
-            _unit_poly(unit, 1, -1, 1 + 2 * j, order, invert_unit=True),
-        )
-        denom = fac if denom is None else bl_mul(denom, fac)
-        j += 1
-    lhs = bl_mul(theta_hat(unit, 2, order), denom)
+    lhs = bl_mul(theta_hat(unit, 2, order), unit_pochhammer(unit, 1, 2, order))
     scalar = pochhammer(-1, 1, 1, None, order - Rat(1, 8)).shift(Rat(1, 8))
     rhs = bl_scalar_mul(theta_hat(unit, 1, order), scalar)
     return lhs, rhs, None
@@ -561,11 +533,10 @@ def _build_E15b(p, order):
 
 def _build_E16(p, order):
     order = rat(order)
-    terms = {}
-    n = 0
-    while Rat(n * (n + 1)) < order:
-        terms[(rat(n), Rat(0))] = q_monomial((-1) ** (n % 2), n * (n + 1), order)
-        n += 1
+    terms = {
+        (rat(n), Rat(0)): q_monomial((-1) ** n, n * (n + 1), order)
+        for n in quadratic_range(1, 1, 0, order, 0)
+    }
     rhs = BiLaurentSeries(terms, order, Region.INNER)
     acc = BiLaurentSeries({}, order, Region.INNER)
     n = 0
@@ -621,11 +592,11 @@ def _build_E20(p, order):
     k = p["k"]
     order = rat(order)
     terms = {}
-    bound = 2 * int(order) + 2 * abs(k) + 4
-    for n in range(-bound, bound + 1):
+    # n -> -n - 2k - 1 keeps the exponent and flips the sign, so the sum
+    # vanishes at every exponent, negative ones included
+    for n in quadratic_range(Rat(1, 2), Rat(1, 2) + k, 0, order):
         e = Rat(n * (n + 1), 2) + k * n
-        if 0 <= e < order:
-            terms[e] = terms.get(e, Rat(0)) + (1 if n % 2 == 0 else -1)
+        terms[e] = terms.get(e, 0) + (1 if n % 2 == 0 else -1)
     return PuiseuxSeries(terms, order), q_zero(order), None
 
 
@@ -839,12 +810,14 @@ def verify_identity(ident_id, params=None, order=None, corrupt=False):
     reports are folded into one (first discrepancy wins).  corrupt=True
     perturbs one mid-support coefficient of the left side; the report
     then carries the perturbed location as its discrepancy (engine
-    self-test support).
+    self-test support).  Raises ValueError for an order <= 0.
     """
     if ident_id not in _REGISTRY:
         raise KeyError(f"unknown identity {ident_id!r}")
     ident = _REGISTRY[ident_id]
     order = rat(order) if order is not None else ident.default_order
+    if order <= 0:
+        raise ValueError(f"order must be positive, got {rat_str(order)}")
     grid = [params] if params is not None else ident.grid
     t0 = time.monotonic()
     verdict = "equal"

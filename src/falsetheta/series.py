@@ -12,7 +12,16 @@ The truncation contract composes under multiplication as
 
 where val() is the minimal stored exponent (defined as the order for the
 empty series, which is the canonical zero).
+
+Sums of q^(quadratic in n) are enumerated exactly, with no guessed box:
+`quadratic_range` gives the integers n with a n^2 + b n + c < order, and
+`lattice_points` the integer points of a positive-definite two-variable
+exponent below the order, which `lattice_sum` sums with a weight.  Both
+scale to integers and solve with integer square roots, so exactly the
+qualifying indices are visited.
 """
+
+from math import isqrt, lcm
 
 from .rat import Rat, rat, rat_str, parse_rat
 
@@ -23,6 +32,9 @@ __all__ = [
     "monomial",
     "pochhammer",
     "eta_series",
+    "quadratic_range",
+    "lattice_points",
+    "lattice_sum",
     "series_to_json",
     "series_from_json",
 ]
@@ -264,6 +276,88 @@ def eta_series(scale, order):
     pre = Rat(scale, 24)
     prod = pochhammer(1, scale, scale, None, order - pre)
     return prod.shift(pre)
+
+
+# -- exact enumeration of quadratic exponents ----------------------------------
+
+
+def _negative_range(alpha, beta, gamma, lower):
+    """The integers x >= lower with alpha x^2 + beta x + gamma < 0.
+
+    All arguments are integers (lower may be None) and alpha > 0.
+    """
+    disc = beta * beta - 4 * alpha * gamma
+    if disc <= 0:
+        return range(0)
+    s = isqrt(disc)
+    # s^2 <= disc < (s + 1)^2, so [lo, hi] contains both real roots;
+    # shrink it to the integers where the quadratic is negative, of which
+    # there may be none even though the discriminant is positive
+    lo = (-beta - s - 1) // (2 * alpha)
+    hi = -((beta - s - 1) // (2 * alpha))
+    if lower is not None:
+        lo = max(lo, lower)
+    while lo <= hi and (alpha * lo + beta) * lo + gamma >= 0:
+        lo += 1
+    while hi >= lo and (alpha * hi + beta) * hi + gamma >= 0:
+        hi -= 1
+    return range(lo, hi + 1)
+
+
+def _scaled(*vals):
+    """(d, integers d*v) for rationals v, d the lcm of their denominators."""
+    vals = [rat(v) for v in vals]
+    d = lcm(*(v.denominator for v in vals))
+    return d, [v.numerator * (d // v.denominator) for v in vals]
+
+
+def quadratic_range(a, b, c, order, lower=None):
+    """The integers n >= lower with a n^2 + b n + c < order, as a range.
+
+    a, b, c and order are rationals with a > 0; lower is an integer or
+    None for no lower bound.
+    """
+    _, (a, b, c, top) = _scaled(a, b, c, order)
+    if a <= 0:
+        raise ValueError("leading coefficient must be positive")
+    return _negative_range(a, b, c - top, lower)
+
+
+def lattice_points(form, linear, const, order, lower=(None, None)):
+    """Yield (n1, n2, E(n)) for the integer points n with E(n) < order.
+
+    E(n) = a n1^2 + b n1 n2 + c n2^2 + l1 n1 + l2 n2 + const, where
+    form = (a, b, c) are the coefficients of that polynomial (b is the
+    whole cross coefficient, not half of it) and linear = (l1, l2); all
+    are rationals.  lower = (lo1, lo2) restricts the points to n_i >= lo_i,
+    None leaving that coordinate unbounded.  Points come row by row in
+    increasing n1, then n2.  Iteration raises ValueError unless the
+    quadratic part is positive definite.
+    """
+    d, (a, b, c, l1, l2, k, top) = _scaled(*form, *linear, const, order)
+    if a <= 0 or 4 * a * c - b * b <= 0:
+        raise ValueError("quadratic part is not positive definite")
+    # d E(n) < top has a real solution n2 in the row n1 iff the row's
+    # discriminant (b n1 + l2)^2 - 4 c (a n1^2 + l1 n1 + k - top) is positive
+    rows = _negative_range(
+        4 * a * c - b * b, 4 * c * l1 - 2 * b * l2, 4 * c * (k - top) - l2 * l2, lower[0]
+    )
+    for n1 in rows:
+        lin = b * n1 + l2
+        cst = (a * n1 + l1) * n1 + k
+        for n2 in _negative_range(c, lin, cst - top, lower[1]):
+            yield n1, n2, Rat((c * n2 + lin) * n2 + cst, d)
+
+
+def lattice_sum(form, linear, const, order, weight, lower=(None, None)):
+    """sum of weight(n1, n2) q^E(n) over the points n that
+    lattice_points(form, linear, const, order, lower) yields."""
+    acc = {}
+    for n1, n2, e in lattice_points(form, linear, const, order, lower):
+        w = weight(n1, n2)
+        if w:
+            acc[e] = acc.get(e, 0) + w
+    return PuiseuxSeries(acc, order)
 
 
 # -- serialization ------------------------------------------------------------

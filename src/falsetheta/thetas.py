@@ -17,14 +17,24 @@ theta expansions; they are always assembled from the closed product form
 in the INNER annulus, either from the explicit double-sum rewrite of
 its denominator (the default, and much the faster) or expanded factor
 by factor; identities E6 and E12b cross-check the two paths.
+
+Every two-sided product over an arithmetic progression of q-powers,
+prod_e (1 - u q^e)(1 - u^-1 q^e) or its geometric inverse, is built by
+`unit_pochhammer`; every sum of q^(quadratic in n) is enumerated exactly
+by `series.quadratic_range` or `series.lattice_points`.  Builders build
+whole objects: only theta_A2, calT, s01_factor and J_series take a key
+window, because it bounds what they build; callers clip the others.
 """
 
 from functools import lru_cache
 
-from .rat import Rat, rat
+from .rat import Rat, rat, rat_ceil
 from .series import (
+    PuiseuxSeries,
     pochhammer,
     eta_series,
+    quadratic_range,
+    lattice_points,
     monomial as q_monomial,
     one as q_one,
 )
@@ -40,6 +50,7 @@ from .bilaurent import (
 )
 
 __all__ = [
+    "unit_pochhammer",
     "theta_hat",
     "theta_hat_sum",
     "theta01",
@@ -75,8 +86,40 @@ def _unit_poly(unit, c0, c1, qexp, qorder, region=Region.INNER, invert_unit=Fals
     return BiLaurentSeries(terms, qorder, region)
 
 
+def unit_pochhammer(unit, start, step, qorder, inverse=False):
+    """prod over e = start + j*step < qorder of F(u q^e) F(u^-1 q^e), INNER.
+
+    F(x) = 1 - x, or with inverse=True its INNER geometric expansion
+    1/(1 - x), which needs start > 0.  Each pair (1 - u q^e)(1 - u^-1 q^e)
+    enters the running product as one three-key factor; the geometric
+    series enter one at a time.  The empty product is 1.
+    """
+    start, step, qorder = rat(start), rat(step), rat(qorder)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    d1, d2 = _unit_dirs(unit)
+    out = BiLaurentSeries({(Rat(0), Rat(0)): q_one(qorder)}, qorder, Region.INNER)
+    e = start
+    while e < qorder:
+        if inverse:
+            for flip in (False, True):
+                out = bl_mul(out, expand_inverse_one_minus(
+                    unit, e, Region.INNER, qorder, invert_unit=flip
+                ))
+        else:
+            side = q_monomial(-1, e, qorder)
+            fac = {
+                (Rat(0), Rat(0)): q_one(qorder) + q_monomial(1, 2 * e, qorder),
+                (rat(d1), rat(d2)): side,
+                (rat(-d1), rat(-d2)): side,
+            }
+            out = bl_mul(out, BiLaurentSeries(fac, qorder, Region.INNER))
+        e += step
+    return out
+
+
 @lru_cache(maxsize=None)
-def theta_hat(unit, k, qorder, zwindow=None):
+def theta_hat(unit, k, qorder):
     """Product-form theta_hat(u; k*tau), keys along the selected unit.
 
     Exponents of the unit lie in 1/2 + Z; the coefficient of u^m is the
@@ -86,115 +129,77 @@ def theta_hat(unit, k, qorder, zwindow=None):
         raise ValueError("scale k must be 1 or 2")
     qorder = rat(qorder)
     d1, d2 = _unit_dirs(unit)
-    # q^(k/8) u^(-1/2) (u; q^k)_oo (u^-1 q^k; q^k)_oo (q^k; q^k)_oo
+    # q^(k/8) u^(-1/2) (1 - u) (u q^k, u^-1 q^k; q^k)_oo (q^k; q^k)_oo
     build = qorder - Rat(k, 8)
-    out = _unit_poly(unit, 1, -1, 0, build)  # j = 0 factor of (u; q^k)_oo
-    j = 1
-    while j * k < build:
-        out = bl_mul(out, _unit_poly(unit, 1, -1, j * k, build))
-        out = bl_mul(out, _unit_poly(unit, 1, -1, j * k, build, invert_unit=True))
-        j += 1
+    if build <= 0:
+        # every term carries q^(k/8) or more
+        return BiLaurentSeries({}, qorder, Region.INNER, 0)
+    out = bl_mul(_unit_poly(unit, 1, -1, 0, build), unit_pochhammer(unit, k, k, build))
     out = bl_scalar_mul(out, pochhammer(1, k, k, None, build))
     pre = bl_monomial(
         q_monomial(1, Rat(k, 8), qorder), -Rat(d1, 2), -Rat(d2, 2), qorder, Region.INNER
     )
-    out = bl_mul(pre, out)
-    if zwindow is not None:
-        out = out.clip(zwindow)
-    return out
+    return bl_mul(pre, out)
 
 
 @lru_cache(maxsize=None)
-def theta_hat_sum(unit, k, qorder, zwindow=None):
-    """Half-integer indexed sum form of theta_hat; oracle for the product."""
+def theta_hat_sum(unit, k, qorder):
+    """Half-integer indexed sum form of theta_hat; oracle for the product.
+
+    The key u^n, n = j + 1/2, carries (-1)^(j+1) q^(k n^2 / 2).
+    """
     if k not in (1, 2):
         raise ValueError("scale k must be 1 or 2")
     qorder = rat(qorder)
     d1, d2 = _unit_dirs(unit)
     terms = {}
-    m = 0
-    while True:
-        done = True
-        for n in (Rat(2 * m + 1, 2), Rat(-2 * m - 1, 2)):
-            e = Rat(k) * n * n / 2
-            if e >= qorder:
-                continue
-            done = False
-            if zwindow is not None and abs(n) > zwindow:
-                continue
-            sign = 1 if (m % 2 == 0) == (n < 0) else -1
-            # (-1)^(n + 1/2): +1 at n = -1/2, alternating outward
-            terms[(n * d1, n * d2)] = q_monomial(sign, e, qorder)
-        if done:
-            break
-        m += 1
-    return BiLaurentSeries(terms, qorder, Region.INNER, zwindow)
+    for j in quadratic_range(Rat(k, 2), Rat(k, 2), Rat(k, 8), qorder):
+        n = j + Rat(1, 2)
+        sign = -1 if j % 2 == 0 else 1
+        terms[(n * d1, n * d2)] = q_monomial(sign, Rat(k) * n * n / 2, qorder)
+    return BiLaurentSeries(terms, qorder, Region.INNER)
 
 
 @lru_cache(maxsize=None)
-def theta01(unit, k, qorder, zwindow=None):
+def theta01(unit, k, qorder):
     """(q^k, u q^(k/2), u^-1 q^(k/2); q^k)_oo with integer unit exponents."""
     if k not in (1, 2):
         raise ValueError("scale k must be 1 or 2")
     qorder = rat(qorder)
-    half = Rat(k, 2)
-    out = None
-    j = 0
-    while half + j * k < qorder:
-        e = half + j * k
-        fac = bl_mul(
-            _unit_poly(unit, 1, -1, e, qorder),
-            _unit_poly(unit, 1, -1, e, qorder, invert_unit=True),
-        )
-        out = fac if out is None else bl_mul(out, fac)
-        j += 1
-    if out is None:
-        out = BiLaurentSeries(
-            {(Rat(0), Rat(0)): q_one(qorder)}, qorder, Region.INNER
-        )
-    out = bl_scalar_mul(out, pochhammer(1, k, k, None, qorder))
-    if zwindow is not None:
-        out = out.clip(zwindow)
-    return out
-
-
-def _Q(n1, n2):
-    return n1 * n1 + n2 * n2 - n1 * n2
+    out = unit_pochhammer(unit, Rat(k, 2), k, qorder)
+    return bl_scalar_mul(out, pochhammer(1, k, k, None, qorder))
 
 
 @lru_cache(maxsize=None)
 def theta_A2(qorder, zwindow):
-    """A2 lattice theta: coefficient q^(Q(n)) on the key (n1, n2)."""
+    """A2 lattice theta: coefficient q^(Q(n)) on the key (n1, n2),
+    |n1|, |n2| <= zwindow, with Q(n) = n1^2 - n1 n2 + n2^2."""
     qorder = rat(qorder)
     if zwindow is None:
         raise ValueError("a finite window is required")
-    terms = {}
-    bound = zwindow
-    for n1 in range(-bound, bound + 1):
-        for n2 in range(-bound, bound + 1):
-            e = _Q(n1, n2)
-            if e < qorder:
-                terms[(rat(n1), rat(n2))] = q_monomial(1, e, qorder)
+    terms = {
+        (rat(n1), rat(n2)): q_monomial(1, e, qorder)
+        for n1, n2, e in lattice_points((1, -1, 1), (0, 0), 0, qorder)
+        if abs(n1) <= zwindow and abs(n2) <= zwindow
+    }
     return BiLaurentSeries(terms, qorder, Region.INNER, zwindow)
 
 
 @lru_cache(maxsize=None)
 def calT(qorder, zwindow):
-    """Dilated A2 theta: q^(2Q(n)) on the key (n1+n2, 2n1-n2).
+    """Dilated A2 theta: q^(2Q(n)) on the key (n1+n2, 2n1-n2), keys within
+    the window.
 
     The key map is injective and its image satisfies e1 + e2 = 0 mod 3.
     """
     qorder = rat(qorder)
     if zwindow is None:
         raise ValueError("a finite window is required")
-    terms = {}
-    bound = zwindow + 2
-    for n1 in range(-bound, bound + 1):
-        for n2 in range(-bound, bound + 1):
-            e = 2 * _Q(n1, n2)
-            key = (rat(n1 + n2), rat(2 * n1 - n2))
-            if e < qorder and abs(key[0]) <= zwindow and abs(key[1]) <= zwindow:
-                terms[key] = q_monomial(1, e, qorder)
+    terms = {
+        (rat(n1 + n2), rat(2 * n1 - n2)): q_monomial(1, e, qorder)
+        for n1, n2, e in lattice_points((2, -2, 2), (0, 0), 0, qorder)
+        if abs(n1 + n2) <= zwindow and abs(2 * n1 - n2) <= zwindow
+    }
     return BiLaurentSeries(terms, qorder, Region.INNER, zwindow)
 
 
@@ -211,46 +216,21 @@ def t2t_factor(unit, qorder, path="closed"):
     qorder = rat(qorder)
     scalar = pochhammer(-1, 1, 1, None, qorder - Rat(1, 8)).shift(Rat(1, 8))
     if path == "geometric":
-        out = bl_monomial(scalar, 0, 0, qorder, Region.INNER)
-        j = 0
-        while 1 + 2 * j < qorder:
-            out = bl_mul(
-                out, expand_inverse_one_minus(unit, 1 + 2 * j, Region.INNER, qorder)
-            )
-            out = bl_mul(
-                out,
-                expand_inverse_one_minus(
-                    unit, 1 + 2 * j, Region.INNER, qorder, invert_unit=True
-                ),
-            )
-            j += 1
-        return out
+        return bl_scalar_mul(unit_pochhammer(unit, 1, 2, qorder, inverse=True), scalar)
     if path == "closed":
         d1, d2 = _unit_dirs(unit)
         inv2 = pochhammer(1, 2, 2, None, qorder).invert()
         pre = (scalar * inv2 * inv2).truncate(qorder)
         terms = {}
-        n1 = 0
-        while True:
-            alive = False
-            for m in ((n1,) if n1 == 0 else (n1, -n1)):
-                n2 = abs(m)
-                while True:
-                    e = n2 * (n2 + 1) - m * m
-                    if e >= qorder:
-                        break
-                    alive = True
-                    sign = 1 if (m + n2) % 2 == 0 else -1
-                    key = (rat(m * d1), rat(m * d2))
-                    cur = terms.get(key)
-                    mono = q_monomial(sign, e, qorder)
-                    terms[key] = mono if cur is None else cur + mono
-                    n2 += 1
-            if not alive:
-                break
-            n1 += 1
-        body = BiLaurentSeries(terms, qorder, Region.INNER)
-        return bl_scalar_mul(body, pre)
+        # the key u^m, |m| = a < qorder, is sum_{k>=0} (-1)^k q^(k^2 + (2a+1)k + a)
+        for a in range(rat_ceil(qorder)):
+            ks = quadratic_range(1, 2 * a + 1, a, qorder, 0)
+            body = PuiseuxSeries(
+                {k * k + (2 * a + 1) * k + a: (-1) ** k for k in ks}, qorder
+            )
+            for m in ((a, -a) if a else (0,)):
+                terms[(rat(m * d1), rat(m * d2))] = body
+        return bl_scalar_mul(BiLaurentSeries(terms, qorder, Region.INNER), pre)
     raise ValueError(f"unknown path {path!r}")
 
 
@@ -273,18 +253,7 @@ def s01_factor(unit, qorder, zwindow):
     out = bl_mul(
         out, expand_inverse_one_minus(unit, 0, Region.INNER, build, zwindow=zwindow)
     )
-    j = 1
-    while 2 * j < build:
-        out = bl_mul(
-            out, expand_inverse_one_minus(unit, 2 * j, Region.INNER, build)
-        )
-        out = bl_mul(
-            out,
-            expand_inverse_one_minus(
-                unit, 2 * j, Region.INNER, build, invert_unit=True
-            ),
-        )
-        j += 1
+    out = bl_mul(out, unit_pochhammer(unit, 2, 2, build, inverse=True))
     # exact monomial shift by q^(-1/8) applied last to keep the full order
     return bl_scalar_mul(out, q_monomial(1, -Rat(1, 8), build + 1))
 
@@ -294,17 +263,14 @@ def _f_factors(qorder, path):
 
 
 @lru_cache(maxsize=None)
-def f_series(qorder, zwindow=None, path="closed"):
+def f_series(qorder, path="closed"):
     """The meromorphic Jacobi form ratio, INNER region.
 
     Product over the three units z1, z2, z1*z2 of the t2t factor; the
     (0, 0) coefficient has valuation 3/8 with leading coefficient 1.
     """
     a, b, c = _f_factors(qorder, path)
-    out = bl_mul(bl_mul(a, b), c)
-    if zwindow is not None:
-        out = out.clip(zwindow)
-    return out
+    return bl_mul(bl_mul(a, b), c)
 
 
 def f_coeff(r1, r2, qorder):
@@ -352,12 +318,8 @@ def J_constant_term(qorder, zwindow):
 
 
 @lru_cache(maxsize=None)
-def kw_character_N3(qorder, zwindow=None):
+def kw_character_N3(qorder):
     """The N = 3 boundary-level character: (eta/eta(2tau)) * f."""
     qorder = rat(qorder)
     quot = eta1_over_eta2(qorder + Rat(1, 2))
-    out = bl_scalar_mul(f_series(qorder + Rat(1, 2)), quot)
-    out = out.truncate_q(qorder)
-    if zwindow is not None:
-        out = out.clip(zwindow)
-    return out
+    return bl_scalar_mul(f_series(qorder + Rat(1, 2)), quot).truncate_q(qorder)

@@ -15,9 +15,7 @@ from falsetheta.bilaurent import (
     bl_mul,
     bl_scalar_mul,
     bl_elliptic_shift,
-    bl_monomial_substitution,
     expand_inverse_one_minus,
-    expand_weyl_denominator,
     laurent_poly_exact_divide,
     bl_to_json,
     bl_from_json,
@@ -85,13 +83,6 @@ class TestExpansions:
         )
         assert g.coeff(0, -3).coeff(0) == 1
 
-    def test_weyl_denominator_weights(self):
-        w = expand_weyl_denominator(Rat(2), 5)
-        # coefficient of z1^-a z2^-b is min(a+1, b+1)
-        for a in range(4):
-            for b in range(4):
-                assert w.coeff(-a, -b).coeff(0) == min(a + 1, b + 1)
-
     def test_diagonal_unit_multiplication(self):
         a = mono(1, 1, 1, 0, Rat(4))
         b = mono(1, 1, 1, 1, Rat(4))
@@ -105,11 +96,6 @@ class TestTransforms:
         s = bl_elliptic_shift(a, 1, 0)
         assert s.coeff(2, 0).coeff(2) == 1
         assert s.coeff(-1, 0).coeff(-1) == 1
-
-    def test_monomial_substitution(self):
-        a = mono(1, 1, 1, 0, Rat(4), window=3)
-        s = bl_monomial_substitution(a, ((1, 2), (1, -1)))
-        assert not s.coeff(3, 0).is_zero()
 
     def test_exact_divide_roundtrip(self):
         # (1 - z1)(1 - z2) / (1 - z1) = (1 - z2)

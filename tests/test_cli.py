@@ -60,6 +60,34 @@ class TestExpand:
         assert code == USAGE_ERROR
         assert out == "" and "--r must be a pair of integers" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("f", "--order", "-3"),
+            ("eta", "--order", "0"),
+            ("rogers", "--order=-1/2"),
+            ("theta", "--window", "-1"),
+        ],
+    )
+    def test_non_positive_order_or_negative_window_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "expand", *argv)
+        assert code == USAGE_ERROR
+        assert out == "" and err.startswith("error: --")
+
+    def test_theta_below_its_leading_power_keeps_the_order_asked(self, capsys):
+        code, out, _ = run(capsys, "expand", "theta", "--order", "1/16")
+        assert code == 0
+        assert out == "region=INNER + O(q^(1/16))\n"
+
+    def test_window_clips_what_is_printed(self, capsys):
+        code, out, _ = run(
+            capsys, "expand", "theta", "--order", "9", "--window", "1", "--format", "json"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["window"] == 1
+        assert sorted(t["e1"] for t in data["terms"]) == ["-1/2", "1/2"]
+
     def test_bad_family_parameter_is_usage_error(self, capsys):
         code, _, err = run(capsys, "expand", "Gfrak", "--p", "1", "--order", "4")
         assert code == USAGE_ERROR
@@ -76,6 +104,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "E99")
         assert code == USAGE_ERROR
         assert "unknown identity" in err
+
+    @pytest.mark.parametrize("ident, order", [("E7", "-2"), ("E19", "0"), ("all", "-1")])
+    def test_non_positive_order_is_usage_error(self, capsys, ident, order):
+        code, out, err = run(capsys, "verify", ident, "--order", order)
+        assert code == USAGE_ERROR
+        assert out == "" and "--order must be positive" in err
 
     def test_json_report(self, capsys):
         code, out, _ = run(

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from falsetheta.rat import Rat
-from falsetheta.series import PuiseuxSeries, zero
+from falsetheta.series import PuiseuxSeries, zero, lattice_sum
 from falsetheta.families import (
     sgn_star,
     rho,
     quad_Q,
-    lattice_sum,
     G_frak,
     G_frak_rewrite_p2,
     G_frak_closed_p2,

@@ -33,6 +33,12 @@ def test_unknown_id_rejected():
         verify_identity("E99")
 
 
+@pytest.mark.parametrize("order", [0, -2, Rat(-1, 2)])
+def test_non_positive_order_rejected(order):
+    with pytest.raises(ValueError):
+        verify_identity("E7", order=order)
+
+
 @pytest.mark.parametrize("ident", EXPECTED_IDS)
 def test_each_identity_at_reduced_order(ident):
     rep = verify_identity(ident, order=8)

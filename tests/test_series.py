@@ -11,6 +11,7 @@ from falsetheta.series import (
     monomial,
     pochhammer,
     eta_series,
+    quadratic_range,
     series_to_json,
     series_from_json,
 )
@@ -123,6 +124,55 @@ class TestBuilders:
         e2 = eta_series(2, Rat(20))
         assert e2.valuation() == Rat(2, 24)
         assert e2.coeff(Rat(1, 12) + 2) == -1
+
+
+def _rationals(lo, hi, den=3):
+    return st.builds(Rat, st.integers(lo, hi), st.integers(1, den))
+
+
+def _brute_range(a, b, c, order, lower):
+    """The n >= lower with a n^2 + b n + c < order, from a box |n| <= R.
+
+    a n^2 + b n + c >= a m^2 - |b| m + c for m = |n|, which increases in
+    m once 2 a m >= |b|; past the first such R where it reaches the order,
+    no n qualifies.
+    """
+    R = 0
+    while 2 * a * R < abs(b) or a * R * R - abs(b) * R + c < order:
+        R += 1
+    return [
+        n for n in range(-R, R + 1)
+        if a * n * n + b * n + c < order and (lower is None or n >= lower)
+    ]
+
+
+class TestQuadraticRange:
+    @given(
+        a=_rationals(1, 6),
+        b=_rationals(-12, 12),
+        c=_rationals(-6, 6),
+        order=_rationals(-4, 20),
+        lower=st.none() | st.integers(-6, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, a, b, c, order, lower):
+        got = quadratic_range(a, b, c, order, lower)
+        assert isinstance(got, range)
+        assert list(got) == _brute_range(a, b, c, order, lower)
+
+    def test_empty_range(self):
+        assert list(quadratic_range(1, 0, 1, 1)) == []  # n^2 + 1 < 1
+        assert list(quadratic_range(1, 0, 0, 5, lower=3)) == []
+
+    def test_positive_discriminant_and_no_integer_root(self):
+        # (n - 1/2)^2 < 1/8 holds on (0.15, 0.85), which holds no integer
+        assert list(quadratic_range(1, -1, Rat(1, 4), Rat(1, 8))) == []
+        assert list(quadratic_range(1, -1, Rat(1, 4), Rat(1, 4) + 1)) == [0, 1]
+
+    @pytest.mark.parametrize("a", [0, -1, Rat(-1, 2)])
+    def test_rejects_a_leading_coefficient_that_is_not_positive(self, a):
+        with pytest.raises(ValueError):
+            quadratic_range(a, 1, 0, 5)
 
 
 def test_rat_string_roundtrip():

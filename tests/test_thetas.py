@@ -3,7 +3,18 @@
 import pytest
 
 from falsetheta.rat import Rat
+from falsetheta.series import monomial
+from falsetheta.bilaurent import (
+    UNIT_KEYS,
+    BiLaurentSeries,
+    Region,
+    bl_add,
+    bl_monomial,
+    bl_mul,
+    bl_one,
+)
 from falsetheta.thetas import (
+    unit_pochhammer,
     theta_hat,
     theta_hat_sum,
     theta01,
@@ -22,42 +33,113 @@ class TestThetaHat:
     def test_product_equals_sum_form(self):
         for unit in ("z1", "z2", "z12"):
             for k in (1, 2):
-                a = theta_hat(unit, k, Rat(8), 8)
-                b = theta_hat_sum(unit, k, Rat(8), 8)
+                a = theta_hat(unit, k, Rat(8)).clip(8)
+                b = theta_hat_sum(unit, k, Rat(8)).clip(8)
                 assert a.terms == b.terms
 
     def test_leading_terms(self):
-        t = theta_hat("z1", 1, Rat(4), 4)
+        t = theta_hat("z1", 1, Rat(4)).clip(4)
         # q^(1/8) (zeta^(-1/2) - zeta^(1/2)) + higher order
         assert t.coeff(Rat(-1, 2), 0).coeff(Rat(1, 8)) == 1
         assert t.coeff(Rat(1, 2), 0).coeff(Rat(1, 8)) == -1
 
     def test_support_on_half_integers(self):
-        t = theta_hat_sum("z2", 2, Rat(10), 6)
+        t = theta_hat_sum("z2", 2, Rat(10)).clip(6)
         assert all((2 * e2).denominator == 1 and e2.denominator == 2
                    for _, e2 in t.terms)
 
     def test_odd_symmetry_of_coefficients(self):
-        t = theta_hat("z1", 1, Rat(10), 6)
+        t = theta_hat("z1", 1, Rat(10)).clip(6)
         for (e1, _), c in t.terms.items():
             assert (t.coeff(-e1, 0) + c).is_zero()
 
 
 class TestTheta01:
     def test_leading_terms(self):
-        t = theta01("z1", 1, Rat(3), 4)
+        t = theta01("z1", 1, Rat(3)).clip(4)
         # (q, zeta q^(1/2), zeta^(-1) q^(1/2); q)_infty
         assert t.coeff(0, 0).coeff(0) == 1
         assert t.coeff(1, 0).coeff(Rat(1, 2)) == -1
         assert t.coeff(-1, 0).coeff(Rat(1, 2)) == -1
 
     def test_even_in_the_unit(self):
-        t = theta01("z2", 1, Rat(8), 6)
+        t = theta01("z2", 1, Rat(8)).clip(6)
         for (_, e2), c in t.terms.items():
             assert t.coeff(0, -e2) == c
 
 
+def _explicit_pochhammer(unit, start, step, qorder, inverse):
+    """The product of unit_pochhammer, one bl_mul per factor F(u^s q^e)."""
+    d1, d2 = UNIT_KEYS[unit]
+    out = bl_one(qorder, Region.INNER)
+    e = start
+    while e < qorder:
+        for s in (1, -1):
+            if inverse:
+                # 1/(1 - x) = sum_k x^k with x = u^s q^e
+                terms = {}
+                k = 0
+                while k * e < qorder:
+                    terms[(k * s * d1, k * s * d2)] = monomial(1, k * e, qorder)
+                    k += 1
+                fac = BiLaurentSeries(terms, qorder, Region.INNER)
+            else:
+                fac = bl_add(
+                    bl_one(qorder, Region.INNER),
+                    bl_monomial(monomial(-1, e, qorder), s * d1, s * d2, qorder, Region.INNER),
+                )
+            out = bl_mul(out, fac)
+        e += step
+    return out
+
+
+class TestUnitPochhammer:
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("unit", ["z1", "z12"])
+    @pytest.mark.parametrize(
+        "start, step, qorder",
+        [
+            (Rat(1), Rat(2), Rat(7)),
+            (Rat(1, 2), Rat(1), Rat(11, 2)),
+            (Rat(2), Rat(2), Rat(9)),
+            (Rat(1, 2), Rat(1, 2), Rat(4)),
+        ],
+    )
+    def test_matches_the_factor_by_factor_product(self, inverse, unit, start, step, qorder):
+        got = unit_pochhammer(unit, start, step, qorder, inverse)
+        assert got == _explicit_pochhammer(unit, start, step, qorder, inverse)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_no_factor_enters_below_the_start(self, inverse):
+        got = unit_pochhammer("z2", 1, 2, Rat(1), inverse)
+        assert got == bl_one(Rat(1), Region.INNER)
+        assert got == _explicit_pochhammer("z2", 1, 2, Rat(1), inverse)
+
+    def test_rejects_a_step_that_is_not_positive(self):
+        with pytest.raises(ValueError):
+            unit_pochhammer("z1", 1, 0, Rat(3))
+
+
 class TestLatticeKernels:
+    @pytest.mark.parametrize(
+        "qorder, W",
+        [(Rat(1, 2), 0), (Rat(7, 2), 1), (Rat(5), 2), (Rat(9), 6), (Rat(40), 10), (Rat(13), 3)],
+    )
+    def test_theta_A2_and_calT_match_a_box(self, qorder, W):
+        # theta_A2 keys are n itself; a calT key k within the window has
+        # n1 = (k1 + k2)/3 and n2 = (2 k1 - k2)/3, so |n1|, |n2| <= W too
+        a2, cal = {}, {}
+        for n1 in range(-W, W + 1):
+            for n2 in range(-W, W + 1):
+                Q = n1 * n1 - n1 * n2 + n2 * n2
+                if Q < qorder:
+                    a2[(n1, n2)] = monomial(1, Q, qorder)
+                key = (n1 + n2, 2 * n1 - n2)
+                if 2 * Q < qorder and max(abs(key[0]), abs(key[1])) <= W:
+                    cal[key] = monomial(1, 2 * Q, qorder)
+        assert theta_A2(qorder, W) == BiLaurentSeries(a2, qorder, Region.INNER)
+        assert calT(qorder, W) == BiLaurentSeries(cal, qorder, Region.INNER)
+
     def test_theta_A2_small_coefficients(self):
         t = theta_A2(Rat(5), 4)
         assert t.coeff(0, 0).coeff(0) == 1
@@ -90,7 +172,7 @@ class TestRatioFactors:
         assert s.coeff(Rat(1, 2), 0).coeff(Rat(-1, 8)) == 1
 
     def test_f_series_valuation_and_symmetry(self):
-        f = f_series(Rat(6), 5)
+        f = f_series(Rat(6)).clip(5)
         assert f.qvaluation() == Rat(3, 8)
         assert f.coeff(0, 0).coeff(Rat(3, 8)) == 1
         # swapping the two elliptic variables fixes the product
@@ -111,7 +193,7 @@ class TestAssembled:
         assert c.coeff(Rat(1, 2)) == 1
 
     def test_kw_character_is_windowed(self):
-        k = kw_character_N3(Rat(5), 4)
+        k = kw_character_N3(Rat(5)).clip(4)
         assert k.window == 4
         # eta/eta(2tau) contributes -1/24, the triple ratio 3/8
         assert k.qvaluation() == Rat(1, 3)
