@@ -47,7 +47,6 @@ from .families import (
     H_frak,
     coeff_F,
     F_constant_term,
-    partial_theta_A2,
     F0_series,
     rank_one_coeff,
     rogers_false_theta,

@@ -6,16 +6,20 @@ annulus (Region) its meromorphic factors were expanded in; mixing
 regions is a hard error, because the same rational function has
 different Laurent expansions in different annuli.
 
-The optional `window` is a symmetric bound |e1|, |e2| <= W on the key
-support.  It is mandatory for expansions whose support at a fixed
-q-order would otherwise be unbounded (the plain geometric series
-1/(1-u)); callers choose it as an analysis
-parameter and are responsible for pairing it with a compatible q-order.
+The optional `window` W marks a clip: keys outside |e1|, |e2| <= W were
+dropped, so their coefficients are unknown and reading one raises.  It
+is set only by `clip` and by builders that bound what they build, such
+as the geometric series 1/(1 - u), whose key support at a fixed q-order
+is otherwise unbounded.  bl_add keeps the smaller of its operands'
+windows; bl_scalar_mul, truncate_q and bl_elliptic_shift keep their
+operand's; bl_mul and laurent_poly_exact_divide return none, so a key
+outside a product's support reads as zero.  Callers choose a window as
+an analysis parameter and pair it with a compatible q-order.
 """
 
 import enum
 
-from .rat import Rat, rat, rat_str, parse_rat, rat_ceil
+from .rat import Rat, rat, rat_str, parse_rat
 from .series import PuiseuxSeries, zero as q_zero, one as q_one, monomial as q_monomial
 from .series import series_to_json, series_from_json
 
@@ -105,7 +109,7 @@ class BiLaurentSeries:
         return sorted(self.terms)
 
     def clip(self, window):
-        """Drop keys outside |ei| <= window (no reliability bookkeeping)."""
+        """Drop keys outside |ei| <= window; reading one of them raises."""
         return BiLaurentSeries(self.terms, self.qorder, self.region, window)
 
     def truncate_q(self, qorder):
@@ -179,12 +183,6 @@ def _check_regions(a, b):
         )
 
 
-def _merged_window(keys):
-    if not keys:
-        return 0
-    return max(rat_ceil(max(abs(e1), abs(e2))) for (e1, e2) in keys)
-
-
 def bl_add(a, b):
     _check_regions(a, b)
     qorder = min(a.qorder, b.qorder)
@@ -195,8 +193,8 @@ def bl_add(a, b):
             terms[k] = terms[k] + c
         else:
             terms[k] = c
-    terms = {k: c for k, c in terms.items() if not c.is_zero()}
-    return BiLaurentSeries(terms, qorder, a.region, _merged_window(terms))
+    windows = [w for w in (a.window, b.window) if w is not None]
+    return BiLaurentSeries(terms, qorder, a.region, min(windows, default=None))
 
 
 def bl_mul(a, b):
@@ -228,7 +226,7 @@ def bl_mul(a, b):
         c = c.truncate(qorder) if c.order > qorder else c
         if not c.is_zero():
             out[k] = c
-    return BiLaurentSeries(out, qorder, a.region, _merged_window(out))
+    return BiLaurentSeries(out, qorder, a.region)
 
 
 def product_coeff(factors, r1, r2):
@@ -297,18 +295,18 @@ def bl_scalar_mul(a, s):
             prod = prod.truncate(qorder)
         if not prod.is_zero():
             terms[k] = prod
-    return BiLaurentSeries(terms, qorder, a.region, _merged_window(terms))
+    return BiLaurentSeries(terms, qorder, a.region, a.window)
 
 
 def expand_inverse_one_minus(
-    unit, n, region, qorder, zwindow=None, invert_unit=False
+    unit, n, qorder, zwindow=None, invert_unit=False, sign=1
 ):
-    """Region-aware Laurent expansion of 1 / (1 - u^s q^n), s = +-1.
+    """INNER expansion of 1 / (1 - x), x = sign * u^s * q^n, s = +-1.
 
-    unit selects u among z1, z2, z1*z2; invert_unit chooses s = -1.
-    INNER expansions (any rational n, with a window required when the
-    factor carries no positive q-power) and the OUTER expansion of
-    1/(1 - u^-1) in non-positive powers are supported.
+    unit selects u among z1, z2, z1*z2; invert_unit chooses s = -1 and
+    sign is +-1.  For n >= 0 this is sum_{k>=0} x^k; for n < 0 it is
+    -sum_{k>=1} x^-k.  n = 0 needs a window, which then bounds the keys;
+    any window becomes the result's.
     """
     if unit not in UNIT_KEYS:
         raise ValueError(f"unknown unit {unit!r}")
@@ -317,43 +315,19 @@ def expand_inverse_one_minus(
         d1, d2 = -d1, -d2
     n = rat(n)
     qorder = rat(qorder)
+    if n == 0 and zwindow is None:
+        raise ValueError("n = 0 expansion requires a window")
+    lead, k = 1, 0
+    if n < 0:
+        # 1/(1 - x) = -x^-1/(1 - x^-1)
+        d1, d2, n, lead, k = -d1, -d2, -n, -1, 1
     terms = {}
-    if region is Region.INNER:
-        if n > 0:
-            # |u^s q^n| < 1: plain geometric series in u^s
-            k = 0
-            while k * n < qorder:
-                if zwindow is None or (abs(k * d1) <= zwindow and abs(k * d2) <= zwindow):
-                    terms[(rat(k * d1), rat(k * d2))] = q_monomial(1, k * n, qorder)
-                k += 1
-        elif n < 0:
-            # rewrite through 1/(1 - x) = -x^-1/(1 - x^-1)
-            k = 1
-            while k * (-n) < qorder:
-                if zwindow is None or (abs(k * d1) <= zwindow and abs(k * d2) <= zwindow):
-                    terms[(rat(-k * d1), rat(-k * d2))] = q_monomial(
-                        -1, k * (-n), qorder
-                    )
-                k += 1
-        else:
-            if zwindow is None:
-                raise ValueError("n = 0 INNER expansion requires a window")
-            k = 0
-            while abs(k * d1) <= zwindow and abs(k * d2) <= zwindow:
-                terms[(rat(k * d1), rat(k * d2))] = q_monomial(1, 0, qorder)
-                k += 1
-        return BiLaurentSeries(terms, qorder, Region.INNER, zwindow)
-    if region is Region.OUTER:
-        if n != 0 or not invert_unit:
-            raise ValueError("OUTER expansion supported only for 1/(1 - u^-1)")
-        if zwindow is None:
-            raise ValueError("OUTER expansion requires a window")
-        k = 0
-        while abs(k * d1) <= zwindow and abs(k * d2) <= zwindow:
-            terms[(rat(k * d1), rat(k * d2))] = q_monomial(1, 0, qorder)
-            k += 1
-        return BiLaurentSeries(terms, qorder, Region.OUTER, zwindow)
-    raise ValueError(f"unsupported region {region}")
+    while k * n < qorder and (
+        zwindow is None or max(abs(k * d1), abs(k * d2)) <= zwindow
+    ):
+        terms[(rat(k * d1), rat(k * d2))] = q_monomial(lead * sign**k, k * n, qorder)
+        k += 1
+    return BiLaurentSeries(terms, qorder, Region.INNER, zwindow)
 
 
 def bl_elliptic_shift(a, m1, m2):
@@ -405,7 +379,7 @@ def laurent_poly_exact_divide(numer, denom):
     qorder = min(numer.qorder, denom.qorder)
     region = numer.region
     if not nterms:
-        return bl_zero(qorder, region, 0)
+        return bl_zero(qorder, region)
 
     lead_d = max(dterms)
     cd = dterms[lead_d]
@@ -439,7 +413,7 @@ def laurent_poly_exact_divide(numer, denom):
     terms = {
         k: q_monomial(c, 0, qorder) for k, c in quot.items() if c
     }
-    return BiLaurentSeries(terms, qorder, region, _merged_window(terms))
+    return BiLaurentSeries(terms, qorder, region)
 
 
 # -- serialization ------------------------------------------------------------

@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .rat import Rat, rat_str, parse_rat
+from .rat import Rat, rat_str, parse_rat, _positive_order
 from .series import PuiseuxSeries, eta_series, series_to_json
 from .bilaurent import bl_to_json
 from . import thetas, families
@@ -81,14 +81,8 @@ def _int_index(r):
     return tuple(int(x) for x in r)
 
 
-def _positive_order(order):
-    if order <= 0:
-        raise ValueError(f"--order must be positive, got {rat_str(order)}")
-    return order
-
-
 def _expand_series(args):
-    order = _positive_order(args.order)
+    order = _positive_order(args.order, "--order")
     W = args.window
     if W < 0:
         raise ValueError(f"--window must be nonnegative, got {W}")
@@ -127,8 +121,6 @@ def _expand_series(args):
         return families.rogers_false_theta(order)
     if name == "Fconst":
         return families.F_constant_term(args.p, order)
-    if name == "partialThetaA2":
-        return families.partial_theta_A2(args.lam, args.p, order)
     raise ValueError(f"unknown series {name!r}")
 
 
@@ -179,7 +171,7 @@ def _emit_report(rep, fmt, out):
 def cmd_verify(args):
     order = args.order
     if order is not None:
-        _positive_order(order)
+        _positive_order(order, "--order")
     if args.id == "all":
         reports = run_suite(order_overrides=None if order is None else
                             {i: order for i in registered_ids()},
@@ -265,7 +257,7 @@ def build_parser():
     pe.add_argument("name", choices=[
         "eta", "theta", "theta01", "thetaA2", "calT", "f", "J", "kwN3",
         "Gfrak", "Ghyper", "Hfrak", "F0", "coeffF", "rankone", "rogers",
-        "Fconst", "partialThetaA2",
+        "Fconst",
     ])
     pe.add_argument("--order", type=_parse_rat_arg, default=DEFAULT_ORDER)
     pe.add_argument("--window", type=int, default=DEFAULT_WINDOW)
@@ -281,7 +273,7 @@ def build_parser():
     pv = sub.add_parser("verify", help="verify one registered identity or all")
     pv.add_argument("id")
     pv.add_argument("--order", type=_parse_rat_arg, default=None)
-    pv.add_argument("--jobs", type=int, default=None)
+    pv.add_argument("--jobs", type=int, default=1)
     pv.add_argument("--format", choices=["text", "json"], default="text")
     pv.set_defaults(func=cmd_verify)
 
@@ -300,7 +292,7 @@ def build_parser():
 
     ps = sub.add_parser("suite", help="run the identity suite plus numeric checks")
     ps.add_argument("--pattern", default="*")
-    ps.add_argument("--jobs", type=int, default=None)
+    ps.add_argument("--jobs", type=int, default=1)
     ps.add_argument("--tolerance", type=float, default=1e-8)
     ps.add_argument("--skip-numeric", action="store_true")
     ps.add_argument("--format", choices=["text", "json"], default="text")

@@ -9,7 +9,7 @@ the indices with exponent below the truncation order are visited.
 
 from functools import lru_cache
 
-from .rat import Rat, rat, rat_floor
+from .rat import Rat, rat, rat_floor, _positive_order
 from .series import PuiseuxSeries, zero as q_zero, quadratic_range, lattice_sum
 from .bilaurent import product_coeff
 from .thetas import t2t_factor, s01_factor, eta5_over_eta2
@@ -24,7 +24,6 @@ __all__ = [
     "G_frak_closed_p2",
     "coeff_F",
     "F_constant_term",
-    "partial_theta_A2",
     "G_hyper",
     "H_frak",
     "F0_series",
@@ -198,17 +197,6 @@ def F_constant_term(p, order):
     return out
 
 
-def partial_theta_A2(lam, p, order):
-    """Weighted partial theta sum over the closed positive cone:
-
-    sum over n in Z_{>=0}^2 of min(n1, n2) q^(p Q(n + lam - 1/p)).
-    """
-    l1, l2 = _check_lambda(lam, p)
-    return lattice_sum(
-        *_pQ(p, l1 - Rat(1, p), l2 - Rat(1, p)), order, min, (0, 0)
-    )
-
-
 @lru_cache(maxsize=None)
 def _inv_poch(n, order):
     """1 / (q; q)_n as a truncated series."""
@@ -283,7 +271,7 @@ def H_frak(r1, r2, order):
     r2 = rat(r2)
     if (2 * r1).denominator != 1 or r1.denominator == 1:
         raise ValueError("r1 must be a half-integer")
-    order = rat(order)
+    order = _positive_order(order)
     mag = max(abs(r1), abs(r2))
     W = rat_floor(order / 2) + rat_floor(mag) + 4
     build = order + Rat(1, 2)  # pad for the q^(-1/8) valuations below

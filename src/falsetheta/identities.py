@@ -7,20 +7,19 @@ formulation are registered in multiplied-out, division-free form, so
 both sides stay exact truncated series.
 
 Entries whose INNER expansions have unbounded key support at a fixed
-q-power (anything involving 1/(1 - zeta) factors) carry a finite key
-window; the comparison is then restricted to keys where both routes are
-complete, with the reliable range derived from the valuation growth of
-the clipped tails.
+q-power (anything involving 1/(1 - zeta) factors) clip both sides to a
+key window where both routes are complete, with the reliable range
+derived from the valuation growth of the clipped tails.  The engine
+compares every key of the two sides it is given.
 """
 
 import fnmatch
 import math
-import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rat import Rat, rat, rat_str, rat_ceil
+from .rat import Rat, rat, rat_str, rat_ceil, _positive_order
 from .series import (
     PuiseuxSeries,
     zero as q_zero,
@@ -137,10 +136,8 @@ def _series_diff(a, b, order):
     return None
 
 
-def _bl_diff(a, b, order, kmax):
+def _bl_diff(a, b, order):
     keys = set(a.terms) | set(b.terms)
-    if kmax is not None:
-        keys = {k for k in keys if abs(k[0]) <= kmax and abs(k[1]) <= kmax}
     best = None
     for key in sorted(keys):
         ca = a.terms.get(key, q_zero(a.qorder))
@@ -154,20 +151,6 @@ def _bl_diff(a, b, order, kmax):
 
 
 # -- builder helpers -----------------------------------------------------------
-
-
-def _geom_signed(unit, sign, n, qorder):
-    """1 / (1 - sign * u * q^n) for n > 0, natural INNER support."""
-    n = rat(n)
-    if n <= 0:
-        raise ValueError("requires a positive q-power")
-    d1, d2 = UNIT_KEYS[unit]
-    terms = {}
-    k = 0
-    while k * n < qorder:
-        terms[(rat(k * d1), rat(k * d2))] = q_monomial(sign**k, k * n, qorder)
-        k += 1
-    return BiLaurentSeries(terms, qorder, Region.INNER)
 
 
 def _theta_window(order):
@@ -312,15 +295,14 @@ def _inverse_poch_pair(unit, order):
 
 
 # -- identity builders ---------------------------------------------------------
-# each builder returns (lhs, rhs, key_window) where key_window is None
-# (compare everything) or an integer bound on |e1|, |e2|
+# each builder returns (lhs, rhs); the engine compares every key of both,
+# so a builder whose routes agree only on a key box clips both sides to it
 
 
 def _build_E1(p, order):
     return (
         theta_hat(p["unit"], p["k"], order),
         theta_hat_sum(p["unit"], p["k"], order),
-        None,
     )
 
 
@@ -341,7 +323,7 @@ def _build_E2(p, order):
         q_monomial(sign, -Rat(m * m, 2), B2 + 1), -m, 0, B2 + 1, Region.INNER
     )
     rhs = bl_mul(pre, theta_hat("z1", 1, B2))
-    return lhs, rhs, None
+    return lhs, rhs
 
 
 def _build_E3(p, order):
@@ -352,20 +334,17 @@ def _build_E3(p, order):
         # middle route: sum over n of z1^n times a geometric series in z2
         acc = BiLaurentSeries({}, order, Region.INNER, W)
         for n in range(-W, W + 1):
-            if n == 0:
-                g = expand_inverse_one_minus("z2", 0, Region.INNER, order, zwindow=W)
-            else:
-                g = expand_inverse_one_minus("z2", n, Region.INNER, order, zwindow=W)
-            term = bl_mul(bl_monomial(1, n, 0, order, Region.INNER, W), g)
+            g = expand_inverse_one_minus("z2", n, order, zwindow=W)
+            term = bl_mul(bl_monomial(1, n, 0, order, Region.INNER), g)
             acc = bl_add(acc, term)
-        return acc.clip(W), rho_sum, W
+        return acc, rho_sum
     # product route, division-free:
     # eta^3 theta_hat(z1 z2) = rho-sum * theta_hat(z1) * theta_hat(z2)
     B = order + Rat(1, 8)
     lhs = bl_scalar_mul(theta_hat("z12", 1, B), _eta_cubed(B))
     rhs = bl_mul(bl_mul(rho_sum, theta_hat("z1", 1, order)), theta_hat("z2", 1, order))
     K = W - _theta_window(order) - 1
-    return lhs, rhs, K
+    return lhs.clip(K), rhs.clip(K)
 
 
 def _build_E4(p, order):
@@ -379,17 +358,15 @@ def _build_E4(p, order):
             sign = -1 if n % 2 else 1
             for m in ((0,) if n == 0 else (n, -n)):
                 base = Rat(m * (m + 1), 2)
-                g = expand_inverse_one_minus(
-                    "z1", m, Region.INNER, order - base, zwindow=W
-                )
+                g = expand_inverse_one_minus("z1", m, order - base, zwindow=W)
                 acc = bl_add(acc, bl_scalar_mul(g, q_monomial(sign, base, order)))
-        return acc.clip(W).truncate_q(order), pf_sum, W
+        return acc.truncate_q(order), pf_sum
     # zeta1^(-1/2) eta^3 = pf-sum * theta_hat(z1)
     B = order + Rat(1, 8)
     lhs = bl_monomial(_eta_cubed(B), -Rat(1, 2), 0, B, Region.INNER)
     rhs = bl_mul(pf_sum, theta_hat("z1", 1, order))
     K = W - _theta_window(order) - 1
-    return lhs, rhs, K
+    return lhs.clip(K), rhs.clip(K)
 
 
 def _build_E5(p, order):
@@ -398,44 +375,44 @@ def _build_E5(p, order):
         lhs = pochhammer(-1, 1, 1, None, order - Rat(1, 8)).shift(Rat(1, 8))
         lhs = (lhs * eta_series(1, order)).truncate(order)
         rhs = eta_series(2, order).shift(Rat(1, 12)).truncate(order)
-        return lhs, rhs, None
+        return lhs, rhs
     # theta_hat(u; 2tau) (u q, u^-1 q; q^2)_oo = theta_hat(u; tau) q^(1/8) (-q; q)_oo
     unit = p["unit"]
     lhs = bl_mul(theta_hat(unit, 2, order), unit_pochhammer(unit, 1, 2, order))
     scalar = pochhammer(-1, 1, 1, None, order - Rat(1, 8)).shift(Rat(1, 8))
     rhs = bl_scalar_mul(theta_hat(unit, 1, order), scalar)
-    return lhs, rhs, None
+    return lhs, rhs
 
 
 def _build_E6(p, order):
     order = rat(order)
     if p["part"] == "f":
-        return f_series(order, path="geometric"), f_series(order, path="closed"), None
+        return f_series(order, path="geometric"), f_series(order, path="closed")
     if p["part"] == "closed":
         u = p["unit"]
-        return t2t_factor(u, order, "geometric"), t2t_factor(u, order, "closed"), None
+        return t2t_factor(u, order, "geometric"), t2t_factor(u, order, "closed")
     u = p["unit"]
-    return t2t_factor(u, order, "geometric"), _t2t_hyper(u, order, "poch"), None
+    return t2t_factor(u, order, "geometric"), _t2t_hyper(u, order, "poch")
 
 
 def _build_E6b(p, order):
     u = p["unit"]
-    return t2t_factor(u, rat(order), "closed"), _t2t_hyper(u, rat(order), "quad"), None
+    return t2t_factor(u, rat(order), "closed"), _t2t_hyper(u, rat(order), "quad")
 
 
 def _build_E7(p, order):
     r = p["r"]
-    return coeff_F(r, p["p"], order), G_frak(r, p["p"], order), None
+    return coeff_F(r, p["p"], order), G_frak(r, p["p"], order)
 
 
 def _build_E8(p, order):
     lam = tuple(rat(x) for x in p["lam"])
-    return G_frak(lam, 2, order), G_frak_rewrite_p2(lam, order), None
+    return G_frak(lam, 2, order), G_frak_rewrite_p2(lam, order)
 
 
 def _build_E9(p, order):
     r = p["r"]
-    return _f_coeff_scaled(r[0], r[1], order), G_frak_closed_p2(r, order), None
+    return _f_coeff_scaled(r[0], r[1], order), G_frak_closed_p2(r, order)
 
 
 def _build_E10(p, order):
@@ -444,7 +421,7 @@ def _build_E10(p, order):
     sh = Rat(2, 3) * quad_Q(Rat(r[0]), Rat(r[1]))
     lam = (Rat(r[0] + r[1], 3), Rat(2 * r[1] - r[0], 3))
     lhs = G_frak(lam, 2, order + sh).shift(-sh)
-    return lhs, _f_coeff_scaled(r[0], r[1], order), None
+    return lhs, _f_coeff_scaled(r[0], r[1], order)
 
 
 def _build_E11(p, order):
@@ -452,7 +429,7 @@ def _build_E11(p, order):
     order = rat(order)
     sh = 2 * quad_Q(Rat(r[0]), Rat(r[1]))
     rhs = _f_coeff_scaled(2 * r[0] - r[1], r[0] + r[1], order).shift(sh)
-    return coeff_F(r, 2, order), rhs.truncate(order), None
+    return coeff_F(r, 2, order), rhs.truncate(order)
 
 
 def _build_E12(p, order):
@@ -461,7 +438,7 @@ def _build_E12(p, order):
     sh = Rat(2, 3) * quad_Q(r1, r2)
     lam = ((r1 + r2) / 3 - Rat(1, 2), (2 * r2 - r1) / 3 - Rat(1, 2))
     rhs = G_frak(lam, 2, order + sh).shift(-sh)
-    return H_frak(r1, r2, order), rhs, None
+    return H_frak(r1, r2, order), rhs
 
 
 def _build_E12b(p, order):
@@ -479,12 +456,12 @@ def _build_E12b(p, order):
         Region.INNER,
     )
     rhs = bl_mul(pre, shifted)
-    lhs = s01_factor(unit, order, W)
-    return lhs, rhs, int(order) // 2 - 1
+    K = int(order) // 2 - 1
+    return s01_factor(unit, order, W).clip(K), rhs.clip(K)
 
 
 def _build_E13(p, order):
-    return _f_coeff_scaled(0, 0, order), _sgn_weighted_sum(order, True), None
+    return _f_coeff_scaled(0, 0, order), _sgn_weighted_sum(order, True)
 
 
 def _build_E14(p, order):
@@ -495,12 +472,12 @@ def _build_E14(p, order):
         build = order + Rat(1, 2)
         pairs = [_inverse_poch_pair(u, build) for u in ("z1", "z2", "z12")]
         lhs = product_coeff(pairs, r[0], r[1])
-        return lhs.truncate(order), G_hyper(r, order), None
+        return lhs.truncate(order), G_hyper(r, order)
     sh = Rat(1, 2) + Rat(2, 3) * quad_Q(Rat(r[0]), Rat(r[1]))
     lam = (Rat(r[0] + r[1], 3), Rat(2 * r[1] - r[0], 3))
     lhs = G_frak(lam, 2, order + sh)
     rhs = (_poch_squares(order) * _ghyper_q2(r, order)).truncate(order).shift(sh)
-    return lhs, rhs.truncate(min(rhs.order, lhs.order)), None
+    return lhs, rhs.truncate(min(rhs.order, lhs.order))
 
 
 def _build_E15(p, order):
@@ -508,13 +485,13 @@ def _build_E15(p, order):
     if p["part"] == "base":
         lhs = _sgn_weighted_sum(order, False)
         rhs = (_poch_squares(order) * _ghyper_q2((0, 0), order)).truncate(order)
-        return lhs, rhs, None
+        return lhs, rhs
     r = p["r"]
     e = eta_series(1, order + Rat(1, 2))
     lhs = (e * e * e * f_coeff(r[0], r[1], order)).truncate(order)
     e2 = eta_series(2, order + Rat(1, 2))
     rhs = (e2 * e2 * e2 * _ghyper_q2(r, order)).shift(Rat(1, 4)).truncate(order)
-    return lhs, rhs, None
+    return lhs, rhs
 
 
 def _build_E15b(p, order):
@@ -523,12 +500,12 @@ def _build_E15b(p, order):
     sh = Rat(1, 2) + 2 * quad_Q(Rat(r[0]), Rat(r[1]))
     if sh >= order:
         # the right side vanishes below this order; the left must too
-        return coeff_F(r, 2, order), q_zero(order), None
+        return coeff_F(r, 2, order), q_zero(order)
     s = (2 * r[0] - r[1], r[0] + r[1])
     rhs = (_poch_squares(order) * _ghyper_q2(s, order - sh)).truncate(
         order - sh
     ).shift(sh)
-    return coeff_F(r, 2, order), rhs, None
+    return coeff_F(r, 2, order), rhs
 
 
 def _build_E16(p, order):
@@ -546,35 +523,31 @@ def _build_E16(p, order):
             pochhammer(1, 1, 2, n, rel) * q_monomial(1, n, rel), n, 0, rel, Region.INNER
         )
         for j in range(n):
-            term = bl_mul(term, _unit_poly("z1", 1, -1, 2 * j + 1, rel))
+            term = bl_mul(term, _unit_poly("z1", 2 * j + 1, rel))
         for j in range(2 * n + 1):
-            term = bl_mul(term, _geom_signed("z1", -1, j + 1, rel))
+            term = bl_mul(term, expand_inverse_one_minus("z1", j + 1, rel, sign=-1))
         acc = bl_add(acc, term)
         n += 1
-    return acc, rhs, None
+    return acc, rhs
 
 
 def _build_E17(p, order):
     order = rat(order)
     W = math.isqrt(int(order)) * 3 + 3
     rhs = J_constant_term(order, W)
-    return F0_series(2, order, "GENERAL"), rhs, None
+    return F0_series(2, order, "GENERAL"), rhs
 
 
 def _build_E18(p, order):
     order = rat(order)
     if p["part"] == "simplify":
-        return (
-            F0_series(2, order, "GENERAL"),
-            F0_series(2, order, "P2SIMPLIFIED"),
-            None,
-        )
+        return F0_series(2, order, "GENERAL"), F0_series(2, order, "P2SIMPLIFIED")
     # internal antisymmetric vanishing: sum (n1+n2-1) q^(2Q(n-1/2)) = 0,
     # with 2 Q(n - 1/2) = 2 n1^2 - 2 n1 n2 + 2 n2^2 - n1 - n2 + 1/2
     lhs = lattice_sum(
         (2, -2, 2), (-1, -1), Rat(1, 2), order, lambda n1, n2: n1 + n2 - 1
     )
-    return lhs, q_zero(order), None
+    return lhs, q_zero(order)
 
 
 def _build_E19(p, order):
@@ -584,8 +557,8 @@ def _build_E19(p, order):
         quot = laurent_poly_exact_divide(numer, denom)
     except ExactDivisionError as err:
         bad = bl_monomial(1, err.monomial[0], err.monomial[1], 1, Region.OUTER)
-        return bad, BiLaurentSeries({}, Rat(1), Region.OUTER), None
-    return bl_mul(quot, denom), numer, None
+        return bad, BiLaurentSeries({}, Rat(1), Region.OUTER)
+    return bl_mul(quot, denom), numer
 
 
 def _build_E20(p, order):
@@ -597,7 +570,7 @@ def _build_E20(p, order):
     for n in quadratic_range(Rat(1, 2), Rat(1, 2) + k, 0, order):
         e = Rat(n * (n + 1), 2) + k * n
         terms[e] = terms.get(e, 0) + (1 if n % 2 == 0 else -1)
-    return PuiseuxSeries(terms, order), q_zero(order), None
+    return PuiseuxSeries(terms, order), q_zero(order)
 
 
 # -- registry ------------------------------------------------------------------
@@ -786,15 +759,13 @@ def identity_default_order(ident_id):
 # -- engine --------------------------------------------------------------------
 
 
-def _corrupt(lhs, kmax):
+def _corrupt(lhs):
     """Add 1 to one mid-support coefficient of lhs; returns (lhs', location)."""
     if isinstance(lhs, PuiseuxSeries):
         exps = sorted(lhs.terms) or [Rat(0)]
         e = exps[len(exps) // 2]
         return lhs + q_monomial(1, e, lhs.order), e
     keys = sorted(lhs.terms)
-    if kmax is not None:
-        keys = [k for k in keys if abs(k[0]) <= kmax and abs(k[1]) <= kmax]
     key = keys[len(keys) // 2] if keys else (0, 0)
     exps = sorted(lhs.terms[key].terms) if key in lhs.terms else []
     e = exps[len(exps) // 2] if exps else Rat(0)
@@ -815,24 +786,22 @@ def verify_identity(ident_id, params=None, order=None, corrupt=False):
     if ident_id not in _REGISTRY:
         raise KeyError(f"unknown identity {ident_id!r}")
     ident = _REGISTRY[ident_id]
-    order = rat(order) if order is not None else ident.default_order
-    if order <= 0:
-        raise ValueError(f"order must be positive, got {rat_str(order)}")
+    order = ident.default_order if order is None else _positive_order(order)
     grid = [params] if params is not None else ident.grid
     t0 = time.monotonic()
     verdict = "equal"
     disc = None
     shown = {}
     for point in grid:
-        lhs, rhs, kmax = ident.build(point, order)
+        lhs, rhs = ident.build(point, order)
         injected = None
         if corrupt:
-            lhs, injected = _corrupt(lhs, kmax)
+            lhs, injected = _corrupt(lhs)
         if isinstance(lhs, PuiseuxSeries):
             d = _series_diff(lhs, rhs, order)
         else:
             cmp_order = min(order, lhs.qorder, rhs.qorder)
-            d = _bl_diff(lhs, rhs, cmp_order, kmax)
+            d = _bl_diff(lhs, rhs, cmp_order)
         if d is not None:
             if corrupt:
                 found = d[0] if isinstance(lhs, PuiseuxSeries) else tuple(d[0])
@@ -855,13 +824,12 @@ def verify_identity(ident_id, params=None, order=None, corrupt=False):
     )
 
 
-def run_suite(pattern="*", order_overrides=None, jobs=None):
+def run_suite(pattern="*", order_overrides=None, jobs=1):
     """Verify every identity whose id matches the filter.
 
     The filter is a shell-style pattern, with "|" separating
     alternatives.  Reports come back sorted by id regardless of
-    execution order.  jobs (or the FALSETHETA_JOBS environment variable)
-    is the number of worker processes; with jobs > 1 the identities run
+    execution order.  jobs is the number of worker processes; with jobs > 1 the identities run
     in parallel in spawned workers, each with its own builder caches, so
     a script that calls this needs the usual `if __name__ == "__main__"`
     guard.  With jobs <= 1 they run one after another in this process.
@@ -870,8 +838,6 @@ def run_suite(pattern="*", order_overrides=None, jobs=None):
     alts = [a for a in pattern.split("|") if a]
     ids = [i for i in registered_ids() if any(fnmatch.fnmatch(i, a) for a in alts)]
     orders = [order_overrides.get(i) for i in ids]
-    if jobs is None:
-        jobs = int(os.environ.get("FALSETHETA_JOBS", "1"))
 
     if jobs > 1 and len(ids) > 1:
         import multiprocessing

@@ -45,3 +45,11 @@ def rat_floor(r):
 
 def rat_ceil(r):
     return -((-r.numerator) // r.denominator)
+
+
+def _positive_order(order, name="order"):
+    """order as a Rat; ValueError unless it is positive."""
+    order = rat(order)
+    if order <= 0:
+        raise ValueError(f"{name} must be positive, got {rat_str(order)}")
+    return order

@@ -28,7 +28,7 @@ window, because it bounds what they build; callers clip the others.
 
 from functools import lru_cache
 
-from .rat import Rat, rat, rat_ceil
+from .rat import Rat, rat, rat_ceil, _positive_order
 from .series import (
     PuiseuxSeries,
     pochhammer,
@@ -74,16 +74,14 @@ def _unit_dirs(unit):
     return UNIT_KEYS[unit]
 
 
-def _unit_poly(unit, c0, c1, qexp, qorder, region=Region.INNER, invert_unit=False):
-    """The two-term factor c0 + c1 * u^(+-1) * q^qexp as a BiLaurentSeries."""
+def _unit_poly(unit, qexp, qorder):
+    """The two-term factor 1 - u q^qexp as a BiLaurentSeries."""
     d1, d2 = _unit_dirs(unit)
-    if invert_unit:
-        d1, d2 = -d1, -d2
     terms = {
-        (Rat(0), Rat(0)): q_monomial(c0, 0, qorder),
-        (rat(d1), rat(d2)): q_monomial(c1, qexp, qorder),
+        (Rat(0), Rat(0)): q_monomial(1, 0, qorder),
+        (rat(d1), rat(d2)): q_monomial(-1, qexp, qorder),
     }
-    return BiLaurentSeries(terms, qorder, region)
+    return BiLaurentSeries(terms, qorder, Region.INNER)
 
 
 def unit_pochhammer(unit, start, step, qorder, inverse=False):
@@ -94,7 +92,7 @@ def unit_pochhammer(unit, start, step, qorder, inverse=False):
     enters the running product as one three-key factor; the geometric
     series enter one at a time.  The empty product is 1.
     """
-    start, step, qorder = rat(start), rat(step), rat(qorder)
+    start, step, qorder = rat(start), rat(step), _positive_order(qorder)
     if step <= 0:
         raise ValueError("step must be positive")
     d1, d2 = _unit_dirs(unit)
@@ -103,9 +101,9 @@ def unit_pochhammer(unit, start, step, qorder, inverse=False):
     while e < qorder:
         if inverse:
             for flip in (False, True):
-                out = bl_mul(out, expand_inverse_one_minus(
-                    unit, e, Region.INNER, qorder, invert_unit=flip
-                ))
+                out = bl_mul(
+                    out, expand_inverse_one_minus(unit, e, qorder, invert_unit=flip)
+                )
         else:
             side = q_monomial(-1, e, qorder)
             fac = {
@@ -127,14 +125,14 @@ def theta_hat(unit, k, qorder):
     """
     if k not in (1, 2):
         raise ValueError("scale k must be 1 or 2")
-    qorder = rat(qorder)
+    qorder = _positive_order(qorder)
     d1, d2 = _unit_dirs(unit)
     # q^(k/8) u^(-1/2) (1 - u) (u q^k, u^-1 q^k; q^k)_oo (q^k; q^k)_oo
     build = qorder - Rat(k, 8)
     if build <= 0:
         # every term carries q^(k/8) or more
-        return BiLaurentSeries({}, qorder, Region.INNER, 0)
-    out = bl_mul(_unit_poly(unit, 1, -1, 0, build), unit_pochhammer(unit, k, k, build))
+        return BiLaurentSeries({}, qorder, Region.INNER)
+    out = bl_mul(_unit_poly(unit, 0, build), unit_pochhammer(unit, k, k, build))
     out = bl_scalar_mul(out, pochhammer(1, k, k, None, build))
     pre = bl_monomial(
         q_monomial(1, Rat(k, 8), qorder), -Rat(d1, 2), -Rat(d2, 2), qorder, Region.INNER
@@ -142,7 +140,6 @@ def theta_hat(unit, k, qorder):
     return bl_mul(pre, out)
 
 
-@lru_cache(maxsize=None)
 def theta_hat_sum(unit, k, qorder):
     """Half-integer indexed sum form of theta_hat; oracle for the product.
 
@@ -150,7 +147,7 @@ def theta_hat_sum(unit, k, qorder):
     """
     if k not in (1, 2):
         raise ValueError("scale k must be 1 or 2")
-    qorder = rat(qorder)
+    qorder = _positive_order(qorder)
     d1, d2 = _unit_dirs(unit)
     terms = {}
     for j in quadratic_range(Rat(k, 2), Rat(k, 2), Rat(k, 8), qorder):
@@ -160,21 +157,19 @@ def theta_hat_sum(unit, k, qorder):
     return BiLaurentSeries(terms, qorder, Region.INNER)
 
 
-@lru_cache(maxsize=None)
 def theta01(unit, k, qorder):
     """(q^k, u q^(k/2), u^-1 q^(k/2); q^k)_oo with integer unit exponents."""
     if k not in (1, 2):
         raise ValueError("scale k must be 1 or 2")
-    qorder = rat(qorder)
+    qorder = _positive_order(qorder)
     out = unit_pochhammer(unit, Rat(k, 2), k, qorder)
     return bl_scalar_mul(out, pochhammer(1, k, k, None, qorder))
 
 
-@lru_cache(maxsize=None)
 def theta_A2(qorder, zwindow):
     """A2 lattice theta: coefficient q^(Q(n)) on the key (n1, n2),
     |n1|, |n2| <= zwindow, with Q(n) = n1^2 - n1 n2 + n2^2."""
-    qorder = rat(qorder)
+    qorder = _positive_order(qorder)
     if zwindow is None:
         raise ValueError("a finite window is required")
     terms = {
@@ -192,7 +187,7 @@ def calT(qorder, zwindow):
 
     The key map is injective and its image satisfies e1 + e2 = 0 mod 3.
     """
-    qorder = rat(qorder)
+    qorder = _positive_order(qorder)
     if zwindow is None:
         raise ValueError("a finite window is required")
     terms = {
@@ -213,7 +208,7 @@ def t2t_factor(unit, qorder, path="closed"):
     of (u q, u^-1 q; q^2)_oo one geometric series at a time; slower, and
     kept as the independent check of the closed path.
     """
-    qorder = rat(qorder)
+    qorder = _positive_order(qorder)
     scalar = pochhammer(-1, 1, 1, None, qorder - Rat(1, 8)).shift(Rat(1, 8))
     if path == "geometric":
         return bl_scalar_mul(unit_pochhammer(unit, 1, 2, qorder, inverse=True), scalar)
@@ -243,16 +238,14 @@ def s01_factor(unit, qorder, zwindow):
     The j = 0 inverse factor 1/(1 - u) forces a finite window; the
     coefficient of u^e is then complete up to q-order 2(W + 1 - e).
     """
-    qorder = rat(qorder)
+    qorder = _positive_order(qorder)
     if zwindow is None:
         raise ValueError("a finite window is required")
     d1, d2 = _unit_dirs(unit)
     build = qorder + Rat(1, 8)
     scalar = pochhammer(-1, 1, 1, None, build)
     out = bl_monomial(scalar, Rat(d1, 2), Rat(d2, 2), build, Region.INNER)
-    out = bl_mul(
-        out, expand_inverse_one_minus(unit, 0, Region.INNER, build, zwindow=zwindow)
-    )
+    out = bl_mul(out, expand_inverse_one_minus(unit, 0, build, zwindow=zwindow))
     out = bl_mul(out, unit_pochhammer(unit, 2, 2, build, inverse=True))
     # exact monomial shift by q^(-1/8) applied last to keep the full order
     return bl_scalar_mul(out, q_monomial(1, -Rat(1, 8), build + 1))
@@ -281,25 +274,23 @@ def f_coeff(r1, r2, qorder):
 @lru_cache(maxsize=None)
 def eta5_over_eta2(order):
     """eta(tau)^5 / eta(2 tau) as a one-variable series (valuation 1/8)."""
-    order = rat(order)
+    order = _positive_order(order)
     pad = order + Rat(1, 2)
     e1 = eta_series(1, pad)
     e2 = eta_series(2, pad)
     return (e1 * e1 * e1 * e1 * e1 * e2.invert()).truncate(order)
 
 
-@lru_cache(maxsize=None)
 def eta1_over_eta2(order):
     """eta(tau) / eta(2 tau) (valuation -1/24)."""
-    order = rat(order)
+    order = _positive_order(order)
     pad = order + Rat(1, 2)
     return (eta_series(1, pad) * eta_series(2, pad).invert()).truncate(order)
 
 
-@lru_cache(maxsize=None)
 def J_series(qorder, zwindow):
     """eta^5/eta(2tau) * calT * f: an index-zero combination."""
-    qorder = rat(qorder)
+    qorder = _positive_order(qorder)
     body = bl_mul(calT(qorder, zwindow + 2), f_series(qorder))
     out = bl_scalar_mul(body, eta5_over_eta2(qorder))
     return out.clip(zwindow).truncate_q(qorder)
@@ -311,15 +302,14 @@ def J_constant_term(qorder, zwindow):
     The (0, 0) coefficient of calT * f is sum_k calT_k f_(-k) over the
     keys of the same calT(qorder, zwindow + 2) that J_series uses.
     """
-    qorder = rat(qorder)
+    qorder = _positive_order(qorder)
     factors = [calT(qorder, zwindow + 2), *_f_factors(qorder, "closed")]
     body = product_coeff(factors, 0, 0)
     return (eta5_over_eta2(qorder) * body).truncate(qorder)
 
 
-@lru_cache(maxsize=None)
 def kw_character_N3(qorder):
     """The N = 3 boundary-level character: (eta/eta(2tau)) * f."""
-    qorder = rat(qorder)
+    qorder = _positive_order(qorder)
     quot = eta1_over_eta2(qorder + Rat(1, 2))
     return bl_scalar_mul(f_series(qorder + Rat(1, 2)), quot).truncate_q(qorder)

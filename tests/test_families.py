@@ -16,7 +16,6 @@ from falsetheta.families import (
     H_frak,
     coeff_F,
     F_constant_term,
-    partial_theta_A2,
     F0_series,
     rank_one_coeff,
     rogers_false_theta,
@@ -200,14 +199,6 @@ class TestCoefficientFamilies:
         # different cones and weights, one enumerator
         for p in (2, 3):
             assert F_constant_term(p, Rat(15)) == coeff_F((0, 0), p, Rat(15))
-
-    def test_partial_theta_leading(self):
-        t = partial_theta_A2((0, 0), 2, Rat(6))
-        assert series_dict(t) == {
-            Rat(1, 2): Rat(1),
-            Rat(7, 2): Rat(2),
-            Rat(9, 2): Rat(2),
-        }
 
     def test_half_index_family_leading(self):
         h = H_frak(Rat(1, 2), 0, Rat(5))

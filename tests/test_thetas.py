@@ -13,6 +13,7 @@ from falsetheta.bilaurent import (
     bl_mul,
     bl_one,
 )
+from falsetheta.families import H_frak
 from falsetheta.thetas import (
     unit_pochhammer,
     theta_hat,
@@ -23,10 +24,41 @@ from falsetheta.thetas import (
     t2t_factor,
     s01_factor,
     f_series,
+    f_coeff,
     J_series,
+    J_constant_term,
     kw_character_N3,
     eta5_over_eta2,
+    eta1_over_eta2,
 )
+
+
+@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: unit_pochhammer("z1", 1, 1, n),
+        lambda n: theta_hat("z1", 1, n),
+        lambda n: theta_hat_sum("z1", 1, n),
+        lambda n: theta01("z1", 1, n),
+        lambda n: theta_A2(n, 2),
+        lambda n: calT(n, 2),
+        lambda n: t2t_factor("z1", n, "closed"),
+        lambda n: t2t_factor("z1", n, "geometric"),
+        lambda n: s01_factor("z1", n, 2),
+        lambda n: f_series(n),
+        lambda n: f_coeff(0, 0, n),
+        lambda n: J_series(n, 2),
+        lambda n: J_constant_term(n, 2),
+        lambda n: kw_character_N3(n),
+        lambda n: eta5_over_eta2(n),
+        lambda n: eta1_over_eta2(n),
+        lambda n: H_frak(Rat(1, 2), 0, n),
+    ],
+)
+def test_builders_reject_a_non_positive_order(build, order):
+    with pytest.raises(ValueError, match="must be positive"):
+        build(order)
 
 
 class TestThetaHat:
@@ -170,6 +202,10 @@ class TestRatioFactors:
     def test_s01_leading(self):
         s = s01_factor("z1", Rat(3), 8)
         assert s.coeff(Rat(1, 2), 0).coeff(Rat(-1, 8)) == 1
+
+    def test_reads_outside_the_support_are_zero(self):
+        assert f_series(Rat(3)).coeff(10, 0).is_zero()
+        assert theta_hat("z1", 1, Rat(3)).coeff(10, 0).is_zero()
 
     def test_f_series_valuation_and_symmetry(self):
         f = f_series(Rat(6)).clip(5)
