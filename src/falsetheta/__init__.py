@@ -12,6 +12,7 @@ from .series import (
     PuiseuxSeries,
     pochhammer,
     eta_series,
+    eta_product,
     series_to_json,
     series_from_json,
 )

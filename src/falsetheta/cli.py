@@ -89,20 +89,19 @@ def _expand_series(args):
     name = args.name
     if name == "eta":
         return eta_series(args.k, order)
-    # the windows of theta, theta01, f and kwN3 only clip what is printed;
-    # those of thetaA2, calT and J bound what is built
+    # the window only clips what is printed; builders build whole objects
     if name == "theta":
         return thetas.theta_hat(args.unit, args.k, order).clip(W)
     if name == "theta01":
         return thetas.theta01(args.unit, args.k, order).clip(W)
     if name == "thetaA2":
-        return thetas.theta_A2(order, W)
+        return thetas.theta_A2(order).clip(W)
     if name == "calT":
-        return thetas.calT(order, W)
+        return thetas.calT(order).clip(W)
     if name == "f":
         return thetas.f_series(order).clip(W)
     if name == "J":
-        return thetas.J_series(order, W)
+        return thetas.J_series(order).clip(W)
     if name == "kwN3":
         return thetas.kw_character_N3(order).clip(W)
     if name == "Gfrak":

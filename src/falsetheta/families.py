@@ -4,13 +4,19 @@ All builders return one-variable PuiseuxSeries over exact rationals.
 Every sum of q^(quadratic in n) is enumerated exactly by the series
 layer: the two-variable lattice sums by `series.lattice_sum`, the
 rank-one sums by `series.quadratic_range`.  No box is guessed; exactly
-the indices with exponent below the truncation order are visited.
+the indices with exponent below the truncation order are visited.  The
+products 1/((q; q)_a (q; q)_b) of the hypergeometric sums are one call
+each of the integer kernel `series._binomial_table`.
 """
 
-from functools import lru_cache
-
 from .rat import Rat, rat, rat_floor, _positive_order
-from .series import PuiseuxSeries, zero as q_zero, quadratic_range, lattice_sum
+from .series import (
+    PuiseuxSeries,
+    zero as q_zero,
+    quadratic_range,
+    lattice_sum,
+    _binomial_series,
+)
 from .bilaurent import product_coeff
 from .thetas import t2t_factor, s01_factor, eta5_over_eta2
 
@@ -18,7 +24,6 @@ __all__ = [
     "sgn_star",
     "rho",
     "quad_Q",
-    "quad_Qstar",
     "G_frak",
     "G_frak_rewrite_p2",
     "G_frak_closed_p2",
@@ -45,11 +50,6 @@ def rho(a, b):
 def quad_Q(x, y):
     """The A2 quadratic form x^2 + y^2 - x y."""
     return x * x + y * y - x * y
-
-
-def quad_Qstar(x, y):
-    """The dual quadratic form x^2 + y^2 + x y."""
-    return x * x + y * y + x * y
 
 
 def _pQ(p, s1, s2):
@@ -197,20 +197,10 @@ def F_constant_term(p, order):
     return out
 
 
-@lru_cache(maxsize=None)
-def _inv_poch(n, order):
-    """1 / (q; q)_n as a truncated series."""
-    order = rat(order)
-    if n == 0:
-        return PuiseuxSeries({Rat(0): Rat(1)}, order)
-    prev = _inv_poch(n - 1, order)
-    # geometric expansion of 1/(1 - q^n)
-    geom = {}
-    k = 0
-    while k * n < order:
-        geom[rat(k * n)] = Rat(1)
-        k += 1
-    return prev * PuiseuxSeries(geom, order)
+def _inv_poch2(a, b, order):
+    """1 / ((q; q)_a (q; q)_b) as a truncated series."""
+    js = [*range(1, a + 1), *range(1, b + 1)]
+    return _binomial_series([(1, 0, j, -1) for j in js], order)
 
 
 def _A_table(m, order):
@@ -219,8 +209,7 @@ def _A_table(m, order):
     out = q_zero(order)
     n = 0
     while n < order:
-        prod = _inv_poch(n, order) * _inv_poch(n + m, order)
-        out = out + prod.truncate(order - n).shift(n)
+        out = out + _inv_poch2(n, n + m, order - n).shift(n)
         n += 1
     return out
 
@@ -239,8 +228,7 @@ def G_hyper(r, order):
         raise ValueError("r must be a pair of integers")
     order = rat(order)
     out = q_zero(order)
-    # each A_m is built once, at the full order, and truncated per n4;
-    # they all share the cached 1/(q; q)_n chain at that order
+    # each A_m is built once, at the full order, and truncated per n4
     tables = {}
     bound = rat_floor((2 * order + abs(r1) + abs(r2)) / 3) + 2
     for n4 in range(-bound, bound + 1):

@@ -17,7 +17,6 @@ import fnmatch
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .rat import Rat, rat, rat_str, rat_ceil, _positive_order
 from .series import (
@@ -26,6 +25,7 @@ from .series import (
     monomial as q_monomial,
     pochhammer,
     eta_series,
+    eta_product,
     quadratic_range,
     lattice_sum,
 )
@@ -54,7 +54,7 @@ from .thetas import (
     J_constant_term,
     eta5_over_eta2,
     unit_pochhammer,
-    _unit_poly,
+    _unit_product,
 )
 from .families import (
     sgn_star,
@@ -64,10 +64,11 @@ from .families import (
     G_frak_rewrite_p2,
     G_frak_closed_p2,
     coeff_F,
+    _orbit_offsets,
     G_hyper,
     H_frak,
     F0_series,
-    _inv_poch,
+    _inv_poch2,
 )
 
 __all__ = [
@@ -158,12 +159,6 @@ def _theta_window(order):
     return math.isqrt(2 * (int(order) + 1)) + 2
 
 
-def _eta_cubed(order):
-    order = rat(order)
-    e = eta_series(1, order + Rat(1, 4))
-    return (e * e * e).truncate(order + Rat(1, 8))
-
-
 def _rho_double_sum(order, W):
     """sum rho_{n1,n2} q^(n1 n2) z1^n1 z2^n2, keys clipped to |ni| <= W."""
     order = rat(order)
@@ -219,33 +214,22 @@ def _t2t_hyper(unit, order, variant):
             n2s = quadratic_range(1, a + 1, low, half, 0)
             exps = ((n2, low + n2 * (n2 + a + 1)) for n2 in n2s)
         for n2, e in exps:
-            c = (_inv_poch(n2, half - e) * _inv_poch(a + n2, half - e)).shift(e)
+            c = _inv_poch2(n2, a + n2, half - e).shift(e)
             for m in ((a, -a) if a else (0,)):
                 key = (rat(m * d1), rat(m * d2))
                 terms[key] = terms.get(key, q_zero(half)) + c
     body = BiLaurentSeries(
         {k: c.scale_q(2) for k, c in terms.items()}, order, Region.INNER
     )
-    scalar = pochhammer(-1, 1, 1, None, order - Rat(1, 8)).shift(Rat(1, 8))
-    if variant == "quad":
-        scalar = (scalar * pochhammer(1, 2, 2, None, order).invert()).truncate(
-            order
-        )
-    return bl_scalar_mul(body, scalar)
+    # q^(1/8) (-q; q)_oo, over (q^2; q^2)_oo for "quad"
+    powers = {1: -1, 2: 1} if variant == "poch" else {1: -1}
+    return bl_scalar_mul(body, eta_product(powers, order - Rat(1, 8)).shift(Rat(1, 8)))
 
 
 def _six_monomial_numerator(n1, n2, qorder=1):
     """The six signed unit monomials of the bracketed lattice summand."""
-    mons = (
-        (1, n1 - 1, n2 - 1),
-        (-1, -n1 + n2 - 1, n2 - 1),
-        (-1, n1 - 1, -n2 + n1 - 1),
-        (1, -n2 - 1, -n2 + n1 - 1),
-        (1, -n1 + n2 - 1, -n1 - 1),
-        (-1, -n2 - 1, -n1 - 1),
-    )
     out = BiLaurentSeries({}, qorder, Region.OUTER)
-    for s, e1, e2 in mons:
+    for s, e1, e2 in _orbit_offsets(n1, n2, 0, 0):
         out = bl_add(out, bl_monomial(s, e1, e2, qorder, Region.OUTER))
     return out
 
@@ -275,20 +259,11 @@ def _sgn_weighted_sum(order, extra_half):
     )
 
 
-def _poch_squares(order):
-    """(q; q)_oo^2 (q^2; q^2)_oo^2."""
-    order = rat(order)
-    a = pochhammer(1, 1, 1, None, order)
-    b = pochhammer(1, 2, 2, None, order)
-    return (a * a * b * b).truncate(order)
-
-
 def _ghyper_q2(r, order):
     """G_hyper at the index pair r with q replaced by q^2."""
     return G_hyper(tuple(r), rat(order) / 2).scale_q(2)
 
 
-@lru_cache(maxsize=None)
 def _inverse_poch_pair(unit, order):
     """1/(u q^(1/2), u^-1 q^(1/2); q)_oo on one unit, INNER."""
     return unit_pochhammer(unit, Rat(1, 2), 1, order, inverse=True)
@@ -341,7 +316,8 @@ def _build_E3(p, order):
     # product route, division-free:
     # eta^3 theta_hat(z1 z2) = rho-sum * theta_hat(z1) * theta_hat(z2)
     B = order + Rat(1, 8)
-    lhs = bl_scalar_mul(theta_hat("z12", 1, B), _eta_cubed(B))
+    eta_cubed = eta_product({1: 3}, B).shift(Rat(1, 8))
+    lhs = bl_scalar_mul(theta_hat("z12", 1, B), eta_cubed)
     rhs = bl_mul(bl_mul(rho_sum, theta_hat("z1", 1, order)), theta_hat("z2", 1, order))
     K = W - _theta_window(order) - 1
     return lhs.clip(K), rhs.clip(K)
@@ -363,7 +339,8 @@ def _build_E4(p, order):
         return acc.truncate_q(order), pf_sum
     # zeta1^(-1/2) eta^3 = pf-sum * theta_hat(z1)
     B = order + Rat(1, 8)
-    lhs = bl_monomial(_eta_cubed(B), -Rat(1, 2), 0, B, Region.INNER)
+    eta_cubed = eta_product({1: 3}, B).shift(Rat(1, 8))
+    lhs = bl_monomial(eta_cubed, -Rat(1, 2), 0, B, Region.INNER)
     rhs = bl_mul(pf_sum, theta_hat("z1", 1, order))
     K = W - _theta_window(order) - 1
     return lhs.clip(K), rhs.clip(K)
@@ -476,7 +453,7 @@ def _build_E14(p, order):
     sh = Rat(1, 2) + Rat(2, 3) * quad_Q(Rat(r[0]), Rat(r[1]))
     lam = (Rat(r[0] + r[1], 3), Rat(2 * r[1] - r[0], 3))
     lhs = G_frak(lam, 2, order + sh)
-    rhs = (_poch_squares(order) * _ghyper_q2(r, order)).truncate(order).shift(sh)
+    rhs = (eta_product({1: 2, 2: 2}, order) * _ghyper_q2(r, order)).shift(sh)
     return lhs, rhs.truncate(min(rhs.order, lhs.order))
 
 
@@ -484,14 +461,14 @@ def _build_E15(p, order):
     order = rat(order)
     if p["part"] == "base":
         lhs = _sgn_weighted_sum(order, False)
-        rhs = (_poch_squares(order) * _ghyper_q2((0, 0), order)).truncate(order)
+        rhs = eta_product({1: 2, 2: 2}, order) * _ghyper_q2((0, 0), order)
         return lhs, rhs
     r = p["r"]
-    e = eta_series(1, order + Rat(1, 2))
-    lhs = (e * e * e * f_coeff(r[0], r[1], order)).truncate(order)
-    e2 = eta_series(2, order + Rat(1, 2))
-    rhs = (e2 * e2 * e2 * _ghyper_q2(r, order)).shift(Rat(1, 4)).truncate(order)
-    return lhs, rhs
+    # eta^3 = q^(1/8) (q; q)_oo^3 and eta(2 tau)^3 = q^(1/4) (q^2; q^2)_oo^3
+    eta1 = eta_product({1: 3}, order - Rat(1, 8)).shift(Rat(1, 8))
+    lhs = (eta1 * f_coeff(r[0], r[1], order)).truncate(order)
+    rhs = (eta_product({2: 3}, order) * _ghyper_q2(r, order)).shift(Rat(1, 2))
+    return lhs, rhs.truncate(order)
 
 
 def _build_E15b(p, order):
@@ -502,9 +479,7 @@ def _build_E15b(p, order):
         # the right side vanishes below this order; the left must too
         return coeff_F(r, 2, order), q_zero(order)
     s = (2 * r[0] - r[1], r[0] + r[1])
-    rhs = (_poch_squares(order) * _ghyper_q2(s, order - sh)).truncate(
-        order - sh
-    ).shift(sh)
+    rhs = (eta_product({1: 2, 2: 2}, order - sh) * _ghyper_q2(s, order - sh)).shift(sh)
     return coeff_F(r, 2, order), rhs
 
 
@@ -516,26 +491,16 @@ def _build_E16(p, order):
     }
     rhs = BiLaurentSeries(terms, order, Region.INNER)
     acc = BiLaurentSeries({}, order, Region.INNER)
-    n = 0
-    while n < order:
-        rel = order  # the w q^n prefactor already bounds the loop
-        term = bl_monomial(
-            pochhammer(1, 1, 2, n, rel) * q_monomial(1, n, rel), n, 0, rel, Region.INNER
-        )
-        for j in range(n):
-            term = bl_mul(term, _unit_poly("z1", 2 * j + 1, rel))
-        for j in range(2 * n + 1):
-            term = bl_mul(term, expand_inverse_one_minus("z1", j + 1, rel, sign=-1))
-        acc = bl_add(acc, term)
-        n += 1
+    for n in range(rat_ceil(order)):
+        # w^n q^n (q; q^2)_n (w q; q^2)_n / (-w q; q)_(2n+1)
+        factors = [(1, a, 2 * j + 1, 1) for j in range(n) for a in (0, 1)]
+        factors += [(-1, 1, j + 1, -1) for j in range(2 * n + 1)]
+        acc = bl_add(acc, _unit_product("z1", factors, order, (n, n)))
     return acc, rhs
 
 
 def _build_E17(p, order):
-    order = rat(order)
-    W = math.isqrt(int(order)) * 3 + 3
-    rhs = J_constant_term(order, W)
-    return F0_series(2, order, "GENERAL"), rhs
+    return F0_series(2, order, "GENERAL"), J_constant_term(order)
 
 
 def _build_E18(p, order):

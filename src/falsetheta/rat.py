@@ -1,28 +1,20 @@
 """Exact rational scalars.
 
 Everything in the formal layer is computed over arbitrary-precision
-rationals; gmpy2.mpq is used when available (it is roughly an order of
-magnitude faster than fractions.Fraction), with Fraction as fallback.
-Both store lowest terms with positive denominator and hash identically.
+rationals, the standard library's fractions.Fraction, which stores
+lowest terms with a positive denominator.
 """
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    Rat = Fraction
+Rat = Fraction
 
 
 def rat(x):
-    """Coerce an int, string 'a/b', Fraction or Rat to Rat."""
-    if isinstance(x, (int, str)):
-        return Rat(x)
-    if isinstance(x, Fraction):
-        return Rat(x.numerator, x.denominator)
+    """Coerce an int, a string 'a/b' or a Rat to Rat."""
     if isinstance(x, float):
         raise TypeError("refusing float -> rational coercion; pass an exact value")
-    return Rat(x.numerator, x.denominator)
+    return x if isinstance(x, Rat) else Rat(x)
 
 
 def rat_str(r):

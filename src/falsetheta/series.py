@@ -23,7 +23,7 @@ qualifying indices are visited.
 
 from math import isqrt, lcm
 
-from .rat import Rat, rat, rat_str, parse_rat
+from .rat import Rat, rat, rat_ceil, rat_str, parse_rat
 
 __all__ = [
     "PuiseuxSeries",
@@ -32,6 +32,7 @@ __all__ = [
     "monomial",
     "pochhammer",
     "eta_series",
+    "eta_product",
     "quadratic_range",
     "lattice_points",
     "lattice_sum",
@@ -247,35 +248,86 @@ def pochhammer(sign, s, t, n, order):
     order = rat(order)
     if t <= 0:
         raise ValueError("step t must be positive")
-    result = one(order)
     if n is None:
         if s <= 0:
             raise ValueError("infinite product requires s > 0")
-        j = 0
-        while s + j * t < order:
-            result = result * PuiseuxSeries(
-                {Rat(0): Rat(1), s + j * t: Rat(-sign)}, order
-            )
-            j += 1
-        return result
-    if not isinstance(n, int) or n < 0:
+        n = max(0, rat_ceil((order - s) / t))  # the factors below the order
+    elif not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer or None")
-    for j in range(n):
-        e = s + j * t
-        if e < 0:
-            raise ValueError("negative factor exponent in finite product")
-        result = result * PuiseuxSeries({Rat(0): Rat(1), e: Rat(-sign)}, order)
-    return result
+    elif n and s < 0:
+        raise ValueError("negative factor exponent in finite product")
+    return _binomial_series([(sign, 0, s + j * t, 1) for j in range(n)], order)
+
+
+def eta_product(powers, order):
+    """prod_k (q^k; q^k)_infinity^powers[k], truncated below `order`.
+
+    powers maps positive integers k to integer powers; the q^(k/24) of
+    eta(k tau) is left to the caller.
+    """
+    factors = []
+    for k, p in powers.items():
+        if not isinstance(k, int) or k < 1 or not isinstance(p, int):
+            raise ValueError("powers must map positive integers to integers")
+        factors += [(1, 0, j, p) for j in range(k, rat_ceil(rat(order)), k)]
+    return _binomial_series(factors, order)
 
 
 def eta_series(scale, order):
     """q^(k/24) * (q^k; q^k)_infinity truncated below `order` (k = scale)."""
-    if not isinstance(scale, int) or scale < 1:
-        raise ValueError("scale must be a positive integer")
-    order = rat(order)
     pre = Rat(scale, 24)
-    prod = pochhammer(1, scale, scale, None, order - pre)
-    return prod.shift(pre)
+    return eta_product({scale: 1}, rat(order) - pre).shift(pre)
+
+
+# -- products of binomials -------------------------------------------------------
+
+
+def _binomial_table(factors, order):
+    """prod (1 - sign u^a q^e)^power over factors, as a table of ints.
+
+    factors are tuples (sign, a, e, power) of integers and a rational
+    e >= 0.  Returns (d, table), d the lcm of the denominators of the e;
+    table maps m to the list of ints whose entry i is the coefficient of
+    u^m q^(i/d), for every i/d < order.  Each factor multiplies the table
+    in place.  A negative power takes the INNER expansion of the inverse,
+    sum_k (sign u^a q^e)^k; for e = 0 that sum is infinite, so the table
+    must divide by (1 - sign u^a) exactly, and a must not be 0.
+    """
+    factors = [(sign, a, rat(e), power) for sign, a, e, power in factors]
+    d = lcm(1, *(e.denominator for _, _, e, _ in factors))
+    n = max(0, rat_ceil(rat(order) * d))
+    table = {0: [1] + [0] * (n - 1)} if n else {}
+    for sign, a, e, power in factors:
+        if e < 0 or (not a and not e and power < 0):
+            raise ValueError(f"cannot expand (1 - {sign} u^{a} q^{e})^{power}")
+        k = e.numerator * (d // e.denominator)
+        for _ in range(abs(power) if k < n else 0):
+            if power > 0:  # every row is read before it is written
+                for m in sorted(table, reverse=a > 0):
+                    dst = table.setdefault(m + a, [0] * n)
+                    dst[k:] = [x - sign * y for x, y in zip(dst[k:], table[m])]
+            elif not a:  # row[i] += sign * row[i - k], in increasing i
+                for row in table.values():
+                    for i in range(k, n):
+                        row[i] += sign * row[i - k]
+            else:  # rows in the direction of a: m is final before it feeds m + a
+                step = 1 if a > 0 else -1
+                rows = sorted(table)[::step]
+                reach = a * (n // k) if k else 0  # how far the tail runs past rows[-1]
+                for m in range(rows[0], rows[-1] + reach + step, step):
+                    src = table.get(m, ())
+                    if any(src[:n - k]):
+                        if not k and (m + a - rows[-1]) * step > 0:
+                            raise ValueError("the quotient by 1 - u^a is not exact")
+                        dst = table.setdefault(m + a, [0] * n)
+                        dst[k:] = [x + sign * y for x, y in zip(dst[k:], src)]
+    return d, table
+
+
+def _binomial_series(factors, order):
+    """The one-variable product of _binomial_table, every a = 0."""
+    d, table = _binomial_table(factors, order)
+    return PuiseuxSeries({Rat(i, d): c for i, c in enumerate(table.get(0, ())) if c}, order)
 
 
 # -- exact enumeration of quadratic exponents ----------------------------------

@@ -11,9 +11,21 @@ from falsetheta.series import (
     monomial,
     pochhammer,
     eta_series,
+    eta_product,
     quadratic_range,
     series_to_json,
     series_from_json,
+    _binomial_table,
+)
+from falsetheta.bilaurent import (
+    BiLaurentSeries,
+    Region,
+    bl_add,
+    bl_monomial,
+    bl_mul,
+    bl_one,
+    bl_scalar_mul,
+    expand_inverse_one_minus,
 )
 
 
@@ -125,6 +137,19 @@ class TestBuilders:
         assert e2.valuation() == Rat(2, 24)
         assert e2.coeff(Rat(1, 12) + 2) == -1
 
+    def test_pochhammer_with_a_zero_exponent(self):
+        # (1 - 1)(1 - q) = 0 and (1 + 1)(1 + q) = 2 + 2q
+        assert pochhammer(1, 0, 1, 2, Rat(5)) == zero(5)
+        assert pochhammer(-1, 0, 1, 2, Rat(5)) == PuiseuxSeries({0: 2, 1: 2}, 5)
+
+    def test_eta_product_against_series_products(self):
+        order = Rat(23, 2)
+        p1 = pochhammer(1, 1, 1, None, order)
+        p2 = pochhammer(1, 2, 2, None, order)
+        assert eta_product({1: 5, 2: -1}, order) == (p1 ** 5 * p2.invert()).truncate(order)
+        assert eta_product({1: -1, 2: -1}, order) == (p1 * p2).invert()
+        assert eta_product({}, order) == one(order)
+
 
 def _rationals(lo, hi, den=3):
     return st.builds(Rat, st.integers(lo, hi), st.integers(1, den))
@@ -173,6 +198,90 @@ class TestQuadraticRange:
     def test_rejects_a_leading_coefficient_that_is_not_positive(self, a):
         with pytest.raises(ValueError):
             quadratic_range(a, 1, 0, 5)
+
+
+def _explicit_binomials(factors, order):
+    """prod (1 - sign u^a q^e)^power with u = z1, one bl_mul per factor.
+
+    A negative power with a = 0 inverts the q-series; with a = +-1 it
+    is expand_inverse_one_minus, and with a = 2 the explicit geometric
+    sum of (sign u^2 q^e)^k.
+    """
+    out = bl_one(order, Region.INNER)
+    for sign, a, e, power in factors:
+        if a == 0:
+            b = one(order) - monomial(sign, e, order)
+            for _ in range(abs(power)):
+                out = bl_scalar_mul(out, b.invert() if power < 0 else b)
+            continue
+        if power == 0:
+            continue
+        if power > 0:
+            b = bl_add(bl_one(order, Region.INNER),
+                       bl_monomial(monomial(-sign, e, order), a, 0, order, Region.INNER))
+        elif abs(a) == 1:
+            b = expand_inverse_one_minus("z1", e, order, invert_unit=a < 0, sign=sign)
+        else:
+            k, terms = 0, {}
+            while k * e < order:
+                terms[(a * k, 0)] = monomial(sign ** k, k * e, order)
+                k += 1
+            b = BiLaurentSeries(terms, order, Region.INNER)
+        for _ in range(abs(power)):
+            out = bl_mul(out, b)
+    return out.truncate_q(order)
+
+
+def _table_series(factors, order):
+    d, table = _binomial_table(factors, order)
+    terms = {
+        (m, 0): PuiseuxSeries({Rat(i, d): c for i, c in enumerate(row)}, order)
+        for m, row in table.items()
+    }
+    return BiLaurentSeries(terms, order, Region.INNER)
+
+
+def _factor():
+    def fix(sign, a, e, power):
+        # the INNER inverse needs e > 0; e = 0 divisions are tested apart
+        return (sign, a, e if power >= 0 or e else Rat(1, 2), power)
+
+    return st.builds(
+        fix,
+        st.sampled_from([1, -1]),
+        st.sampled_from([-1, 0, 1, 2]),
+        _rationals(0, 5),
+        st.integers(-2, 3),
+    )
+
+
+class TestBinomialKernel:
+    @given(st.lists(_factor(), max_size=4), st.builds(Rat, st.integers(1, 8), st.just(2)))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_factor_by_factor_product(self, factors, order):
+        assert _table_series(factors, order) == _explicit_binomials(factors, order)
+
+    def test_exact_division_with_a_zero_exponent(self):
+        order = Rat(3)
+        # (1 - u q)(1 - u^2)/(1 - u) = (1 - u q)(1 + u), and
+        # (1 - u^-2)/(1 + u^-1) = 1 - u^-1
+        got = _table_series([(1, 1, 1, 1), (1, 2, 0, 1), (1, 1, 0, -1)], order)
+        assert got == _explicit_binomials([(1, 1, 1, 1), (-1, 1, 0, 1)], order)
+        got = _table_series([(1, -2, 0, 1), (-1, -1, 0, -1)], order)
+        assert got == _explicit_binomials([(1, -1, 0, 1)], order)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [[(1, 1, 0, -1)], [(1, 3, 0, 1), (1, 2, 0, -1)], [(1, 1, 1, 1), (-1, 1, 0, -1)]],
+    )
+    def test_a_division_that_is_not_exact_is_refused(self, factors):
+        with pytest.raises(ValueError, match="not exact"):
+            _binomial_table(factors, Rat(3))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_inverting_a_constant_is_refused(self, sign):
+        with pytest.raises(ValueError, match="cannot expand"):
+            _binomial_table([(sign, 0, 0, -1)], Rat(3))
 
 
 def test_rat_string_roundtrip():

@@ -41,15 +41,15 @@ from falsetheta.thetas import (
         lambda n: theta_hat("z1", 1, n),
         lambda n: theta_hat_sum("z1", 1, n),
         lambda n: theta01("z1", 1, n),
-        lambda n: theta_A2(n, 2),
-        lambda n: calT(n, 2),
+        lambda n: theta_A2(n).clip(2),
+        lambda n: calT(n).clip(2),
         lambda n: t2t_factor("z1", n, "closed"),
         lambda n: t2t_factor("z1", n, "geometric"),
         lambda n: s01_factor("z1", n, 2),
         lambda n: f_series(n),
         lambda n: f_coeff(0, 0, n),
-        lambda n: J_series(n, 2),
-        lambda n: J_constant_term(n, 2),
+        lambda n: J_series(n).clip(2),
+        lambda n: J_constant_term(n),
         lambda n: kw_character_N3(n),
         lambda n: eta5_over_eta2(n),
         lambda n: eta1_over_eta2(n),
@@ -169,18 +169,18 @@ class TestLatticeKernels:
                 key = (n1 + n2, 2 * n1 - n2)
                 if 2 * Q < qorder and max(abs(key[0]), abs(key[1])) <= W:
                     cal[key] = monomial(1, 2 * Q, qorder)
-        assert theta_A2(qorder, W) == BiLaurentSeries(a2, qorder, Region.INNER)
-        assert calT(qorder, W) == BiLaurentSeries(cal, qorder, Region.INNER)
+        assert theta_A2(qorder).clip(W) == BiLaurentSeries(a2, qorder, Region.INNER)
+        assert calT(qorder).clip(W) == BiLaurentSeries(cal, qorder, Region.INNER)
 
     def test_theta_A2_small_coefficients(self):
-        t = theta_A2(Rat(5), 4)
+        t = theta_A2(Rat(5)).clip(4)
         assert t.coeff(0, 0).coeff(0) == 1
         assert t.coeff(1, 0).coeff(1) == 1
         assert t.coeff(1, 1).coeff(1) == 1  # Q(1,1) = 1
         assert t.coeff(1, -1).coeff(3) == 1
 
     def test_calT_is_the_dilated_substitution(self):
-        t = calT(Rat(9), 6)
+        t = calT(Rat(9)).clip(6)
         # lattice point n contributes q^(2Q(n)) at key (n1+n2, 2n1-n2)
         assert t.coeff(2, 1).coeff(2) == 1   # n = (1, 1)
         assert t.coeff(1, 2).coeff(2) == 1   # n = (1, 0)
@@ -203,6 +203,20 @@ class TestRatioFactors:
         s = s01_factor("z1", Rat(3), 8)
         assert s.coeff(Rat(1, 2), 0).coeff(Rat(-1, 8)) == 1
 
+    def test_s01_is_clipped_to_its_window(self):
+        W, qorder = 2, Rat(4)
+        s = s01_factor("z1", qorder, W)
+        assert s.window == W
+        with pytest.raises(ValueError):
+            s.coeff(Rat(7, 2), 0)
+        # u^e is complete up to q-order 2(W + 1 - e); a wider build agrees there
+        wide = s01_factor("z1", qorder, 8)
+        assert all(abs(e1) <= W for e1, _ in s.terms)
+        for (e1, e2), c in wide.terms.items():
+            if abs(e1) <= W:
+                o = min(qorder, 2 * (W + 1 - e1))
+                assert s.coeff(e1, e2).truncate(o) == c.truncate(o)
+
     def test_reads_outside_the_support_are_zero(self):
         assert f_series(Rat(3)).coeff(10, 0).is_zero()
         assert theta_hat("z1", 1, Rat(3)).coeff(10, 0).is_zero()
@@ -224,9 +238,17 @@ class TestAssembled:
         assert e.coeff(Rat(1, 8)) == 1
 
     def test_J_constant_coefficient_leading(self):
-        j = J_series(Rat(5), 6)
+        j = J_series(Rat(5)).clip(6)
         c = j.coeff(0, 0)
         assert c.coeff(Rat(1, 2)) == 1
+
+    def test_J_constant_coefficient_does_not_depend_on_the_clip(self):
+        # calT keys whose product with f lands on (0, 0) lie outside small
+        # windows, so a build bounded by the window loses them
+        whole = J_series(Rat(10))
+        assert whole.coeff(0, 0) == J_constant_term(Rat(10))
+        for W in (0, 1, 4):
+            assert whole.clip(W).coeff(0, 0) == whole.coeff(0, 0)
 
     def test_kw_character_is_windowed(self):
         k = kw_character_N3(Rat(5)).clip(4)
