@@ -6,6 +6,12 @@ annulus (Region) its meromorphic factors were expanded in; mixing
 regions is a hard error, because the same rational function has
 different Laurent expansions in different annuli.
 
+bl_mul works on integer rows: it puts both operands on one grid
+q^((e0 + g i)/d), with each key's coefficients as a list of ints over a
+common denominator, and convolves the lists with slice arithmetic, so no
+Rat is built until the result's.  bl_scalar_mul and product_coeff
+multiply PuiseuxSeries coefficients one by one.
+
 The optional `window` W marks a clip: keys outside |e1|, |e2| <= W were
 dropped, so their coefficients are unknown and reading one raises.  It
 is set only by `clip` and by builders that bound what they build, such
@@ -18,8 +24,10 @@ an analysis parameter and pair it with a compatible q-order.
 """
 
 import enum
+from math import gcd, lcm
+from operator import add
 
-from .rat import Rat, rat, rat_str, parse_rat
+from .rat import Rat, rat, rat_ceil, rat_str, parse_rat
 from .series import PuiseuxSeries, zero as q_zero, one as q_one, monomial as q_monomial
 from .series import series_to_json, series_from_json
 
@@ -197,36 +205,80 @@ def bl_add(a, b):
     return BiLaurentSeries(terms, qorder, a.region, min(windows, default=None))
 
 
+def _times(x, d):
+    """The int d*x, for a Rat x whose denominator divides d."""
+    return x.numerator * (d // x.denominator)
+
+
+def _int_rows(a, kd, d, e0, g):
+    """(D, rows): a's coefficients on the grid q^((e0 + g i)/d), times D.
+
+    D is the lcm of a's coefficient denominators; rows maps each key
+    (e1, e2), as the ints (kd e1, kd e2), to (lo, ints), ints[i] being
+    D times its coefficient of q^((e0 + g (lo + i))/d).
+    """
+    scale = lcm(1, *(c.denominator for s in a.terms.values() for c in s.terms.values()))
+    rows = {}
+    for key, s in a.terms.items():
+        idx = {(_times(e, d) - e0) // g: _times(c, scale) for e, c in s.terms.items()}
+        lo = min(idx)
+        row = [0] * (max(idx) - lo + 1)
+        for i, c in idx.items():
+            row[i - lo] = c
+        rows[_times(key[0], kd), _times(key[1], kd)] = (lo, row)
+    return scale, rows
+
+
 def bl_mul(a, b):
     """Convolution product; q-truncation follows the one-variable rule
 
         qorder = min(a.qorder + qval(b), b.qorder + qval(a)).
 
-    Key pairs whose coefficient valuations already sum past the result
-    order are skipped.
+    Each operand becomes one row of ints per key, on the grid
+    q^((e0 + g i)/d): d is the lcm of both operands' exponent
+    denominators, e0 the operand's smallest exponent times d, and g the
+    gcd of all exponent differences within either operand, times d.  The
+    rows are scaled by the lcm of the operand's coefficient denominators.
+    Key pairs add their row products into one int list per output key,
+    cut at the result order; a pair whose leading exponents already sum
+    past it is skipped.
     """
     _check_regions(a, b)
     qorder = min(a.qorder + b.qvaluation(), b.qorder + a.qvaluation())
-    terms = {}
-    avals = {k: c.valuation() for k, c in a.terms.items()}
-    bvals = {k: c.valuation() for k, c in b.terms.items()}
-    for ka, ca in a.terms.items():
-        va = avals[ka]
-        for kb, cb in b.terms.items():
-            if va + bvals[kb] >= qorder:
+    if not a.terms or not b.terms:
+        return BiLaurentSeries({}, qorder, a.region)
+    kd = lcm(*(e.denominator for x in (a, b) for key in x.terms for e in key))
+    d = lcm(*(e.denominator for x in (a, b) for s in x.terms.values() for e in s.terms))
+    ua, ub = ([_times(e, d) for s in x.terms.values() for e in s.terms] for x in (a, b))
+    e0a, e0b = min(ua), min(ub)
+    g = gcd(*(u - e0a for u in ua), *(u - e0b for u in ub)) or 1
+    da, rows_a = _int_rows(a, kd, d, e0a, g)
+    db, rows_b = _int_rows(b, kd, d, e0b, g)
+    ntop = rat_ceil((qorder * d - e0a - e0b) / g)
+    sums = {}
+    for ka, (la, ra) in rows_a.items():
+        for kb, (lb, rb) in rows_b.items():
+            s = la + lb
+            if s >= ntop:
                 continue
             key = (ka[0] + kb[0], ka[1] + kb[1])
-            prod = ca * cb
-            if key in terms:
-                terms[key] = terms[key] + prod
-            else:
-                terms[key] = prod
-    out = {}
-    for k, c in terms.items():
-        c = c.truncate(qorder) if c.order > qorder else c
-        if not c.is_zero():
-            out[k] = c
-    return BiLaurentSeries(out, qorder, a.region)
+            dst = sums.get(key)
+            if dst is None:
+                dst = sums[key] = [0] * ntop
+            short, long = (ra, rb) if len(ra) <= len(rb) else (rb, ra)
+            for i, x in enumerate(short[:ntop - s], s):
+                if x:
+                    k = min(len(long), ntop - i)
+                    dst[i:i + k] = map(add, dst[i:i + k], map(x.__mul__, long[:k]))
+    scale = da * db
+    qexps = [Rat(e0a + e0b + g * n, d) for n in range(ntop)]
+    terms = {
+        (Rat(k1, kd), Rat(k2, kd)): PuiseuxSeries(
+            {qexps[n]: Rat(c, scale) for n, c in enumerate(row) if c}, qorder
+        )
+        for (k1, k2), row in sums.items()
+    }
+    return BiLaurentSeries(terms, qorder, a.region)  # drops the keys that cancel
 
 
 def product_coeff(factors, r1, r2):
@@ -298,13 +350,11 @@ def bl_scalar_mul(a, s):
     return BiLaurentSeries(terms, qorder, a.region, a.window)
 
 
-def expand_inverse_one_minus(
-    unit, n, qorder, zwindow=None, invert_unit=False, sign=1
-):
-    """INNER expansion of 1 / (1 - x), x = sign * u^s * q^n, s = +-1.
+def expand_inverse_one_minus(unit, n, qorder, zwindow=None, invert_unit=False):
+    """INNER expansion of 1 / (1 - x), x = u^s * q^n, s = +-1.
 
-    unit selects u among z1, z2, z1*z2; invert_unit chooses s = -1 and
-    sign is +-1.  For n >= 0 this is sum_{k>=0} x^k; for n < 0 it is
+    unit selects u among z1, z2, z1*z2; invert_unit chooses s = -1.
+    For n >= 0 this is sum_{k>=0} x^k; for n < 0 it is
     -sum_{k>=1} x^-k.  n = 0 needs a window, which then bounds the keys;
     any window becomes the result's.
     """
@@ -325,7 +375,7 @@ def expand_inverse_one_minus(
     while k * n < qorder and (
         zwindow is None or max(abs(k * d1), abs(k * d2)) <= zwindow
     ):
-        terms[(rat(k * d1), rat(k * d2))] = q_monomial(lead * sign**k, k * n, qorder)
+        terms[(rat(k * d1), rat(k * d2))] = q_monomial(lead, k * n, qorder)
         k += 1
     return BiLaurentSeries(terms, qorder, Region.INNER, zwindow)
 

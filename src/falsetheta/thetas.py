@@ -279,7 +279,10 @@ def J_constant_term(qorder):
 
 
 def kw_character_N3(qorder):
-    """The N = 3 boundary-level character: (eta/eta(2tau)) * f."""
+    """The N = 3 boundary-level character: (eta/eta(2tau)) * f.
+
+    eta/eta(2tau) has valuation -1/24, so both factors are built 1/24
+    deeper."""
     qorder = _positive_order(qorder)
-    quot = eta1_over_eta2(qorder + Rat(1, 2))
-    return bl_scalar_mul(f_series(qorder + Rat(1, 2)), quot).truncate_q(qorder)
+    build = qorder + Rat(1, 24)
+    return bl_scalar_mul(f_series(build), eta1_over_eta2(build)).truncate_q(qorder)

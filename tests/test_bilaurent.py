@@ -1,6 +1,7 @@
-"""Bivariate Laurent layer: regions, windows, and exact division."""
+"""Bivariate Laurent layer: regions, windows, products and exact division."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from falsetheta.rat import Rat
 from falsetheta.series import PuiseuxSeries, monomial, one as q_one, zero as q_zero
@@ -11,16 +12,17 @@ from falsetheta.bilaurent import (
     BiLaurentSeries,
     bl_monomial,
     bl_one,
+    bl_zero,
     bl_add,
     bl_mul,
     bl_scalar_mul,
     bl_elliptic_shift,
     expand_inverse_one_minus,
     laurent_poly_exact_divide,
-    UNIT_KEYS,
     bl_to_json,
     bl_from_json,
 )
+from falsetheta.thetas import calT, t2t_factor
 
 
 def mono(c, e1, e2, qexp, qorder, region=Region.INNER, window=None):
@@ -83,6 +85,85 @@ class TestStructure:
         assert b.region is a.region
 
 
+def _pairwise_product(a, b):
+    """The product key pair by key pair with PuiseuxSeries.__mul__:
+    (terms, qorder), the oracle for bl_mul."""
+    qorder = min(a.qorder + b.qvaluation(), b.qorder + a.qvaluation())
+    terms = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            if ca.valuation() + cb.valuation() >= qorder:
+                continue
+            key = (ka[0] + kb[0], ka[1] + kb[1])
+            terms[key] = terms[key] + ca * cb if key in terms else ca * cb
+    terms = {k: c.truncate(qorder) for k, c in terms.items()}
+    return {k: c for k, c in terms.items() if not c.is_zero()}, qorder
+
+
+_exponents = st.builds(Rat, st.integers(-24, 48), st.sampled_from([1, 2, 3, 8, 24]))
+_coeffs = st.builds(Rat, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 7]))
+_keys = st.tuples(
+    st.builds(Rat, st.integers(-3, 3), st.sampled_from([1, 2])),
+    st.builds(Rat, st.integers(-3, 3), st.sampled_from([1, 2])),
+)
+
+
+@st.composite
+def _operands(draw, region):
+    qorder = draw(st.builds(Rat, st.integers(-8, 24), st.sampled_from([1, 2, 3, 4])))
+    keys = draw(st.dictionaries(_keys, st.dictionaries(_exponents, _coeffs, max_size=5),
+                                max_size=4))
+    return BiLaurentSeries(
+        {k: PuiseuxSeries(c, qorder) for k, c in keys.items()}, qorder, region
+    )
+
+
+@st.composite
+def _operand_pairs(draw):
+    region = draw(st.sampled_from(Region))
+    return draw(_operands(region)), draw(_operands(region))
+
+
+class TestMulAgainstPairwiseProducts:
+    def check(self, a, b):
+        terms, qorder = _pairwise_product(a, b)
+        c = bl_mul(a, b)
+        assert c.terms == terms and c.qorder == qorder and c.window is None
+        assert c.region is a.region
+
+    @given(_operand_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_operands(self, pair):
+        self.check(*pair)
+
+    @pytest.mark.parametrize("region", list(Region))
+    def test_single_terms_and_an_empty_operand(self, region):
+        a = mono(Rat(-3, 2), Rat(1, 2), -1, Rat(-7, 24), Rat(5, 3), region)
+        b = mono(Rat(2, 3), 1, Rat(-3, 2), Rat(3, 8), Rat(4), region)
+        self.check(a, b)
+        self.check(a, bl_one(Rat(1), region))
+        self.check(bl_zero(Rat(3), region), b)
+        self.check(a, bl_zero(Rat(-2), region))
+
+    @pytest.mark.parametrize("path", ["closed", "geometric"])
+    def test_the_factors_of_f_and_J(self, path):
+        # coefficients on 1/8 + Z, calT's on 2Z
+        a, b, c = (t2t_factor(u, Rat(5), path) for u in ("z1", "z2", "z12"))
+        self.check(a, b)
+        self.check(bl_mul(a, b), c)
+        self.check(calT(Rat(5)), bl_mul(bl_mul(a, b), c))
+
+    def test_keys_whose_pairs_all_lie_past_the_order(self):
+        # z2 q^5 z2 q^5 lies past the order 6, and (1 + z1)(1 - z1) has no z1
+        a = bl_add(bl_add(mono(1, 0, 0, 0, Rat(6)), mono(1, 1, 0, 0, Rat(6))),
+                   mono(1, 0, 1, 5, Rat(6)))
+        b = bl_add(bl_add(mono(1, 0, 0, 0, Rat(6)), mono(-1, 1, 0, 0, Rat(6))),
+                   mono(1, 0, 1, 5, Rat(6)))
+        self.check(a, b)
+        c = bl_mul(a, b)
+        assert (0, 2) not in c.terms and (1, 0) not in c.terms
+
+
 class TestExpansions:
     def test_inner_geometric_positive_shift(self):
         # 1/(1 - z q^2) = sum_k z^k q^(2k)
@@ -96,24 +177,6 @@ class TestExpansions:
         g = expand_inverse_one_minus("z1", -1, Rat(5), zwindow=6)
         assert g.coeff(-2, 0).coeff(2) == -1
         assert g.coeff(0, 0).is_zero()
-        # 1/(1 + z q^-1) = -sum_{k>=1} (-1)^k z^-k q^k
-        h = expand_inverse_one_minus("z1", -1, Rat(5), zwindow=6, sign=-1)
-        assert h.coeff(-1, 0).coeff(1) == 1 and h.coeff(-2, 0).coeff(2) == -1
-
-    @pytest.mark.parametrize("unit", ["z1", "z2", "z12"])
-    @pytest.mark.parametrize("n", [1, 2, Rat(3, 2)])
-    def test_signed_geometric_series(self, unit, n):
-        # 1/(1 + u q^n) = sum_k (-1)^k u^k q^(kn)
-        qorder = Rat(9)
-        d1, d2 = UNIT_KEYS[unit]
-        want = {}
-        k = 0
-        while k * n < qorder:
-            want[(k * d1, k * d2)] = monomial((-1) ** k, k * n, qorder)
-            k += 1
-        g = expand_inverse_one_minus(unit, n, qorder, sign=-1)
-        assert g == BiLaurentSeries(want, qorder, Region.INNER)
-        assert g.window is None
 
     def test_zero_shift_needs_a_window(self):
         with pytest.raises(ValueError):

@@ -203,9 +203,9 @@ class TestQuadraticRange:
 def _explicit_binomials(factors, order):
     """prod (1 - sign u^a q^e)^power with u = z1, one bl_mul per factor.
 
-    A negative power with a = 0 inverts the q-series; with a = +-1 it
-    is expand_inverse_one_minus, and with a = 2 the explicit geometric
-    sum of (sign u^2 q^e)^k.
+    A negative power with a = 0 inverts the q-series; with a = +-1 and
+    sign 1 it is expand_inverse_one_minus, and otherwise the explicit
+    geometric sum of (sign u^a q^e)^k.
     """
     out = bl_one(order, Region.INNER)
     for sign, a, e, power in factors:
@@ -219,8 +219,8 @@ def _explicit_binomials(factors, order):
         if power > 0:
             b = bl_add(bl_one(order, Region.INNER),
                        bl_monomial(monomial(-sign, e, order), a, 0, order, Region.INNER))
-        elif abs(a) == 1:
-            b = expand_inverse_one_minus("z1", e, order, invert_unit=a < 0, sign=sign)
+        elif abs(a) == 1 and sign == 1:
+            b = expand_inverse_one_minus("z1", e, order, invert_unit=a < 0)
         else:
             k, terms = 0, {}
             while k * e < order:

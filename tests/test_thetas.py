@@ -255,3 +255,7 @@ class TestAssembled:
         assert k.window == 4
         # eta/eta(2tau) contributes -1/24, the triple ratio 3/8
         assert k.qvaluation() == Rat(1, 3)
+
+    @pytest.mark.parametrize("qorder", [Rat(1, 4), Rat(1), Rat(3), Rat(13, 2)])
+    def test_kw_character_agrees_with_a_deeper_build(self, qorder):
+        assert kw_character_N3(qorder) == kw_character_N3(qorder + 2).truncate_q(qorder)
