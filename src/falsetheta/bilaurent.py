@@ -6,11 +6,11 @@ annulus (Region) its meromorphic factors were expanded in; mixing
 regions is a hard error, because the same rational function has
 different Laurent expansions in different annuli.
 
-bl_mul works on integer rows: it puts both operands on one grid
-q^((e0 + g i)/d), with each key's coefficients as a list of ints over a
-common denominator, and convolves the lists with slice arithmetic, so no
-Rat is built until the result's.  bl_scalar_mul and product_coeff
-multiply PuiseuxSeries coefficients one by one.
+bl_mul and product_coeff share one integer kernel: it puts every factor
+on one grid q^((e0 + g i)/d), with each key's coefficients as a list of
+ints over a common denominator, and convolves the lists with slice
+arithmetic, so no Rat is built until the result's.  Only bl_scalar_mul
+multiplies PuiseuxSeries, one coefficient at a time.
 
 The optional `window` W marks a clip: keys outside |e1|, |e2| <= W were
 dropped, so their coefficients are unknown and reading one raises.  It
@@ -210,23 +210,88 @@ def _times(x, d):
     return x.numerator * (d // x.denominator)
 
 
-def _int_rows(a, kd, d, e0, g):
-    """(D, rows): a's coefficients on the grid q^((e0 + g i)/d), times D.
+def _mul_add(dst, s, x, y):
+    """dst[s + i + j] += x[i] y[j] wherever s + i + j < len(dst)."""
+    n = len(dst)
+    if len(x) > len(y):
+        x, y = y, x
+    for i, c in enumerate(x[:n - s], s):
+        if c:
+            k = min(len(y), n - i)
+            dst[i:i + k] = map(add, dst[i:i + k], map(c.__mul__, y[:k]))
 
-    D is the lcm of a's coefficient denominators; rows maps each key
-    (e1, e2), as the ints (kd e1, kd e2), to (lo, ints), ints[i] being
-    D times its coefficient of q^((e0 + g (lo + i))/d).
+
+def _int_product(factors, qorder, key=None):
+    """The terms below qorder of the product of `factors`; with a key
+    (r1, r2), only that key's.
+
+    Each factor becomes one row (lo, ints) per key, ints[i] being its
+    coefficient of q^((e0 + g (lo + i))/d) times the lcm of the factor's
+    coefficient denominators: d is the lcm of all exponent denominators,
+    e0 the factor's smallest exponent times d, and g the gcd of all
+    exponent differences within any factor, times d.  Keys become ints
+    over kd, the lcm of the key denominators.  Key tuples are walked from
+    the last factor down to the first, whose key is looked up when the
+    sum is fixed, and skipped once their rows start at or past the order;
+    each tuple's row product is added into one int list per output key.
     """
-    scale = lcm(1, *(c.denominator for s in a.terms.values() for c in s.terms.values()))
-    rows = {}
-    for key, s in a.terms.items():
-        idx = {(_times(e, d) - e0) // g: _times(c, scale) for e, c in s.terms.items()}
-        lo = min(idx)
-        row = [0] * (max(idx) - lo + 1)
-        for i, c in idx.items():
-            row[i - lo] = c
-        rows[_times(key[0], kd), _times(key[1], kd)] = (lo, row)
-    return scale, rows
+    if not all(f.terms for f in factors):
+        return {}
+    kd = lcm(*(e.denominator for f in factors for k in f.terms for e in k))
+    if key is not None:
+        if any(kd % e.denominator for e in key):
+            return {}  # off the lattice of key sums
+        key = (_times(key[0], kd), _times(key[1], kd))
+    d = lcm(*(e.denominator for f in factors for s in f.terms.values() for e in s.terms))
+    us = [[_times(e, d) for s in f.terms.values() for e in s.terms] for f in factors]
+    e0 = [min(u) for u in us]
+    g = gcd(*(x - m for u, m in zip(us, e0) for x in u)) or 1
+    scale, rows = 1, []
+    for f, m in zip(factors, e0):
+        den = lcm(1, *(c.denominator for s in f.terms.values() for c in s.terms.values()))
+        scale *= den
+        rows.append({})
+        for k, s in f.terms.items():
+            idx = {(_times(e, d) - m) // g: _times(c, den) for e, c in s.terms.items()}
+            lo = min(idx)
+            row = [idx.get(i, 0) for i in range(lo, max(idx) + 1)]
+            rows[-1][_times(k[0], kd), _times(k[1], kd)] = (lo, row)
+    ntop = rat_ceil((qorder * d - sum(e0)) / g)
+
+    def tuples(i, k, s):
+        # (key sum, start, rows) of factors[:i + 1] whose keys sum to k
+        # (any sum if k is None) and whose rows start below ntop - s
+        if i == 0:
+            # a missing key reads as a row that starts at ntop
+            hits = rows[0].items() if k is None else [(k, rows[0].get(k, (ntop, ())))]
+            for kk, (lo, r) in hits:
+                if s + lo < ntop:
+                    yield kk, s + lo, (r,)
+            return
+        for kk, (lo, r) in rows[i].items():
+            if s + lo < ntop:
+                rest = None if k is None else (k[0] - kk[0], k[1] - kk[1])
+                for out, t, head in tuples(i - 1, rest, s + lo):
+                    yield (out[0] + kk[0], out[1] + kk[1]), t, head + (r,)
+
+    sums = {}
+    for out, s, tup in tuples(len(rows) - 1, key, 0):
+        dst = sums.get(out)
+        if dst is None:
+            dst = sums[out] = [0] * ntop
+        part = tup[0] if len(tup) > 1 else [1]
+        for r in tup[1:-1]:
+            nxt = [0] * min(len(part) + len(r) - 1, ntop - s)
+            _mul_add(nxt, 0, part, r)
+            part = nxt
+        _mul_add(dst, s, part, tup[-1])
+    qexps = [Rat(sum(e0) + g * n, d) for n in range(ntop)]
+    return {
+        (Rat(k1, kd), Rat(k2, kd)): PuiseuxSeries(
+            {qexps[n]: Rat(c, scale) for n, c in enumerate(row) if c}, qorder
+        )
+        for (k1, k2), row in sums.items()
+    }
 
 
 def bl_mul(a, b):
@@ -234,65 +299,23 @@ def bl_mul(a, b):
 
         qorder = min(a.qorder + qval(b), b.qorder + qval(a)).
 
-    Each operand becomes one row of ints per key, on the grid
-    q^((e0 + g i)/d): d is the lcm of both operands' exponent
-    denominators, e0 the operand's smallest exponent times d, and g the
-    gcd of all exponent differences within either operand, times d.  The
-    rows are scaled by the lcm of the operand's coefficient denominators.
-    Key pairs add their row products into one int list per output key,
-    cut at the result order; a pair whose leading exponents already sum
-    past it is skipped.
+    One call of the integer-row kernel that product_coeff shares, over
+    every key pair; keys that cancel are dropped.
     """
     _check_regions(a, b)
     qorder = min(a.qorder + b.qvaluation(), b.qorder + a.qvaluation())
-    if not a.terms or not b.terms:
-        return BiLaurentSeries({}, qorder, a.region)
-    kd = lcm(*(e.denominator for x in (a, b) for key in x.terms for e in key))
-    d = lcm(*(e.denominator for x in (a, b) for s in x.terms.values() for e in s.terms))
-    ua, ub = ([_times(e, d) for s in x.terms.values() for e in s.terms] for x in (a, b))
-    e0a, e0b = min(ua), min(ub)
-    g = gcd(*(u - e0a for u in ua), *(u - e0b for u in ub)) or 1
-    da, rows_a = _int_rows(a, kd, d, e0a, g)
-    db, rows_b = _int_rows(b, kd, d, e0b, g)
-    ntop = rat_ceil((qorder * d - e0a - e0b) / g)
-    sums = {}
-    for ka, (la, ra) in rows_a.items():
-        for kb, (lb, rb) in rows_b.items():
-            s = la + lb
-            if s >= ntop:
-                continue
-            key = (ka[0] + kb[0], ka[1] + kb[1])
-            dst = sums.get(key)
-            if dst is None:
-                dst = sums[key] = [0] * ntop
-            short, long = (ra, rb) if len(ra) <= len(rb) else (rb, ra)
-            for i, x in enumerate(short[:ntop - s], s):
-                if x:
-                    k = min(len(long), ntop - i)
-                    dst[i:i + k] = map(add, dst[i:i + k], map(x.__mul__, long[:k]))
-    scale = da * db
-    qexps = [Rat(e0a + e0b + g * n, d) for n in range(ntop)]
-    terms = {
-        (Rat(k1, kd), Rat(k2, kd)): PuiseuxSeries(
-            {qexps[n]: Rat(c, scale) for n, c in enumerate(row) if c}, qorder
-        )
-        for (k1, k2), row in sums.items()
-    }
-    return BiLaurentSeries(terms, qorder, a.region)  # drops the keys that cancel
+    return BiLaurentSeries(_int_product((a, b), qorder), qorder, a.region)
 
 
 def product_coeff(factors, r1, r2):
     """The (r1, r2) coefficient of the product of `factors`, without
     building the product.
 
-    The coefficient is the sum, over one key k_i of each factor with
-    k_0 + ... + k_n = (r1, r2), of the products of their coefficients.
-    The last factor's keys are iterated and the first factor's looked up,
-    so for factors along pairwise independent unit directions, as in
-    A(z1) B(z2) C(z1 z2), this is the one-dimensional sum
-    sum_m A_(r1-m) B_(r2-m) C_m.  Key tuples whose valuations already
-    reach the result order are skipped, and each coefficient is
-    truncated to what the others' valuations leave of that order.
+    One call of the integer-row kernel that bl_mul shares, over the key
+    tuples k_0 + ... + k_n = (r1, r2) only: for factors along pairwise
+    independent unit directions, as in A(z1) B(z2) C(z1 z2), this is the
+    one-dimensional sum sum_m A_(r1-m) B_(r2-m) C_m.  A key off the
+    lattice of key sums reads zero.
 
     The result order follows the bl_mul rule,
     min_i (qorder_i + sum_{j != i} qval_j); it is the order of the
@@ -304,37 +327,9 @@ def product_coeff(factors, r1, r2):
     for f in factors[1:]:
         _check_regions(factors[0], f)
     vals = [f.qvaluation() for f in factors]
-    total = sum(vals)
-    qorder = min(f.qorder + total - v for f, v in zip(factors, vals))
-    triples = [
-        [(k, c, c.valuation()) for k, c in f.terms.items()] for f in factors
-    ]
-    first = {k: (c, v) for k, c, v in triples[0]}
-    floors = [sum(vals[:i]) for i in range(len(factors))]
-
-    def tuples(i, key, budget):
-        # (coeff, valuation) of factors[:i+1] with keys summing to key and
-        # valuations summing below budget
-        if i == 0:
-            hit = first.get(key)
-            if hit is not None and hit[1] < budget:
-                yield (hit,)
-            return
-        for k, c, v in triples[i]:
-            if v + floors[i] >= budget:
-                continue
-            for head in tuples(i - 1, (key[0] - k[0], key[1] - k[1]), budget - v):
-                yield head + ((c, v),)
-
-    acc = q_zero(qorder)
-    for pairs in tuples(len(factors) - 1, (rat(r1), rat(r2)), qorder):
-        s = sum(v for _, v in pairs)
-        term = None
-        for c, v in pairs:
-            c = c.truncate(min(c.order, qorder - s + v))
-            term = c if term is None else term * c
-        acc = acc + term
-    return acc.truncate(qorder)
+    qorder = min(f.qorder + sum(vals) - v for f, v in zip(factors, vals))
+    key = (rat(r1), rat(r2))
+    return _int_product(factors, qorder, key).get(key, q_zero(qorder))
 
 
 def bl_scalar_mul(a, s):

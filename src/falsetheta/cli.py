@@ -61,7 +61,7 @@ def _parse_rat_pair(s):
     parts = s.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected two rationals, got {s!r}")
-    return tuple(parse_rat(x) for x in parts)
+    return tuple(_parse_rat_arg(x) for x in parts)
 
 
 def _parse_gamma(s):

@@ -9,6 +9,8 @@ products 1/((q; q)_a (q; q)_b) of the hypergeometric sums are one call
 each of the integer kernel `series._binomial_table`.
 """
 
+from itertools import count
+
 from .rat import Rat, rat, rat_floor, _positive_order
 from .series import (
     PuiseuxSeries,
@@ -230,18 +232,18 @@ def G_hyper(r, order):
     out = q_zero(order)
     # each A_m is built once, at the full order, and truncated per n4
     tables = {}
-    bound = rat_floor((2 * order + abs(r1) + abs(r2)) / 3) + 2
-    for n4 in range(-bound, bound + 1):
-        ms = (abs(n4 - r1), abs(n4 - r2), abs(n4))
-        pre = Rat(sum(ms), 2)
-        if pre >= order:
-            continue
-        rel = order - pre
-        for m in ms:
-            if m not in tables:
-                tables[m] = _A_table(m, order)
-        a1, a2, a3 = (tables[m].truncate(rel) for m in ms)
-        out = out + (a1 * a2 * a3).shift(pre)
+    med = sorted((0, r1, r2))[1]
+    for n4s in (count(med), count(med - 1, -1)):
+        for n4 in n4s:
+            ms = (abs(n4 - r1), abs(n4 - r2), abs(n4))
+            pre = Rat(sum(ms), 2)
+            if pre >= order:
+                break  # pre is convex in n4 and least at med
+            for m in ms:
+                if m not in tables:
+                    tables[m] = _A_table(m, order)
+            a1, a2, a3 = (tables[m].truncate(order - pre) for m in ms)
+            out = out + (a1 * a2 * a3).shift(pre)
     return out
 
 

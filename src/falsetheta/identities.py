@@ -797,8 +797,10 @@ def run_suite(pattern="*", order_overrides=None, jobs=1):
     execution order.  jobs is the number of worker processes; with jobs > 1 the identities run
     in parallel in spawned workers, each with its own builder caches, so
     a script that calls this needs the usual `if __name__ == "__main__"`
-    guard.  With jobs <= 1 they run one after another in this process.
+    guard.  With jobs = 1 they run one after another in this process.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     order_overrides = order_overrides or {}
     alts = [a for a in pattern.split("|") if a]
     ids = [i for i in registered_ids() if any(fnmatch.fnmatch(i, a) for a in alts)]

@@ -88,6 +88,15 @@ class TestExpand:
         assert data["window"] == 1
         assert sorted(t["e1"] for t in data["terms"]) == ["-1/2", "1/2"]
 
+    @pytest.mark.parametrize(
+        "argv", [("Hfrak", "--r", "1/0,1"), ("Gfrak", "--lambda", "1/0,0")]
+    )
+    def test_zero_denominator_in_a_rational_pair_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", *argv])
+        assert exc.value.code == USAGE_ERROR
+        assert "cannot parse rational '1/0'" in capsys.readouterr().err
+
     def test_bad_family_parameter_is_usage_error(self, capsys):
         code, _, err = run(capsys, "expand", "Gfrak", "--p", "1", "--order", "4")
         assert code == USAGE_ERROR
@@ -186,3 +195,13 @@ class TestSuite:
         lines = out.strip().splitlines()
         assert lines[0].startswith("E19")
         assert len(lines) == 1 + 8  # one identity plus the eight laws
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "all", "--jobs", "0"),
+         ("suite", "--jobs", "-1", "--pattern", "E19", "--skip-numeric")],
+    )
+    def test_jobs_below_one_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == USAGE_ERROR
+        assert out == "" and "jobs must be at least 1" in err

@@ -218,6 +218,11 @@ class TestCoefficientFamilies:
         # swapping r1 and r2 permutes the three absolute values
         assert G_hyper((1, 0), Rat(6)) == G_hyper((0, 1), Rat(6))
 
+    def test_hypergeometric_far_index_is_zero(self):
+        # every n4 has (|n4 - r1| + |n4 - r2| + |n4|)/2 >= 10**9/2
+        g = G_hyper((10**9, 0), Rat(1, 100))
+        assert g.is_zero() and g.order == Rat(1, 100)
+
     def test_cubic_weight_forms_agree(self):
         assert F0_series(2, Rat(20), "GENERAL") == F0_series(2, Rat(20), "P2SIMPLIFIED")
 

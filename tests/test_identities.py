@@ -82,6 +82,12 @@ def test_suite_pattern_and_sorting():
     assert "E1" in ids and "E2" in ids and "E20" in ids and "E3" not in ids
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_suite_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_suite(pattern="E19", jobs=jobs)
+
+
 def test_suite_is_deterministic_under_jobs():
     seq = run_suite(pattern="E19|E20", jobs=1)
     par = run_suite(pattern="E19|E20", jobs=4)
