@@ -9,8 +9,8 @@ different Laurent expansions in different annuli.
 bl_mul and product_coeff share one integer kernel: it puts every factor
 on one grid q^((e0 + g i)/d), with each key's coefficients as a list of
 ints over a common denominator, and convolves the lists with slice
-arithmetic, so no Rat is built until the result's.  Only bl_scalar_mul
-multiplies PuiseuxSeries, one coefficient at a time.
+arithmetic, so no Rat is built until the result's.  The convolution is
+series._mul_add, on which PuiseuxSeries products run too.
 
 The optional `window` W marks a clip: keys outside |e1|, |e2| <= W were
 dropped, so their coefficients are unknown and reading one raises.  It
@@ -25,11 +25,11 @@ an analysis parameter and pair it with a compatible q-order.
 
 import enum
 from math import gcd, lcm
-from operator import add
 
 from .rat import Rat, rat, rat_ceil, rat_str, parse_rat
 from .series import PuiseuxSeries, zero as q_zero, one as q_one, monomial as q_monomial
 from .series import series_to_json, series_from_json
+from .series import _series, _times, _int_row, _mul_add
 
 __all__ = [
     "Region",
@@ -205,22 +205,6 @@ def bl_add(a, b):
     return BiLaurentSeries(terms, qorder, a.region, min(windows, default=None))
 
 
-def _times(x, d):
-    """The int d*x, for a Rat x whose denominator divides d."""
-    return x.numerator * (d // x.denominator)
-
-
-def _mul_add(dst, s, x, y):
-    """dst[s + i + j] += x[i] y[j] wherever s + i + j < len(dst)."""
-    n = len(dst)
-    if len(x) > len(y):
-        x, y = y, x
-    for i, c in enumerate(x[:n - s], s):
-        if c:
-            k = min(len(y), n - i)
-            dst[i:i + k] = map(add, dst[i:i + k], map(c.__mul__, y[:k]))
-
-
 def _int_product(factors, qorder, key=None):
     """The terms below qorder of the product of `factors`; with a key
     (r1, r2), only that key's.
@@ -243,19 +227,17 @@ def _int_product(factors, qorder, key=None):
             return {}  # off the lattice of key sums
         key = (_times(key[0], kd), _times(key[1], kd))
     d = lcm(*(e.denominator for f in factors for s in f.terms.values() for e in s.terms))
-    us = [[_times(e, d) for s in f.terms.values() for e in s.terms] for f in factors]
-    e0 = [min(u) for u in us]
-    g = gcd(*(x - m for u, m in zip(us, e0) for x in u)) or 1
+    us = [{k: [_times(e, d) for e in s.terms] for k, s in f.terms.items()} for f in factors]
+    e0 = [min(min(u) for u in fu.values()) for fu in us]
+    g = gcd(*(x - m for fu, m in zip(us, e0) for u in fu.values() for x in u)) or 1
     scale, rows = 1, []
-    for f, m in zip(factors, e0):
+    for f, fu, m in zip(factors, us, e0):
         den = lcm(1, *(c.denominator for s in f.terms.values() for c in s.terms.values()))
         scale *= den
-        rows.append({})
-        for k, s in f.terms.items():
-            idx = {(_times(e, d) - m) // g: _times(c, den) for e, c in s.terms.items()}
-            lo = min(idx)
-            row = [idx.get(i, 0) for i in range(lo, max(idx) + 1)]
-            rows[-1][_times(k[0], kd), _times(k[1], kd)] = (lo, row)
+        rows.append({
+            (_times(k[0], kd), _times(k[1], kd)): _int_row(fu[k], s.terms.values(), m, g, den)
+            for k, s in f.terms.items()
+        })
     ntop = rat_ceil((qorder * d - sum(e0)) / g)
 
     def tuples(i, k, s):
@@ -287,7 +269,7 @@ def _int_product(factors, qorder, key=None):
         _mul_add(dst, s, part, tup[-1])
     qexps = [Rat(sum(e0) + g * n, d) for n in range(ntop)]
     return {
-        (Rat(k1, kd), Rat(k2, kd)): PuiseuxSeries(
+        (Rat(k1, kd), Rat(k2, kd)): _series(
             {qexps[n]: Rat(c, scale) for n, c in enumerate(row) if c}, qorder
         )
         for (k1, k2), row in sums.items()

@@ -171,6 +171,8 @@ def cmd_verify(args):
     order = args.order
     if order is not None:
         _positive_order(order, "--order")
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     if args.id == "all":
         reports = run_suite(order_overrides=None if order is None else
                             {i: order for i in registered_ids()},

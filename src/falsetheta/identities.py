@@ -793,8 +793,9 @@ def run_suite(pattern="*", order_overrides=None, jobs=1):
     """Verify every identity whose id matches the filter.
 
     The filter is a shell-style pattern, with "|" separating
-    alternatives.  Reports come back sorted by id regardless of
-    execution order.  jobs is the number of worker processes; with jobs > 1 the identities run
+    alternatives; a pattern that matches no id raises ValueError.
+    Reports come back sorted by id regardless of execution order.  jobs
+    is the number of worker processes; with jobs > 1 the identities run
     in parallel in spawned workers, each with its own builder caches, so
     a script that calls this needs the usual `if __name__ == "__main__"`
     guard.  With jobs = 1 they run one after another in this process.
@@ -804,6 +805,8 @@ def run_suite(pattern="*", order_overrides=None, jobs=1):
     order_overrides = order_overrides or {}
     alts = [a for a in pattern.split("|") if a]
     ids = [i for i in registered_ids() if any(fnmatch.fnmatch(i, a) for a in alts)]
+    if not ids:
+        raise ValueError(f"no identity matches the pattern {pattern!r}")
     orders = [order_overrides.get(i) for i in ids]
 
     if jobs > 1 and len(ids) > 1:

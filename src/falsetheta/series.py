@@ -11,7 +11,11 @@ The truncation contract composes under multiplication as
     order(a*b) = min(order(a) + val(b), order(b) + val(a))
 
 where val() is the minimal stored exponent (defined as the order for the
-empty series, which is the canonical zero).
+empty series, which is the canonical zero).  Products run on integer
+rows: each operand is converted once to a list of Python ints on a grid
+q^((e0 + g i)/d) common to both, scaled by the lcm of its coefficient
+denominators; one convolution, _mul_add, which bilaurent's products
+share, multiplies the lists, and only the result is converted back to Rat.
 
 Sums of q^(quadratic in n) are enumerated exactly, with no guessed box:
 `quadratic_range` gives the integers n with a n^2 + b n + c < order, and
@@ -21,7 +25,8 @@ scale to integers and solve with integer square roots, so exactly the
 qualifying indices are visited.
 """
 
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import add
 
 from .rat import Rat, rat, rat_ceil, rat_str, parse_rat
 
@@ -106,25 +111,36 @@ class PuiseuxSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product, of order min(order(a) + val(b), order(b) + val(a)).
+
+        Runs on integer rows: d is the lcm of both operands' exponent
+        denominators, e0 each operand's smallest exponent times d, and g
+        the gcd of all exponent differences within either operand, times
+        d (1 if there are none).  Each operand becomes one list of ints
+        over the lcm of its coefficient denominators, and one _mul_add
+        convolves the two below the order.
+        """
         if isinstance(other, int):
             return PuiseuxSeries(
                 {e: c * other for e, c in self.terms.items()}, self.order
             )
-        order = min(self.order + other.valuation(), other.order + self.valuation())
-        terms = {}
-        # iterate the sparser operand outside
-        a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                e = ea + eb
-                if e >= order:
-                    continue
-                s = terms.get(e, Rat(0)) + ca * cb
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return PuiseuxSeries(terms, order)
+        if not (self.terms and other.terms):
+            order = min(self.order + other.valuation(), other.order + self.valuation())
+            return _series({}, order)
+        d = lcm(*(e.denominator for e in self.terms), *(e.denominator for e in other.terms))
+        ua = [_times(e, d) for e in self.terms]
+        ub = [_times(e, d) for e in other.terms]
+        e0a, e0b = min(ua), min(ub)  # d val(a) and d val(b)
+        order = min(self.order + Rat(e0b, d), other.order + Rat(e0a, d))
+        g = gcd(*(x - e0a for x in ua), *(x - e0b for x in ub)) or 1
+        dena = lcm(*(c.denominator for c in self.terms.values()))
+        denb = lcm(*(c.denominator for c in other.terms.values()))
+        dst = [0] * rat_ceil((order * d - e0a - e0b) / g)
+        _mul_add(dst, 0, _int_row(ua, self.terms.values(), e0a, g, dena)[1],
+                 _int_row(ub, other.terms.values(), e0b, g, denb)[1])
+        e0, scale = e0a + e0b, dena * denb
+        terms = {Rat(e0 + g * n, d): Rat(c, scale) for n, c in enumerate(dst) if c}
+        return _series(terms, order)
 
     __rmul__ = __mul__
 
@@ -189,7 +205,7 @@ class PuiseuxSeries:
         order = rat(order)
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return PuiseuxSeries(self.terms, order)
+        return _series({e: c for e, c in self.terms.items() if e < order}, order)
 
     # -- comparison and display ---------------------------------------------
 
@@ -216,6 +232,41 @@ class PuiseuxSeries:
                 bits.append(f"{c}*q^({e})")
         body = " + ".join(bits).replace("+ -", "- ")
         return f"{body} + O(q^{self.order})"
+
+
+def _series(terms, order):
+    """A PuiseuxSeries from terms that are already clean: Rat exponents
+    below the Rat order, each with a nonzero Rat coefficient."""
+    s = object.__new__(PuiseuxSeries)
+    object.__setattr__(s, "terms", terms)
+    object.__setattr__(s, "order", order)
+    return s
+
+
+def _times(x, d):
+    """The int d*x, for a Rat x whose denominator divides d."""
+    return x.numerator * (d // x.denominator)
+
+
+def _int_row(us, cs, e0, g, den):
+    """(lo, ints) for the terms cs[j] q^(us[j]/d), us[j] ints on the grid
+    e0 + g Z: ints[i] is den times the coefficient of q^((e0 + g (lo + i))/d)."""
+    lo = (min(us) - e0) // g
+    row = [0] * ((max(us) - e0) // g + 1 - lo)
+    for u, c in zip(us, cs):
+        row[(u - e0) // g - lo] = _times(c, den)
+    return lo, row
+
+
+def _mul_add(dst, s, x, y):
+    """dst[s + i + j] += x[i] y[j] wherever s + i + j < len(dst)."""
+    n = len(dst)
+    if len(x) > len(y):
+        x, y = y, x
+    for i, c in enumerate(x[:n - s], s):
+        if c:
+            k = min(len(y), n - i)
+            dst[i:i + k] = map(add, dst[i:i + k], map(c.__mul__, y[:k]))
 
 
 def zero(order):

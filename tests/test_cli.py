@@ -199,9 +199,17 @@ class TestSuite:
     @pytest.mark.parametrize(
         "argv",
         [("verify", "all", "--jobs", "0"),
+         ("verify", "E5", "--order", "4", "--jobs", "0"),
+         ("verify", "E5", "--order", "4", "--jobs", "-3"),
          ("suite", "--jobs", "-1", "--pattern", "E19", "--skip-numeric")],
     )
     def test_jobs_below_one_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == USAGE_ERROR
         assert out == "" and "jobs must be at least 1" in err
+
+    @pytest.mark.parametrize("extra", [(), ("--skip-numeric",)])
+    def test_a_pattern_that_matches_nothing_is_usage_error(self, capsys, extra):
+        code, out, err = run(capsys, "suite", "--pattern", "NOPE", *extra)
+        assert code == USAGE_ERROR
+        assert out == "" and "no identity matches" in err

@@ -88,6 +88,12 @@ def test_suite_rejects_jobs_below_one(jobs):
         run_suite(pattern="E19", jobs=jobs)
 
 
+@pytest.mark.parametrize("pattern", ["NOPE", "", "|", "E99|X*"])
+def test_suite_rejects_a_pattern_that_matches_nothing(pattern):
+    with pytest.raises(ValueError, match="no identity matches"):
+        run_suite(pattern=pattern)
+
+
 def test_suite_is_deterministic_under_jobs():
     seq = run_suite(pattern="E19|E20", jobs=1)
     par = run_suite(pattern="E19|E20", jobs=4)

@@ -1,7 +1,7 @@
 """On-demand Fourier coefficients equal those of the full product build.
 
-bl_mul and product_coeff share one integer-row kernel; only
-bl_scalar_mul multiplies PuiseuxSeries.  Every kernel whose coefficients
+bl_mul and product_coeff share one integer-row kernel, whose
+convolution PuiseuxSeries products run on too.  Every kernel whose coefficients
 the identities read through product_coeff is also built in full with
 bl_mul here, and the two are compared key by key: each coefficient's
 q-expansion and its truncation order must agree exactly.  Random

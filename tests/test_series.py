@@ -117,6 +117,99 @@ class TestArithmetic:
         assert series_from_json(series_to_json(a)) == a
 
 
+def _pairwise_mul(a, b):
+    """The product term pair by term pair in Rat: (terms, order), the
+    oracle for PuiseuxSeries.__mul__."""
+    order = min(a.order + b.valuation(), b.order + a.valuation())
+    terms = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            if ea + eb < order:
+                terms[ea + eb] = terms.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in terms.items() if c}, order
+
+
+def _assert_clean(s):
+    """What the public constructor enforces, which the product skips:
+    Rat exponents below the Rat order, each with a nonzero Rat coefficient."""
+    assert type(s.order) is Rat
+    for e, c in s.terms.items():
+        assert type(e) is Rat and e < s.order
+        assert type(c) is Rat and c
+
+
+_mixed_exponents = st.builds(Rat, st.integers(-24, 48), st.sampled_from([1, 2, 3, 8, 24]))
+_mixed_coeffs = st.builds(Rat, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 7]))
+_mixed_series = st.builds(
+    PuiseuxSeries,
+    st.dictionaries(_mixed_exponents, _mixed_coeffs, max_size=6),
+    st.builds(Rat, st.integers(-8, 24), st.sampled_from([1, 2, 3, 4])),
+)
+
+
+class TestMulAgainstPairwiseProducts:
+    def check(self, a, b):
+        terms, order = _pairwise_mul(a, b)
+        for c in (a * b, b * a):
+            assert c.terms == terms and c.order == order
+            _assert_clean(c)
+
+    @given(_mixed_series, _mixed_series)
+    @settings(max_examples=400, deadline=None)
+    def test_random_operands(self, a, b):
+        self.check(a, b)
+
+    def test_one_term_and_empty_operands(self):
+        a = monomial(Rat(-3, 2), Rat(-7, 24), Rat(5, 3))
+        b = monomial(Rat(2, 3), Rat(3, 8), 4)
+        self.check(a, b)
+        self.check(a, a)
+        self.check(a, zero(Rat(-2)))
+        self.check(zero(3), zero(Rat(1, 2)))
+        self.check(one(1), b)
+
+    def test_an_order_that_cuts_through_both_operands(self):
+        # exponents 1/8 + k/2 and k/3 on the grid (3 + 4n)/24; the order
+        # 9/4 + 1/8 = 57/24 lies between two grid points and keeps only
+        # part of either operand, and -1/3 q^(55/24) is the last term kept
+        a = PuiseuxSeries({Rat(1, 8) + Rat(k, 2): k - 3 for k in range(12)}, Rat(13, 2))
+        b = PuiseuxSeries({Rat(k, 3): Rat(1, k + 1) for k in range(15)}, Rat(9, 4))
+        assert (a * b).order == Rat(57, 24)
+        assert max((a * b).terms) == Rat(55, 24) and (a * b).coeff(Rat(55, 24)) == Rat(-1, 3)
+        self.check(a, b)
+
+    def test_dense_operands_on_an_offset(self):
+        a = PuiseuxSeries({Rat(1, 8) + k: (-1) ** k * (k + 1) for k in range(100)}, 101)
+        b = PuiseuxSeries({Rat(k, 2): Rat(k % 5 - 2, 3) for k in range(200)}, 100)
+        self.check(a, b)
+
+    @given(_mixed_series, st.integers(-3, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_int_scalars(self, a, n):
+        terms, _ = _pairwise_mul(a, monomial(n, 0, a.order - a.valuation() + 1))
+        for c in (a * n, n * a):
+            assert c.terms == terms and c.order == a.order
+            _assert_clean(c)
+
+    @given(_mixed_series, st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_powers(self, a, n):
+        want = one(a.order + (n - 1) * a.valuation() if n else a.order)
+        for _ in range(n):
+            want = PuiseuxSeries(*_pairwise_mul(want, a))
+        got = a ** n
+        assert got == want
+        _assert_clean(got)
+
+    @given(_mixed_series, st.builds(Rat, st.integers(-30, 30), st.sampled_from([1, 3, 8])))
+    @settings(max_examples=100, deadline=None)
+    def test_truncate_keeps_the_terms_below_the_order(self, a, cut):
+        order = min(a.order, cut)
+        got = a.truncate(order)
+        assert got == PuiseuxSeries(a.terms, order)
+        _assert_clean(got)
+
+
 class TestBuilders:
     def test_pochhammer_finite(self):
         # (q; q)_3 = (1-q)(1-q^2)(1-q^3)
