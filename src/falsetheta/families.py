@@ -5,19 +5,20 @@ Every sum of q^(quadratic in n) is enumerated exactly by the series
 layer: the two-variable lattice sums by `series.lattice_sum`, the
 rank-one sums by `series.quadratic_range`.  No box is guessed; exactly
 the indices with exponent below the truncation order are visited.  The
-products 1/((q; q)_a (q; q)_b) of the hypergeometric sums are one call
-each of the integer kernel `series._binomial_table`.
+hypergeometric inner sums A_m are each one list of ints, built term by
+term from their term ratio by `_A_table`.
 """
 
 from itertools import count
+from operator import add
 
-from .rat import Rat, rat, rat_floor, _positive_order
+from .rat import Rat, rat, rat_ceil, rat_floor, _positive_order
 from .series import (
     PuiseuxSeries,
     zero as q_zero,
     quadratic_range,
     lattice_sum,
-    _binomial_series,
+    _series,
 )
 from .bilaurent import product_coeff
 from .thetas import t2t_factor, s01_factor, eta5_over_eta2
@@ -59,11 +60,11 @@ def _pQ(p, s1, s2):
     return (p, -p, p), (p * (2 * s1 - s2), p * (2 * s2 - s1)), p * quad_Q(s1, s2)
 
 
-def _check_lambda(lam, p):
+def _check_lambda(lam, p, order):
     l1, l2 = rat(lam[0]), rat(lam[1])
     if not (isinstance(p, int) and p >= 2):
         raise ValueError("p must be an integer >= 2")
-    return l1, l2
+    return l1, l2, _positive_order(order)
 
 
 # the six bracket summands: sign and the gradient g of the linear term
@@ -84,7 +85,7 @@ def G_frak(lam, p, order):
     sum over n in Z_{>=1}^2 of min(n1, n2) q^(p Q(n + lam - 1/p)) times
     the alternating bracket of q-powers linear in n + lam.
     """
-    l1, l2 = _check_lambda(lam, p)
+    l1, l2, order = _check_lambda(lam, p, order)
     form, (b1, b2), c = _pQ(p, l1 - Rat(1, p), l2 - Rat(1, p))
     out = q_zero(order)
     for sign, (g1, g2) in _BRACKET:
@@ -101,7 +102,7 @@ def G_frak(lam, p, order):
 
 def G_frak_rewrite_p2(lam, order):
     """p = 2 rewrite as three signed shifted A2 partial thetas."""
-    l1, l2 = _check_lambda(lam, 2)
+    l1, l2, order = _check_lambda(lam, 2, order)
     half = Rat(1, 2)
 
     def part(s1, s2, weight):
@@ -127,7 +128,7 @@ def G_frak_closed_p2(r, order):
         (Rat(1, 2), 1, 2),
         (r1 + Rat(1, 2), 2 * r2 + 2),
         r2 + Rat(1, 2),
-        order,
+        _positive_order(order),
         lambda n1, n2: rho(n2, n2 + r2) * (-1) ** n1,
         (0, None),
     )
@@ -166,7 +167,7 @@ def coeff_F(r, p, order):
                 w += sign * min(l1 + 1, l2 + 1)
         return w
 
-    return lattice_sum(*_pQ(p, -Rat(1, p), -Rat(1, p)), order, weight)
+    return lattice_sum(*_pQ(p, -Rat(1, p), -Rat(1, p)), _positive_order(order), weight)
 
 
 def F_constant_term(p, order):
@@ -177,6 +178,7 @@ def F_constant_term(p, order):
     """
     if not (isinstance(p, int) and p >= 2):
         raise ValueError("p must be an integer >= 2")
+    order = _positive_order(order)
     out = q_zero(order)
     # (1-a)(1-b)(1-ab) expanded; the -ab and +ab terms cancel.  Each
     # summand's extra power of q is linear in n, so it joins `linear`
@@ -199,21 +201,30 @@ def F_constant_term(p, order):
     return out
 
 
-def _inv_poch2(a, b, order):
-    """1 / ((q; q)_a (q; q)_b) as a truncated series."""
-    js = [*range(1, a + 1), *range(1, b + 1)]
-    return _binomial_series([(1, 0, j, -1) for j in js], order)
+def _A_table(m, order, quad=0):
+    """sum_{n >= 0} q^(n + quad n (n + m)) / ((q; q)_n (q; q)_{n+m}) below order.
 
-
-def _A_table(m, order):
-    """sum_{n >= 0} q^n / ((q; q)_n (q; q)_{n+m}) truncated below order."""
-    order = rat(order)
-    out = q_zero(order)
-    n = 0
-    while n < order:
-        out = out + _inv_poch2(n, n + m, order - n).shift(n)
-        n += 1
-    return out
+    One list of ints, by the term ratio: from 1/(q; q)_m, each term is the
+    last one shifted by 1 + quad (2n - 1 + m) and divided in place by
+    (1 - q^n)(1 - q^(n + m)), row[i] += row[i - k], until its valuation
+    n + quad n (n + m) reaches the order.
+    """
+    order = _positive_order(order)
+    top = rat_ceil(order)
+    term = [1] + [0] * (top - 1)  # term[i] is the coefficient of q^(v + i)
+    total = [0] * top
+    v, ks = 0, range(1, m + 1)  # the divisors of the term of n = 0
+    for n in count(1):
+        for k in ks:
+            for i in range(k, len(term)):
+                term[i] += term[i - k]
+        total[v:] = map(add, total[v:], term)
+        v += 1 + quad * (2 * n - 1 + m)
+        if v >= top:
+            break
+        del term[top - v:]
+        ks = (n, n + m)
+    return _series({Rat(i): Rat(c) for i, c in enumerate(total) if c}, order)
 
 
 def G_hyper(r, order):
@@ -223,15 +234,14 @@ def G_hyper(r, order):
     q^(n1 + n2 + n3 + (|n4 - r1| + |n4 - r2| + |n4|)/2) /
     ((q)_{n1} (q)_{n1 + |n4 - r1|} (q)_{n2} (q)_{n2 + |n4 - r2|}
      (q)_{n3} (q)_{n3 + |n4|}),
-    computed through the factorized inner sums A_m(q).
+    that is sum over n4 of q^pre A_{|n4 - r1|} A_{|n4 - r2|} A_{|n4|}, with
+    pre the q-power above; each A_m is one `_A_table` call below order - pre.
     """
     r1, r2 = r
     if not (isinstance(r1, int) and isinstance(r2, int)):
         raise ValueError("r must be a pair of integers")
-    order = rat(order)
+    order = _positive_order(order)
     out = q_zero(order)
-    # each A_m is built once, at the full order, and truncated per n4
-    tables = {}
     med = sorted((0, r1, r2))[1]
     for n4s in (count(med), count(med - 1, -1)):
         for n4 in n4s:
@@ -239,10 +249,7 @@ def G_hyper(r, order):
             pre = Rat(sum(ms), 2)
             if pre >= order:
                 break  # pre is convex in n4 and least at med
-            for m in ms:
-                if m not in tables:
-                    tables[m] = _A_table(m, order)
-            a1, a2, a3 = (tables[m].truncate(order - pre) for m in ms)
+            a1, a2, a3 = (_A_table(m, order - pre) for m in ms)
             out = out + (a1 * a2 * a3).shift(pre)
     return out
 
@@ -283,6 +290,7 @@ def F0_series(p, order, form="GENERAL"):
     """
     if not (isinstance(p, int) and p >= 2):
         raise ValueError("p must be an integer >= 2")
+    order = _positive_order(order)
     exponent = _pQ(p, -Rat(1, p), -Rat(1, p))
     if form == "GENERAL":
         return lattice_sum(
@@ -312,6 +320,7 @@ def rank_one_coeff(p, r, order):
         raise ValueError("p must be an integer >= 2")
     if not isinstance(r, int):
         raise ValueError("r must be an integer")
+    order = _positive_order(order)
     s0 = Rat(p - 1, 2 * p)
     c = p * s0 * s0
     terms = {}
@@ -325,6 +334,7 @@ def rank_one_coeff(p, r, order):
 
 def rogers_false_theta(order):
     """Rogers' false theta: sum_{n >= 0} (-1)^n q^(n(n+1)/2)."""
+    order = _positive_order(order)
     half = Rat(1, 2)
     ns = quadratic_range(half, half, 0, order, 0)
     return PuiseuxSeries({Rat(n * (n + 1), 2): (-1) ** n for n in ns}, order)

@@ -68,7 +68,7 @@ from .families import (
     G_hyper,
     H_frak,
     F0_series,
-    _inv_poch2,
+    _A_table,
 )
 
 __all__ = [
@@ -197,32 +197,21 @@ def _partial_fraction_sum(order, W):
 def _t2t_hyper(unit, order, variant):
     """Hypergeometric rewrites of the theta ratio denominator.
 
-    variant "poch":  1/(u q, u^-1 q; q^2)_oo as a double sum over
-    1/(q^2; q^2)_n tables; variant "quad": the same with the extra
-    quadratic exponent and a single (q^2; q^2)_oo prefactor.
+    variant "poch":  1/(u q, u^-1 q; q^2)_oo as sum_a u^(+-a) q^a A_a(q^2),
+    A_a the inner sum of _A_table; variant "quad": the same with its
+    quadratic exponent (quad=1) and a single (q^2; q^2)_oo prefactor.
     """
     order = rat(order)
     d1, d2 = UNIT_KEYS[unit]
-    half = order / 2
     terms = {}
-    # the key u^m, |m| = a, has exponents from a/2 up; a < order
+    # the key u^m, |m| = a, has exponents from a up; a < order
     for a in range(rat_ceil(order)):
-        low = Rat(a, 2)
-        if variant == "poch":
-            exps = ((n2, low + n2) for n2 in range(rat_ceil(half - low)))
-        else:
-            n2s = quadratic_range(1, a + 1, low, half, 0)
-            exps = ((n2, low + n2 * (n2 + a + 1)) for n2 in n2s)
-        for n2, e in exps:
-            c = _inv_poch2(n2, a + n2, half - e).shift(e)
-            for m in ((a, -a) if a else (0,)):
-                key = (rat(m * d1), rat(m * d2))
-                terms[key] = terms.get(key, q_zero(half)) + c
-    body = BiLaurentSeries(
-        {k: c.scale_q(2) for k, c in terms.items()}, order, Region.INNER
-    )
+        c = _A_table(a, (order - a) / 2, variant == "quad").scale_q(2).shift(a)
+        for m in ((a, -a) if a else (0,)):
+            terms[(rat(m * d1), rat(m * d2))] = c
+    body = BiLaurentSeries(terms, order, Region.INNER)
     # q^(1/8) (-q; q)_oo, over (q^2; q^2)_oo for "quad"
-    powers = {1: -1, 2: 1} if variant == "poch" else {1: -1}
+    powers = {1: -1} if variant == "quad" else {1: -1, 2: 1}
     return bl_scalar_mul(body, eta_product(powers, order - Rat(1, 8)).shift(Rat(1, 8)))
 
 

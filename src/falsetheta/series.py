@@ -100,7 +100,7 @@ class PuiseuxSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries({e: -c for e, c in self.terms.items()}, self.order)
+        return _series({e: -c for e, c in self.terms.items()}, self.order)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -187,18 +187,14 @@ class PuiseuxSeries:
         c = rat(c)
         if not c:
             return zero(self.order + e)
-        return PuiseuxSeries(
-            {k + e: v * c for k, v in self.terms.items()}, self.order + e
-        )
+        return _series({k + e: v * c for k, v in self.terms.items()}, self.order + e)
 
     def scale_q(self, k):
         """Substitute q -> q^k for positive rational k."""
         k = rat(k)
         if k <= 0:
             raise ValueError("scale factor must be positive")
-        return PuiseuxSeries(
-            {e * k: c for e, c in self.terms.items()}, self.order * k
-        )
+        return _series({e * k: c for e, c in self.terms.items()}, self.order * k)
 
     def truncate(self, order):
         """Lower the truncation order (raising it is not meaningful)."""

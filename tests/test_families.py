@@ -3,8 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from falsetheta.rat import Rat
-from falsetheta.series import PuiseuxSeries, zero, lattice_sum
+from falsetheta.rat import Rat, rat_ceil
+from falsetheta.series import (
+    PuiseuxSeries,
+    zero,
+    lattice_sum,
+    quadratic_range,
+    _binomial_series,
+)
 from falsetheta.families import (
     sgn_star,
     rho,
@@ -19,6 +25,7 @@ from falsetheta.families import (
     F0_series,
     rank_one_coeff,
     rogers_false_theta,
+    _A_table,
 )
 
 
@@ -214,9 +221,21 @@ class TestCoefficientFamilies:
         with pytest.raises(ValueError):
             H_frak(Rat(1, 2), Rat(1, 2), Rat(5))
 
-    def test_hypergeometric_diagonal_symmetry(self):
-        # swapping r1 and r2 permutes the three absolute values
-        assert G_hyper((1, 0), Rat(6)) == G_hyper((0, 1), Rat(6))
+    @pytest.mark.parametrize("order", [Rat(7, 2), Rat(6)])
+    def test_hypergeometric_diagonal_symmetry(self, order):
+        # G_hyper(r) depends only on the set {0, r1, r2} up to translation
+        # and negation, which n4 -> n4 + t and n4 -> -n4 absorb
+        built = {}
+
+        def g(r):
+            if r not in built:
+                built[r] = G_hyper(r, order)
+            return built[r]
+
+        for r1 in range(-3, 4):
+            for r2 in range(-3, 4):
+                for s in ((r2, r1), (-r1, -r2), (r1 - r2, -r2), (-r1, r2 - r1)):
+                    assert g(s) == g((r1, r2)), ((r1, r2), s)
 
     def test_hypergeometric_far_index_is_zero(self):
         # every n4 has (|n4 - r1| + |n4 - r2| + |n4|)/2 >= 10**9/2
@@ -250,3 +269,68 @@ class TestRankOne:
         s = rank_one_coeff(3, 0, Rat(10))
         signs = [c for _, c in s.items()]
         assert all(c in (Rat(1), Rat(-1)) for c in signs)
+
+
+_NONPOSITIVE = [0, -1, Rat(-1, 2)]
+_BUILDERS = {
+    "G_frak": lambda order: G_frak((0, 0), 2, order),
+    "G_frak_rewrite_p2": lambda order: G_frak_rewrite_p2((0, 0), order),
+    "G_frak_closed_p2": lambda order: G_frak_closed_p2((0, 0), order),
+    "coeff_F": lambda order: coeff_F((0, 0), 2, order),
+    "F_constant_term": lambda order: F_constant_term(2, order),
+    "G_hyper": lambda order: G_hyper((0, 0), order),
+    "F0_series": lambda order: F0_series(2, order),
+    "rank_one_coeff": lambda order: rank_one_coeff(2, 0, order),
+    "rogers_false_theta": rogers_false_theta,
+}
+
+
+@pytest.mark.parametrize("order", _NONPOSITIVE, ids=str)
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_builders_reject_an_order_that_is_not_positive(name, order):
+    with pytest.raises(ValueError, match="order must be positive"):
+        _BUILDERS[name](order)
+
+
+def _inv_poch2(a, b, order):
+    """1 / ((q; q)_a (q; q)_b) as a truncated series."""
+    js = [*range(1, a + 1), *range(1, b + 1)]
+    return _binomial_series([(1, 0, j, -1) for j in js], order)
+
+
+def _A_by_terms(m, order, quad):
+    """The sum of _A_table term by term: each 1/((q)_n (q)_(n+m)) its own
+    series, shifted by its exponent n + quad n (n + m) and added, for the n
+    whose exponent is below the order."""
+    if quad:
+        ns = quadratic_range(1, m + 1, 0, order, 0)
+    else:
+        ns = range(rat_ceil(order))
+    out = zero(order)
+    for n in ns:
+        e = n + quad * n * (n + m)
+        out = out + _inv_poch2(n, n + m, order - e).shift(e)
+    return out
+
+
+class TestATable:
+    @given(
+        m=st.integers(0, 12),
+        quad=st.sampled_from([0, 1]),
+        order=st.sampled_from([1, 2, 3]).flatmap(
+            lambda d: st.builds(Rat, st.integers(1, 20 * d), st.just(d))
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_against_the_term_by_term_sum(self, m, quad, order):
+        got = _A_table(m, order, quad)
+        want = _A_by_terms(m, order, quad)
+        assert got.terms == want.terms and got.order == want.order
+
+    def test_leading_terms(self):
+        # A_0 = 1 + q + 3q^2 + ...: 1 + q/(1 - q)^2 + q^2/((q)_2)^2 + ...
+        a = _A_table(0, 3)
+        assert dict(a.items()) == {Rat(0): 1, Rat(1): 1, Rat(2): 3}
+        # with quad, the n = 1 term q^(2 + m) is the first after 1/(q)_m
+        a = _A_table(1, 4, 1)
+        assert dict(a.items()) == {Rat(0): 1, Rat(1): 1, Rat(2): 1, Rat(3): 2}

@@ -201,6 +201,23 @@ class TestMulAgainstPairwiseProducts:
         assert got == want
         _assert_clean(got)
 
+    @given(
+        _mixed_series,
+        _mixed_exponents,
+        st.one_of(st.integers(-3, 3), _mixed_coeffs),
+        st.builds(Rat, st.integers(1, 12), st.sampled_from([1, 2, 3, 8])),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shift_scale_q_and_neg_against_the_constructor(self, a, e, c, k):
+        got = a.shift(e, c)
+        assert got == PuiseuxSeries({x + e: y * c for x, y in a.terms.items()}, a.order + e)
+        got_k = a.scale_q(k)
+        assert got_k == PuiseuxSeries({x * k: y for x, y in a.terms.items()}, a.order * k)
+        neg = -a
+        assert neg == PuiseuxSeries({x: -y for x, y in a.terms.items()}, a.order)
+        for s in (got, got_k, neg, a.shift(e)):
+            _assert_clean(s)
+
     @given(_mixed_series, st.builds(Rat, st.integers(-30, 30), st.sampled_from([1, 3, 8])))
     @settings(max_examples=100, deadline=None)
     def test_truncate_keeps_the_terms_below_the_order(self, a, cut):
