@@ -6,11 +6,10 @@ annulus (Region) its meromorphic factors were expanded in; mixing
 regions is a hard error, because the same rational function has
 different Laurent expansions in different annuli.
 
-bl_mul and product_coeff share one integer kernel: it puts every factor
-on one grid q^((e0 + g i)/d), with each key's coefficients as a list of
-ints over a common denominator, and convolves the lists with slice
-arithmetic, so no Rat is built until the result's.  The convolution is
-series._mul_add, on which PuiseuxSeries products run too.
+bl_mul and product_coeff share one kernel, _int_product:
+it spreads the integer row each key's PuiseuxSeries holds onto one grid
+of exponents and convolves the rows with series._mul_add, on which
+PuiseuxSeries products run too; each result row becomes a series as is.
 
 The optional `window` W marks a clip: keys outside |e1|, |e2| <= W were
 dropped, so their coefficients are unknown and reading one raises.  It
@@ -29,7 +28,7 @@ from math import gcd, lcm
 from .rat import Rat, rat, rat_ceil, rat_str, parse_rat
 from .series import PuiseuxSeries, zero as q_zero, one as q_one, monomial as q_monomial
 from .series import series_to_json, series_from_json
-from .series import _series, _times, _int_row, _mul_add
+from .series import _from_row, _grid, _mul_add, _scaled, _spread
 
 __all__ = [
     "Region",
@@ -124,12 +123,7 @@ class BiLaurentSeries:
         qorder = rat(qorder)
         if qorder > self.qorder:
             raise ValueError("cannot extend q-truncation")
-        return BiLaurentSeries(
-            {k: c.truncate(qorder) for k, c in self.terms.items()},
-            qorder,
-            self.region,
-            self.window,
-        )
+        return BiLaurentSeries(self.terms, qorder, self.region, self.window)
 
     def __eq__(self, other):
         if not isinstance(other, BiLaurentSeries):
@@ -192,15 +186,12 @@ def _check_regions(a, b):
 
 
 def bl_add(a, b):
+    """The sum, of the smaller qorder, to which the constructor truncates."""
     _check_regions(a, b)
     qorder = min(a.qorder, b.qorder)
-    terms = {k: c.truncate(qorder) for k, c in a.terms.items()}
+    terms = dict(a.terms)
     for k, c in b.terms.items():
-        c = c.truncate(qorder)
-        if k in terms:
-            terms[k] = terms[k] + c
-        else:
-            terms[k] = c
+        terms[k] = terms[k] + c if k in terms else c
     windows = [w for w in (a.window, b.window) if w is not None]
     return BiLaurentSeries(terms, qorder, a.region, min(windows, default=None))
 
@@ -209,36 +200,37 @@ def _int_product(factors, qorder, key=None):
     """The terms below qorder of the product of `factors`; with a key
     (r1, r2), only that key's.
 
-    Each factor becomes one row (lo, ints) per key, ints[i] being its
-    coefficient of q^((e0 + g (lo + i))/d) times the lcm of the factor's
-    coefficient denominators: d is the lcm of all exponent denominators,
-    e0 the factor's smallest exponent times d, and g the gcd of all
-    exponent differences within any factor, times d.  Keys become ints
-    over kd, the lcm of the key denominators.  Key tuples are walked from
-    the last factor down to the first, whose key is looked up when the
-    sum is fixed, and skipped once their rows start at or past the order;
-    each tuple's row product is added into one int list per output key.
+    Each key's row is spread onto one grid of step s, the gcd of all steps
+    and of the valuation differences within each factor: a key of
+    valuation v becomes (lo, ints), v = e0 + lo s for e0 its factor's least
+    valuation, ints over the lcm of the factor's denominators.  Keys
+    become ints over kd, the lcm of the key denominators.  Key tuples are
+    walked from the last factor down to the first, whose key is looked up
+    when the sum is fixed, and skipped once their rows start at or past
+    the order; each tuple's row product is added into one row per key.
     """
     if not all(f.terms for f in factors):
         return {}
-    kd = lcm(*(e.denominator for f in factors for k in f.terms for e in k))
+    kd, kints = _scaled(*(e for f in factors for k in f.terms for e in k))
     if key is not None:
         if any(kd % e.denominator for e in key):
             return {}  # off the lattice of key sums
-        key = (_times(key[0], kd), _times(key[1], kd))
-    d = lcm(*(e.denominator for f in factors for s in f.terms.values() for e in s.terms))
-    us = [{k: [_times(e, d) for e in s.terms] for k, s in f.terms.items()} for f in factors]
-    e0 = [min(min(u) for u in fu.values()) for fu in us]
-    g = gcd(*(x - m for fu, m in zip(us, e0) for u in fu.values() for x in u)) or 1
+        key = ((key[0] * kd).numerator, (key[1] * kd).numerator)
+    g0, ints = _grid(*(x for f in factors for s in f.terms.values() for x in (s.step, s.v)))
+    ints, kints = iter(ints), iter(kints)
+    # (key times kd, series, step / g0, valuation / g0) for each key of each factor
+    grid = [[((next(kints), next(kints)), s, next(ints), next(ints)) for s in f.terms.values()]
+            for f in factors]
+    e0 = [min(u for _, _, _, u in fg) for fg in grid]
+    g = gcd(*(x for fg, m in zip(grid, e0) for _, _, t, u in fg for x in (t, u - m)))
     scale, rows = 1, []
-    for f, fu, m in zip(factors, us, e0):
-        den = lcm(1, *(c.denominator for s in f.terms.values() for c in s.terms.values()))
+    for fg, m in zip(grid, e0):
+        den = lcm(*(s.den for _, s, _, _ in fg))
         scale *= den
-        rows.append({
-            (_times(k[0], kd), _times(k[1], kd)): _int_row(fu[k], s.terms.values(), m, g, den)
-            for k, s in f.terms.items()
-        })
-    ntop = rat_ceil((qorder * d - sum(e0)) / g)
+        rows.append({k: ((u - m) // g, _spread(s.row, t // g, den // s.den))
+                     for k, s, t, u in fg})
+    v, step = g0 * sum(e0), g0 * g
+    ntop = rat_ceil((qorder - v) / step)
 
     def tuples(i, k, s):
         # (key sum, start, rows) of factors[:i + 1] whose keys sum to k
@@ -267,11 +259,8 @@ def _int_product(factors, qorder, key=None):
             _mul_add(nxt, 0, part, r)
             part = nxt
         _mul_add(dst, s, part, tup[-1])
-    qexps = [Rat(sum(e0) + g * n, d) for n in range(ntop)]
     return {
-        (Rat(k1, kd), Rat(k2, kd)): _series(
-            {qexps[n]: Rat(c, scale) for n, c in enumerate(row) if c}, qorder
-        )
+        (Rat(k1, kd), Rat(k2, kd)): _from_row(v, step, row, scale, qorder)
         for (k1, k2), row in sums.items()
     }
 
@@ -317,14 +306,7 @@ def product_coeff(factors, r1, r2):
 def bl_scalar_mul(a, s):
     """Multiply every coefficient by the one-variable series s(q)."""
     qorder = min(a.qorder + s.valuation(), s.order + a.qvaluation())
-    terms = {}
-    for k, c in a.terms.items():
-        prod = c * s
-        if prod.order > qorder:
-            prod = prod.truncate(qorder)
-        if not prod.is_zero():
-            terms[k] = prod
-    return BiLaurentSeries(terms, qorder, a.region, a.window)
+    return BiLaurentSeries({k: c * s for k, c in a.terms.items()}, qorder, a.region, a.window)
 
 
 def expand_inverse_one_minus(unit, n, qorder, zwindow=None, invert_unit=False):
@@ -370,15 +352,7 @@ def bl_elliptic_shift(a, m1, m2):
         return a
     shifts = {k: m1 * k[0] + m2 * k[1] for k in a.terms}
     qorder = a.qorder + min(Rat(0), min(shifts.values()))
-    terms = {}
-    for k, c in a.terms.items():
-        shifted = c.shift(shifts[k])
-        if shifted.order > qorder:
-            shifted = shifted.truncate(qorder)
-        elif shifted.order < qorder:
-            raise AssertionError("shift bookkeeping violated")
-        if not shifted.is_zero():
-            terms[k] = shifted
+    terms = {k: c.shift(shifts[k]) for k, c in a.terms.items()}
     return BiLaurentSeries(terms, qorder, a.region, a.window)
 
 

@@ -18,7 +18,7 @@ from .series import (
     zero as q_zero,
     quadratic_range,
     lattice_sum,
-    _series,
+    _from_row,
 )
 from .bilaurent import product_coeff
 from .thetas import t2t_factor, s01_factor, eta5_over_eta2
@@ -224,7 +224,7 @@ def _A_table(m, order, quad=0):
             break
         del term[top - v:]
         ks = (n, n + m)
-    return _series({Rat(i): Rat(c) for i, c in enumerate(total) if c}, order)
+    return _from_row(Rat(0), Rat(1), total, 1, order)
 
 
 def G_hyper(r, order):

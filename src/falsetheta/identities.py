@@ -124,17 +124,12 @@ def report_to_json(rep):
 
 
 def _series_diff(a, b, order):
-    a = a.truncate(min(a.order, order))
-    b = b.truncate(min(b.order, order))
-    cutoff = min(a.order, b.order)
-    exps = sorted(set(a.terms) | set(b.terms))
-    for e in exps:
-        if e >= cutoff:
-            break
-        ca, cb = a.coeff(e), b.coeff(e)
-        if ca != cb:
-            return (e, ca, cb)
-    return None
+    """(e, a_e, b_e) at the least e below every order where a, b differ."""
+    diff = (a - b).truncate(min(a.order, b.order, order))
+    if diff.is_zero():
+        return None
+    e = diff.valuation()
+    return (e, a.coeff(e), b.coeff(e))
 
 
 def _bl_diff(a, b, order):

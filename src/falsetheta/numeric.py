@@ -153,7 +153,7 @@ def eval_J(z, tau):
 def eval_q_series(series, tau):
     """Termwise evaluation of a truncated q-series at q = e^(2 pi i tau)."""
     total = 0.0 + 0.0j
-    for e, c in series.terms.items():
+    for e, c in series.items():
         total += float(c) * cmath.exp(_TWO_PI_I * tau * float(e))
     return total
 

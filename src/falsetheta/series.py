@@ -1,21 +1,21 @@
 """Truncated formal Puiseux series in q with exact rational coefficients.
 
-A series is a finite map {exponent -> coefficient} together with a
-truncation order: every exponent strictly below `order` is represented
-exactly, everything at or above it is unknown and silently dropped.
-Exponents and coefficients are both exact rationals; no floating point
-enters this layer.
+A series is sum_i c_i q^(v + i s), the c_i one row of Python ints over a
+common denominator, with a truncation order: every exponent strictly
+below `order` is represented exactly, everything at or above it is
+unknown and silently dropped.  The valuation v, the step s and the order
+are exact rationals; no floating point enters this layer.  The row is
+kept in one canonical form, so equal series have equal fields; `terms`,
+`items`, `coeff` and the JSON read {exponent: coefficient} off the row.
 
 The truncation contract composes under multiplication as
 
     order(a*b) = min(order(a) + val(b), order(b) + val(a))
 
 where val() is the minimal stored exponent (defined as the order for the
-empty series, which is the canonical zero).  Products run on integer
-rows: each operand is converted once to a list of Python ints on a grid
-q^((e0 + g i)/d) common to both, scaled by the lcm of its coefficient
-denominators; one convolution, _mul_add, which bilaurent's products
-share, multiplies the lists, and only the result is converted back to Rat.
+empty series, which is the canonical zero).  Sums and products spread
+each operand's row onto the coarsest grid common to both; a product is
+one convolution, _mul_add, which bilaurent's products share.
 
 Sums of q^(quadratic in n) are enumerated exactly, with no guessed box:
 `quadratic_range` gives the integers n with a n^2 + b n + c < order, and
@@ -25,6 +25,7 @@ scale to integers and solve with integer square roots, so exactly the
 qualifying indices are visited.
 """
 
+from itertools import compress, count
 from math import gcd, isqrt, lcm
 from operator import add
 
@@ -45,11 +46,13 @@ __all__ = [
     "series_from_json",
 ]
 
+_ONE = Rat(1)
+
 
 class PuiseuxSeries:
-    """Immutable truncated series sum_e c_e q^e with rational e, c_e."""
+    """Immutable truncated series sum_i row[i]/den q^(v + i step)."""
 
-    __slots__ = ("terms", "order")
+    __slots__ = ("v", "step", "row", "den", "order")
 
     def __init__(self, terms, order):
         order = rat(order)
@@ -59,8 +62,40 @@ class PuiseuxSeries:
             c = rat(c)
             if c and e < order:
                 clean[e] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "order", order)
+        d, us = _scaled(*clean)  # d times each exponent
+        den, cs = _scaled(*clean.values())
+        lo = min(us, default=0)
+        g = gcd(*(u - lo for u in us)) or 1
+        row = [0] * ((max(us) - lo) // g + 1) if us else []
+        for u, c in zip(us, cs):
+            row[(u - lo) // g] = c
+        self._store(Rat(lo, d), Rat(g, d), row, den, order)
+
+    def _store(self, v, step, row, den, order):
+        """Store sum_i row[i]/den q^(v + i step), all below order, canonically:
+        row[0] and row[-1] nonzero, nonzero indices of gcd 1 (step 1 for one
+        term), den > 0 coprime to the row; zero is v = order, step 1, [], 1."""
+        lo = next(compress(count(), row), None)
+        if lo is None:
+            v, step, row, den = order, _ONE, [], 1
+        else:
+            hi = len(row) - next(compress(count(), reversed(row)))
+            if lo or hi < len(row):
+                row = row[lo:hi]
+                v += lo * step
+            g = gcd(*compress(count(), row))
+            if not g:
+                step = _ONE
+            elif g > 1:
+                row = row[::g]
+                step *= g
+            h = gcd(den, *row) if den != 1 else 1
+            if h > 1:
+                row = [c // h for c in row]
+                den //= h
+        for name, x in zip(self.__slots__, (v, step, row, den, order)):
+            object.__setattr__(self, name, x)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("PuiseuxSeries is immutable")
@@ -69,42 +104,54 @@ class PuiseuxSeries:
 
     def valuation(self):
         """Minimal stored exponent; equals order for the zero series."""
-        if not self.terms:
-            return self.order
-        return min(self.terms)
+        return self.v
 
     def coeff(self, e):
-        return self.terms.get(rat(e), Rat(0))
+        i = (rat(e) - self.v) / self.step
+        if i.denominator == 1 and 0 <= i < len(self.row):
+            return Rat(self.row[i.numerator], self.den)
+        return Rat(0)
 
     def is_zero(self):
-        return not self.terms
+        return not self.row
 
     def items(self):
-        return sorted(self.terms.items())
+        """The (exponent, coefficient) pairs, in increasing exponent."""
+        d, (v, s) = _scaled(self.v, self.step)
+        return [(Rat(v + s * i, d), Rat(c, self.den)) for i, c in enumerate(self.row) if c]
+
+    @property
+    def terms(self):
+        """The map {exponent: coefficient} of the stored terms."""
+        return dict(self.items())
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        """The sum, of the smaller order, on the coarsest grid that holds
+        both operands' exponents."""
         if isinstance(other, int):
             other = monomial(other, 0, self.order)
         order = min(self.order, other.order)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Rat(0)) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return PuiseuxSeries(terms, order)
+        if not (self.row and other.row):
+            return (self if self.row else other).truncate(order)
+        step, (ka, kb, dv) = _grid(self.step, other.step, self.v - other.v)
+        den = lcm(self.den, other.den)
+        xa, xb = _spread(self.row, ka, den // self.den), _spread(other.row, kb, den // other.den)
+        oa, ob = max(dv, 0), max(-dv, 0)  # each row's offset from min(v)
+        dst = [0] * max(oa + len(xa), ob + len(xb))
+        dst[oa:oa + len(xa)] = xa
+        dst[ob:ob + len(xb)] = map(add, dst[ob:ob + len(xb)], xb)
+        v = min(self.v, other.v)
+        del dst[max(rat_ceil((order - v) / step), 0):]
+        return _from_row(v, step, dst, den, order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _series({e: -c for e, c in self.terms.items()}, self.order)
+        return _from_row(self.v, self.step, [-c for c in self.row], self.den, self.order)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = monomial(other, 0, self.order)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -113,34 +160,19 @@ class PuiseuxSeries:
     def __mul__(self, other):
         """The product, of order min(order(a) + val(b), order(b) + val(a)).
 
-        Runs on integer rows: d is the lcm of both operands' exponent
-        denominators, e0 each operand's smallest exponent times d, and g
-        the gcd of all exponent differences within either operand, times
-        d (1 if there are none).  Each operand becomes one list of ints
-        over the lcm of its coefficient denominators, and one _mul_add
-        convolves the two below the order.
+        Both rows are spread onto the gcd of the two steps, and one
+        _mul_add convolves them below the order, over the product of the
+        denominators.
         """
         if isinstance(other, int):
-            return PuiseuxSeries(
-                {e: c * other for e, c in self.terms.items()}, self.order
-            )
-        if not (self.terms and other.terms):
-            order = min(self.order + other.valuation(), other.order + self.valuation())
-            return _series({}, order)
-        d = lcm(*(e.denominator for e in self.terms), *(e.denominator for e in other.terms))
-        ua = [_times(e, d) for e in self.terms]
-        ub = [_times(e, d) for e in other.terms]
-        e0a, e0b = min(ua), min(ub)  # d val(a) and d val(b)
-        order = min(self.order + Rat(e0b, d), other.order + Rat(e0a, d))
-        g = gcd(*(x - e0a for x in ua), *(x - e0b for x in ub)) or 1
-        dena = lcm(*(c.denominator for c in self.terms.values()))
-        denb = lcm(*(c.denominator for c in other.terms.values()))
-        dst = [0] * rat_ceil((order * d - e0a - e0b) / g)
-        _mul_add(dst, 0, _int_row(ua, self.terms.values(), e0a, g, dena)[1],
-                 _int_row(ub, other.terms.values(), e0b, g, denb)[1])
-        e0, scale = e0a + e0b, dena * denb
-        terms = {Rat(e0 + g * n, d): Rat(c, scale) for n, c in enumerate(dst) if c}
-        return _series(terms, order)
+            return _from_row(self.v, self.step, [c * other for c in self.row],
+                             self.den, self.order)
+        order = min(self.order + other.valuation(), other.order + self.valuation())
+        step, (ka, kb) = _grid(self.step, other.step)
+        v = self.v + other.v
+        dst = [0] * rat_ceil((order - v) / step)
+        _mul_add(dst, 0, _spread(self.row, ka), _spread(other.row, kb))
+        return _from_row(v, step, dst, self.den * other.den, order)
 
     __rmul__ = __mul__
 
@@ -161,60 +193,50 @@ class PuiseuxSeries:
         """
         if self.is_zero():
             raise ZeroDivisionError("cannot invert the zero series")
-        v = self.valuation()
-        c = self.terms[v]
-        rel = self.order - v  # relative precision of (1 + h)
-        h = PuiseuxSeries(
-            {e - v: q / c for e, q in self.terms.items() if e != v}, rel
-        )
-        geom = one(rel)
-        power = one(rel)
-        hv = h.valuation()
-        k = 1
-        while k * hv < rel and not h.is_zero():
+        c = Rat(self.den, self.row[0])
+        h = self.shift(-self.v, c) - 1  # of the relative precision order - v
+        geom = power = one(h.order)
+        while power.valuation() < h.order:  # (-h)^k has valuation >= k val(h)
             power = power * (-h)
-            if power.is_zero():
-                break
             geom = geom + power
-            k += 1
-        return PuiseuxSeries(
-            {e - v: q / c for e, q in geom.terms.items()}, rel - v
-        )
+        return geom.shift(-self.v, c)
 
     def shift(self, e, c=1):
         """Multiply by the exact monomial c*q^e (order shifts by e)."""
         e = rat(e)
         c = rat(c)
-        if not c:
-            return zero(self.order + e)
-        return _series({k + e: v * c for k, v in self.terms.items()}, self.order + e)
+        row = [x * c.numerator for x in self.row] if c != 1 else self.row
+        return _from_row(self.v + e, self.step, row, self.den * c.denominator, self.order + e)
 
     def scale_q(self, k):
         """Substitute q -> q^k for positive rational k."""
         k = rat(k)
         if k <= 0:
             raise ValueError("scale factor must be positive")
-        return _series({e * k: c for e, c in self.terms.items()}, self.order * k)
+        return _from_row(self.v * k, self.step * k, self.row, self.den, self.order * k)
 
     def truncate(self, order):
         """Lower the truncation order (raising it is not meaningful)."""
         order = rat(order)
+        if order == self.order:
+            return self
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return _series({e: c for e, c in self.terms.items() if e < order}, order)
+        n = max(rat_ceil((order - self.v) / self.step), 0)
+        return _from_row(self.v, self.step, self.row[:n], self.den, order)
 
     # -- comparison and display ---------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return self.order == other.order and self.terms == other.terms
+        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
     def __hash__(self):
-        return hash((self.order, frozenset(self.terms.items())))
+        return hash((self.order, self.v, self.step, self.den, tuple(self.row)))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.row:
             return f"O(q^{self.order})"
         bits = []
         for e, c in self.items():
@@ -230,28 +252,36 @@ class PuiseuxSeries:
         return f"{body} + O(q^{self.order})"
 
 
-def _series(terms, order):
-    """A PuiseuxSeries from terms that are already clean: Rat exponents
-    below the Rat order, each with a nonzero Rat coefficient."""
-    s = object.__new__(PuiseuxSeries)
-    object.__setattr__(s, "terms", terms)
-    object.__setattr__(s, "order", order)
-    return s
+def _from_row(v, step, row, den, order):
+    """The series sum_i row[i]/den q^(v + i step) for Rat v, step > 0 and
+    order, every exponent below order, and ints den > 0 and row, not copied."""
+    return object.__new__(PuiseuxSeries)._store(v, step, row, den, order)
 
 
-def _times(x, d):
-    """The int d*x, for a Rat x whose denominator divides d."""
-    return x.numerator * (d // x.denominator)
+def _scaled(*vals):
+    """(d, integers d*v) for rationals v, d the lcm of their denominators."""
+    vals = [rat(v) for v in vals]
+    d = lcm(*(v.denominator for v in vals))
+    return d, [v.numerator * (d // v.denominator) for v in vals]
 
 
-def _int_row(us, cs, e0, g, den):
-    """(lo, ints) for the terms cs[j] q^(us[j]/d), us[j] ints on the grid
-    e0 + g Z: ints[i] is den times the coefficient of q^((e0 + g (lo + i))/d)."""
-    lo = (min(us) - e0) // g
-    row = [0] * ((max(us) - e0) // g + 1 - lo)
-    for u, c in zip(us, cs):
-        row[(u - e0) // g - lo] = _times(c, den)
-    return lo, row
+def _grid(*xs):
+    """(g, [x / g for x in xs]) for g > 0 the gcd of the rationals xs,
+    not all zero: the coarsest step of a grid through all of them."""
+    d, us = _scaled(*xs)
+    g = gcd(*us)
+    return Rat(g, d), [u // g for u in us]
+
+
+def _spread(row, k, f=1):
+    """row times f, with k - 1 zeros between entries."""
+    if f != 1:
+        row = [c * f for c in row]
+    if k == 1:
+        return row
+    out = [0] * (k * (len(row) - 1) + 1)
+    out[::k] = row
+    return out
 
 
 def _mul_add(dst, s, x, y):
@@ -266,15 +296,16 @@ def _mul_add(dst, s, x, y):
 
 
 def zero(order):
-    return PuiseuxSeries({}, order)
+    return monomial(0, 0, order)
 
 
 def one(order):
-    return PuiseuxSeries({Rat(0): Rat(1)}, order)
+    return monomial(1, 0, order)
 
 
 def monomial(c, e, order):
-    return PuiseuxSeries({rat(e): rat(c)}, order)
+    c, e, order = rat(c), rat(e), rat(order)
+    return _from_row(e, _ONE, [c.numerator] if e < order else [], c.denominator, order)
 
 
 # -- classical builders ------------------------------------------------------
@@ -374,7 +405,7 @@ def _binomial_table(factors, order):
 def _binomial_series(factors, order):
     """The one-variable product of _binomial_table, every a = 0."""
     d, table = _binomial_table(factors, order)
-    return PuiseuxSeries({Rat(i, d): c for i, c in enumerate(table.get(0, ())) if c}, order)
+    return _from_row(Rat(0), Rat(1, d), table.get(0, []), 1, rat(order))
 
 
 # -- exact enumeration of quadratic exponents ----------------------------------
@@ -401,13 +432,6 @@ def _negative_range(alpha, beta, gamma, lower):
     while hi >= lo and (alpha * hi + beta) * hi + gamma >= 0:
         hi -= 1
     return range(lo, hi + 1)
-
-
-def _scaled(*vals):
-    """(d, integers d*v) for rationals v, d the lcm of their denominators."""
-    vals = [rat(v) for v in vals]
-    d = lcm(*(v.denominator for v in vals))
-    return d, [v.numerator * (d // v.denominator) for v in vals]
 
 
 def quadratic_range(a, b, c, order, lower=None):

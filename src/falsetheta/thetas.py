@@ -38,6 +38,7 @@ from .series import (
     lattice_points,
     monomial as q_monomial,
     _binomial_table,
+    _from_row,
 )
 from .bilaurent import (
     BiLaurentSeries,
@@ -85,12 +86,10 @@ def _unit_product(unit, factors, qorder, lead=(0, 0)):
     d1, d2 = _unit_dirs(unit)
     l, v = rat(lead[0]), rat(lead[1])
     d, table = _binomial_table(factors, qorder - v)
-    terms = {
-        ((m + l) * d1, (m + l) * d2): PuiseuxSeries(
-            {v + Rat(i, d): c for i, c in enumerate(row) if c}, qorder
-        )
-        for m, row in table.items()
-    }
+    step, terms = Rat(1, d), {}
+    for m, row in table.items():
+        e = m + l
+        terms[(e * d1, e * d2)] = _from_row(v, step, row, 1, qorder)
     return BiLaurentSeries(terms, qorder, Region.INNER)
 
 

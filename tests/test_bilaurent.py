@@ -124,6 +124,27 @@ def _operand_pairs(draw):
     return draw(_operands(region)), draw(_operands(region))
 
 
+@st.composite
+def _scalar_operands(draw):
+    a = draw(st.sampled_from(Region).flatmap(_operands))
+    window = draw(st.none() | st.integers(0, 3))
+    qorder = draw(st.builds(Rat, st.integers(-8, 24), st.sampled_from([1, 2, 3, 4])))
+    s = PuiseuxSeries(draw(st.dictionaries(_exponents, _coeffs, max_size=5)), qorder)
+    return (a if window is None else a.clip(window)), s
+
+
+class TestScalarMulAgainstPerKeyProducts:
+    @given(_scalar_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_random_operands(self, operands):
+        a, s = operands
+        qorder = min(a.qorder + s.valuation(), s.order + a.qvaluation())
+        terms = {k: (c * s).truncate(qorder) for k, c in a.terms.items()}
+        got = bl_scalar_mul(a, s)
+        assert got.terms == {k: c for k, c in terms.items() if not c.is_zero()}
+        assert (got.qorder, got.window, got.region) == (qorder, a.window, a.region)
+
+
 class TestMulAgainstPairwiseProducts:
     def check(self, a, b):
         terms, qorder = _pairwise_product(a, b)

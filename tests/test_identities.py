@@ -5,7 +5,9 @@ import json
 import pytest
 
 from falsetheta.rat import Rat
+from falsetheta.series import PuiseuxSeries
 from falsetheta.identities import (
+    _series_diff,
     registered_ids,
     identity_grid,
     identity_default_order,
@@ -99,3 +101,15 @@ def test_suite_is_deterministic_under_jobs():
     par = run_suite(pattern="E19|E20", jobs=4)
     assert [r.id for r in seq] == [r.id for r in par]
     assert [r.verdict for r in seq] == [r.verdict for r in par]
+
+
+def test_series_diff_is_the_least_differing_exponent_below_every_order():
+    a = PuiseuxSeries({0: 1, Rat(1, 3): 2, Rat(7, 8): 5, 3: 1}, 4)
+    b = PuiseuxSeries({0: 1, Rat(1, 3): 2, Rat(7, 8): 4, Rat(9, 8): 1}, Rat(7, 2))
+    assert _series_diff(a, b, 10) == (Rat(7, 8), 5, 4)
+    assert _series_diff(a, b, Rat(7, 8)) is None
+    c = PuiseuxSeries({0: 1, Rat(1, 3): 2, Rat(7, 8): 5, Rat(9, 8): 1}, 3)
+    assert _series_diff(a, c, 10) == (Rat(9, 8), 0, 1)
+    # a's q^3 lies at c's order, so only q^(9/8) can differ
+    assert _series_diff(c, a, 10) == (Rat(9, 8), 1, 0)
+    assert _series_diff(a, a.truncate(3), 10) is None

@@ -1,5 +1,9 @@
 """Truncated q-series arithmetic and the classical builders."""
 
+import importlib.util
+from math import gcd
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,12 +134,22 @@ def _pairwise_mul(a, b):
 
 
 def _assert_clean(s):
-    """What the public constructor enforces, which the product skips:
-    Rat exponents below the Rat order, each with a nonzero Rat coefficient."""
+    """Rat exponents below the Rat order, each with a nonzero Rat
+    coefficient, read off the one stored form: a row that starts and ends
+    nonzero, with nonzero entries at indices of gcd 1, over a denominator
+    coprime to them; zero is v = order, step 1."""
     assert type(s.order) is Rat
     for e, c in s.terms.items():
         assert type(e) is Rat and e < s.order
         assert type(c) is Rat and c
+    assert type(s.v) is Rat and type(s.step) is Rat and s.den > 0
+    if not s.row:
+        assert (s.v, s.step, s.den) == (s.order, 1, 1)
+        return
+    assert s.row[0] and s.row[-1] and s.step > 0
+    assert gcd(*(i for i, c in enumerate(s.row) if c)) == (1 if len(s.row) > 1 else 0)
+    assert len(s.row) > 1 or s.step == 1
+    assert gcd(s.den, *s.row) == 1
 
 
 _mixed_exponents = st.builds(Rat, st.integers(-24, 48), st.sampled_from([1, 2, 3, 8, 24]))
@@ -145,6 +159,21 @@ _mixed_series = st.builds(
     st.dictionaries(_mixed_exponents, _mixed_coeffs, max_size=6),
     st.builds(Rat, st.integers(-8, 24), st.sampled_from([1, 2, 3, 4])),
 )
+
+
+def _on_grid(offset, step, coeffs, order):
+    return PuiseuxSeries({offset + k * step: c for k, c in enumerate(coeffs)}, order)
+
+
+# series on grids offset + step Z that differ from operand to operand
+_grid_series = st.builds(
+    _on_grid,
+    st.sampled_from([Rat(0), Rat(1, 8), Rat(-1, 3), Rat(5, 24), Rat(1, 2), Rat(-7, 4)]),
+    st.sampled_from([Rat(1, 3), Rat(1, 8), Rat(1), Rat(3, 2), Rat(1, 24), Rat(2)]),
+    st.lists(_mixed_coeffs, max_size=8),
+    st.builds(Rat, st.integers(-6, 30), st.sampled_from([1, 2, 3, 8])),
+)
+_any_series = st.one_of(_mixed_series, _grid_series)
 
 
 class TestMulAgainstPairwiseProducts:
@@ -202,12 +231,12 @@ class TestMulAgainstPairwiseProducts:
         _assert_clean(got)
 
     @given(
-        _mixed_series,
+        _any_series,
         _mixed_exponents,
         st.one_of(st.integers(-3, 3), _mixed_coeffs),
         st.builds(Rat, st.integers(1, 12), st.sampled_from([1, 2, 3, 8])),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_shift_scale_q_and_neg_against_the_constructor(self, a, e, c, k):
         got = a.shift(e, c)
         assert got == PuiseuxSeries({x + e: y * c for x, y in a.terms.items()}, a.order + e)
@@ -218,13 +247,70 @@ class TestMulAgainstPairwiseProducts:
         for s in (got, got_k, neg, a.shift(e)):
             _assert_clean(s)
 
-    @given(_mixed_series, st.builds(Rat, st.integers(-30, 30), st.sampled_from([1, 3, 8])))
-    @settings(max_examples=100, deadline=None)
+    @given(_any_series, st.builds(Rat, st.integers(-30, 30), st.sampled_from([1, 3, 8])))
+    @settings(max_examples=200, deadline=None)
     def test_truncate_keeps_the_terms_below_the_order(self, a, cut):
         order = min(a.order, cut)
         got = a.truncate(order)
         assert got == PuiseuxSeries(a.terms, order)
+        assert got.terms == {e: c for e, c in a.terms.items() if e < order}
         _assert_clean(got)
+
+
+def _dict_sum(a, b, sign=1):
+    """a + sign b as (terms, order), summed term by term in Rat."""
+    order = min(a.order, b.order)
+    terms = {e: c for e, c in a.terms.items() if e < order}
+    for e, c in b.terms.items():
+        if e < order:
+            terms[e] = terms.get(e, 0) + sign * c
+    return {e: c for e, c in terms.items() if c}, order
+
+
+class TestRowsAgainstDictSemantics:
+    @given(_any_series, _any_series)
+    @settings(max_examples=300, deadline=None)
+    def test_add_and_sub_on_different_grids(self, a, b):
+        for got, sign in ((a + b, 1), (a - b, -1)):
+            terms, order = _dict_sum(a, b, sign)
+            assert got.terms == terms and got.order == order
+            _assert_clean(got)
+        assert b + a == a + b
+
+    @given(_any_series)
+    @settings(max_examples=150, deadline=None)
+    def test_terms_and_json_rebuild_the_same_series(self, a):
+        for b in (PuiseuxSeries(a.terms, a.order), series_from_json(series_to_json(a))):
+            assert b == a and hash(b) == hash(a)
+        assert a.items() == sorted(a.terms.items())
+        assert a.truncate(a.order) is a
+
+    def test_a_grid_of_one_term_and_the_zero_series(self):
+        a = monomial(Rat(-3, 4), Rat(1, 8), 2)
+        assert (a.v, a.step, a.row, a.den) == (Rat(1, 8), 1, [-3], 4)
+        b = _on_grid(Rat(1, 8), Rat(1, 3), [2, 0, 0, Rat(4, 3)], 3)
+        assert (b.v, b.step, b.row, b.den) == (Rat(1, 8), 1, [6, 4], 3)
+        z = a - a
+        assert z == zero(2) and (z.v, z.step, z.row, z.den) == (2, 1, [], 1)
+        assert a.coeff(Rat(1, 8)) == Rat(-3, 4) and a.coeff(Rat(9, 8)) == 0
+
+
+def _series_operators():
+    """SERIES_OPERATORS of bench/tracer.py, which wraps each by name."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("falsetheta_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.SERIES_OPERATORS
+
+
+def test_traced_operators_stay_methods_and_terms_stays_a_dict():
+    # the traced benchmark looks each operator up in the class dict, and
+    # counts terms with len() only when they are a dict
+    missing = [op for op in _series_operators() if op not in PuiseuxSeries.__dict__]
+    assert missing == []
+    s = one(2) + monomial(3, Rat(1, 8), 2)
+    assert type(s.terms) is dict and s.terms == {Rat(0): 1, Rat(1, 8): 3}
 
 
 class TestBuilders:
