@@ -342,17 +342,14 @@ def expand_inverse_one_minus(unit, n, qorder, zwindow=None, invert_unit=False):
 def bl_elliptic_shift(a, m1, m2):
     """Substitute z_j -> z_j q^(m_j): key (e1, e2) picks up q^(m1 e1 + m2 e2).
 
-    The guaranteed q-order shrinks conservatively by the most negative
-    exponent shift over the retained keys; a finite window is required so
-    that this shrink is well defined.
+    The q-order shrinks by (|m1| + |m2|) W, the most negative shift over
+    the window |e1|, |e2| <= W: a key absent from the window, known zero
+    only below the qorder, moves down too.  So a finite window is required.
     """
     if a.window is None:
         raise ValueError("elliptic shift requires a finite window")
-    if not a.terms:
-        return a
-    shifts = {k: m1 * k[0] + m2 * k[1] for k in a.terms}
-    qorder = a.qorder + min(Rat(0), min(shifts.values()))
-    terms = {k: c.shift(shifts[k]) for k, c in a.terms.items()}
+    qorder = a.qorder - (abs(m1) + abs(m2)) * a.window
+    terms = {k: c.shift(m1 * k[0] + m2 * k[1]) for k, c in a.terms.items()}
     return BiLaurentSeries(terms, qorder, a.region, a.window)
 
 

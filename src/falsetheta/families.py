@@ -259,8 +259,8 @@ def H_frak(r1, r2, order):
 
     r1 lies in 1/2 + Z, r2 in Z.  Extracted from the product of one
     full-period theta ratio and two half-period ratios, scaled by
-    eta^5 / eta(2 tau); windows are chosen so that the clipped geometric
-    tails only affect orders beyond the truncation.
+    eta^5 / eta(2 tau).  Every s01 key that reaches (r1, r2) below the
+    order lies in the window W = floor(order/2) + floor(max |r|) + 4.
     """
     r1 = rat(r1)
     if not (isinstance(r2, int) or rat(r2).denominator == 1):

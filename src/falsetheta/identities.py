@@ -8,13 +8,14 @@ both sides stay exact truncated series.
 
 Entries whose INNER expansions have unbounded key support at a fixed
 q-power (anything involving 1/(1 - zeta) factors) clip both sides to a
-key window where both routes are complete, with the reliable range
-derived from the valuation growth of the clipped tails.  The engine
-compares every key of the two sides it is given.
+key box where both routes are complete, read off the support of the
+series they built: a product with a factor clipped at W is complete
+within W less the other factors' largest key.  The engine compares
+every key of the two sides it is given; a grid that compares nothing
+raises.
 """
 
 import fnmatch
-import math
 import time
 from dataclasses import dataclass
 
@@ -84,7 +85,6 @@ __all__ = [
 
 def _f_coeff_scaled(r1, r2, order):
     """eta^5/eta(2 tau) times the (r1, r2) coefficient of the ratio."""
-    order = rat(order)
     return (eta5_over_eta2(order) * f_coeff(r1, r2, order)).truncate(order)
 
 
@@ -132,6 +132,16 @@ def _series_diff(a, b, order):
     return (e, a.coeff(e), b.coeff(e))
 
 
+def _compares(a, b, order):
+    """Whether a or b has a nonzero coefficient below order and below both
+    sides' orders: whether comparing them checks anything."""
+    if isinstance(a, PuiseuxSeries):
+        o, coeffs = min(a.order, b.order, order), (a, b)
+    else:
+        o, coeffs = min(a.qorder, b.qorder, order), (*a.terms.values(), *b.terms.values())
+    return any(not c.truncate(o).is_zero() for c in coeffs)
+
+
 def _bl_diff(a, b, order):
     keys = set(a.terms) | set(b.terms)
     best = None
@@ -149,14 +159,8 @@ def _bl_diff(a, b, order):
 # -- builder helpers -----------------------------------------------------------
 
 
-def _theta_window(order):
-    """Key support of the normalized theta at the given q-order."""
-    return math.isqrt(2 * (int(order) + 1)) + 2
-
-
 def _rho_double_sum(order, W):
     """sum rho_{n1,n2} q^(n1 n2) z1^n1 z2^n2, keys clipped to |ni| <= W."""
-    order = rat(order)
     terms = {}
     for n1 in range(-W, W + 1):
         for n2 in range(-W, W + 1):
@@ -173,7 +177,6 @@ def _partial_fraction_sum(order, W):
     The n1 = +-n shells have minimal exponent n(n+1)/2 over the keys
     where the rho weight survives, which bounds the enumeration.
     """
-    order = rat(order)
     half = Rat(1, 2)
     terms = {}
     for n in quadratic_range(half, half, 0, order, 0):
@@ -196,7 +199,6 @@ def _t2t_hyper(unit, order, variant):
     A_a the inner sum of _A_table; variant "quad": the same with its
     quadratic exponent (quad=1) and a single (q^2; q^2)_oo prefactor.
     """
-    order = rat(order)
     d1, d2 = UNIT_KEYS[unit]
     terms = {}
     # the key u^m, |m| = a, has exponents from a up; a < order
@@ -245,7 +247,7 @@ def _sgn_weighted_sum(order, extra_half):
 
 def _ghyper_q2(r, order):
     """G_hyper at the index pair r with q replaced by q^2."""
-    return G_hyper(tuple(r), rat(order) / 2).scale_q(2)
+    return G_hyper(tuple(r), order / 2).scale_q(2)
 
 
 def _inverse_poch_pair(unit, order):
@@ -267,11 +269,11 @@ def _build_E1(p, order):
 
 def _build_E2(p, order):
     m, l = p["m"], p["l"]
-    order = rat(order)
-    Wt = _theta_window(order)
-    for _ in range(3):
-        Wt = _theta_window(order + m * Wt)
-    B = order + m * Wt
+    # the keys n = j + 1/2 with n^2/2 + m n below the order, |n| <= Wt;
+    # their theta coefficients q^(n^2/2) lie below B
+    js = quadratic_range(Rat(1, 2), Rat(1, 2) + m, Rat(1, 8) + Rat(m, 2), order)
+    Wt = max(abs(j + Rat(1, 2)) for j in js)
+    B = order + abs(m) * Wt
     lhs = bl_elliptic_shift(theta_hat("z1", 1, B).clip(Wt), m, 0)
     if l % 2:
         # integer shift: zeta^n picks up (-1)^l on the half-integer support
@@ -286,7 +288,6 @@ def _build_E2(p, order):
 
 
 def _build_E3(p, order):
-    order = rat(order)
     W = int(order)
     rho_sum = _rho_double_sum(order, W)
     if p["part"] == "expansion":
@@ -302,13 +303,13 @@ def _build_E3(p, order):
     B = order + Rat(1, 8)
     eta_cubed = eta_product({1: 3}, B).shift(Rat(1, 8))
     lhs = bl_scalar_mul(theta_hat("z12", 1, B), eta_cubed)
-    rhs = bl_mul(bl_mul(rho_sum, theta_hat("z1", 1, order)), theta_hat("z2", 1, order))
-    K = W - _theta_window(order) - 1
+    th1 = theta_hat("z1", 1, order)
+    rhs = bl_mul(bl_mul(rho_sum, th1), theta_hat("z2", 1, order))
+    K = W - max(abs(e1) for e1, _ in th1.terms)
     return lhs.clip(K), rhs.clip(K)
 
 
 def _build_E4(p, order):
-    order = rat(order)
     W = int(order)
     pf_sum = _partial_fraction_sum(order, W)
     if p["part"] == "expansion":
@@ -325,13 +326,13 @@ def _build_E4(p, order):
     B = order + Rat(1, 8)
     eta_cubed = eta_product({1: 3}, B).shift(Rat(1, 8))
     lhs = bl_monomial(eta_cubed, -Rat(1, 2), 0, B, Region.INNER)
-    rhs = bl_mul(pf_sum, theta_hat("z1", 1, order))
-    K = W - _theta_window(order) - 1
+    th = theta_hat("z1", 1, order)
+    rhs = bl_mul(pf_sum, th)
+    K = W - max(abs(e1) for e1, _ in th.terms)
     return lhs.clip(K), rhs.clip(K)
 
 
 def _build_E5(p, order):
-    order = rat(order)
     if p["part"] == "eta":
         lhs = pochhammer(-1, 1, 1, None, order - Rat(1, 8)).shift(Rat(1, 8))
         lhs = (lhs * eta_series(1, order)).truncate(order)
@@ -346,7 +347,6 @@ def _build_E5(p, order):
 
 
 def _build_E6(p, order):
-    order = rat(order)
     if p["part"] == "f":
         return f_series(order, path="geometric"), f_series(order, path="closed")
     if p["part"] == "closed":
@@ -358,7 +358,7 @@ def _build_E6(p, order):
 
 def _build_E6b(p, order):
     u = p["unit"]
-    return t2t_factor(u, rat(order), "closed"), _t2t_hyper(u, rat(order), "quad")
+    return t2t_factor(u, order, "closed"), _t2t_hyper(u, order, "quad")
 
 
 def _build_E7(p, order):
@@ -378,7 +378,6 @@ def _build_E9(p, order):
 
 def _build_E10(p, order):
     r = p["r"]
-    order = rat(order)
     sh = Rat(2, 3) * quad_Q(Rat(r[0]), Rat(r[1]))
     lam = (Rat(r[0] + r[1], 3), Rat(2 * r[1] - r[0], 3))
     lhs = G_frak(lam, 2, order + sh).shift(-sh)
@@ -387,7 +386,6 @@ def _build_E10(p, order):
 
 def _build_E11(p, order):
     r = p["r"]
-    order = rat(order)
     sh = 2 * quad_Q(Rat(r[0]), Rat(r[1]))
     rhs = _f_coeff_scaled(2 * r[0] - r[1], r[0] + r[1], order).shift(sh)
     return coeff_F(r, 2, order), rhs.truncate(order)
@@ -395,7 +393,6 @@ def _build_E11(p, order):
 
 def _build_E12(p, order):
     r1, r2 = rat(p["r1"]), rat(p["r2"])
-    order = rat(order)
     sh = Rat(2, 3) * quad_Q(r1, r2)
     lam = ((r1 + r2) / 3 - Rat(1, 2), (2 * r2 - r1) / 3 - Rat(1, 2))
     rhs = G_frak(lam, 2, order + sh).shift(-sh)
@@ -404,7 +401,6 @@ def _build_E12(p, order):
 
 def _build_E12b(p, order):
     unit = p["unit"]
-    order = rat(order)
     W = int(order)
     d1, d2 = UNIT_KEYS[unit]
     t = t2t_factor(unit, order + W + Rat(1, 2), "geometric").clip(W)
@@ -417,7 +413,8 @@ def _build_E12b(p, order):
         Region.INNER,
     )
     rhs = bl_mul(pre, shifted)
-    K = int(order) // 2 - 1
+    # s01 holds the keys |e| <= W, rhs the keys -W + 1/2 <= e <= W + 1/2
+    K = W - Rat(1, 2)
     return s01_factor(unit, order, W).clip(K), rhs.clip(K)
 
 
@@ -427,7 +424,6 @@ def _build_E13(p, order):
 
 def _build_E14(p, order):
     r = p["r"]
-    order = rat(order)
     if p["part"] == "poch":
         # the sixfold product over the three units, read at one key
         build = order + Rat(1, 2)
@@ -442,7 +438,6 @@ def _build_E14(p, order):
 
 
 def _build_E15(p, order):
-    order = rat(order)
     if p["part"] == "base":
         lhs = _sgn_weighted_sum(order, False)
         rhs = eta_product({1: 2, 2: 2}, order) * _ghyper_q2((0, 0), order)
@@ -457,7 +452,6 @@ def _build_E15(p, order):
 
 def _build_E15b(p, order):
     r = p["r"]
-    order = rat(order)
     sh = Rat(1, 2) + 2 * quad_Q(Rat(r[0]), Rat(r[1]))
     if sh >= order:
         # the right side vanishes below this order; the left must too
@@ -468,7 +462,6 @@ def _build_E15b(p, order):
 
 
 def _build_E16(p, order):
-    order = rat(order)
     terms = {
         (rat(n), Rat(0)): q_monomial((-1) ** n, n * (n + 1), order)
         for n in quadratic_range(1, 1, 0, order, 0)
@@ -488,15 +481,15 @@ def _build_E17(p, order):
 
 
 def _build_E18(p, order):
-    order = rat(order)
     if p["part"] == "simplify":
         return F0_series(2, order, "GENERAL"), F0_series(2, order, "P2SIMPLIFIED")
     # internal antisymmetric vanishing: sum (n1+n2-1) q^(2Q(n-1/2)) = 0,
-    # with 2 Q(n - 1/2) = 2 n1^2 - 2 n1 n2 + 2 n2^2 - n1 - n2 + 1/2
-    lhs = lattice_sum(
-        (2, -2, 2), (-1, -1), Rat(1, 2), order, lambda n1, n2: n1 + n2 - 1
-    )
-    return lhs, q_zero(order)
+    # with 2 Q(n - 1/2) = 2 n1^2 - 2 n1 n2 + 2 n2^2 - n1 - n2 + 1/2;
+    # n -> 1 - n keeps the exponent and negates the weight, so the points
+    # of positive weight sum to minus those of negative weight
+    exponent = (2, -2, 2), (-1, -1), Rat(1, 2), order
+    return (lattice_sum(*exponent, lambda n1, n2: max(n1 + n2 - 1, 0)),
+            lattice_sum(*exponent, lambda n1, n2: max(1 - n1 - n2, 0)))
 
 
 def _build_E19(p, order):
@@ -512,14 +505,15 @@ def _build_E19(p, order):
 
 def _build_E20(p, order):
     k = p["k"]
-    order = rat(order)
-    terms = {}
+    halves = ({}, {})
     # n -> -n - 2k - 1 keeps the exponent and flips the sign, so the sum
-    # vanishes at every exponent, negative ones included
+    # over n >= -k equals minus the sum over n <= -k - 1 at every exponent,
+    # negative ones included
     for n in quadratic_range(Rat(1, 2), Rat(1, 2) + k, 0, order):
         e = Rat(n * (n + 1), 2) + k * n
-        terms[e] = terms.get(e, 0) + (1 if n % 2 == 0 else -1)
-    return PuiseuxSeries(terms, order), q_zero(order)
+        low = n < -k
+        halves[low][e] = -1 if (n + low) % 2 else 1
+    return PuiseuxSeries(halves[0], order), PuiseuxSeries(halves[1], order)
 
 
 # -- registry ------------------------------------------------------------------
@@ -730,7 +724,8 @@ def verify_identity(ident_id, params=None, order=None, corrupt=False):
     reports are folded into one (first discrepancy wins).  corrupt=True
     perturbs one mid-support coefficient of the left side; the report
     then carries the perturbed location as its discrepancy (engine
-    self-test support).  Raises ValueError for an order <= 0.
+    self-test support).  Raises ValueError for an order <= 0, and for a
+    whole grid whose sides are all zero below the order.
     """
     if ident_id not in _REGISTRY:
         raise KeyError(f"unknown identity {ident_id!r}")
@@ -741,24 +736,16 @@ def verify_identity(ident_id, params=None, order=None, corrupt=False):
     verdict = "equal"
     disc = None
     shown = {}
+    compared = False
     for point in grid:
         lhs, rhs = ident.build(point, order)
-        injected = None
         if corrupt:
             lhs, injected = _corrupt(lhs)
-        if isinstance(lhs, PuiseuxSeries):
-            d = _series_diff(lhs, rhs, order)
-        else:
-            cmp_order = min(order, lhs.qorder, rhs.qorder)
-            d = _bl_diff(lhs, rhs, cmp_order)
+        diff = _series_diff if isinstance(lhs, PuiseuxSeries) else _bl_diff
+        d = diff(lhs, rhs, order)
         if d is not None:
-            if corrupt:
-                found = d[0] if isinstance(lhs, PuiseuxSeries) else tuple(d[0])
-                want = injected if isinstance(lhs, PuiseuxSeries) else tuple(injected)
-                if found != want:
-                    raise AssertionError(
-                        f"corruption at {want} reported at {found}"
-                    )
+            if corrupt and d[0] != injected:
+                raise AssertionError(f"corruption at {injected} reported at {d[0]}")
             verdict = "unequal"
             disc = d
             shown = point
@@ -766,6 +753,11 @@ def verify_identity(ident_id, params=None, order=None, corrupt=False):
         if corrupt:
             # a corrupted side must be flagged; reaching here is a bug
             raise AssertionError("corrupted comparison reported equal")
+        compared = compared or _compares(lhs, rhs, order)
+    if params is None and disc is None and not compared:
+        raise ValueError(
+            f"{ident_id} compares no coefficient below order {rat_str(order)}"
+        )
     ms = int((time.monotonic() - t0) * 1000)
     return IdentityReport(
         ident_id, shown if disc is not None else (params or {}),

@@ -368,15 +368,14 @@ def _binomial_table(factors, order):
     table maps m to the list of ints whose entry i is the coefficient of
     u^m q^(i/d), for every i/d < order.  Each factor multiplies the table
     in place.  A negative power takes the INNER expansion of the inverse,
-    sum_k (sign u^a q^e)^k; for e = 0 that sum is infinite, so the table
-    must divide by (1 - sign u^a) exactly, and a must not be 0.
+    sum_k (sign u^a q^e)^k, which needs e > 0.
     """
     factors = [(sign, a, rat(e), power) for sign, a, e, power in factors]
     d = lcm(1, *(e.denominator for _, _, e, _ in factors))
     n = max(0, rat_ceil(rat(order) * d))
     table = {0: [1] + [0] * (n - 1)} if n else {}
     for sign, a, e, power in factors:
-        if e < 0 or (not a and not e and power < 0):
+        if e < 0 or (not e and power < 0):
             raise ValueError(f"cannot expand (1 - {sign} u^{a} q^{e})^{power}")
         k = e.numerator * (d // e.denominator)
         for _ in range(abs(power) if k < n else 0):
@@ -391,12 +390,10 @@ def _binomial_table(factors, order):
             else:  # rows in the direction of a: m is final before it feeds m + a
                 step = 1 if a > 0 else -1
                 rows = sorted(table)[::step]
-                reach = a * (n // k) if k else 0  # how far the tail runs past rows[-1]
+                reach = a * (n // k)  # how far the tail runs past rows[-1]
                 for m in range(rows[0], rows[-1] + reach + step, step):
                     src = table.get(m, ())
                     if any(src[:n - k]):
-                        if not k and (m + a - rows[-1]) * step > 0:
-                            raise ValueError("the quotient by 1 - u^a is not exact")
                         dst = table.setdefault(m + a, [0] * n)
                         dst[k:] = [x + sign * y for x, y in zip(dst[k:], src)]
     return d, table

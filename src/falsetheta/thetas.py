@@ -25,12 +25,14 @@ and s01_factor, is one call of the integer kernel
 (`_unit_product`); every sum of q^(quadratic in n) is enumerated exactly
 by `series.quadratic_range` or `series.lattice_points`.  Builders build
 whole objects, and callers clip them: only s01_factor takes a key
-window, because its factor 1/(1 - u) has no finite key support.
+window, because its factor 1/(1 - u) has no finite key support; it
+applies that factor as a running sum of the kernel's rows.
 """
 
 from functools import lru_cache
+from operator import add
 
-from .rat import Rat, rat, rat_ceil, _positive_order
+from .rat import Rat, rat, rat_ceil, rat_floor, _positive_order
 from .series import (
     PuiseuxSeries,
     eta_product,
@@ -210,9 +212,9 @@ def s01_factor(unit, qorder, zwindow):
 
         u^(1/2) q^(-1/8) (-q; q)_oo / ((u; q^2)_oo (u^-1 q^2; q^2)_oo),
 
-    clipped to |e| <= W = zwindow.  Its j = 0 inverse factor 1/(1 - u)
-    enters clipped at u^W, as the exact quotient (1 - u^(W+1))/(1 - u);
-    the coefficient of u^e is then complete up to q-order 2(W + 1 - e).
+    on the keys |e| <= W = zwindow, each exact below qorder.  Its j = 0
+    factor 1/(1 - u) = sum_k u^k enters last, as a running sum of the
+    other factors' rows along u: the key u^(m + 1/2) sums the rows to m.
     """
     qorder = _positive_order(qorder)
     if zwindow is None:
@@ -220,12 +222,17 @@ def s01_factor(unit, qorder, zwindow):
     build = qorder + Rat(1, 8)
     factors = [
         *((-1, 0, e, 1) for e in range(1, rat_ceil(build))),
-        (1, zwindow + 1, 0, 1),
-        (1, 1, 0, -1),
         *_two_sided(2, 2, build, -1),
     ]
-    lead = (Rat(1, 2), -Rat(1, 8))
-    return _unit_product(unit, factors, qorder, lead).clip(zwindow)
+    d, table = _binomial_table(factors, build)
+    d1, d2 = _unit_dirs(unit)
+    acc, terms = [0] * len(table[0]), {}
+    for m in range(min(table), rat_floor(zwindow - Rat(1, 2)) + 1):
+        if m in table:
+            acc = list(map(add, acc, table[m]))
+        e = m + Rat(1, 2)
+        terms[(e * d1, e * d2)] = _from_row(-Rat(1, 8), Rat(1, d), acc, 1, qorder)
+    return BiLaurentSeries(terms, qorder, Region.INNER, zwindow)
 
 
 def _f_factors(qorder, path):

@@ -215,8 +215,9 @@ class TestExpansions:
 
 class TestTransforms:
     def test_elliptic_shift_moves_q_powers(self):
-        a = bl_add(mono(1, 2, 0, 0, Rat(6), window=4), mono(1, -1, 0, 0, Rat(6), window=4))
+        a = bl_add(mono(1, 2, 0, 0, Rat(8), window=4), mono(1, -1, 0, 0, Rat(8), window=4))
         s = bl_elliptic_shift(a, 1, 0)
+        assert s.qorder == 4  # every key of the window moves, absent ones too
         assert s.coeff(2, 0).coeff(2) == 1
         assert s.coeff(-1, 0).coeff(-1) == 1
 

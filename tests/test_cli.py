@@ -120,6 +120,12 @@ class TestVerify:
         assert code == USAGE_ERROR
         assert out == "" and "--order must be positive" in err
 
+    def test_an_order_that_compares_nothing_is_usage_error(self, capsys):
+        # theta_hat starts at q^(1/8), so both sides are zero below q^(1/16)
+        code, out, err = run(capsys, "verify", "E1", "--order", "1/16")
+        assert code == USAGE_ERROR
+        assert out == "" and "compares no coefficient" in err
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys, "verify", "E19", "--order", "6", "--format", "json"

@@ -7,7 +7,10 @@ import pytest
 from falsetheta.rat import Rat
 from falsetheta.series import PuiseuxSeries
 from falsetheta.identities import (
+    _REGISTRY,
+    _compares,
     _series_diff,
+    _six_monomial_numerator,
     registered_ids,
     identity_grid,
     identity_default_order,
@@ -113,3 +116,43 @@ def test_series_diff_is_the_least_differing_exponent_below_every_order():
     # a's q^3 lies at c's order, so only q^(9/8) can differ
     assert _series_diff(c, a, 10) == (Rat(9, 8), 1, 0)
     assert _series_diff(a, a.truncate(3), 10) is None
+
+
+def test_a_grid_that_compares_nothing_is_refused():
+    with pytest.raises(ValueError, match="compares no coefficient"):
+        verify_identity("E1", order=Rat(1, 16))
+
+
+@pytest.mark.parametrize("ident, order", [("E18", Rat(25)), ("E20", Rat(40))])
+def test_vanishing_sums_compare_at_every_grid_point(ident, order):
+    # each side is one half of a sum that cancels, so neither is zero
+    for point in identity_grid(ident):
+        lhs, rhs = _REGISTRY[ident].build(point, order)
+        assert _compares(lhs, rhs, order), point
+    assert verify_identity(ident, order=order).verdict == "equal"
+
+
+def test_E19_compares_over_its_whole_grid():
+    # the points whose six-monomial numerator cancels compare nothing alone
+    empty = [p for p in identity_grid("E19")
+             if not _compares(*_REGISTRY["E19"].build(p, Rat(1)), Rat(1))]
+    assert len(empty) == 11
+    assert all(not _six_monomial_numerator(p["n1"], p["n2"]).terms for p in empty)
+    assert verify_identity("E19", order=1).verdict == "equal"
+
+
+def test_compares_looks_below_every_order():
+    a = PuiseuxSeries({Rat(7, 8): 5, 3: 1}, 4)
+    zero = PuiseuxSeries({}, 2)
+    assert _compares(a, zero, 10) and _compares(zero, a, 10)
+    assert not _compares(a, zero, Rat(7, 8))  # the order asked
+    assert not _compares(a.shift(2), zero, 10)  # q^(23/8) lies past zero's order
+
+
+@pytest.mark.parametrize("order", [Rat(8), Rat(17, 2), Rat(20)])
+def test_E2_left_side_claims_the_order_asked(order):
+    # the theta is built just deep enough for the keys the shift brings
+    # below the order, and the shift lowers its order by m times its window
+    for point in identity_grid("E2"):
+        lhs, _ = _REGISTRY["E2"].build(point, order)
+        assert lhs.qorder == order, point

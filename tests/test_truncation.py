@@ -1,0 +1,115 @@
+"""Truncation honesty: every claimed order is correct.
+
+Each builder is run at an order N and again deeper, at N + delta; on the
+keys inside both windows the two must agree below the smaller of their
+claimed orders.  A builder that overclaims its order, or keeps a key it
+has not finished, disagrees with its deeper build.
+"""
+
+import pytest
+
+from falsetheta import families, series, thetas
+from falsetheta.identities import _REGISTRY, registered_ids
+from falsetheta.rat import Rat
+from falsetheta.series import PuiseuxSeries
+
+DELTAS = (Rat(1, 2), Rat(1), Rat(3))
+
+
+def _inside(key, window):
+    return window is None or max(abs(key[0]), abs(key[1])) <= window
+
+
+def _disagreement(a, b):
+    """The least exponent below both orders, with its key when a and b are
+    two-variable, where a and b differ on a key inside both windows; None
+    if they agree."""
+    if isinstance(a, PuiseuxSeries):
+        d = a - b  # of the smaller order
+        return None if d.is_zero() else d.valuation()
+    za, zb = series.zero(a.qorder), series.zero(b.qorder)
+    for k in sorted(a.terms.keys() | b.terms.keys()):
+        if _inside(k, a.window) and _inside(k, b.window):
+            d = _disagreement(a.terms.get(k, za), b.terms.get(k, zb))
+            if d is not None:
+                return k, d
+    return None
+
+
+@pytest.mark.parametrize("ident", registered_ids())
+def test_identity_sides_agree_with_a_deeper_build(ident):
+    entry = _REGISTRY[ident]
+    n = min(entry.default_order, Rat(8))
+    bad = []
+    for point in entry.grid:
+        sides = entry.build(point, n)
+        for delta in DELTAS:
+            for side, shallow, deep in zip("LR", sides, entry.build(point, n + delta)):
+                d = _disagreement(shallow, deep)
+                if d is not None:
+                    bad.append((point, delta, side, d))
+    assert not bad
+
+
+_UNITS = ("z1", "z2", "z12")
+_BUILDERS = {
+    "unit_pochhammer": lambda n: thetas.unit_pochhammer("z2", Rat(1, 3), 1, n),
+    "unit_pochhammer_inverse": lambda n: thetas.unit_pochhammer(
+        "z12", Rat(1, 2), 1, n, inverse=True),
+    **{f"theta_hat_{u}_{k}": (lambda n, u=u, k=k: thetas.theta_hat(u, k, n))
+       for u in _UNITS for k in (1, 2)},
+    "theta_hat_sum": lambda n: thetas.theta_hat_sum("z1", 2, n),
+    "theta01": lambda n: thetas.theta01("z12", 2, n),
+    "theta_A2": thetas.theta_A2,
+    "calT": thetas.calT,
+    "t2t_closed": lambda n: thetas.t2t_factor("z1", n, "closed"),
+    "t2t_geometric": lambda n: thetas.t2t_factor("z12", n, "geometric"),
+    "f_series": thetas.f_series,
+    "f_coeff": lambda n: thetas.f_coeff(1, -1, n),
+    "J_series": thetas.J_series,
+    "J_constant_term": thetas.J_constant_term,
+    "kw_character_N3": thetas.kw_character_N3,
+    "eta5_over_eta2": thetas.eta5_over_eta2,
+    "eta1_over_eta2": thetas.eta1_over_eta2,
+    "G_frak": lambda n: families.G_frak((Rat(1, 3), Rat(2, 3)), 3, n),
+    "G_frak_rewrite_p2": lambda n: families.G_frak_rewrite_p2((Rat(-1, 2), 0), n),
+    "G_frak_closed_p2": lambda n: families.G_frak_closed_p2((1, -1), n),
+    "coeff_F": lambda n: families.coeff_F((1, 0), 2, n),
+    "F_constant_term": lambda n: families.F_constant_term(2, n),
+    "G_hyper": lambda n: families.G_hyper((1, -1), n),
+    "H_frak": lambda n: families.H_frak(Rat(-3, 2), 1, n),
+    "F0_general": lambda n: families.F0_series(3, n),
+    "F0_simplified": lambda n: families.F0_series(2, n, "P2SIMPLIFIED"),
+    "rank_one_coeff": lambda n: families.rank_one_coeff(3, -1, n),
+    "rogers_false_theta": families.rogers_false_theta,
+    "zero": series.zero,
+    "one": series.one,
+    "monomial": lambda n: series.monomial(Rat(-2, 3), Rat(5, 2), n),
+    "pochhammer": lambda n: series.pochhammer(-1, Rat(1, 2), 2, None, n),
+    "pochhammer_finite": lambda n: series.pochhammer(1, 0, 1, 4, n),
+    "eta_series": lambda n: series.eta_series(2, n),
+    "eta_product": lambda n: series.eta_product({1: -2, 3: 1}, n),
+    "lattice_sum": lambda n: series.lattice_sum(
+        (1, -1, 1), (0, Rat(1, 2)), Rat(1, 3), n, lambda n1, n2: n1 - 2 * n2),
+}
+
+
+@pytest.mark.parametrize("order", [Rat(3), Rat(13, 2), Rat(9)])
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_public_builder_agrees_with_a_deeper_build(name, order):
+    build = _BUILDERS[name]
+    shallow = build(order)
+    for delta in DELTAS:
+        assert _disagreement(shallow, build(order + delta)) is None, delta
+
+
+@pytest.mark.parametrize("order", [Rat(3), Rat(13, 2), Rat(9)])
+@pytest.mark.parametrize("unit", _UNITS)
+def test_s01_agrees_with_a_deeper_and_wider_build(unit, order):
+    W = 3
+    shallow = thetas.s01_factor(unit, order, W)
+    for delta in DELTAS:
+        assert _disagreement(shallow, thetas.s01_factor(unit, order + delta, W + 1)) is None
+    wide = thetas.s01_factor(unit, order, W + order + 4)
+    assert _disagreement(shallow, wide) is None
+    assert shallow == wide.clip(W)
