@@ -213,10 +213,7 @@ def cmd_check(args):
             print("error: elliptic laws need --m (and optionally --l)", file=sys.stderr)
             return USAGE_ERROR
         element = (args.m, args.l or (0, 0))
-    z = args.z[0] if law.startswith("THETA") else tuple(args.z[:2])
-    if not law.startswith("THETA") and len(args.z) != 2:
-        print("error: this law needs --z z1,z2", file=sys.stderr)
-        return USAGE_ERROR
+    z = args.z[0] if len(args.z) == 1 else tuple(args.z)
     try:
         rep = check_transformation(law, element, z, args.tau, args.tolerance)
     except (ValueError, EtaMultiplierValidationError) as exc:

@@ -1,8 +1,11 @@
 """Complex evaluation and numerical transformation-law checks.
 
-Everything here is double precision.  Truncation cutoffs are chosen from
-Gaussian tail bounds so the analytic error sits below 1e-12 at the
-registered sample points; verification tolerances are 1e-8 relative.
+Everything here is double precision.  The theta, eta and lattice-theta
+sums keep exactly the terms of magnitude at least e^-41 (about 1.6e-18),
+found by the formal layer's exact enumerators, `series.quadratic_range`
+and `series.lattice_rows`; against 25-digit direct sums they agree to
+1e-12 relative (tests/test_numeric.py).  Verification tolerances are
+1e-8 relative.
 
 The eta multiplier convention (Dedekind-sum formula plus the principal
 square-root branch) is validated against eta's own functional equation
@@ -14,9 +17,11 @@ import cmath
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .rat import Rat, rat_floor
+from .series import lattice_rows, quadratic_range
 
 __all__ = [
     "eval_theta",
@@ -44,6 +49,12 @@ __all__ = [
 
 _TWO_PI_I = 2j * math.pi
 
+# Each lattice sum keeps exactly the terms e^(2 pi i X) of magnitude at
+# least e^-41 (about 1.6e-18), those with Im X < _TAIL.  series'
+# enumerators find them exactly, from Fraction(x) of the floats Im tau
+# and Im z, a conversion that is exact (rat() refuses it as implicit).
+_TAIL = Fraction(41 / (2 * math.pi))
+
 LAW_IDS = (
     "THETA_MOD",
     "THETA_ELL",
@@ -59,43 +70,33 @@ LAW_IDS = (
 # -- pointwise evaluators -----------------------------------------------------
 
 
-def _theta_cutoff(im_z, s):
-    # smallest n with pi*s*n^2 - 2*pi*|Im z|*n > 41 (term below ~1e-18)
-    y = abs(im_z)
-    return (y + math.sqrt(y * y + 14.0 * s)) / s + 2.0
-
-
 def eval_theta(z, tau, scale=1):
     """Odd Jacobi theta sum_{n in 1/2+Z} q^(scale*n^2/2) e^(2 pi i n (z+1/2)).
 
-    The sum runs over the half-integers |n| <= N, with the cutoff N chosen
-    so the first omitted term is below 1e-18 in magnitude, which bounds
-    the truncation error by a geometrically decaying tail.
+    n = j + 1/2 runs over the j that series.quadratic_range gives for
+    the terms of magnitude at least e^-41 (see _TAIL).
     """
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
-    N = _theta_cutoff(z.imag, scale * tau.imag)
-    total = 0.0 + 0.0j
-    j = 0
-    while j + 0.5 <= N:
+    s, y = scale * Fraction(tau.imag), Fraction(z.imag)
+    total = 0j
+    # the term's magnitude is e^(-2 pi (s/2 j^2 + (s/2 + y) j + s/8 + y/2))
+    for j in quadratic_range(s / 2, s / 2 + y, s / 8 + y / 2, _TAIL):
         n = j + 0.5
-        base = _TWO_PI_I * (scale * tau * n * n / 2)
-        total += cmath.exp(base + _TWO_PI_I * n * (z + 0.5))
-        total += cmath.exp(base - _TWO_PI_I * n * (z + 0.5))
-        j += 1
+        total += cmath.exp(_TWO_PI_I * (scale * tau * n * n / 2 + n * (z + 0.5)))
     return total
 
 
 def eval_eta(tau):
-    """Dedekind eta via the pentagonal number sum over (6k+1)^2/24."""
+    """Dedekind eta, the pentagonal number sum of (-1)^k q^((6k+1)^2/24)
+    over the k that series.quadratic_range gives for the terms of
+    magnitude at least e^-41 (see _TAIL)."""
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
-    # need 2*pi*Im(tau)*(6k+1)^2/24 > 41 at the cutoff
-    N = int(math.sqrt(41.0 * 24 / (2 * math.pi * tau.imag)) / 6) + 2
-    total = 0.0 + 0.0j
-    for k in range(-N, N + 1):
-        e = (6 * k + 1) ** 2
-        total += (-1) ** (k & 1) * cmath.exp(_TWO_PI_I * tau * e / 24)
+    t = Fraction(tau.imag)
+    total = 0j
+    for k in quadratic_range(3 * t / 2, t / 2, t / 24, _TAIL):
+        total += (-1) ** (k & 1) * cmath.exp(_TWO_PI_I * tau * (6 * k + 1) ** 2 / 24)
     return total
 
 
@@ -119,24 +120,22 @@ def eval_f(z, tau):
 
 
 def eval_T(z, tau):
-    """Hexagonal-lattice theta sum_{n in Z^2} q^(2Q(n)) zeta1^? zeta2^?.
+    """Hexagonal-lattice theta sum_{n in Z^2} q^(2Q(n)) e^(2 pi i (n1 w1 + n2 w2)).
 
-    Concretely sum q^(2(n1^2+n2^2-n1 n2)) e^(2 pi i (n1 w1 + n2 w2)) with
-    w1 = z1 + 2 z2, w2 = z1 - z2, truncated outside a square whose first
-    omitted shell is below 1e-18.
+    Q(n) = n1^2 - n1 n2 + n2^2, w1 = z1 + 2 z2 and w2 = z1 - z2.  The
+    points are those that series.lattice_rows gives for the terms of
+    magnitude at least e^-41 (see _TAIL).
     """
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     z1, z2 = z
     w1 = z1 + 2 * z2
     w2 = z1 - z2
-    s = tau.imag
-    b = max(abs(w1.imag), abs(w2.imag))
-    # 2*pi*Im(tau)*r^2 - 4*pi*b*r > 41 outside radius r (Q(n) >= r^2/2... )
-    N = int(math.ceil((b + math.sqrt(b * b + 7.0 * s)) / s)) + 2
-    total = 0.0 + 0.0j
-    for n1 in range(-N, N + 1):
-        for n2 in range(-N, N + 1):
+    t, y1, y2 = Fraction(tau.imag), Fraction(z1.imag), Fraction(z2.imag)
+    total = 0j
+    # the term's magnitude is e^(-2 pi (2 t Q(n) + (y1 + 2 y2) n1 + (y1 - y2) n2))
+    for n1, row in lattice_rows((2 * t, -2 * t, 2 * t), (y1 + 2 * y2, y1 - y2), 0, _TAIL):
+        for n2 in row:
             q_exp = 2 * (n1 * n1 + n2 * n2 - n1 * n2)
             total += cmath.exp(_TWO_PI_I * (tau * q_exp + n1 * w1 + n2 * w2))
     return total
@@ -298,6 +297,9 @@ def complex_str(z):
     return f"{z.real:.12g}{sign}{abs(z.imag):.12g}i"
 
 
+_LEVELS = {"THETA": 1, "F": 2, "T": 6, "J": 6}  # each modular law's Gamma_0(level)
+
+
 def _check_gamma(gamma, level):
     a, b, c, d = gamma
     for x in gamma:
@@ -309,142 +311,121 @@ def _check_gamma(gamma, level):
         raise ValueError(f"matrix not in Gamma_0({level})")
 
 
-def _check_shift(m, l, parity):
-    # the lattice-theta law also needs even m: completing the square in
-    # the defining sum shifts the summation index by (m1+m2, m1)/2
-    m1, m2 = m
-    l1, l2 = l
-    for x in (m1, m2, l1, l2):
-        if not isinstance(x, int):
-            raise ValueError("lattice shifts must be integer vectors")
-    if parity == 2 and (m1 % 2 or m2 % 2):
+def _check_shift(law, element):
+    """The shifts (m, l) of element as tuples of ints, checked before
+    anything converts them.
+
+    THETA_ELL shifts by integers, given plain or as the pairs (k, 0) that
+    the CLI parses from one integer.  The two-variable laws shift by
+    integer pairs with m in 2Z^2: completing the square in T's defining
+    sum shifts the summation index by (m1+m2, m1)/2.
+    """
+    m, l = (tuple(x) if isinstance(x, (tuple, list)) else (x,) for x in element)
+    size = 1 if law == "THETA_ELL" else 2
+    if size == 1:
+        m, l = (x[:1] if x[1:] == (0,) else x for x in (m, l))
+    if len(m) != size or len(l) != size or not all(isinstance(x, int) for x in m + l):
+        raise ValueError(f"{law} shifts must be " + ("integers" if size == 1 else "integer pairs"))
+    if size == 2 and (m[0] % 2 or m[1] % 2):
         raise ValueError("m must lie in 2Z^2 for this law")
+    return m, l
 
 
 def _qstar(z1, z2):
     return z1 * z1 + z2 * z2 + z1 * z2
 
 
-def _nu_f(gamma):
+def _half(gamma):
+    """The conjugate (a, 2b, c/2, d) of gamma, of determinant 1 iff c is even."""
     a, b, c, d = gamma
-    half = (a, 2 * b, c // 2, d)
-    if half[0] * half[3] - half[1] * half[2] != 1:
-        raise ValueError("conjugated matrix must have determinant 1")
-    return eta_multiplier(half) ** 9 * eta_multiplier(gamma) ** -9
+    if c % 2:
+        raise ValueError("matrix not in Gamma_0(2)")
+    return (a, 2 * b, c // 2, d)
+
+
+def _nu_f(gamma):
+    return eta_multiplier(_half(gamma)) ** 9 * eta_multiplier(gamma) ** -9
 
 
 def _mu_j(gamma):
     # composed from the eta-quotient, lattice-theta and ratio multipliers
-    a, b, c, d = gamma
-    half = (a, 2 * b, c // 2, d)
-    if half[0] * half[3] - half[1] * half[2] != 1:
-        raise ValueError("conjugated matrix must have determinant 1")
     return (
-        _jacobi_signed(-3, d)
+        _jacobi_signed(-3, gamma[3])
         * eta_multiplier(gamma) ** -4
-        * eta_multiplier(half) ** 8
+        * eta_multiplier(_half(gamma)) ** 8
     )
-
-
-def _theta_pair(z):
-    if isinstance(z, (tuple, list)):
-        return complex(z[0])
-    return complex(z)
 
 
 def check_transformation(law, element, z, tau, tolerance=1e-8):
     """Residual of one transformation law at one point.
 
     element is a matrix (a, b, c, d) for *_MOD laws and a pair (m, l) of
-    integer vectors for *_ELL laws (plain integers for THETA_ELL).  The
-    residual is |LHS - factor * RHS| / max(1, |RHS|) with the exact
-    automorphy factor of the cited law.
+    integer vectors for *_ELL laws (integers for THETA_ELL); z is one
+    complex number for the THETA laws and a pair (z1, z2) for the others.
+    Malformed input raises ValueError.  The residual is
+    |LHS - factor * RHS| / max(1, |RHS|) with the exact automorphy factor
+    of the cited law.
     """
     if law not in LAW_IDS:
         raise ValueError(f"unknown law {law!r}")
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
-    t0 = time.monotonic()
-    params = {"tau": complex_str(tau)}
-
-    if law.startswith("THETA"):
-        zz = _theta_pair(z)
-        params["z"] = complex_str(zz)
-        if law == "THETA_MOD":
-            gamma = tuple(element)
-            _check_gamma(gamma, 1)
-            a, b, c, d = gamma
-            params["gamma"] = list(gamma)
-            w = c * tau + d
-            lhs = eval_theta(zz / w, (a * tau + b) / w)
-            factor = (
-                eta_multiplier(gamma) ** 3
-                * cmath.sqrt(w)
-                * cmath.exp(1j * math.pi * c * zz * zz / w)
-            )
-        else:
-            m, l = element
-            m = int(m[0]) if isinstance(m, (tuple, list)) else int(m)
-            l = int(l[0]) if isinstance(l, (tuple, list)) else int(l)
-            params["m"] = m
-            params["l"] = l
-            lhs = eval_theta(zz + m * tau + l, tau)
-            factor = (-1) ** ((m + l) & 1) * cmath.exp(
-                _TWO_PI_I * (-tau * m * m / 2 - m * zz)
-            )
-        rhs = eval_theta(zz, tau)
+    kind, mode = law.split("_")
+    if kind == "THETA":
+        if isinstance(z, (tuple, list)):
+            raise ValueError(f"{law} takes one z, not a pair")
+        z = complex(z)
+        params = {"tau": complex_str(tau), "z": complex_str(z)}
+        evaluator = eval_theta
     else:
-        z1, z2 = complex(z[0]), complex(z[1])
-        params["z"] = [complex_str(z1), complex_str(z2)]
-        kind = law.split("_")[0]
+        if not isinstance(z, (tuple, list)) or len(z) != 2:
+            raise ValueError(f"{law} takes a pair z = (z1, z2)")
+        z = z1, z2 = complex(z[0]), complex(z[1])
+        params = {"tau": complex_str(tau), "z": [complex_str(z1), complex_str(z2)]}
         evaluator = {"F": eval_f, "T": eval_T, "J": eval_J}[kind]
-        if law.endswith("_MOD"):
-            gamma = tuple(element)
-            level = {"F": 2, "T": 6, "J": 6}[kind]
-            _check_gamma(gamma, level)
-            if kind in ("F", "J"):
-                eta_multiplier_self_check()
-            a, b, c, d = gamma
-            params["gamma"] = list(gamma)
-            w = c * tau + d
-            lhs = evaluator((z1 / w, z2 / w), (a * tau + b) / w)
-            phase = cmath.exp(1j * math.pi * c * _qstar(z1, z2) / w)
-            if kind == "F":
-                factor = _nu_f(gamma) / phase
-            elif kind == "T":
-                factor = _jacobi_signed(-3, d) * w * phase
-            else:
-                factor = _mu_j(gamma) * w ** 3
+    if mode == "MOD":
+        gamma = tuple(element)
+        _check_gamma(gamma, _LEVELS[kind])
+        params["gamma"] = list(gamma)
+        a, b, c, d = gamma
+        w = c * tau + d
+    else:
+        m, l = _check_shift(law, element)
+        params["m"], params["l"] = (m[0], l[0]) if kind == "THETA" else (list(m), list(l))
+    t0 = time.monotonic()
+
+    if law == "THETA_MOD":
+        lhs = eval_theta(z / w, (a * tau + b) / w)
+        factor = (
+            eta_multiplier(gamma) ** 3
+            * cmath.sqrt(w)
+            * cmath.exp(1j * math.pi * c * z * z / w)
+        )
+    elif law == "THETA_ELL":
+        (m,), (l,) = m, l
+        lhs = eval_theta(z + m * tau + l, tau)
+        factor = (-1) ** ((m + l) & 1) * cmath.exp(_TWO_PI_I * (-tau * m * m / 2 - m * z))
+    elif mode == "MOD":
+        if kind != "T":
+            eta_multiplier_self_check()
+        lhs = evaluator((z1 / w, z2 / w), (a * tau + b) / w)
+        phase = cmath.exp(1j * math.pi * c * _qstar(z1, z2) / w)
+        if kind == "F":
+            factor = _nu_f(gamma) / phase
+        elif kind == "T":
+            factor = _jacobi_signed(-3, d) * w * phase
         else:
-            m, l = element
-            m = (int(m[0]), int(m[1]))
-            l = (int(l[0]), int(l[1]))
-            _check_shift(m, l, 2)
-            params["m"] = list(m)
-            params["l"] = list(l)
-            lhs = evaluator((z1 + m[0] * tau + l[0], z2 + m[1] * tau + l[1]), tau)
-            if kind == "F":
-                factor = cmath.exp(
-                    _TWO_PI_I
-                    * (
-                        tau * _qstar(m[0], m[1]) / 2
-                        + z1 * (m[0] + m[1] / 2)
-                        + z2 * (m[1] + m[0] / 2)
-                    )
-                )
-            elif kind == "T":
-                factor = cmath.exp(
-                    -_TWO_PI_I
-                    * (
-                        tau * _qstar(m[0], m[1]) / 2
-                        + z1 * (m[0] + m[1] / 2)
-                        + z2 * (m[1] + m[0] / 2)
-                    )
-                )
-            else:
-                factor = 1.0
-        rhs = evaluator((z1, z2), tau)
+            factor = _mu_j(gamma) * w ** 3
+    else:
+        lhs = evaluator((z1 + m[0] * tau + l[0], z2 + m[1] * tau + l[1]), tau)
+        # f and T pick up inverse factors, so J, their product with an
+        # eta quotient, picks up none
+        sign = {"F": 1, "T": -1, "J": 0}[kind]
+        factor = cmath.exp(sign * _TWO_PI_I * (
+            tau * _qstar(*m) / 2 + z1 * (m[0] + m[1] / 2) + z2 * (m[1] + m[0] / 2)
+        ))
+    rhs = evaluator(z, tau)
 
     residual = abs(lhs - factor * rhs) / max(1.0, abs(rhs))
     ms = int((time.monotonic() - t0) * 1000)
@@ -497,8 +478,7 @@ def transformation_grid(law):
     kind, mode = law.split("_")
     pts = sample_points()
     if mode == "MOD":
-        level = {"THETA": 1, "F": 2, "T": 6, "J": 6}[kind]
-        elems = gamma_grid(level)
+        elems = gamma_grid(_LEVELS[kind])
     elif law == "T_ELL":
         # keep Q*(m) minimal and Im(tau) low: the automorphy factor grows
         # like |q|^(-Q*(m)/2) and magnifies double-precision roundoff

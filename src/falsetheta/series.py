@@ -19,10 +19,13 @@ one convolution, _mul_add, which bilaurent's products share.
 
 Sums of q^(quadratic in n) are enumerated exactly, with no guessed box:
 `quadratic_range` gives the integers n with a n^2 + b n + c < order, and
-`lattice_points` the integer points of a positive-definite two-variable
-exponent below the order, which `lattice_sum` sums with a weight.  Both
-scale to integers and solve with integer square roots, so exactly the
-qualifying indices are visited.
+`lattice_rows` the integer points of a positive-definite two-variable
+exponent below the order, as one range of n2 per n1; `lattice_points`
+reads them off with their exponents, and `lattice_sum` sums them with a
+weight.  Both scale to integers and solve with integer square roots, so
+exactly the qualifying indices are visited.  The numeric layer sums its
+theta, eta and lattice-theta series over the same enumerators, with
+coefficients that are the exact rationals of its floats.
 """
 
 from itertools import compress, count
@@ -40,6 +43,7 @@ __all__ = [
     "eta_series",
     "eta_product",
     "quadratic_range",
+    "lattice_rows",
     "lattice_points",
     "lattice_sum",
     "series_to_json",
@@ -443,29 +447,38 @@ def quadratic_range(a, b, c, order, lower=None):
     return _negative_range(a, b, c - top, lower)
 
 
-def lattice_points(form, linear, const, order, lower=(None, None)):
-    """Yield (n1, n2, E(n)) for the integer points n with E(n) < order.
+def lattice_rows(form, linear, const, order, lower=(None, None)):
+    """Yield (n1, range of n2) for the integer points n with E(n) < order.
 
     E(n) = a n1^2 + b n1 n2 + c n2^2 + l1 n1 + l2 n2 + const, where
     form = (a, b, c) are the coefficients of that polynomial (b is the
     whole cross coefficient, not half of it) and linear = (l1, l2); all
     are rationals.  lower = (lo1, lo2) restricts the points to n_i >= lo_i,
-    None leaving that coordinate unbounded.  Points come row by row in
-    increasing n1, then n2.  Iteration raises ValueError unless the
+    None leaving that coordinate unbounded.  Rows come in increasing n1;
+    a row's range may be empty.  Iteration raises ValueError unless the
     quadratic part is positive definite.
     """
-    d, (a, b, c, l1, l2, k, top) = _scaled(*form, *linear, const, order)
+    _, (a, b, c, l1, l2, k, top) = _scaled(*form, *linear, const, order)
     if a <= 0 or 4 * a * c - b * b <= 0:
         raise ValueError("quadratic part is not positive definite")
-    # d E(n) < top has a real solution n2 in the row n1 iff the row's
-    # discriminant (b n1 + l2)^2 - 4 c (a n1^2 + l1 n1 + k - top) is positive
+    # E(n) < order, scaled to integers, has a real solution n2 in the row
+    # n1 iff the row's discriminant (b n1 + l2)^2 - 4 c (a n1^2 + l1 n1 +
+    # k - top) is positive
     rows = _negative_range(
         4 * a * c - b * b, 4 * c * l1 - 2 * b * l2, 4 * c * (k - top) - l2 * l2, lower[0]
     )
     for n1 in rows:
+        yield n1, _negative_range(c, b * n1 + l2, (a * n1 + l1) * n1 + k - top, lower[1])
+
+
+def lattice_points(form, linear, const, order, lower=(None, None)):
+    """Yield (n1, n2, E(n)) for the points of lattice_rows(form, linear,
+    const, order, lower), row by row in increasing n1, then n2."""
+    d, (a, b, c, l1, l2, k) = _scaled(*form, *linear, const)
+    for n1, row in lattice_rows(form, linear, const, order, lower):
         lin = b * n1 + l2
         cst = (a * n1 + l1) * n1 + k
-        for n2 in _negative_range(c, lin, cst - top, lower[1]):
+        for n2 in row:
             yield n1, n2, Rat((c * n2 + lin) * n2 + cst, d)
 
 

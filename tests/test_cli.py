@@ -176,6 +176,30 @@ class TestCheck:
         )
         assert code == 0
 
+    def test_theta_shift_with_a_second_component_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "check", "THETA_ELL", "--m", "1,5", "--l", "0,7",
+            "--tau", "0.1+1.2i", "--z", "0.2+0.1i",
+        )
+        assert code == USAGE_ERROR
+        assert out == "" and "integers" in err
+
+    def test_theta_law_with_a_z_pair_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "check", "THETA_MOD", "--gamma", "0,-1,1,0",
+            "--tau", "0.1+1.2i", "--z", "0.21+0.3i,0.11+0.4i",
+        )
+        assert code == USAGE_ERROR
+        assert out == "" and "not a pair" in err
+
+    def test_two_variable_law_with_one_z_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "check", "F_ELL", "--m", "2,0",
+            "--tau", "0.1+1.2i", "--z", "0.21+0.3i",
+        )
+        assert code == USAGE_ERROR
+        assert out == "" and "pair" in err
+
     def test_tolerance_can_force_discrepancy(self, capsys):
         code, out, _ = run(
             capsys, "check", "THETA_MOD", "--gamma", "0,-1,1,0",

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
 from falsetheta.rat import Rat
@@ -23,6 +24,8 @@ from falsetheta.numeric import (
     check_transformation,
     run_transformation_checks,
     residual_report_to_json,
+    sample_points,
+    transformation_grid,
     LAW_IDS,
 )
 
@@ -90,6 +93,82 @@ class TestEvaluators:
             eval_eta(TAU) ** 5 / eval_eta(2 * TAU) * eval_T(z, TAU) * eval_f(z, TAU)
         )
         assert abs(direct - parts) < 1e-10
+
+
+# -- an independent oracle: direct sums at 25 digits --------------------------
+#
+# Each sum runs over a box sized from Im tau and Im z so that every term
+# outside it is below e^-60, which no double can see.  mpmath.jtheta is
+# not used: it takes the principal q^(1/4), a fourth root of unity away
+# from this theta's q^(1/8)^2 at Re tau near 0.82.
+
+_ORACLE_TAIL = 60 / (2 * math.pi)
+
+
+def _mp_sum(exponents):
+    """sum e^(2 pi i X) over the mpc exponents X, at 25 digits."""
+    with mpmath.workdps(25):
+        return complex(mpmath.fsum(mpmath.expj(2 * mpmath.pi * x) for x in exponents()))
+
+
+def oracle_theta(z, tau, scale):
+    s, y = scale * tau.imag, abs(z.imag)
+    N = int((y + math.sqrt(y * y + 2 * s * _ORACLE_TAIL)) / s) + 2
+    half = mpmath.mpf(1) / 2
+    z, tau = mpmath.mpc(z), mpmath.mpc(tau)
+    return _mp_sum(lambda: (
+        scale * tau * n * n / 2 + n * (z + half) for n in (j + half for j in range(-N - 1, N + 1))
+    ))
+
+
+def oracle_eta(tau):
+    K = int(math.sqrt(24 * _ORACLE_TAIL / tau.imag) / 6) + 2
+    tau = mpmath.mpc(tau)
+    # (-1)^k is e^(2 pi i k/2)
+    return _mp_sum(lambda: (tau * (6 * k + 1) ** 2 / 24 + k / 2 for k in range(-K, K + 1)))
+
+
+def oracle_T(z, tau):
+    z1, z2 = z
+    # 2 Q(n) >= |n|^2 >= max|n_i|^2, and |(Im w) . n| <= Y max|n_i|
+    t, Y = tau.imag, abs(z1.imag + 2 * z2.imag) + abs(z1.imag - z2.imag)
+    R = int((Y + math.sqrt(Y * Y + 4 * t * _ORACLE_TAIL)) / (2 * t)) + 2
+    box = range(-R, R + 1)
+    tau, w1, w2 = mpmath.mpc(tau), mpmath.mpc(z1 + 2 * z2), mpmath.mpc(z1 - z2)
+    return _mp_sum(lambda: (
+        2 * tau * (n1 * n1 + n2 * n2 - n1 * n2) + n1 * w1 + n2 * w2
+        for n1 in box for n2 in box
+        # terms below e^-60 by a double's estimate, with room to spare
+        if 2 * t * (n1 * n1 + n2 * n2 - n1 * n2) - Y * max(abs(n1), abs(n2)) < 2 * _ORACLE_TAIL
+    ))
+
+
+def _oracle_points():
+    """The sample points and the three transformed points of the
+    two-variable modular grids with the smallest Im tau (about 0.003)."""
+    moved = set()
+    for law in ("F_MOD", "T_MOD", "J_MOD"):
+        for (a, b, c, d), (z1, z2), tau in transformation_grid(law):
+            w = c * tau + d
+            moved.add((z1 / w, z2 / w, (a * tau + b) / w))
+    moved = sorted(moved, key=lambda p: p[2].imag)[:3]
+    return [pytest.param(*p, id=f"sample{i}") for i, p in enumerate(sample_points())] + [
+        pytest.param(*p, id=f"Im_tau={p[2].imag:.4f}") for p in moved
+    ]
+
+
+ORACLE_RTOL = 1e-12  # double-precision sums, measured within 3e-14
+
+
+@pytest.mark.parametrize("z1,z2,tau", _oracle_points())
+def test_evaluators_match_direct_high_precision_sums(z1, z2, tau):
+    def close(got, want):
+        return abs(got - want) <= ORACLE_RTOL * abs(want)
+
+    assert close(eval_theta(z1, tau), oracle_theta(z1, tau, 1))
+    assert close(eval_theta(z2, tau, 2), oracle_theta(z2, tau, 2))
+    assert close(eval_eta(tau), oracle_eta(tau))
+    assert close(eval_T((z1, z2), tau), oracle_T((z1, z2), tau))
 
 
 class TestArithmetic:
@@ -184,6 +263,34 @@ class TestTransformationLaws:
             check_transformation("T_MOD", (1, 0, 2, 1), (Z, 0.1j), TAU)
         with pytest.raises(ValueError):
             check_transformation("F_ELL", ((1, 0), (0, 0)), (Z, 0.1j), TAU)
+
+    @pytest.mark.parametrize("law,element", [
+        ("F_ELL", ((2.9, 0), (0, 0))),  # int() would make it m = (2, 0)
+        ("T_ELL", ((2, 0), (0.5, 0))),
+        ("J_ELL", ((2, 0, 2), (0, 0))),
+        ("THETA_ELL", ((1, 5), (0, 0))),  # int(m[0]) would drop the 5
+        ("THETA_ELL", ((1, 0), (0, 7))),
+        ("THETA_ELL", (1.5, 0)),
+    ])
+    def test_malformed_shifts_are_refused(self, law, element):
+        z = Z if law == "THETA_ELL" else (Z, 0.1j)
+        with pytest.raises(ValueError):
+            check_transformation(law, element, z, TAU)
+
+    def test_theta_shift_pairs_with_zero_second_entry_are_integers(self):
+        pair = check_transformation("THETA_ELL", ((1, 0), (1, 0)), Z, TAU)
+        plain = check_transformation("THETA_ELL", (1, 1), Z, TAU)
+        assert pair.params == plain.params and pair.residual == plain.residual
+
+    @pytest.mark.parametrize("law,element,z", [
+        ("THETA_MOD", (0, -1, 1, 0), (Z, 0.1j)),
+        ("THETA_ELL", (1, 0), [Z]),
+        ("F_MOD", (1, 0, 2, 1), Z),
+        ("T_ELL", ((2, 0), (0, 0)), (Z, 0.1j, 0.2j)),
+    ])
+    def test_z_of_the_wrong_shape_is_refused(self, law, element, z):
+        with pytest.raises(ValueError):
+            check_transformation(law, element, z, TAU)
 
     def test_residual_report_schema(self):
         rep = check_transformation("THETA_ELL", (1, 0), Z, TAU)

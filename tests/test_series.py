@@ -1,6 +1,7 @@
 """Truncated q-series arithmetic and the classical builders."""
 
 import importlib.util
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from falsetheta.series import (
     eta_series,
     eta_product,
     quadratic_range,
+    lattice_rows,
+    lattice_points,
     series_to_json,
     series_from_json,
     _binomial_table,
@@ -394,6 +397,65 @@ class TestQuadraticRange:
     def test_rejects_a_leading_coefficient_that_is_not_positive(self, a):
         with pytest.raises(ValueError):
             quadratic_range(a, 1, 0, 5)
+
+
+def _lattice_coeffs(lo, hi):
+    # exact small rationals, and Fraction of arbitrary floats, whose
+    # denominators run to 2^52 and beyond, as the numeric layer passes
+    return _rationals(lo, hi) | st.floats(lo, hi, allow_subnormal=False).map(Fraction)
+
+
+def _brute_lattice(form, linear, const, order, lower):
+    """The points n >= lower with E(n) < order and E(n), from a box |n_i| <= R.
+
+    With r = max |n_i|, E(n) >= mu r^2 - (|l1| + |l2|) r + const, where
+    mu = det / trace <= the smaller eigenvalue of the quadratic part; as
+    in _brute_range, nothing lies outside the first R past the vertex
+    where that bound reaches the order.
+    """
+    a, b, c = form
+    l1, l2 = linear
+    mu = (a * c - b * b / 4) / (a + c)
+    L = abs(l1) + abs(l2)
+    R = 0
+    while 2 * mu * R < L or mu * R * R - L * R + const < order:
+        R += 1
+    box = range(-R, R + 1)
+    lo1, lo2 = (-R if x is None else x for x in lower)
+    return [
+        (n1, n2, E)
+        for n1 in box if n1 >= lo1
+        for n2 in box if n2 >= lo2
+        for E in [a * n1 * n1 + b * n1 * n2 + c * n2 * n2 + l1 * n1 + l2 * n2 + const]
+        if E < order
+    ]
+
+
+class TestLatticePoints:
+    @given(
+        a=_lattice_coeffs(1, 4), c=_lattice_coeffs(1, 4),
+        skew=_lattice_coeffs(-1, 1),
+        l1=_lattice_coeffs(-3, 3), l2=_lattice_coeffs(-3, 3), const=_lattice_coeffs(-3, 3),
+        order=_lattice_coeffs(-4, 12),
+        lower=st.tuples(st.none() | st.integers(-4, 4), st.none() | st.integers(-4, 4)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, a, c, skew, l1, l2, const, order, lower):
+        b = skew * Rat(8, 5) * min(a, c)  # |b| < 2 sqrt(ac): positive definite
+        args = ((a, b, c), (l1, l2), const, order, lower)
+        want = _brute_lattice(*args)
+        assert list(lattice_points(*args)) == want
+        rows = list(lattice_rows(*args))
+        assert all(isinstance(r, range) for _, r in rows)
+        assert [n1 for n1, _ in rows] == sorted({n1 for n1, _ in rows})
+        assert [(n1, n2) for n1, r in rows for n2 in r] == [(n1, n2) for n1, n2, _ in want]
+
+    @pytest.mark.parametrize("form", [(1, 2, 1), (1, 3, 1), (0, 0, 1), (-1, 0, -1)])
+    def test_rejects_a_form_that_is_not_positive_definite(self, form):
+        with pytest.raises(ValueError):
+            next(lattice_rows(form, (0, 0), 0, 5))
+        with pytest.raises(ValueError):
+            next(lattice_points(form, (0, 0), 0, 5))
 
 
 def _explicit_binomials(factors, order):
