@@ -1,10 +1,13 @@
 """Two-variable Laurent series over PuiseuxSeries coefficients.
 
-Keys are pairs of rational exponents of the elliptic units (z1, z2); each
-key carries a truncated q-series.  Every series is tagged with the
-annulus (Region) its meromorphic factors were expanded in; mixing
-regions is a hard error, because the same rational function has
-different Laurent expansions in different annuli.
+Keys are the exponents (e1, e2) of the elliptic units (z1, z2), stored
+as int pairs (k1, k2) over kd, the least common key denominator: `rows`
+maps (k1, k2) to the q-series of the key (k1/kd, k2/kd); `terms`, `coeff`
+and the JSON read rational keys off it.  Operations meet on the lcm of
+their operands' kd and build their results with _from_rows.  Every series
+is tagged with the annulus (Region) its meromorphic factors were expanded
+in; mixing regions is a hard error, because the same rational function
+has different Laurent expansions in different annuli.
 
 bl_mul and product_coeff share one kernel, _int_product:
 it spreads the integer row each key's PuiseuxSeries holds onto one grid
@@ -15,7 +18,7 @@ The optional `window` W marks a clip: keys outside |e1|, |e2| <= W were
 dropped, so their coefficients are unknown and reading one raises.  It
 is set only by `clip` and by builders that bound what they build, such
 as the geometric series 1/(1 - u), whose key support at a fixed q-order
-is otherwise unbounded.  bl_add keeps the smaller of its operands'
+is otherwise unbounded.  bl_add keeps the smallest of its operands'
 windows; bl_scalar_mul, truncate_q and bl_elliptic_shift keep their
 operand's; bl_mul and laurent_poly_exact_divide return none, so a key
 outside a product's support reads as zero.  Callers choose a window as
@@ -25,7 +28,7 @@ an analysis parameter and pair it with a compatible q-order.
 import enum
 from math import gcd, lcm
 
-from .rat import Rat, rat, rat_ceil, rat_str, parse_rat
+from .rat import Rat, rat, rat_ceil, rat_floor, rat_str, parse_rat
 from .series import PuiseuxSeries, zero as q_zero, one as q_one, monomial as q_monomial
 from .series import series_to_json, series_from_json
 from .series import _from_row, _grid, _mul_add, _scaled, _spread
@@ -71,38 +74,48 @@ UNIT_KEYS = {"z1": (1, 0), "z2": (0, 1), "z12": (1, 1)}
 
 
 class BiLaurentSeries:
-    """Immutable region-tagged series sum_{e} c_e(q) z1^e1 z2^e2."""
+    """Immutable region-tagged series sum_k rows[k](q) z1^(k1/kd) z2^(k2/kd)."""
 
-    __slots__ = ("terms", "qorder", "region", "window")
+    __slots__ = ("kd", "rows", "qorder", "region", "window")
 
     def __init__(self, terms, qorder, region, window=None):
-        qorder = rat(qorder)
         if not isinstance(region, Region):
             raise TypeError("region must be a Region")
+        kd, ks = _scaled(*(e for key in terms for e in key))
+        rows = dict(zip(zip(ks[::2], ks[1::2]), terms.values()))
+        self._store(kd, rows, rat(qorder), region, window)
+
+    def _store(self, kd, rows, qorder, region, window):
+        """Store rows over kd clipped to the window, truncated to qorder, zeros
+        dropped and kd reduced; a kept coefficient below qorder raises."""
+        lim = None if window is None else rat_floor(rat(window) * kd)
         clean = {}
-        for key, coeff in terms.items():
-            e1, e2 = rat(key[0]), rat(key[1])
-            if window is not None and (abs(e1) > window or abs(e2) > window):
+        for k, c in rows.items():
+            if lim is not None and (abs(k[0]) > lim or abs(k[1]) > lim):
                 continue
-            if coeff.order > qorder:
-                coeff = coeff.truncate(qorder)
-            elif coeff.order < qorder:
-                raise ValueError("coefficient order below the global qorder")
-            if not coeff.is_zero():
-                clean[(e1, e2)] = coeff
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "qorder", qorder)
-        object.__setattr__(self, "region", region)
-        object.__setattr__(self, "window", window)
+            c = c.truncate(qorder)  # raises if c.order < qorder
+            if c.row:
+                clean[k] = c
+        g = gcd(kd, *(x for k in clean for x in k))
+        if g > 1:
+            kd //= g
+            clean = {(k1 // g, k2 // g): c for (k1, k2), c in clean.items()}
+        for name, x in zip(self.__slots__, (kd, clean, qorder, region, window)):
+            object.__setattr__(self, name, x)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("BiLaurentSeries is immutable")
 
     def qvaluation(self):
         """Minimal coefficient valuation over all keys (qorder if empty)."""
-        if not self.terms:
-            return self.qorder
-        return min(c.valuation() for c in self.terms.values())
+        return min((c.valuation() for c in self.rows.values()), default=self.qorder)
+
+    @property
+    def terms(self):
+        """The map {key: coefficient}, built on demand in increasing key."""
+        kd = self.kd
+        return {(Rat(k1, kd), Rat(k2, kd)): c for (k1, k2), c in sorted(self.rows.items())}
 
     def coeff(self, r1, r2):
         key = (rat(r1), rat(r2))
@@ -110,20 +123,23 @@ class BiLaurentSeries:
             abs(key[0]) > self.window or abs(key[1]) > self.window
         ):
             raise ValueError(f"key {key} outside window {self.window}")
-        return self.terms.get(key, q_zero(self.qorder))
+        k1, k2 = key[0] * self.kd, key[1] * self.kd
+        if k1.denominator == k2.denominator == 1:  # else off the key lattice
+            return self.rows.get((k1.numerator, k2.numerator), q_zero(self.qorder))
+        return q_zero(self.qorder)
 
     def keys_sorted(self):
-        return sorted(self.terms)
+        return list(self.terms)
 
     def clip(self, window):
         """Drop keys outside |ei| <= window; reading one of them raises."""
-        return BiLaurentSeries(self.terms, self.qorder, self.region, window)
+        return _from_rows(self.kd, self.rows, self.qorder, self.region, window)
 
     def truncate_q(self, qorder):
         qorder = rat(qorder)
         if qorder > self.qorder:
             raise ValueError("cannot extend q-truncation")
-        return BiLaurentSeries(self.terms, qorder, self.region, self.window)
+        return _from_rows(self.kd, self.rows, qorder, self.region, self.window)
 
     def __eq__(self, other):
         if not isinstance(other, BiLaurentSeries):
@@ -131,14 +147,15 @@ class BiLaurentSeries:
         return (
             self.region is other.region
             and self.qorder == other.qorder
-            and self.terms == other.terms
+            and self.kd == other.kd
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.region, self.qorder, frozenset(self.terms)))
+        return hash((self.region, self.qorder, self.kd, frozenset(self.rows)))
 
     def __repr__(self):
-        n = len(self.terms)
+        n = len(self.rows)
         return (
             f"<BiLaurentSeries {self.region.value} keys={n} "
             f"qorder={self.qorder} window={self.window}>"
@@ -157,6 +174,20 @@ class BiLaurentSeries:
         return bl_mul(self, other)
 
 
+def _from_rows(kd, rows, qorder, region, window=None):
+    """The series of rows {(k1, k2): PuiseuxSeries} over kd; see _store."""
+    return object.__new__(BiLaurentSeries)._store(kd, rows, qorder, region, window)
+
+
+def _common_rows(series):
+    """(kd, [rows]): the lcm of the series' kd, and each one's rows over it."""
+    kd, out = lcm(*(a.kd for a in series)), []
+    for a in series:
+        m = kd // a.kd
+        out.append(a.rows if m == 1 else {(k1 * m, k2 * m): c for (k1, k2), c in a.rows.items()})
+    return kd, out
+
+
 def bl_zero(qorder, region, window=None):
     return BiLaurentSeries({}, qorder, region, window)
 
@@ -169,13 +200,11 @@ def bl_monomial(coeff, e1, e2, qorder, region, window=None):
     """coeff(q) * z1^e1 z2^e2; coeff may be a PuiseuxSeries or a rational."""
     if not isinstance(coeff, PuiseuxSeries):
         coeff = q_monomial(coeff, 0, qorder)
-    return BiLaurentSeries({(rat(e1), rat(e2)): coeff}, qorder, region, window)
+    return BiLaurentSeries({(e1, e2): coeff}, qorder, region, window)
 
 
 def bl_mul_scalar_int(a, n):
-    return BiLaurentSeries(
-        {k: c * n for k, c in a.terms.items()}, a.qorder, a.region, a.window
-    )
+    return _from_rows(a.kd, {k: c * n for k, c in a.rows.items()}, a.qorder, a.region, a.window)
 
 
 def _check_regions(a, b):
@@ -185,42 +214,37 @@ def _check_regions(a, b):
         )
 
 
-def bl_add(a, b):
-    """The sum, of the smaller qorder, to which the constructor truncates."""
-    _check_regions(a, b)
-    qorder = min(a.qorder, b.qorder)
-    terms = dict(a.terms)
-    for k, c in b.terms.items():
-        terms[k] = terms[k] + c if k in terms else c
-    windows = [w for w in (a.window, b.window) if w is not None]
-    return BiLaurentSeries(terms, qorder, a.region, min(windows, default=None))
+def bl_add(*operands):
+    """The sum of one or more series in one pass over their rows, with their
+    smallest qorder (every coefficient truncated to it) and smallest window."""
+    (kd, each), rows = _common_rows(operands), {}
+    for b, brows in zip(operands, each):
+        _check_regions(operands[0], b)
+        for k, c in brows.items():
+            rows[k] = rows[k] + c if k in rows else c
+    windows = [b.window for b in operands if b.window is not None]
+    return _from_rows(kd, rows, min(b.qorder for b in operands), operands[0].region,
+                      min(windows, default=None))
 
 
 def _int_product(factors, qorder, key=None):
-    """The terms below qorder of the product of `factors`; with a key
-    (r1, r2), only that key's.
+    """The rows below qorder of the product of the factors, given as their
+    rows over one kd; with a key over that kd, only that key's.
 
     Each key's row is spread onto one grid of step s, the gcd of all steps
     and of the valuation differences within each factor: a key of
     valuation v becomes (lo, ints), v = e0 + lo s for e0 its factor's least
-    valuation, ints over the lcm of the factor's denominators.  Keys
-    become ints over kd, the lcm of the key denominators.  Key tuples are
-    walked from the last factor down to the first, whose key is looked up
-    when the sum is fixed, and skipped once their rows start at or past
+    valuation, ints over the lcm of the factor's denominators.  Key tuples
+    are walked from the last factor down to the first, whose key is looked
+    up when the sum is fixed, and skipped once their rows start at or past
     the order; each tuple's row product is added into one row per key.
     """
-    if not all(f.terms for f in factors):
+    if not all(factors):
         return {}
-    kd, kints = _scaled(*(e for f in factors for k in f.terms for e in k))
-    if key is not None:
-        if any(kd % e.denominator for e in key):
-            return {}  # off the lattice of key sums
-        key = ((key[0] * kd).numerator, (key[1] * kd).numerator)
-    g0, ints = _grid(*(x for f in factors for s in f.terms.values() for x in (s.step, s.v)))
-    ints, kints = iter(ints), iter(kints)
-    # (key times kd, series, step / g0, valuation / g0) for each key of each factor
-    grid = [[((next(kints), next(kints)), s, next(ints), next(ints)) for s in f.terms.values()]
-            for f in factors]
+    g0, ints = _grid(*(x for f in factors for s in f.values() for x in (s.step, s.v)))
+    ints = iter(ints)
+    # (key, series, step / g0, valuation / g0) for each key of each factor
+    grid = [[(k, s, next(ints), next(ints)) for k, s in f.items()] for f in factors]
     e0 = [min(u for _, _, _, u in fg) for fg in grid]
     g = gcd(*(x for fg, m in zip(grid, e0) for _, _, t, u in fg for x in (t, u - m)))
     scale, rows = 1, []
@@ -259,10 +283,7 @@ def _int_product(factors, qorder, key=None):
             _mul_add(nxt, 0, part, r)
             part = nxt
         _mul_add(dst, s, part, tup[-1])
-    return {
-        (Rat(k1, kd), Rat(k2, kd)): _from_row(v, step, row, scale, qorder)
-        for (k1, k2), row in sums.items()
-    }
+    return {k: _from_row(v, step, row, scale, qorder) for k, row in sums.items()}
 
 
 def bl_mul(a, b):
@@ -275,7 +296,8 @@ def bl_mul(a, b):
     """
     _check_regions(a, b)
     qorder = min(a.qorder + b.qvaluation(), b.qorder + a.qvaluation())
-    return BiLaurentSeries(_int_product((a, b), qorder), qorder, a.region)
+    kd, rows = _common_rows((a, b))
+    return _from_rows(kd, _int_product(rows, qorder), qorder, a.region)
 
 
 def product_coeff(factors, r1, r2):
@@ -299,14 +321,18 @@ def product_coeff(factors, r1, r2):
         _check_regions(factors[0], f)
     vals = [f.qvaluation() for f in factors]
     qorder = min(f.qorder + sum(vals) - v for f, v in zip(factors, vals))
-    key = (rat(r1), rat(r2))
-    return _int_product(factors, qorder, key).get(key, q_zero(qorder))
+    kd, rows = _common_rows(factors)
+    k1, k2 = rat(r1) * kd, rat(r2) * kd
+    if k1.denominator != 1 or k2.denominator != 1:
+        return q_zero(qorder)  # off the lattice of key sums
+    key = (k1.numerator, k2.numerator)
+    return _int_product(rows, qorder, key).get(key, q_zero(qorder))
 
 
 def bl_scalar_mul(a, s):
     """Multiply every coefficient by the one-variable series s(q)."""
     qorder = min(a.qorder + s.valuation(), s.order + a.qvaluation())
-    return BiLaurentSeries({k: c * s for k, c in a.terms.items()}, qorder, a.region, a.window)
+    return _from_rows(a.kd, {k: c * s for k, c in a.rows.items()}, qorder, a.region, a.window)
 
 
 def expand_inverse_one_minus(unit, n, qorder, zwindow=None, invert_unit=False):
@@ -330,13 +356,11 @@ def expand_inverse_one_minus(unit, n, qorder, zwindow=None, invert_unit=False):
     if n < 0:
         # 1/(1 - x) = -x^-1/(1 - x^-1)
         d1, d2, n, lead, k = -d1, -d2, -n, -1, 1
-    terms = {}
-    while k * n < qorder and (
-        zwindow is None or max(abs(k * d1), abs(k * d2)) <= zwindow
-    ):
-        terms[(rat(k * d1), rat(k * d2))] = q_monomial(lead, k * n, qorder)
+    rows = {}
+    while k * n < qorder and (zwindow is None or k <= zwindow):
+        rows[(k * d1, k * d2)] = q_monomial(lead, k * n, qorder)
         k += 1
-    return BiLaurentSeries(terms, qorder, Region.INNER, zwindow)
+    return _from_rows(1, rows, qorder, Region.INNER, zwindow)
 
 
 def bl_elliptic_shift(a, m1, m2):
@@ -349,17 +373,8 @@ def bl_elliptic_shift(a, m1, m2):
     if a.window is None:
         raise ValueError("elliptic shift requires a finite window")
     qorder = a.qorder - (abs(m1) + abs(m2)) * a.window
-    terms = {k: c.shift(m1 * k[0] + m2 * k[1]) for k, c in a.terms.items()}
-    return BiLaurentSeries(terms, qorder, a.region, a.window)
-
-
-def _constant_terms(a, who):
-    out = {}
-    for k, c in a.terms.items():
-        if set(c.terms) - {Rat(0)}:
-            raise ValueError(f"{who} is not a constant-coefficient Laurent polynomial")
-        out[k] = c.coeff(0)
-    return out
+    rows = {k: c.shift(Rat(m1 * k[0] + m2 * k[1], a.kd)) for k, c in a.rows.items()}
+    return _from_rows(a.kd, rows, qorder, a.region, a.window)
 
 
 def laurent_poly_exact_divide(numer, denom):
@@ -370,8 +385,11 @@ def laurent_poly_exact_divide(numer, denom):
     the lex-leading term; the quotient support is confined a priori to
     the componentwise box [min(numer) - max(denom), max(numer) - min(denom)].
     """
-    nterms = _constant_terms(numer, "numerator")
-    dterms = _constant_terms(denom, "denominator")
+    kd, rows = _common_rows((numer, denom))
+    for r, who in zip(rows, ("numerator", "denominator")):
+        if any(c.v or len(c.row) != 1 for c in r.values()):
+            raise ValueError(f"{who} is not a constant-coefficient Laurent polynomial")
+    nterms, dterms = ({k: Rat(c.row[0], c.den) for k, c in r.items()} for r in rows)
     if not dterms:
         raise ZeroDivisionError("division by the zero polynomial")
     qorder = min(numer.qorder, denom.qorder)
@@ -395,9 +413,10 @@ def laurent_poly_exact_divide(numer, denom):
         lead = max(rem)
         t = (lead[0] - lead_d[0], lead[1] - lead_d[1])
         if not (lo[0] <= t[0] <= hi[0] and lo[1] <= t[1] <= hi[1]):
+            mono = (Rat(lead[0], kd), Rat(lead[1], kd))
             raise ExactDivisionError(
-                f"nonzero remainder at monomial z1^{lead[0]} z2^{lead[1]}",
-                monomial=lead,
+                f"nonzero remainder at monomial z1^{mono[0]} z2^{mono[1]}",
+                monomial=mono,
             )
         c = rem[lead] / cd
         quot[t] = quot.get(t, Rat(0)) + c
@@ -408,10 +427,8 @@ def laurent_poly_exact_divide(numer, denom):
                 rem[key] = s
             else:
                 rem.pop(key, None)
-    terms = {
-        k: q_monomial(c, 0, qorder) for k, c in quot.items() if c
-    }
-    return BiLaurentSeries(terms, qorder, region)
+    rows = {k: q_monomial(c, 0, qorder) for k, c in quot.items()}
+    return _from_rows(kd, rows, qorder, region)
 
 
 # -- serialization ------------------------------------------------------------
@@ -423,12 +440,8 @@ def bl_to_json(a):
         "qorder": rat_str(a.qorder),
         "window": a.window,
         "terms": [
-            {
-                "e1": rat_str(e1),
-                "e2": rat_str(e2),
-                "series": series_to_json(a.terms[(e1, e2)]),
-            }
-            for (e1, e2) in a.keys_sorted()
+            {"e1": rat_str(e1), "e2": rat_str(e2), "series": series_to_json(c)}
+            for (e1, e2), c in a.terms.items()
         ],
     }
 

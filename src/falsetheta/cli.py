@@ -137,8 +137,7 @@ def _print_series(s, fmt, out):
         json.dump(bl_to_json(s), out, indent=2)
         out.write("\n")
     else:
-        for e1, e2 in s.keys_sorted():
-            coeff = s.coeff(e1, e2)
+        for (e1, e2), coeff in s.terms.items():
             out.write(f"zeta1^({rat_str(e1)}) zeta2^({rat_str(e2)}): {coeff!r}\n")
         out.write(f"region={s.region.name} + O(q^({rat_str(s.qorder)}))\n")
 

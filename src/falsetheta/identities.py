@@ -31,10 +31,11 @@ from .series import (
     lattice_sum,
 )
 from .bilaurent import (
-    BiLaurentSeries,
     Region,
     UNIT_KEYS,
     ExactDivisionError,
+    bl_zero,
+    bl_one,
     bl_monomial,
     bl_mul,
     bl_add,
@@ -44,6 +45,8 @@ from .bilaurent import (
     expand_inverse_one_minus,
     laurent_poly_exact_divide,
     product_coeff,
+    _common_rows,
+    _from_rows,
 )
 from .thetas import (
     theta_hat,
@@ -138,21 +141,19 @@ def _compares(a, b, order):
     if isinstance(a, PuiseuxSeries):
         o, coeffs = min(a.order, b.order, order), (a, b)
     else:
-        o, coeffs = min(a.qorder, b.qorder, order), (*a.terms.values(), *b.terms.values())
+        o, coeffs = min(a.qorder, b.qorder, order), (*a.rows.values(), *b.rows.values())
     return any(not c.truncate(o).is_zero() for c in coeffs)
 
 
 def _bl_diff(a, b, order):
-    keys = set(a.terms) | set(b.terms)
+    """((e1, e2, e), a_e, b_e) at the least e, then key, where a and b differ."""
+    kd, (ra, rb) = _common_rows((a, b))
+    za, zb = q_zero(a.qorder), q_zero(b.qorder)
     best = None
-    for key in sorted(keys):
-        ca = a.terms.get(key, q_zero(a.qorder))
-        cb = b.terms.get(key, q_zero(b.qorder))
-        d = _series_diff(ca, cb, order)
-        if d is not None:
-            loc = ((key[0], key[1], d[0]), d[1], d[2])
-            if best is None or loc[0][2] < best[0][2]:
-                best = loc
+    for key in sorted(ra.keys() | rb.keys()):
+        d = _series_diff(ra.get(key, za), rb.get(key, zb), order)
+        if d is not None and (best is None or d[0] < best[0][2]):
+            best = ((Rat(key[0], kd), Rat(key[1], kd), d[0]), d[1], d[2])
     return best
 
 
@@ -161,14 +162,14 @@ def _bl_diff(a, b, order):
 
 def _rho_double_sum(order, W):
     """sum rho_{n1,n2} q^(n1 n2) z1^n1 z2^n2, keys clipped to |ni| <= W."""
-    terms = {}
+    rows = {}
     for n1 in range(-W, W + 1):
         for n2 in range(-W, W + 1):
             w = rho(n1, n2)
-            e = Rat(n1 * n2)
+            e = n1 * n2
             if w and e >= 0 and e < order:
-                terms[(rat(n1), rat(n2))] = q_monomial(w, e, order)
-    return BiLaurentSeries(terms, order, Region.INNER, W)
+                rows[(n1, n2)] = q_monomial(w, e, order)
+    return _from_rows(1, rows, order, Region.INNER, W)
 
 
 def _partial_fraction_sum(order, W):
@@ -178,7 +179,7 @@ def _partial_fraction_sum(order, W):
     where the rho weight survives, which bounds the enumeration.
     """
     half = Rat(1, 2)
-    terms = {}
+    rows = {}
     for n in quadratic_range(half, half, 0, order, 0):
         sign = -1 if n % 2 else 1
         for m in ((0,) if n == 0 else (n, -n)):
@@ -186,10 +187,9 @@ def _partial_fraction_sum(order, W):
                 w = rho(m, n2)
                 e = Rat(m * (m + 1), 2) + m * n2
                 if w and 0 <= e < order:
-                    key = (rat(n2), Rat(0))
                     add = q_monomial(sign * w, e, order)
-                    terms[key] = terms.get(key, q_zero(order)) + add
-    return BiLaurentSeries(terms, order, Region.INNER, W)
+                    rows[(n2, 0)] = rows.get((n2, 0), q_zero(order)) + add
+    return _from_rows(1, rows, order, Region.INNER, W)
 
 
 def _t2t_hyper(unit, order, variant):
@@ -200,13 +200,13 @@ def _t2t_hyper(unit, order, variant):
     quadratic exponent (quad=1) and a single (q^2; q^2)_oo prefactor.
     """
     d1, d2 = UNIT_KEYS[unit]
-    terms = {}
+    rows = {}
     # the key u^m, |m| = a, has exponents from a up; a < order
     for a in range(rat_ceil(order)):
         c = _A_table(a, (order - a) / 2, variant == "quad").scale_q(2).shift(a)
         for m in ((a, -a) if a else (0,)):
-            terms[(rat(m * d1), rat(m * d2))] = c
-    body = BiLaurentSeries(terms, order, Region.INNER)
+            rows[(m * d1, m * d2)] = c
+    body = _from_rows(1, rows, order, Region.INNER)
     # q^(1/8) (-q; q)_oo, over (q^2; q^2)_oo for "quad"
     powers = {1: -1} if variant == "quad" else {1: -1, 2: 1}
     return bl_scalar_mul(body, eta_product(powers, order - Rat(1, 8)).shift(Rat(1, 8)))
@@ -214,21 +214,17 @@ def _t2t_hyper(unit, order, variant):
 
 def _six_monomial_numerator(n1, n2, qorder=1):
     """The six signed unit monomials of the bracketed lattice summand."""
-    out = BiLaurentSeries({}, qorder, Region.OUTER)
-    for s, e1, e2 in _orbit_offsets(n1, n2, 0, 0):
-        out = bl_add(out, bl_monomial(s, e1, e2, qorder, Region.OUTER))
-    return out
+    return bl_add(*(bl_monomial(s, e1, e2, qorder, Region.OUTER)
+                    for s, e1, e2 in _orbit_offsets(n1, n2, 0, 0)))
 
 
-def _weyl_denominator_poly(qorder=1):
-    out = bl_monomial(1, 0, 0, qorder, Region.OUTER)
-    for e1, e2 in ((-1, 0), (0, -1), (-1, -1)):
-        fac = bl_add(
-            bl_monomial(1, 0, 0, qorder, Region.OUTER),
-            bl_monomial(-1, e1, e2, qorder, Region.OUTER),
-        )
-        out = bl_mul(out, fac)
-    return out
+def _one_minus(e1, e2):
+    return bl_add(bl_one(1, Region.OUTER), bl_monomial(-1, e1, e2, 1, Region.OUTER))
+
+
+# E19's divisor prod (1 - z^-alpha) over the positive roots alpha of A2,
+# the same at every grid point and order
+_WEYL_DENOMINATOR = bl_mul(bl_mul(_one_minus(-1, 0), _one_minus(0, -1)), _one_minus(-1, -1))
 
 
 def _sgn_weighted_sum(order, extra_half):
@@ -291,13 +287,11 @@ def _build_E3(p, order):
     W = int(order)
     rho_sum = _rho_double_sum(order, W)
     if p["part"] == "expansion":
-        # middle route: sum over n of z1^n times a geometric series in z2
-        acc = BiLaurentSeries({}, order, Region.INNER, W)
-        for n in range(-W, W + 1):
-            g = expand_inverse_one_minus("z2", n, order, zwindow=W)
-            term = bl_mul(bl_monomial(1, n, 0, order, Region.INNER), g)
-            acc = bl_add(acc, term)
-        return acc, rho_sum
+        # middle route: sum over n of z1^n times a geometric series in z2 of window W
+        terms = (bl_mul(bl_monomial(1, n, 0, order, Region.INNER),
+                        expand_inverse_one_minus("z2", n, order, zwindow=W))
+                 for n in range(-W, W + 1))
+        return bl_add(*terms).clip(W), rho_sum
     # product route, division-free:
     # eta^3 theta_hat(z1 z2) = rho-sum * theta_hat(z1) * theta_hat(z2)
     B = order + Rat(1, 8)
@@ -305,7 +299,7 @@ def _build_E3(p, order):
     lhs = bl_scalar_mul(theta_hat("z12", 1, B), eta_cubed)
     th1 = theta_hat("z1", 1, order)
     rhs = bl_mul(bl_mul(rho_sum, th1), theta_hat("z2", 1, order))
-    K = W - max(abs(e1) for e1, _ in th1.terms)
+    K = W - Rat(max(abs(k1) for k1, _ in th1.rows), th1.kd)
     return lhs.clip(K), rhs.clip(K)
 
 
@@ -313,22 +307,22 @@ def _build_E4(p, order):
     W = int(order)
     pf_sum = _partial_fraction_sum(order, W)
     if p["part"] == "expansion":
-        acc = BiLaurentSeries({}, order, Region.INNER, W)
         half = Rat(1, 2)
+        terms = []
         for n in quadratic_range(half, half, 0, order, 0):
             sign = -1 if n % 2 else 1
             for m in ((0,) if n == 0 else (n, -n)):
                 base = Rat(m * (m + 1), 2)
                 g = expand_inverse_one_minus("z1", m, order - base, zwindow=W)
-                acc = bl_add(acc, bl_scalar_mul(g, q_monomial(sign, base, order)))
-        return acc.truncate_q(order), pf_sum
+                terms.append(bl_scalar_mul(g, q_monomial(sign, base, order)))
+        return bl_add(*terms).truncate_q(order), pf_sum
     # zeta1^(-1/2) eta^3 = pf-sum * theta_hat(z1)
     B = order + Rat(1, 8)
     eta_cubed = eta_product({1: 3}, B).shift(Rat(1, 8))
     lhs = bl_monomial(eta_cubed, -Rat(1, 2), 0, B, Region.INNER)
     th = theta_hat("z1", 1, order)
     rhs = bl_mul(pf_sum, th)
-    K = W - max(abs(e1) for e1, _ in th.terms)
+    K = W - Rat(max(abs(k1) for k1, _ in th.rows), th.kd)
     return lhs.clip(K), rhs.clip(K)
 
 
@@ -462,18 +456,18 @@ def _build_E15b(p, order):
 
 
 def _build_E16(p, order):
-    terms = {
-        (rat(n), Rat(0)): q_monomial((-1) ** n, n * (n + 1), order)
+    rows = {
+        (n, 0): q_monomial((-1) ** n, n * (n + 1), order)
         for n in quadratic_range(1, 1, 0, order, 0)
     }
-    rhs = BiLaurentSeries(terms, order, Region.INNER)
-    acc = BiLaurentSeries({}, order, Region.INNER)
+    rhs = _from_rows(1, rows, order, Region.INNER)
+    terms = []
     for n in range(rat_ceil(order)):
         # w^n q^n (q; q^2)_n (w q; q^2)_n / (-w q; q)_(2n+1)
         factors = [(1, a, 2 * j + 1, 1) for j in range(n) for a in (0, 1)]
         factors += [(-1, 1, j + 1, -1) for j in range(2 * n + 1)]
-        acc = bl_add(acc, _unit_product("z1", factors, order, (n, n)))
-    return acc, rhs
+        terms.append(_unit_product("z1", factors, order, (n, n)))
+    return bl_add(*terms), rhs
 
 
 def _build_E17(p, order):
@@ -494,13 +488,12 @@ def _build_E18(p, order):
 
 def _build_E19(p, order):
     numer = _six_monomial_numerator(p["n1"], p["n2"])
-    denom = _weyl_denominator_poly()
     try:
-        quot = laurent_poly_exact_divide(numer, denom)
+        quot = laurent_poly_exact_divide(numer, _WEYL_DENOMINATOR)
     except ExactDivisionError as err:
         bad = bl_monomial(1, err.monomial[0], err.monomial[1], 1, Region.OUTER)
-        return bad, BiLaurentSeries({}, Rat(1), Region.OUTER)
-    return bl_mul(quot, denom), numer
+        return bad, bl_zero(1, Region.OUTER)
+    return bl_mul(quot, _WEYL_DENOMINATOR), numer
 
 
 def _build_E20(p, order):
@@ -708,9 +701,9 @@ def _corrupt(lhs):
         exps = sorted(lhs.terms) or [Rat(0)]
         e = exps[len(exps) // 2]
         return lhs + q_monomial(1, e, lhs.order), e
-    keys = sorted(lhs.terms)
+    keys = lhs.keys_sorted()
     key = keys[len(keys) // 2] if keys else (0, 0)
-    exps = sorted(lhs.terms[key].terms) if key in lhs.terms else []
+    exps = sorted(lhs.coeff(*key).terms)
     e = exps[len(exps) // 2] if exps else Rat(0)
     bump = bl_monomial(q_monomial(1, e, lhs.qorder), key[0], key[1],
                        lhs.qorder, lhs.region)

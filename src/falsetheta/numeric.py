@@ -2,10 +2,10 @@
 
 Everything here is double precision.  The theta, eta and lattice-theta
 sums keep exactly the terms of magnitude at least e^-41 (about 1.6e-18),
-found by the formal layer's exact enumerators, `series.quadratic_range`
-and `series.lattice_rows`; against 25-digit direct sums they agree to
-1e-12 relative (tests/test_numeric.py).  Verification tolerances are
-1e-8 relative.
+found by the formal layer's exact enumerators (the integer solver of
+`series.quadratic_range`, and `series.lattice_rows`); against 25-digit
+direct sums they agree to 1e-12 relative (tests/test_numeric.py).
+Verification tolerances are 1e-8 relative.
 
 The eta multiplier convention (Dedekind-sum formula plus the principal
 square-root branch) is validated against eta's own functional equation
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .rat import Rat, rat_floor
-from .series import lattice_rows, quadratic_range
+from .series import lattice_rows, _negative_range
 
 __all__ = [
     "eval_theta",
@@ -50,9 +50,9 @@ __all__ = [
 _TWO_PI_I = 2j * math.pi
 
 # Each lattice sum keeps exactly the terms e^(2 pi i X) of magnitude at
-# least e^-41 (about 1.6e-18), those with Im X < _TAIL.  series'
-# enumerators find them exactly, from Fraction(x) of the floats Im tau
-# and Im z, a conversion that is exact (rat() refuses it as implicit).
+# least e^-41 (about 1.6e-18), those with Im X < _TAIL, found with series'
+# enumerators from the exact rationals of the floats Im tau and Im z
+# (Fraction(x) or x.as_integer_ratio(); rat() refuses floats as implicit).
 _TAIL = Fraction(41 / (2 * math.pi))
 
 LAW_IDS = (
@@ -70,18 +70,33 @@ LAW_IDS = (
 # -- pointwise evaluators -----------------------------------------------------
 
 
+def _theta_indices(t, y, scale):
+    """The j (n = j + 1/2) of eval_theta's terms of magnitude at least e^-41
+    at the floats t = Im tau, y = Im z: s/2 j^2 + (s/2 + y) j + s/8 + y/2 <
+    _TAIL for s = scale t, times 8 b d D for t = a/b, y = c/d, _TAIL = N/D."""
+    (a, b), (c, d), (N, D) = t.as_integer_ratio(), y.as_integer_ratio(), _TAIL.as_integer_ratio()
+    s, y = scale * a * d * D, c * b * D  # b d D times s and y
+    return _negative_range(4 * s, 4 * s + 8 * y, s + 4 * y - 8 * b * d * N, None)
+
+
+def _eta_indices(t):
+    """The k of eval_eta's terms of magnitude at least e^-41 at the float
+    t = Im tau: 3t/2 k^2 + t/2 k + t/24 < _TAIL, times 24 b D for t = a/b."""
+    a, b = t.as_integer_ratio()
+    s = a * _TAIL.denominator  # b D times t
+    return _negative_range(36 * s, 12 * s, s - 24 * b * _TAIL.numerator, None)
+
+
 def eval_theta(z, tau, scale=1):
     """Odd Jacobi theta sum_{n in 1/2+Z} q^(scale*n^2/2) e^(2 pi i n (z+1/2)).
 
-    n = j + 1/2 runs over the j that series.quadratic_range gives for
-    the terms of magnitude at least e^-41 (see _TAIL).
+    n = j + 1/2 runs over the j of the terms of magnitude at least e^-41
+    (see _theta_indices and _TAIL).
     """
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
-    s, y = scale * Fraction(tau.imag), Fraction(z.imag)
     total = 0j
-    # the term's magnitude is e^(-2 pi (s/2 j^2 + (s/2 + y) j + s/8 + y/2))
-    for j in quadratic_range(s / 2, s / 2 + y, s / 8 + y / 2, _TAIL):
+    for j in _theta_indices(tau.imag, z.imag, scale):
         n = j + 0.5
         total += cmath.exp(_TWO_PI_I * (scale * tau * n * n / 2 + n * (z + 0.5)))
     return total
@@ -89,13 +104,12 @@ def eval_theta(z, tau, scale=1):
 
 def eval_eta(tau):
     """Dedekind eta, the pentagonal number sum of (-1)^k q^((6k+1)^2/24)
-    over the k that series.quadratic_range gives for the terms of
-    magnitude at least e^-41 (see _TAIL)."""
+    over the k of the terms of magnitude at least e^-41 (see _eta_indices
+    and _TAIL)."""
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
-    t = Fraction(tau.imag)
     total = 0j
-    for k in quadratic_range(3 * t / 2, t / 2, t / 24, _TAIL):
+    for k in _eta_indices(tau.imag):
         total += (-1) ** (k & 1) * cmath.exp(_TWO_PI_I * tau * (6 * k + 1) ** 2 / 24)
     return total
 

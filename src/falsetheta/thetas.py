@@ -43,12 +43,12 @@ from .series import (
     _from_row,
 )
 from .bilaurent import (
-    BiLaurentSeries,
     Region,
     UNIT_KEYS,
     bl_mul,
     bl_scalar_mul,
     product_coeff,
+    _from_rows,
 )
 
 __all__ = [
@@ -86,13 +86,13 @@ def _unit_product(unit, factors, qorder, lead=(0, 0)):
     """u^l q^v prod (1 - sign u^a q^e)^power over factors, (l, v) = lead, INNER:
     the key u^(m + l) along unit carries row m of series._binomial_table."""
     d1, d2 = _unit_dirs(unit)
-    l, v = rat(lead[0]), rat(lead[1])
+    l, v = lead[0], rat(lead[1])  # l an int or a Rat
     d, table = _binomial_table(factors, qorder - v)
-    step, terms = Rat(1, d), {}
+    step, rows = Rat(1, d), {}
     for m, row in table.items():
-        e = m + l
-        terms[(e * d1, e * d2)] = _from_row(v, step, row, 1, qorder)
-    return BiLaurentSeries(terms, qorder, Region.INNER)
+        e = m * l.denominator + l.numerator  # the key m + l over l's denominator
+        rows[(e * d1, e * d2)] = _from_row(v, step, row, 1, qorder)
+    return _from_rows(l.denominator, rows, qorder, Region.INNER)
 
 
 def unit_pochhammer(unit, start, step, qorder, inverse=False):
@@ -132,12 +132,12 @@ def theta_hat_sum(unit, k, qorder):
         raise ValueError("scale k must be 1 or 2")
     qorder = _positive_order(qorder)
     d1, d2 = _unit_dirs(unit)
-    terms = {}
+    rows = {}
     for j in quadratic_range(Rat(k, 2), Rat(k, 2), Rat(k, 8), qorder):
-        n = j + Rat(1, 2)
+        h = 2 * j + 1  # twice n
         sign = -1 if j % 2 == 0 else 1
-        terms[(n * d1, n * d2)] = q_monomial(sign, Rat(k) * n * n / 2, qorder)
-    return BiLaurentSeries(terms, qorder, Region.INNER)
+        rows[(h * d1, h * d2)] = q_monomial(sign, Rat(k * h * h, 8), qorder)
+    return _from_rows(2, rows, qorder, Region.INNER)
 
 
 def theta01(unit, k, qorder):
@@ -155,11 +155,11 @@ def theta_A2(qorder):
     Q(n) = n1^2 - n1 n2 + n2^2; Q is positive definite, so the keys are
     finite at every q-order."""
     qorder = _positive_order(qorder)
-    terms = {
-        (rat(n1), rat(n2)): q_monomial(1, e, qorder)
+    rows = {
+        (n1, n2): q_monomial(1, e, qorder)
         for n1, n2, e in lattice_points((1, -1, 1), (0, 0), 0, qorder)
     }
-    return BiLaurentSeries(terms, qorder, Region.INNER)
+    return _from_rows(1, rows, qorder, Region.INNER)
 
 
 def calT(qorder):
@@ -168,11 +168,11 @@ def calT(qorder):
     The key map is injective and its image satisfies e1 + e2 = 0 mod 3.
     """
     qorder = _positive_order(qorder)
-    terms = {
-        (rat(n1 + n2), rat(2 * n1 - n2)): q_monomial(1, e, qorder)
+    rows = {
+        (n1 + n2, 2 * n1 - n2): q_monomial(1, e, qorder)
         for n1, n2, e in lattice_points((2, -2, 2), (0, 0), 0, qorder)
     }
-    return BiLaurentSeries(terms, qorder, Region.INNER)
+    return _from_rows(1, rows, qorder, Region.INNER)
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +194,7 @@ def t2t_factor(unit, qorder, path="closed"):
         d1, d2 = _unit_dirs(unit)
         # q^(1/8) (-q; q)_oo / (q^2; q^2)_oo^2 = q^(1/8) / ((q; q)_oo (q^2; q^2)_oo)
         pre = eta_product({1: -1, 2: -1}, qorder - Rat(1, 8)).shift(Rat(1, 8))
-        terms = {}
+        rows = {}
         # the key u^m, |m| = a < qorder, is sum_{k>=0} (-1)^k q^(k^2 + (2a+1)k + a)
         for a in range(rat_ceil(qorder)):
             ks = quadratic_range(1, 2 * a + 1, a, qorder, 0)
@@ -202,8 +202,8 @@ def t2t_factor(unit, qorder, path="closed"):
                 {k * k + (2 * a + 1) * k + a: (-1) ** k for k in ks}, qorder
             )
             for m in ((a, -a) if a else (0,)):
-                terms[(rat(m * d1), rat(m * d2))] = body
-        return bl_scalar_mul(BiLaurentSeries(terms, qorder, Region.INNER), pre)
+                rows[(m * d1, m * d2)] = body
+        return bl_scalar_mul(_from_rows(1, rows, qorder, Region.INNER), pre)
     raise ValueError(f"unknown path {path!r}")
 
 
@@ -226,13 +226,13 @@ def s01_factor(unit, qorder, zwindow):
     ]
     d, table = _binomial_table(factors, build)
     d1, d2 = _unit_dirs(unit)
-    acc, terms = [0] * len(table[0]), {}
+    acc, rows = [0] * len(table[0]), {}
     for m in range(min(table), rat_floor(zwindow - Rat(1, 2)) + 1):
         if m in table:
             acc = list(map(add, acc, table[m]))
-        e = m + Rat(1, 2)
-        terms[(e * d1, e * d2)] = _from_row(-Rat(1, 8), Rat(1, d), acc, 1, qorder)
-    return BiLaurentSeries(terms, qorder, Region.INNER, zwindow)
+        h = 2 * m + 1  # twice the key m + 1/2
+        rows[(h * d1, h * d2)] = _from_row(-Rat(1, 8), Rat(1, d), acc, 1, qorder)
+    return _from_rows(2, rows, qorder, Region.INNER, zwindow)
 
 
 def _f_factors(qorder, path):

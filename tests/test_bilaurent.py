@@ -1,5 +1,7 @@
 """Bivariate Laurent layer: regions, windows, products and exact division."""
 
+from math import lcm
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +24,7 @@ from falsetheta.bilaurent import (
     bl_to_json,
     bl_from_json,
 )
-from falsetheta.thetas import calT, t2t_factor
+from falsetheta.thetas import calT, t2t_factor, theta_hat
 
 
 def mono(c, e1, e2, qexp, qorder, region=Region.INNER, window=None):
@@ -103,8 +105,8 @@ def _pairwise_product(a, b):
 _exponents = st.builds(Rat, st.integers(-24, 48), st.sampled_from([1, 2, 3, 8, 24]))
 _coeffs = st.builds(Rat, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 7]))
 _keys = st.tuples(
-    st.builds(Rat, st.integers(-3, 3), st.sampled_from([1, 2])),
-    st.builds(Rat, st.integers(-3, 3), st.sampled_from([1, 2])),
+    st.builds(Rat, st.integers(-3, 3), st.sampled_from([1, 2, 3])),
+    st.builds(Rat, st.integers(-3, 3), st.sampled_from([1, 2, 3])),
 )
 
 
@@ -242,3 +244,116 @@ class TestTransforms:
         with pytest.raises(ExactDivisionError) as err:
             laurent_poly_exact_divide(numer, denom)
         assert err.value.monomial is not None
+
+
+# -- int key rows against Rat-keyed dicts ----------------------------------------
+
+
+def _window_dict(terms, qorder, window):
+    """terms {Rat key: series} clipped to the window and truncated to qorder,
+    zeros dropped: what a series built from them holds."""
+    out = {}
+    for k, c in terms.items():
+        if window is None or (abs(k[0]) <= window and abs(k[1]) <= window):
+            c = c.truncate(qorder)
+            if not c.is_zero():
+                out[k] = c
+    return out
+
+
+def _assert_canonical(a):
+    """kd is the least common denominator of the Rat keys, 1 if there are
+    none, and the rows read back as those keys."""
+    assert a.kd == lcm(1, *(e.denominator for k in a.terms for e in k))
+    assert all(type(e) is Rat for k in a.terms for e in k)
+    assert {(k[0] * a.kd, k[1] * a.kd) for k in a.terms} == set(a.rows)
+
+
+_windows = st.none() | st.sampled_from([0, 1, Rat(3, 2), 2, Rat(7, 3)])
+
+
+@st.composite
+def _raw_operands(draw):
+    """(terms, qorder, window): Rat keys of denominators 1, 2 and 3."""
+    qorder = draw(st.builds(Rat, st.integers(-8, 24), st.sampled_from([1, 2, 3, 4])))
+    keys = draw(st.dictionaries(_keys, st.dictionaries(_exponents, _coeffs, max_size=4),
+                                max_size=5))
+    terms = {k: PuiseuxSeries(c, qorder) for k, c in keys.items()}
+    return terms, qorder, draw(_windows)
+
+
+class TestRowsAgainstDictSemantics:
+    @given(st.lists(_raw_operands(), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_n_ary_add_with_windows(self, raws):
+        ops = [BiLaurentSeries(t, q, Region.INNER, w) for t, q, w in raws]
+        qorder = min(q for _, q, _ in raws)
+        window = min((w for _, _, w in raws if w is not None), default=None)
+        want = {}
+        for t, q, w in raws:
+            for k, c in _window_dict(t, q, w).items():
+                want[k] = want[k] + c if k in want else c
+        got = bl_add(*ops)
+        assert got.terms == _window_dict(want, qorder, window)
+        assert (got.qorder, got.window) == (qorder, window)
+        for a in (got, *ops):
+            _assert_canonical(a)
+
+    @given(_raw_operands(), _raw_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_one_series_built_by_different_routes(self, ra, rb):
+        a, b = (BiLaurentSeries(t, q, Region.INNER, w) for t, q, w in (ra, rb))
+        routes = [(a + b, b + a), (a, BiLaurentSeries(a.terms, a.qorder, a.region)),
+                  (a, bl_from_json(bl_to_json(a))), (a, bl_add(a, a, a) - a - a)]
+        for x, y in routes:
+            assert x == y and hash(x) == hash(y)
+            assert (x.kd, x.rows) == (y.kd, y.rows)
+
+    def test_half_integer_keys_cancel_to_key_denominator_one(self):
+        a = bl_add(mono(1, Rat(1, 2), 0, 0, Rat(3)), mono(2, 1, Rat(-2, 3), 1, Rat(3)))
+        assert a.kd == 6
+        b = bl_add(a, mono(-1, Rat(1, 2), 0, 0, Rat(3)), mono(1, 2, Rat(2, 3), 0, Rat(3)))
+        assert b.kd == 3 and sorted(b.rows) == [(3, -2), (6, 2)]
+        c = bl_add(b, mono(-2, 1, Rat(-2, 3), 1, Rat(3)), mono(-1, 2, Rat(2, 3), 0, Rat(3)))
+        assert c.kd == 1 and c.rows == {} and c == bl_zero(Rat(3), Region.INNER)
+
+    @given(_raw_operands(), _keys, st.sampled_from([5, 7]))
+    @settings(max_examples=200, deadline=None)
+    def test_coeff_reads_the_dict_and_zero_off_the_key_lattice(self, raw, key, p):
+        terms, qorder, _ = raw
+        a = BiLaurentSeries(terms, qorder, Region.INNER)
+        want = _window_dict(terms, qorder, None)
+        assert a.coeff(*key) == want.get(key, q_zero(qorder))
+        # k/(kd p) times kd has the numerator of a stored k, but is off the
+        # lattice of keys over kd unless p divides k
+        kd = a.kd
+        for k1, k2 in a.rows:
+            for off in ((Rat(k1, kd * p), Rat(k2, kd)), (Rat(k1, kd), Rat(k2, kd * p))):
+                assert a.coeff(*off) == want.get(off, q_zero(qorder))
+
+    @given(st.integers(-2, 2), st.integers(0, 4), st.sampled_from(["z1", "z12"]))
+    @settings(max_examples=40, deadline=None)
+    def test_clip_and_elliptic_shift_on_half_integer_keys(self, m, j, unit):
+        # E2's path: theta_hat's keys lie in 1/2 + Z
+        W = j + Rat(1, 2)
+        th = theta_hat(unit, 1, Rat(12))
+        clipped = th.clip(W)
+        want = _window_dict(th.terms, th.qorder, W)
+        assert clipped.terms == want and clipped.window == W and clipped.kd == 2
+        got = bl_elliptic_shift(clipped, m, 0)
+        qorder = th.qorder - abs(m) * W
+        want = {k: c.shift(m * k[0]) for k, c in want.items()}
+        assert got.terms == _window_dict(want, qorder, W)
+        assert (got.qorder, got.window) == (qorder, W)
+        _assert_canonical(got)
+
+    def test_exact_division_failure_reports_rat_keys(self):
+        # z1^(1/2) z2^(2/3) / (1 - z1) leaves a remainder at z1^(-1/2) z2^(2/3)
+        numer = mono(1, Rat(1, 2), Rat(2, 3), 0, Rat(1), region=Region.OUTER)
+        denom = bl_add(mono(1, 0, 0, 0, Rat(1), region=Region.OUTER),
+                       mono(-1, 1, 0, 0, Rat(1), region=Region.OUTER))
+        with pytest.raises(ExactDivisionError) as err:
+            laurent_poly_exact_divide(numer, denom)
+        assert err.value.monomial == (Rat(-1, 2), Rat(2, 3))
+        assert all(type(e) is Rat for e in err.value.monomial)
+        assert "z1^-1/2 z2^2/3" in str(err.value)

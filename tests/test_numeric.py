@@ -3,11 +3,14 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from falsetheta.rat import Rat
+from falsetheta.series import quadratic_range
 from falsetheta.thetas import f_series
 from falsetheta.numeric import (
     eval_theta,
@@ -27,6 +30,9 @@ from falsetheta.numeric import (
     sample_points,
     transformation_grid,
     LAW_IDS,
+    _TAIL,
+    _eta_indices,
+    _theta_indices,
 )
 
 TAU = 0.1 + 1.2j
@@ -169,6 +175,17 @@ def test_evaluators_match_direct_high_precision_sums(z1, z2, tau):
     assert close(eval_theta(z2, tau, 2), oracle_theta(z2, tau, 2))
     assert close(eval_eta(tau), oracle_eta(tau))
     assert close(eval_T((z1, z2), tau), oracle_T((z1, z2), tau))
+
+
+@given(st.floats(1e-4, 20), st.floats(-20, 20), st.sampled_from([1, 2]))
+@settings(max_examples=300, deadline=None)
+def test_theta_and_eta_indices_are_quadratic_range_on_the_exact_rationals(t, y, scale):
+    # the quadratics scaled to integers by hand from float.as_integer_ratio()
+    s, y_ = scale * Fraction(t), Fraction(y)
+    want = quadratic_range(s / 2, s / 2 + y_, s / 8 + y_ / 2, _TAIL)
+    assert _theta_indices(t, y, scale) == want
+    t_ = Fraction(t)
+    assert _eta_indices(t) == quadratic_range(3 * t_ / 2, t_ / 2, t_ / 24, _TAIL)
 
 
 class TestArithmetic:

@@ -106,8 +106,10 @@ def test_a_key_off_the_key_lattice_reads_zero():
     got = product_coeff(factors, Rat(1, 2), 0)
     assert got.is_zero() and got.order == Rat(13, 4)
     assert not product_coeff(factors, 0, 0).is_zero()
-    # and the kernel does not compute a key on the lattice in its place
-    assert _int_product(factors, Rat(13, 4), (Rat(1, 2), Rat(0))) == {}
+    # and the kernel does not compute a key on the lattice in its place:
+    # with the factors' rows over the key denominator 2, (1, 0) is (1/2, 0)
+    rows = [{(2 * k1, 2 * k2): c for (k1, k2), c in f.rows.items()} for f in factors]
+    assert _int_product(rows, Rat(13, 4), (1, 0)) == {}
 
 
 def _tuplewise_coeff(factors, r1, r2):
