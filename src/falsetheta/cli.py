@@ -25,6 +25,7 @@ from .numeric import (
     run_transformation_checks,
     residual_report_to_json,
     EtaMultiplierValidationError,
+    _check_tolerance,
 )
 
 USAGE_ERROR = 2
@@ -111,10 +112,12 @@ def _expand_series(args):
     if name == "Hfrak":
         return families.H_frak(args.r[0], args.r[1], order)
     if name == "F0":
-        return families.F0_series(args.p, order, args.form)
+        return families.F0_series(args.p, order)
     if name == "coeffF":
         return families.coeff_F(_int_index(args.r), args.p, order)
     if name == "rankone":
+        if args.r[1]:
+            raise ValueError(f"rankone takes one index, --r r,0; got a second {args.r[1]}")
         return families.rank_one_coeff(args.p, _int_index(args.r)[0], order)
     if name == "rogers":
         return families.rogers_false_theta(order)
@@ -143,12 +146,7 @@ def _print_series(s, fmt, out):
 
 
 def cmd_expand(args):
-    try:
-        s = _expand_series(args)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    _print_series(s, args.format, sys.stdout)
+    _print_series(_expand_series(args), args.format, sys.stdout)
     return 0
 
 
@@ -203,14 +201,12 @@ def _emit_residual(rep, fmt, out):
 def cmd_check(args):
     law = args.law
     if law.endswith("_MOD"):
-        if args.gamma is None:
-            print("error: modular laws need --gamma a,b,c,d", file=sys.stderr)
-            return USAGE_ERROR
+        if args.gamma is None or args.m is not None or args.l is not None:
+            raise ValueError("modular laws take --gamma a,b,c,d, not --m or --l")
         element = args.gamma
     else:
-        if args.m is None:
-            print("error: elliptic laws need --m (and optionally --l)", file=sys.stderr)
-            return USAGE_ERROR
+        if args.m is None or args.gamma is not None:
+            raise ValueError("elliptic laws take --m (and optionally --l), not --gamma")
         element = (args.m, args.l or (0, 0))
     z = args.z[0] if len(args.z) == 1 else tuple(args.z)
     try:
@@ -226,6 +222,7 @@ def cmd_check(args):
 
 
 def cmd_suite(args):
+    _check_tolerance(args.tolerance)
     failed = False
     reports = run_suite(pattern=args.pattern, jobs=args.jobs)
     for rep in reports:
@@ -263,7 +260,6 @@ def build_parser():
     pe.add_argument("--unit", choices=["z1", "z2", "z12"], default="z1")
     pe.add_argument("--lambda", dest="lam", type=_parse_rat_pair, default=(Rat(0), Rat(0)))
     pe.add_argument("--r", type=_parse_rat_pair, default=(Rat(0), Rat(0)))
-    pe.add_argument("--form", choices=["GENERAL", "P2SIMPLIFIED"], default="GENERAL")
     pe.add_argument("--format", choices=["text", "json"], default="text")
     pe.set_defaults(func=cmd_expand)
 

@@ -273,7 +273,7 @@ def H_frak(r1, r2, order):
     W = rat_floor(order / 2) + rat_floor(mag) + 4
     build = order + Rat(1, 2)  # pad for the q^(-1/8) valuations below
     kernel = [
-        t2t_factor("z1", build, "closed"),
+        t2t_factor("z1", build),
         s01_factor("z2", build, W),
         s01_factor("z12", build, W),
     ]
@@ -281,32 +281,19 @@ def H_frak(r1, r2, order):
     return (eta5_over_eta2(build) * coeff).truncate(order)
 
 
-def F0_series(p, order, form="GENERAL"):
-    """Weight-adjusted full-lattice sum with cubic-in-n weights.
+def F0_series(p, order):
+    """Weight-adjusted full-lattice sum with cubic-in-n weights:
 
-    GENERAL: (1/2) (2n1 - n2)(2n2 - n1)(n1 + n2) q^(p Q(n - 1/p)) over Z^2.
-    P2SIMPLIFIED (p = 2 only): the quadratic-weight rewrite
-    (1/4) (12 n1 n2 - 3 n1^2 - 3 n2^2 - n1 - n2) q^(2 Q(n - 1/2)).
+    (1/2) (2n1 - n2)(2n2 - n1)(n1 + n2) q^(p Q(n - 1/p)) over Z^2.
+    At p = 2 it equals a quadratic-weight sum (identity E18).
     """
     if not (isinstance(p, int) and p >= 2):
         raise ValueError("p must be an integer >= 2")
-    order = _positive_order(order)
-    exponent = _pQ(p, -Rat(1, p), -Rat(1, p))
-    if form == "GENERAL":
-        return lattice_sum(
-            *exponent,
-            order,
-            lambda n1, n2: Rat((2 * n1 - n2) * (2 * n2 - n1) * (n1 + n2), 2),
-        )
-    if form == "P2SIMPLIFIED":
-        if p != 2:
-            raise ValueError("P2SIMPLIFIED requires p = 2")
-        return lattice_sum(
-            *exponent,
-            order,
-            lambda n1, n2: Rat(12 * n1 * n2 - 3 * n1 * n1 - 3 * n2 * n2 - n1 - n2, 4),
-        )
-    raise ValueError(f"unknown form {form!r}")
+    return lattice_sum(
+        *_pQ(p, -Rat(1, p), -Rat(1, p)),
+        _positive_order(order),
+        lambda n1, n2: Rat((2 * n1 - n2) * (2 * n2 - n1) * (n1 + n2), 2),
+    )
 
 
 def rank_one_coeff(p, r, order):

@@ -128,10 +128,11 @@ def report_to_json(rep):
 
 def _series_diff(a, b, order):
     """(e, a_e, b_e) at the least e below every order where a, b differ."""
-    diff = (a - b).truncate(min(a.order, b.order, order))
-    if diff.is_zero():
+    o = min(a.order, b.order, order)
+    a, b = a.truncate(o), b.truncate(o)
+    if a == b:
         return None
-    e = diff.valuation()
+    e = (a - b).valuation()
     return (e, a.coeff(e), b.coeff(e))
 
 
@@ -192,23 +193,28 @@ def _partial_fraction_sum(order, W):
     return _from_rows(1, rows, order, Region.INNER, W)
 
 
-def _t2t_hyper(unit, order, variant):
-    """Hypergeometric rewrites of the theta ratio denominator.
+def _t2t_sum(unit, order, variant):
+    """theta(z; 2 tau)/theta(z; tau) on one unit, the oracle of t2t_factor's
+    product, as q^(1/8) times an eta product times sum_a u^(+-a) B_a(q).
 
-    variant "poch":  1/(u q, u^-1 q; q^2)_oo as sum_a u^(+-a) q^a A_a(q^2),
-    A_a the inner sum of _A_table; variant "quad": the same with its
-    quadratic exponent (quad=1) and a single (q^2; q^2)_oo prefactor.
+    "closed": B_a = sum_{k >= 0} (-1)^k q^(k^2 + (2a+1)k + a), and
+    1/((q; q)_oo (q^2; q^2)_oo); "poch": B_a = q^a A_a(q^2), A_a the inner
+    sum of _A_table, and (-q; q)_oo; "quad": its quadratic variant
+    (quad=1), and 1/(q; q)_oo.
     """
     d1, d2 = UNIT_KEYS[unit]
     rows = {}
     # the key u^m, |m| = a, has exponents from a up; a < order
     for a in range(rat_ceil(order)):
-        c = _A_table(a, (order - a) / 2, variant == "quad").scale_q(2).shift(a)
+        if variant == "closed":
+            ks = quadratic_range(1, 2 * a + 1, a, order, 0)
+            b = PuiseuxSeries({k * k + (2 * a + 1) * k + a: (-1) ** k for k in ks}, order)
+        else:
+            b = _A_table(a, (order - a) / 2, variant == "quad").scale_q(2).shift(a)
         for m in ((a, -a) if a else (0,)):
-            rows[(m * d1, m * d2)] = c
+            rows[(m * d1, m * d2)] = b
     body = _from_rows(1, rows, order, Region.INNER)
-    # q^(1/8) (-q; q)_oo, over (q^2; q^2)_oo for "quad"
-    powers = {1: -1} if variant == "quad" else {1: -1, 2: 1}
+    powers = {"closed": {1: -1, 2: -1}, "poch": {1: -1, 2: 1}, "quad": {1: -1}}[variant]
     return bl_scalar_mul(body, eta_product(powers, order - Rat(1, 8)).shift(Rat(1, 8)))
 
 
@@ -342,17 +348,15 @@ def _build_E5(p, order):
 
 def _build_E6(p, order):
     if p["part"] == "f":
-        return f_series(order, path="geometric"), f_series(order, path="closed")
-    if p["part"] == "closed":
-        u = p["unit"]
-        return t2t_factor(u, order, "geometric"), t2t_factor(u, order, "closed")
-    u = p["unit"]
-    return t2t_factor(u, order, "geometric"), _t2t_hyper(u, order, "poch")
+        a, b, c = (_t2t_sum(u, order, "closed") for u in ("z1", "z2", "z12"))
+        return f_series(order), bl_mul(bl_mul(a, b), c)
+    u, variant = p["unit"], "closed" if p["part"] == "closed" else "poch"
+    return t2t_factor(u, order), _t2t_sum(u, order, variant)
 
 
 def _build_E6b(p, order):
     u = p["unit"]
-    return t2t_factor(u, order, "closed"), _t2t_hyper(u, order, "quad")
+    return t2t_factor(u, order), _t2t_sum(u, order, "quad")
 
 
 def _build_E7(p, order):
@@ -397,7 +401,7 @@ def _build_E12b(p, order):
     unit = p["unit"]
     W = int(order)
     d1, d2 = UNIT_KEYS[unit]
-    t = t2t_factor(unit, order + W + Rat(1, 2), "geometric").clip(W)
+    t = t2t_factor(unit, order + W + Rat(1, 2)).clip(W)
     shifted = bl_elliptic_shift(t, -d1, -d2)
     pre = bl_monomial(
         q_monomial(1, -Rat(1, 4), shifted.qorder + 1),
@@ -471,17 +475,21 @@ def _build_E16(p, order):
 
 
 def _build_E17(p, order):
-    return F0_series(2, order, "GENERAL"), J_constant_term(order)
+    return F0_series(2, order), J_constant_term(order)
 
 
 def _build_E18(p, order):
+    # 2 Q(n - 1/2) = 2 n1^2 - 2 n1 n2 + 2 n2^2 - n1 - n2 + 1/2
+    exponent = (2, -2, 2), (-1, -1), Rat(1, 2), order
     if p["part"] == "simplify":
-        return F0_series(2, order, "GENERAL"), F0_series(2, order, "P2SIMPLIFIED")
-    # internal antisymmetric vanishing: sum (n1+n2-1) q^(2Q(n-1/2)) = 0,
-    # with 2 Q(n - 1/2) = 2 n1^2 - 2 n1 n2 + 2 n2^2 - n1 - n2 + 1/2;
+        # the quadratic-weight rewrite of F0's cubic weight at p = 2
+        return F0_series(2, order), lattice_sum(
+            *exponent,
+            lambda n1, n2: Rat(12 * n1 * n2 - 3 * n1 * n1 - 3 * n2 * n2 - n1 - n2, 4),
+        )
+    # internal antisymmetric vanishing: sum (n1+n2-1) q^(2Q(n-1/2)) = 0;
     # n -> 1 - n keeps the exponent and negates the weight, so the points
     # of positive weight sum to minus those of negative weight
-    exponent = (2, -2, 2), (-1, -1), Rat(1, 2), order
     return (lattice_sum(*exponent, lambda n1, n2: max(n1 + n2 - 1, 0)),
             lattice_sum(*exponent, lambda n1, n2: max(1 - n1 - n2, 0)))
 
@@ -566,7 +574,7 @@ _register(_Identity(
     Rat(20),
 ))
 _register(_Identity(
-    "E6", "theta-ratio product: geometric, closed-sum and basic hypergeometric paths",
+    "E6", "theta-ratio product against its closed-sum and basic hypergeometric rewrites",
     _build_E6,
     [{"part": "f"}, {"part": "closed", "unit": "z1"}, {"part": "hyper", "unit": "z1"}],
     Rat(20),

@@ -314,6 +314,12 @@ def complex_str(z):
 _LEVELS = {"THETA": 1, "F": 2, "T": 6, "J": 6}  # each modular law's Gamma_0(level)
 
 
+def _check_tolerance(tolerance):
+    """Refuse a tolerance that decides nothing: nan, 0 or less, or inf."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+
+
 def _check_gamma(gamma, level):
     a, b, c, d = gamma
     for x in gamma:
@@ -376,12 +382,13 @@ def check_transformation(law, element, z, tau, tolerance=1e-8):
     element is a matrix (a, b, c, d) for *_MOD laws and a pair (m, l) of
     integer vectors for *_ELL laws (integers for THETA_ELL); z is one
     complex number for the THETA laws and a pair (z1, z2) for the others.
-    Malformed input raises ValueError.  The residual is
+    Malformed input or tolerance raises ValueError.  The residual is
     |LHS - factor * RHS| / max(1, |RHS|) with the exact automorphy factor
     of the cited law.
     """
     if law not in LAW_IDS:
         raise ValueError(f"unknown law {law!r}")
+    _check_tolerance(tolerance)
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")

@@ -25,6 +25,7 @@ from falsetheta.bilaurent import (
     bl_from_json,
 )
 from falsetheta.thetas import calT, t2t_factor, theta_hat
+from falsetheta.identities import _t2t_sum
 
 
 def mono(c, e1, e2, qexp, qorder, region=Region.INNER, window=None):
@@ -168,10 +169,13 @@ class TestMulAgainstPairwiseProducts:
         self.check(bl_zero(Rat(3), region), b)
         self.check(a, bl_zero(Rat(-2), region))
 
-    @pytest.mark.parametrize("path", ["closed", "geometric"])
-    def test_the_factors_of_f_and_J(self, path):
+    @pytest.mark.parametrize(
+        "build", [t2t_factor, lambda u, n: _t2t_sum(u, n, "closed")],
+        ids=["product", "closed"],
+    )
+    def test_the_factors_of_f_and_J(self, build):
         # coefficients on 1/8 + Z, calT's on 2Z
-        a, b, c = (t2t_factor(u, Rat(5), path) for u in ("z1", "z2", "z12"))
+        a, b, c = (build(u, Rat(5)) for u in ("z1", "z2", "z12"))
         self.check(a, b)
         self.check(bl_mul(a, b), c)
         self.check(calT(Rat(5)), bl_mul(bl_mul(a, b), c))

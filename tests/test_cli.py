@@ -46,10 +46,14 @@ class TestExpand:
         assert code == 0
         assert "O(q^(5/2))" in out
 
-    @pytest.mark.parametrize("name", ["Ghyper", "coeffF", "rankone"])
-    def test_integer_index_families_take_an_integral_r(self, capsys, name):
+    @pytest.mark.parametrize(
+        "name,r",
+        [("Ghyper", "1,-1"), ("coeffF", "1,-1"), ("rankone", "1,0")],
+        ids=["Ghyper", "coeffF", "rankone"],
+    )
+    def test_integer_index_families_take_an_integral_r(self, capsys, name, r):
         code, out, _ = run(
-            capsys, "expand", name, "--r", "1,-1", "--order", "4", "--format", "json"
+            capsys, "expand", name, "--r", r, "--order", "4", "--format", "json"
         )
         assert code == 0
         assert json.loads(out)["order"] == "4/1"
@@ -96,6 +100,11 @@ class TestExpand:
             main(["expand", *argv])
         assert exc.value.code == USAGE_ERROR
         assert "cannot parse rational '1/0'" in capsys.readouterr().err
+
+    def test_rankone_with_a_nonzero_second_index_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "expand", "rankone", "--r", "2,5", "--order", "4")
+        assert code == USAGE_ERROR
+        assert out == "" and "rankone takes one index" in err
 
     def test_bad_family_parameter_is_usage_error(self, capsys):
         code, _, err = run(capsys, "expand", "Gfrak", "--p", "1", "--order", "4")
@@ -200,6 +209,26 @@ class TestCheck:
         assert code == USAGE_ERROR
         assert out == "" and "pair" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("THETA_MOD", "--gamma", "1,1,0,1", "--m", "3"),
+         ("THETA_MOD", "--gamma", "1,1,0,1", "--l", "1"),
+         ("THETA_ELL", "--m", "1", "--gamma", "0,-1,1,0")],
+    )
+    def test_an_element_of_the_other_kind_of_law_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "check", *argv, "--tau", "0.1+1i", "--z", "0.1")
+        assert code == USAGE_ERROR
+        assert out == "" and "not --" in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "0", "-1", "inf"])
+    def test_a_tolerance_that_decides_nothing_is_usage_error(self, capsys, tolerance):
+        code, out, err = run(
+            capsys, "check", "THETA_MOD", "--gamma", "1,1,0,1",
+            "--tau", "0.1+1i", "--z", "0.1", f"--tolerance={tolerance}",
+        )
+        assert code == USAGE_ERROR
+        assert out == "" and "finite and positive" in err
+
     def test_tolerance_can_force_discrepancy(self, capsys):
         code, out, _ = run(
             capsys, "check", "THETA_MOD", "--gamma", "0,-1,1,0",
@@ -237,6 +266,13 @@ class TestSuite:
         code, out, err = run(capsys, *argv)
         assert code == USAGE_ERROR
         assert out == "" and "jobs must be at least 1" in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "0", "-1", "inf"])
+    def test_a_tolerance_that_decides_nothing_is_usage_error(self, capsys, tolerance):
+        # refused before any identity report is printed
+        code, out, err = run(capsys, "suite", "--pattern", "E19", f"--tolerance={tolerance}")
+        assert code == USAGE_ERROR
+        assert out == "" and "finite and positive" in err
 
     @pytest.mark.parametrize("extra", [(), ("--skip-numeric",)])
     def test_a_pattern_that_matches_nothing_is_usage_error(self, capsys, extra):

@@ -27,6 +27,7 @@ from falsetheta.families import (
     rogers_false_theta,
     _A_table,
 )
+from falsetheta.identities import _build_E18
 
 
 def series_dict(s):
@@ -243,11 +244,9 @@ class TestCoefficientFamilies:
         assert g.is_zero() and g.order == Rat(1, 100)
 
     def test_cubic_weight_forms_agree(self):
-        assert F0_series(2, Rat(20), "GENERAL") == F0_series(2, Rat(20), "P2SIMPLIFIED")
-
-    def test_cubic_weight_rejects_bad_form(self):
-        with pytest.raises(ValueError):
-            F0_series(3, Rat(5), "P2SIMPLIFIED")
+        # E18: F0_series at p = 2 against its quadratic-weight rewrite
+        general, simplified = _build_E18({"part": "simplify"}, Rat(20))
+        assert general == F0_series(2, Rat(20)) and general == simplified
 
 
 class TestRankOne:

@@ -309,6 +309,14 @@ class TestTransformationLaws:
         with pytest.raises(ValueError):
             check_transformation(law, element, z, TAU)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, 0, -1, math.inf])
+    def test_a_tolerance_that_decides_nothing_is_refused(self, tolerance):
+        # nan and 0 fail every residual, -1 too, and inf passes any
+        with pytest.raises(ValueError, match="finite and positive"):
+            check_transformation("THETA_MOD", (1, 1, 0, 1), Z, TAU, tolerance)
+        with pytest.raises(ValueError, match="finite and positive"):
+            run_transformation_checks("THETA_MOD", tolerance)
+
     def test_residual_report_schema(self):
         rep = check_transformation("THETA_ELL", (1, 0), Z, TAU)
         d = residual_report_to_json(rep)

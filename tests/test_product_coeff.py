@@ -66,7 +66,7 @@ def test_h_frak_kernel_at_half_integer_r1():
     build = order + Rat(1, 2)
     W = 7  # H_frak's window at this order for max(|r1|, |r2|) < 2
     factors = [
-        t2t_factor("z1", build, "geometric"),
+        t2t_factor("z1", build),
         s01_factor("z2", build, W),
         s01_factor("z12", build, W),
     ]

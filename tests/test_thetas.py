@@ -14,6 +14,7 @@ from falsetheta.bilaurent import (
     bl_one,
 )
 from falsetheta.families import H_frak
+from falsetheta.identities import _t2t_sum
 from falsetheta.thetas import (
     unit_pochhammer,
     theta_hat,
@@ -43,8 +44,7 @@ from falsetheta.thetas import (
         lambda n: theta01("z1", 1, n),
         lambda n: theta_A2(n).clip(2),
         lambda n: calT(n).clip(2),
-        lambda n: t2t_factor("z1", n, "closed"),
-        lambda n: t2t_factor("z1", n, "geometric"),
+        lambda n: t2t_factor("z1", n),
         lambda n: s01_factor("z1", n, 2),
         lambda n: f_series(n),
         lambda n: f_coeff(0, 0, n),
@@ -189,13 +189,13 @@ class TestLatticeKernels:
 
 class TestRatioFactors:
     def test_t2t_paths_agree(self):
+        # the product against the closed double sum, fields and all
         for unit in ("z1", "z2", "z12"):
-            g = t2t_factor(unit, Rat(8), "geometric")
-            c = t2t_factor(unit, Rat(8), "closed")
-            assert g.terms == c.terms
+            for n in (Rat(8), Rat(15, 2), Rat(81, 8)):
+                assert t2t_factor(unit, n) == _t2t_sum(unit, n, "closed"), (unit, n)
 
     def test_t2t_leading(self):
-        g = t2t_factor("z1", Rat(4), "geometric")
+        g = t2t_factor("z1", Rat(4))
         assert g.qvaluation() == Rat(1, 8)
         assert g.coeff(0, 0).coeff(Rat(1, 8)) == 1
 

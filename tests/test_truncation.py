@@ -9,7 +9,7 @@ has not finished, disagrees with its deeper build.
 import pytest
 
 from falsetheta import families, series, thetas
-from falsetheta.identities import _REGISTRY, registered_ids
+from falsetheta.identities import _REGISTRY, registered_ids, _t2t_sum
 from falsetheta.rat import Rat
 from falsetheta.series import PuiseuxSeries
 
@@ -62,8 +62,8 @@ _BUILDERS = {
     "theta01": lambda n: thetas.theta01("z12", 2, n),
     "theta_A2": thetas.theta_A2,
     "calT": thetas.calT,
-    "t2t_closed": lambda n: thetas.t2t_factor("z1", n, "closed"),
-    "t2t_geometric": lambda n: thetas.t2t_factor("z12", n, "geometric"),
+    "t2t_factor": lambda n: thetas.t2t_factor("z12", n),
+    "t2t_sum_closed": lambda n: _t2t_sum("z1", n, "closed"),
     "f_series": thetas.f_series,
     "f_coeff": lambda n: thetas.f_coeff(1, -1, n),
     "J_series": thetas.J_series,
@@ -79,7 +79,6 @@ _BUILDERS = {
     "G_hyper": lambda n: families.G_hyper((1, -1), n),
     "H_frak": lambda n: families.H_frak(Rat(-3, 2), 1, n),
     "F0_general": lambda n: families.F0_series(3, n),
-    "F0_simplified": lambda n: families.F0_series(2, n, "P2SIMPLIFIED"),
     "rank_one_coeff": lambda n: families.rank_one_coeff(3, -1, n),
     "rogers_false_theta": families.rogers_false_theta,
     "zero": series.zero,
