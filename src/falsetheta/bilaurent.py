@@ -128,9 +128,6 @@ class BiLaurentSeries:
             return self.rows.get((k1.numerator, k2.numerator), q_zero(self.qorder))
         return q_zero(self.qorder)
 
-    def keys_sorted(self):
-        return list(self.terms)
-
     def clip(self, window):
         """Drop keys outside |ei| <= window; reading one of them raises."""
         return _from_rows(self.kd, self.rows, self.qorder, self.region, window)

@@ -244,10 +244,12 @@ def build_parser():
     top = argparse.ArgumentParser(
         prog="falsetheta",
         description="exact q-series expansion and identity verification",
+        allow_abbrev=False,
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("expand", help="print a truncated series expansion")
+    pe = sub.add_parser("expand", help="print a truncated series expansion",
+                        allow_abbrev=False)
     pe.add_argument("name", choices=[
         "eta", "theta", "theta01", "thetaA2", "calT", "f", "J", "kwN3",
         "Gfrak", "Ghyper", "Hfrak", "F0", "coeffF", "rankone", "rogers",
@@ -263,14 +265,16 @@ def build_parser():
     pe.add_argument("--format", choices=["text", "json"], default="text")
     pe.set_defaults(func=cmd_expand)
 
-    pv = sub.add_parser("verify", help="verify one registered identity or all")
+    pv = sub.add_parser("verify", help="verify one registered identity or all",
+                        allow_abbrev=False)
     pv.add_argument("id")
     pv.add_argument("--order", type=_parse_rat_arg, default=None)
     pv.add_argument("--jobs", type=int, default=1)
     pv.add_argument("--format", choices=["text", "json"], default="text")
     pv.set_defaults(func=cmd_verify)
 
-    pc = sub.add_parser("check", help="check a transformation law numerically")
+    pc = sub.add_parser("check", help="check a transformation law numerically",
+                        allow_abbrev=False)
     pc.add_argument("law", choices=list(LAW_IDS))
     pc.add_argument("--gamma", type=_parse_gamma, default=None)
     pc.add_argument("--m", type=_parse_int_pair, default=None)
@@ -283,7 +287,8 @@ def build_parser():
     pc.add_argument("--format", choices=["text", "json"], default="text")
     pc.set_defaults(func=cmd_check)
 
-    ps = sub.add_parser("suite", help="run the identity suite plus numeric checks")
+    ps = sub.add_parser("suite", help="run the identity suite plus numeric checks",
+                        allow_abbrev=False)
     ps.add_argument("--pattern", default="*")
     ps.add_argument("--jobs", type=int, default=1)
     ps.add_argument("--tolerance", type=float, default=1e-8)

@@ -53,7 +53,6 @@ from .thetas import (
     theta_hat_sum,
     t2t_factor,
     s01_factor,
-    f_series,
     f_coeff,
     J_constant_term,
     eta5_over_eta2,
@@ -346,17 +345,9 @@ def _build_E5(p, order):
     return lhs, rhs
 
 
-def _build_E6(p, order):
-    if p["part"] == "f":
-        a, b, c = (_t2t_sum(u, order, "closed") for u in ("z1", "z2", "z12"))
-        return f_series(order), bl_mul(bl_mul(a, b), c)
-    u, variant = p["unit"], "closed" if p["part"] == "closed" else "poch"
-    return t2t_factor(u, order), _t2t_sum(u, order, variant)
-
-
-def _build_E6b(p, order):
+def _build_t2t(p, order):
     u = p["unit"]
-    return t2t_factor(u, order), _t2t_sum(u, order, "quad")
+    return t2t_factor(u, order), _t2t_sum(u, order, p["variant"])
 
 
 def _build_E7(p, order):
@@ -574,15 +565,15 @@ _register(_Identity(
     Rat(20),
 ))
 _register(_Identity(
-    "E6", "theta-ratio product against its closed-sum and basic hypergeometric rewrites",
-    _build_E6,
-    [{"part": "f"}, {"part": "closed", "unit": "z1"}, {"part": "hyper", "unit": "z1"}],
+    "E6", "theta ratio on each unit: product against closed-sum and basic hypergeometric rewrites",
+    _build_t2t,
+    [{"variant": v, "unit": u} for v in ("closed", "poch") for u in ("z1", "z2", "z12")],
     Rat(20),
 ))
 _register(_Identity(
-    "E6b", "quadratic-exponent hypergeometric variant of the ratio denominator",
-    _build_E6b,
-    [{"unit": "z1"}],
+    "E6b", "quadratic-exponent hypergeometric variant of the theta ratio on each unit",
+    _build_t2t,
+    [{"variant": "quad", "unit": u} for u in ("z1", "z2", "z12")],
     Rat(20),
 ))
 _register(_Identity(
@@ -709,7 +700,7 @@ def _corrupt(lhs):
         exps = sorted(lhs.terms) or [Rat(0)]
         e = exps[len(exps) // 2]
         return lhs + q_monomial(1, e, lhs.order), e
-    keys = lhs.keys_sorted()
+    keys = list(lhs.terms)
     key = keys[len(keys) // 2] if keys else (0, 0)
     exps = sorted(lhs.coeff(*key).terms)
     e = exps[len(exps) // 2] if exps else Rat(0)

@@ -92,9 +92,9 @@ def _pairwise_product(a, b):
     """The product key pair by key pair with PuiseuxSeries.__mul__:
     (terms, qorder), the oracle for bl_mul."""
     qorder = min(a.qorder + b.qvaluation(), b.qorder + a.qvaluation())
-    terms = {}
+    terms, tb = {}, b.terms  # each read of terms builds a new map
     for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
+        for kb, cb in tb.items():
             if ca.valuation() + cb.valuation() >= qorder:
                 continue
             key = (ka[0] + kb[0], ka[1] + kb[1])

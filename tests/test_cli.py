@@ -279,3 +279,16 @@ class TestSuite:
         code, out, err = run(capsys, "suite", "--pattern", "NOPE", *extra)
         assert code == USAGE_ERROR
         assert out == "" and "no identity matches" in err
+
+
+class TestOptionNames:
+    @pytest.mark.parametrize("argv", [
+        ("expand", "F0", "--order", "3", "--form", "json"),
+        ("verify", "E5", "--ord", "4"),
+    ], ids=["form-for-format", "ord-for-order"])
+    def test_an_option_prefix_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == USAGE_ERROR
+        assert captured.out == "" and "unrecognized arguments" in captured.err

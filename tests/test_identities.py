@@ -141,6 +141,23 @@ def test_E19_compares_over_its_whole_grid():
     assert verify_identity("E19", order=1).verdict == "equal"
 
 
+_T2T_POINTS = [(i, p) for i in ("E6", "E6b") for p in identity_grid(i)]
+
+
+@pytest.mark.parametrize("ident, point", _T2T_POINTS,
+                         ids=[f"{i}-{p['variant']}-{p['unit']}" for i, p in _T2T_POINTS])
+def test_each_theta_ratio_point_compares_and_is_equal(ident, point):
+    lhs, rhs = _REGISTRY[ident].build(point, Rat(8))
+    assert _compares(lhs, rhs, Rat(8))
+    assert verify_identity(ident, point, 8).verdict == "equal"
+
+
+@pytest.mark.parametrize("ident, variants", [("E6", {"closed", "poch"}), ("E6b", {"quad"})])
+def test_theta_ratio_grids_check_every_variant_on_every_unit(ident, variants):
+    points = {(p["variant"], p["unit"]) for p in identity_grid(ident)}
+    assert points == {(v, u) for v in variants for u in ("z1", "z2", "z12")}
+
+
 def test_compares_looks_below_every_order():
     a = PuiseuxSeries({Rat(7, 8): 5, 3: 1}, 4)
     zero = PuiseuxSeries({}, 2)

@@ -128,9 +128,9 @@ def _pairwise_mul(a, b):
     """The product term pair by term pair in Rat: (terms, order), the
     oracle for PuiseuxSeries.__mul__."""
     order = min(a.order + b.valuation(), b.order + a.valuation())
-    terms = {}
+    terms, tb = {}, b.terms  # each read of terms builds a new map
     for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
+        for eb, cb in tb.items():
             if ea + eb < order:
                 terms[ea + eb] = terms.get(ea + eb, 0) + ca * cb
     return {e: c for e, c in terms.items() if c}, order

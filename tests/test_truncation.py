@@ -28,9 +28,10 @@ def _disagreement(a, b):
         d = a - b  # of the smaller order
         return None if d.is_zero() else d.valuation()
     za, zb = series.zero(a.qorder), series.zero(b.qorder)
-    for k in sorted(a.terms.keys() | b.terms.keys()):
+    ta, tb = a.terms, b.terms  # each read of terms builds a new map
+    for k in sorted(ta.keys() | tb.keys()):
         if _inside(k, a.window) and _inside(k, b.window):
-            d = _disagreement(a.terms.get(k, za), b.terms.get(k, zb))
+            d = _disagreement(ta.get(k, za), tb.get(k, zb))
             if d is not None:
                 return k, d
     return None
