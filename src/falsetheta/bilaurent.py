@@ -13,6 +13,12 @@ bl_mul and product_coeff share one kernel, _int_product:
 it spreads the integer row each key's PuiseuxSeries holds onto one grid
 of exponents and convolves the rows with series._mul_add, on which
 PuiseuxSeries products run too; each result row becomes a series as is.
+A caller that knows a product to be symmetric under a group acting
+linearly on the keys passes bl_mul the keyword-only `orbit`, a map from
+a key to the keys of its orbit: one key per orbit is convolved, and the
+keys of the orbit share one series object.  Shared rows stay shared:
+bl_scalar_mul, truncate_q and clip handle each row object once, and the
+kernel spreads it once.
 
 The optional `window` W marks a clip: keys outside |e1|, |e2| <= W were
 dropped, so their coefficients are unknown and reading one raises.  It
@@ -89,13 +95,15 @@ class BiLaurentSeries:
         """Store rows over kd clipped to the window, truncated to qorder, zeros
         dropped and kd reduced; a kept coefficient below qorder raises."""
         lim = None if window is None else rat_floor(rat(window) * kd)
-        clean = {}
+        clean, done = {}, {}  # done: id(row) -> the row truncated, once per shared row
         for k, c in rows.items():
             if lim is not None and (abs(k[0]) > lim or abs(k[1]) > lim):
                 continue
-            c = c.truncate(qorder)  # raises if c.order < qorder
-            if c.row:
-                clean[k] = c
+            t = done.get(id(c))
+            if t is None:
+                t = done[id(c)] = c.truncate(qorder)  # raises if c.order < qorder
+            if t.row:
+                clean[k] = t
         g = gcd(kd, *(x for k in clean for x in k))
         if g > 1:
             kd //= g
@@ -109,7 +117,8 @@ class BiLaurentSeries:
 
     def qvaluation(self):
         """Minimal coefficient valuation over all keys (qorder if empty)."""
-        return min((c.valuation() for c in self.rows.values()), default=self.qorder)
+        each = {id(c): c for c in self.rows.values()}.values()  # shared rows once
+        return min((c.v for c in each), default=self.qorder)
 
     @property
     def terms(self):
@@ -224,7 +233,7 @@ def bl_add(*operands):
                       min(windows, default=None))
 
 
-def _int_product(factors, qorder, key=None):
+def _int_product(factors, qorder, key=None, orbit=None):
     """The rows below qorder of the product of the factors, given as their
     rows over one kd; with a key over that kd, only that key's.
 
@@ -235,21 +244,29 @@ def _int_product(factors, qorder, key=None):
     are walked from the last factor down to the first, whose key is looked
     up when the sum is fixed, and skipped once their rows start at or past
     the order; each tuple's row product is added into one row per key.
+
+    `orbit` maps a key over kd to the keys of its orbit under a group that
+    the caller guarantees to be a symmetry of the product.  The first key
+    of each orbit that the walk reaches is convolved in full, tuples that
+    sum to any other key of that orbit are skipped, and every key of the
+    orbit maps to the same series object.
     """
     if not all(factors):
         return {}
-    g0, ints = _grid(*(x for f in factors for s in f.values() for x in (s.step, s.v)))
+    # each row object once, however many keys share it
+    each = [list({id(s): s for s in f.values()}.values()) for f in factors]
+    g0, ints = _grid(*(x for ss in each for s in ss for x in (s.step, s.v)))
     ints = iter(ints)
-    # (key, series, step / g0, valuation / g0) for each key of each factor
-    grid = [[(k, s, next(ints), next(ints)) for k, s in f.items()] for f in factors]
-    e0 = [min(u for _, _, _, u in fg) for fg in grid]
-    g = gcd(*(x for fg, m in zip(grid, e0) for _, _, t, u in fg for x in (t, u - m)))
+    # (series, step / g0, valuation / g0) for each row of each factor
+    grid = [[(s, next(ints), next(ints)) for s in ss] for ss in each]
+    e0 = [min(u for _, _, u in fg) for fg in grid]
+    g = gcd(*(x for fg, m in zip(grid, e0) for _, t, u in fg for x in (t, u - m)))
     scale, rows = 1, []
-    for fg, m in zip(grid, e0):
-        den = lcm(*(s.den for _, s, _, _ in fg))
+    for f, fg, m in zip(factors, grid, e0):
+        den = lcm(*(s.den for s, _, _ in fg))
         scale *= den
-        rows.append({k: ((u - m) // g, _spread(s.row, t // g, den // s.den))
-                     for k, s, t, u in fg})
+        spread = {id(s): ((u - m) // g, _spread(s.row, t // g, den // s.den)) for s, t, u in fg}
+        rows.append({k: spread[id(s)] for k, s in f.items()})
     v, step = g0 * sum(e0), g0 * g
     ntop = rat_ceil((qorder - v) / step)
 
@@ -269,32 +286,46 @@ def _int_product(factors, qorder, key=None):
                 for out, t, head in tuples(i - 1, rest, s + lo):
                     yield (out[0] + kk[0], out[1] + kk[1]), t, head + (r,)
 
-    sums = {}
+    sums, others = {}, set()  # others: the keys that an orbit's first key stands for
     for out, s, tup in tuples(len(rows) - 1, key, 0):
         dst = sums.get(out)
         if dst is None:
+            if out in others:
+                continue
             dst = sums[out] = [0] * ntop
+            if orbit is not None:
+                others.update(orbit(out))
         part = tup[0] if len(tup) > 1 else [1]
         for r in tup[1:-1]:
             nxt = [0] * min(len(part) + len(r) - 1, ntop - s)
             _mul_add(nxt, 0, part, r)
             part = nxt
         _mul_add(dst, s, part, tup[-1])
-    return {k: _from_row(v, step, row, scale, qorder) for k, row in sums.items()}
+    if orbit is None:
+        return {k: _from_row(v, step, row, scale, qorder) for k, row in sums.items()}
+    out = {}
+    for k, row in sums.items():
+        c = _from_row(v, step, row, scale, qorder)
+        out.update(dict.fromkeys(orbit(k), c))
+    return out
 
 
-def bl_mul(a, b):
+def bl_mul(a, b, *, orbit=None):
     """Convolution product; q-truncation follows the one-variable rule
 
         qorder = min(a.qorder + qval(b), b.qorder + qval(a)).
 
     One call of the integer-row kernel that product_coeff shares, over
-    every key pair; keys that cancel are dropped.
+    every key pair; keys that cancel are dropped.  `orbit`, for a product
+    the caller knows to be symmetric, is _int_product's: one key per orbit
+    is convolved, and the orbit's keys share its row.  It maps int keys
+    over the product's kd, so it must be linear in the key.  It is
+    keyword-only, so that wrappers that unpack `a, b = args` keep working.
     """
     _check_regions(a, b)
     qorder = min(a.qorder + b.qvaluation(), b.qorder + a.qvaluation())
     kd, rows = _common_rows((a, b))
-    return _from_rows(kd, _int_product(rows, qorder), qorder, a.region)
+    return _from_rows(kd, _int_product(rows, qorder, orbit=orbit), qorder, a.region)
 
 
 def product_coeff(factors, r1, r2):
@@ -327,9 +358,16 @@ def product_coeff(factors, r1, r2):
 
 
 def bl_scalar_mul(a, s):
-    """Multiply every coefficient by the one-variable series s(q)."""
+    """Multiply every coefficient by the one-variable series s(q); keys that
+    share one row object share its product."""
     qorder = min(a.qorder + s.valuation(), s.order + a.qvaluation())
-    return _from_rows(a.kd, {k: c * s for k, c in a.rows.items()}, qorder, a.region, a.window)
+    rows, done = {}, {}  # done: id(row) -> its product, once per shared row
+    for k, c in a.rows.items():
+        p = done.get(id(c))
+        if p is None:
+            p = done[id(c)] = c * s
+        rows[k] = p
+    return _from_rows(a.kd, rows, qorder, a.region, a.window)
 
 
 def expand_inverse_one_minus(unit, n, qorder, zwindow=None, invert_unit=False):
@@ -374,6 +412,12 @@ def bl_elliptic_shift(a, m1, m2):
     return _from_rows(a.kd, rows, qorder, a.region, a.window)
 
 
+def _int_constants(rows):
+    """(den, {key: int}): constant coefficients as ints over their lcm den."""
+    den = lcm(*(c.den for c in rows.values()))
+    return den, {k: c.row[0] * (den // c.den) for k, c in rows.items()}
+
+
 def laurent_poly_exact_divide(numer, denom):
     """Exact quotient of two Laurent polynomials with constant coefficients.
 
@@ -381,12 +425,15 @@ def laurent_poly_exact_divide(numer, denom):
     division leaves a remainder.  Division runs by repeatedly cancelling
     the lex-leading term; the quotient support is confined a priori to
     the componentwise box [min(numer) - max(denom), max(numer) - min(denom)].
+    Each operand's coefficients are ints over one denominator; a quotient
+    entry stays an int when the divisor's leading coefficient divides it,
+    as it always does for a monic divisor, and is a Rat otherwise.
     """
     kd, rows = _common_rows((numer, denom))
     for r, who in zip(rows, ("numerator", "denominator")):
         if any(c.v or len(c.row) != 1 for c in r.values()):
             raise ValueError(f"{who} is not a constant-coefficient Laurent polynomial")
-    nterms, dterms = ({k: Rat(c.row[0], c.den) for k, c in r.items()} for r in rows)
+    (nden, nterms), (dden, dterms) = map(_int_constants, rows)
     if not dterms:
         raise ZeroDivisionError("division by the zero polynomial")
     qorder = min(numer.qorder, denom.qorder)
@@ -415,16 +462,20 @@ def laurent_poly_exact_divide(numer, denom):
                 f"nonzero remainder at monomial z1^{mono[0]} z2^{mono[1]}",
                 monomial=mono,
             )
-        c = rem[lead] / cd
-        quot[t] = quot.get(t, Rat(0)) + c
+        x = rem[lead]
+        c, r = divmod(x, cd)
+        if r:
+            c = Rat(x, cd)
+        quot[t] = quot.get(t, 0) + c
         for k, v in dterms.items():
             key = (t[0] + k[0], t[1] + k[1])
-            s = rem.get(key, Rat(0)) - c * v
+            s = rem.get(key, 0) - c * v
             if s:
                 rem[key] = s
             else:
                 rem.pop(key, None)
-    rows = {k: q_monomial(c, 0, qorder) for k, c in quot.items()}
+    # numer / denom is the int quotient times dden / nden
+    rows = {k: q_monomial(Rat(c * dden, nden), 0, qorder) for k, c in quot.items()}
     return _from_rows(kd, rows, qorder, region)
 
 

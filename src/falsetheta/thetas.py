@@ -30,6 +30,13 @@ by `series.quadratic_range` or `series.lattice_points`.  Builders build
 whole objects, and callers clip them: only s01_factor takes a key
 window, because its factor 1/(1 - u) has no finite key support; it
 applies that factor as a running sum of the kernel's rows.
+
+f is a product over the three positive roots of A2 (the units z1, z2,
+z1 z2) of one factor that is even in its unit, so its coefficients are
+fixed by the 12-element group W(A2) x {+-1} acting on the keys (e1, e2);
+calT is fixed by the same group.  f_series and J_series pass that group's
+orbits (_swap_orbit, _weyl_orbit) to bl_mul, which then convolves one key
+per orbit.  f_coeff and J_constant_term pass none.
 """
 
 from functools import lru_cache
@@ -221,14 +228,34 @@ def _f_factors(qorder):
     return [t2t_factor(unit, qorder) for unit in ("z1", "z2", "z12")]
 
 
+def _swap_orbit(key):
+    """The orbit of a key under {id, swap, -1, -swap}: a symmetry of any
+    product g(z1) g(z2) of one function g that is even in its unit."""
+    e1, e2 = key
+    return (e1, e2), (e2, e1), (-e1, -e2), (-e2, -e1)
+
+
+def _weyl_orbit(key):
+    """The orbit of a key under W(A2) x {+-1}, the 12-element group that
+    (e1, e2) -> (e2, e1), (e1, e2) -> (-e1, e2 - e1) and -1 generate: a
+    symmetry of g(z1) g(z2) g(z1 z2) for g even in its unit, and of calT."""
+    e1, e2 = key
+    d = e2 - e1
+    six = (e1, e2), (e2, e1), (-e1, d), (d, -e1), (-e2, -d), (-d, -e2)
+    return six + tuple((-a, -b) for a, b in six)
+
+
 def f_series(qorder):
     """The meromorphic Jacobi form ratio, INNER region.
 
     Product over the three units z1, z2, z1*z2 of the t2t factor; the
     (0, 0) coefficient has valuation 3/8 with leading coefficient 1.
+    Each factor is even in its unit, so the product of the first two is
+    symmetric under _swap_orbit and the whole under _weyl_orbit, and
+    bl_mul convolves one key of each orbit.
     """
     a, b, c = _f_factors(qorder)
-    return bl_mul(bl_mul(a, b), c)
+    return bl_mul(bl_mul(a, b, orbit=_swap_orbit), c, orbit=_weyl_orbit)
 
 
 def f_coeff(r1, r2, qorder):
@@ -250,9 +277,11 @@ def eta1_over_eta2(order):
 
 def J_series(qorder):
     """eta^5/eta(2tau) * calT * f: an index-zero combination, whole (calT
-    has finite key support); callers clip it."""
+    has finite key support); callers clip it.  calT and f are both
+    symmetric under _weyl_orbit, so their product is convolved one key
+    per orbit, and the keys of an orbit share one row to the end."""
     qorder = _positive_order(qorder)
-    body = bl_mul(calT(qorder), f_series(qorder))
+    body = bl_mul(calT(qorder), f_series(qorder), orbit=_weyl_orbit)
     return bl_scalar_mul(body, eta5_over_eta2(qorder)).truncate_q(qorder)
 
 

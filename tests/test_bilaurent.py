@@ -12,6 +12,7 @@ from falsetheta.bilaurent import (
     RegionMismatchError,
     ExactDivisionError,
     BiLaurentSeries,
+    UNIT_KEYS,
     bl_monomial,
     bl_one,
     bl_zero,
@@ -23,8 +24,10 @@ from falsetheta.bilaurent import (
     laurent_poly_exact_divide,
     bl_to_json,
     bl_from_json,
+    _common_rows,
+    _int_product,
 )
-from falsetheta.thetas import calT, t2t_factor, theta_hat
+from falsetheta.thetas import calT, t2t_factor, theta_hat, _swap_orbit, _weyl_orbit
 from falsetheta.identities import _t2t_sum
 
 
@@ -361,3 +364,140 @@ class TestRowsAgainstDictSemantics:
         assert err.value.monomial == (Rat(-1, 2), Rat(2, 3))
         assert all(type(e) is Rat for e in err.value.monomial)
         assert "z1^-1/2 z2^2/3" in str(err.value)
+
+
+# -- one key per orbit against every key -----------------------------------------
+
+
+def _fields(a):
+    return a.kd, a.rows, a.qorder, a.region, a.window
+
+
+@st.composite
+def _even_unit_series(draw):
+    """(rows, qorder) of a one-unit series g(u) = g(1/u): the keys m and -m
+    share one series, of valuation in 1/8 + Z/6, with mixed denominators."""
+    qorder = draw(st.builds(Rat, st.integers(3, 24), st.sampled_from([1, 2, 3])))
+    half = draw(st.dictionaries(
+        st.builds(Rat, st.integers(0, 3), st.sampled_from([1, 2])),
+        st.dictionaries(st.builds(Rat, st.integers(0, 8), st.sampled_from([1, 2, 3])),
+                        _coeffs.filter(bool), min_size=1, max_size=4),
+        min_size=1, max_size=4,
+    ))
+    rows = {}
+    for m, c in half.items():
+        rows[m] = rows[-m] = PuiseuxSeries({Rat(1, 8) + e: x for e, x in c.items()}, qorder)
+    return rows, qorder
+
+
+def _on_unit(rows, unit, qorder):
+    d1, d2 = UNIT_KEYS[unit]
+    return BiLaurentSeries({(m * d1, m * d2): c for m, c in rows.items()}, qorder, Region.INNER)
+
+
+class TestOrbitProducts:
+    @given(_even_unit_series())
+    @settings(max_examples=200, deadline=None)
+    def test_one_key_per_orbit_against_every_key(self, g):
+        rows, qorder = g
+        a, b, c = (_on_unit(rows, u, qorder) for u in ("z1", "z2", "z12"))
+        for factors, orbit in (((a, b), _swap_orbit), ((a, b, c), _weyl_orbit)):
+            vals = [f.qvaluation() for f in factors]
+            order = min(f.qorder + sum(vals) - v for f, v in zip(factors, vals))
+            _, krows = _common_rows(factors)
+            want = _int_product(krows, order)
+            got = _int_product(krows, order, orbit=orbit)
+            assert {k: s for k, s in got.items() if s.row} == {
+                k: s for k, s in want.items() if s.row}
+            for k, s in got.items():
+                assert all(got[kk] is s for kk in orbit(k))
+        got = bl_mul(bl_mul(a, b, orbit=_swap_orbit), c, orbit=_weyl_orbit)
+        assert _fields(got) == _fields(bl_mul(bl_mul(a, b), c))
+
+    def test_orbit_is_keyword_only(self):
+        # a wrapper that unpacks `a, b = args` sees only the two operands
+        a = t2t_factor("z1", Rat(2))
+        with pytest.raises(TypeError):
+            bl_mul(a, a, _swap_orbit)
+
+    def test_shared_rows_stay_shared(self):
+        s = monomial(Rat(1, 3), Rat(1, 8), Rat(4))
+        a = BiLaurentSeries({(1, 0): s, (0, 1): s, (1, 1): q_one(Rat(4))}, Rat(4), Region.INNER)
+        assert a.rows[(1, 0)] is a.rows[(0, 1)]
+        t = monomial(2, Rat(1, 2), Rat(3))
+        for b in (bl_scalar_mul(a, t), a.truncate_q(Rat(2)), a.clip(1)):
+            assert b.rows[(1, 0)] is b.rows[(0, 1)]
+        assert bl_scalar_mul(a, t).rows[(0, 1)] == (s * t).truncate(3)
+
+
+# -- exact division against the Fraction long division ---------------------------
+
+
+def _fraction_exact_divide(numer, denom):
+    """The lex-leading long division on Rat keys and Rat coefficients, the
+    oracle for laurent_poly_exact_divide: (quotient, None), or (None, the
+    monomial of the remainder) when the division is not exact."""
+    nterms = {k: c.coeff(0) for k, c in numer.terms.items()}
+    dterms = {k: c.coeff(0) for k, c in denom.terms.items()}
+    qorder = min(numer.qorder, denom.qorder)
+    lead_d = max(dterms)
+    cd = dterms[lead_d]
+    lo = tuple(min(k[i] for k in nterms) - max(k[i] for k in dterms) for i in (0, 1))
+    hi = tuple(max(k[i] for k in nterms) - min(k[i] for k in dterms) for i in (0, 1))
+    rem = dict(nterms)
+    quot = {}
+    while rem:
+        lead = max(rem)
+        t = (lead[0] - lead_d[0], lead[1] - lead_d[1])
+        if not (lo[0] <= t[0] <= hi[0] and lo[1] <= t[1] <= hi[1]):
+            return None, lead
+        c = rem[lead] / cd
+        quot[t] = quot.get(t, Rat(0)) + c
+        for k, v in dterms.items():
+            key = (t[0] + k[0], t[1] + k[1])
+            s = rem.get(key, Rat(0)) - c * v
+            if s:
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+    terms = {k: monomial(c, 0, qorder) for k, c in quot.items()}
+    return BiLaurentSeries(terms, qorder, numer.region), None
+
+
+_poly_keys = st.tuples(
+    st.builds(Rat, st.integers(-2, 2), st.sampled_from([1, 2])),
+    st.builds(Rat, st.integers(-2, 2), st.sampled_from([1, 3])),
+)
+
+
+def _laurent_polys(min_size):
+    return st.dictionaries(_poly_keys, _coeffs.filter(bool), min_size=min_size, max_size=4).map(
+        lambda t: BiLaurentSeries({k: monomial(c, 0, 1) for k, c in t.items()}, 1, Region.OUTER))
+
+
+class TestExactDivisionAgainstFractions:
+    @given(_laurent_polys(1), _laurent_polys(1), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_polynomials(self, numer, denom, exact):
+        if exact:
+            numer = bl_mul(numer, denom)
+        want, mono = _fraction_exact_divide(numer, denom)
+        if mono is None:
+            assert _fields(laurent_poly_exact_divide(numer, denom)) == _fields(want)
+        else:
+            assert not exact
+            with pytest.raises(ExactDivisionError) as err:
+                laurent_poly_exact_divide(numer, denom)
+            assert err.value.monomial == mono
+            assert str(err.value) == f"nonzero remainder at monomial z1^{mono[0]} z2^{mono[1]}"
+
+    def test_a_leading_coefficient_that_does_not_divide(self):
+        # (1 + z1) / (2 + 3 z1) leaves a remainder; (3 + 9/2 z1) / (2 + 3 z1) = 3/2
+        denom = bl_add(mono(2, 0, 0, 0, 1, Region.OUTER), mono(3, 1, 0, 0, 1, Region.OUTER))
+        with pytest.raises(ExactDivisionError):
+            laurent_poly_exact_divide(
+                bl_add(mono(1, 0, 0, 0, 1, Region.OUTER), mono(1, 1, 0, 0, 1, Region.OUTER)),
+                denom)
+        numer = bl_add(mono(3, 0, 0, 0, 1, Region.OUTER),
+                       mono(Rat(9, 2), 1, 0, 0, 1, Region.OUTER))
+        assert laurent_poly_exact_divide(numer, denom) == mono(Rat(3, 2), 0, 0, 0, 1, Region.OUTER)

@@ -127,6 +127,15 @@ def oracle_theta(z, tau, scale):
     ))
 
 
+def oracle_f(z, tau):
+    """prod_u theta(u; 2 tau) / theta(u; tau) over u = z1, z2, z1 + z2."""
+    z1, z2 = z
+    out = 1
+    for u in (z1, z2, z1 + z2):
+        out *= oracle_theta(u, tau, 2) / oracle_theta(u, tau, 1)
+    return out
+
+
 def oracle_eta(tau):
     K = int(math.sqrt(24 * _ORACLE_TAIL / tau.imag) / 6) + 2
     tau = mpmath.mpc(tau)
@@ -175,6 +184,7 @@ def test_evaluators_match_direct_high_precision_sums(z1, z2, tau):
     assert close(eval_theta(z2, tau, 2), oracle_theta(z2, tau, 2))
     assert close(eval_eta(tau), oracle_eta(tau))
     assert close(eval_T((z1, z2), tau), oracle_T((z1, z2), tau))
+    assert close(eval_f((z1, z2), tau), oracle_f((z1, z2), tau))
 
 
 @given(st.floats(1e-4, 20), st.floats(-20, 20), st.sampled_from([1, 2]))

@@ -31,6 +31,8 @@ from falsetheta.thetas import (
     kw_character_N3,
     eta5_over_eta2,
     eta1_over_eta2,
+    _swap_orbit,
+    _weyl_orbit,
 )
 
 
@@ -217,14 +219,73 @@ class TestRatioFactors:
         assert f_series(Rat(3)).coeff(10, 0).is_zero()
         assert theta_hat("z1", 1, Rat(3)).coeff(10, 0).is_zero()
 
-    def test_f_series_valuation_and_symmetry(self):
-        f = f_series(Rat(6)).clip(5)
+    @pytest.mark.parametrize("qorder", [Rat(6), Rat(193, 24)])
+    def test_f_series_valuation_and_symmetry(self, qorder):
+        f = f_series(qorder)
         assert f.qvaluation() == Rat(3, 8)
         assert f.coeff(0, 0).coeff(Rat(3, 8)) == 1
-        # swapping the two elliptic variables fixes the product
-        for (e1, e2), c in f.terms.items():
-            if abs(e2) <= 5 and abs(e1) <= 5:
-                assert f.coeff(e2, e1) == c
+        # W(A2) x {+-1} fixes the product: read through f_coeff, which
+        # convolves the key it is asked for and is told no symmetry
+        box = [(e1, e2) for e1 in range(-4, 5) for e2 in range(-4, 5)]
+        want = {k: f_coeff(*k, qorder) for k in {i for k in box for i in _weyl_orbit(k)}}
+        for k in box:
+            assert all(want[i] == want[k] for i in _weyl_orbit(k)), k
+        assert sum(not c.is_zero() for c in want.values()) > 80
+        assert all(f.coeff(*k) == c for k, c in want.items())
+
+    def test_calT_is_fixed_by_the_weyl_group(self):
+        t = calT(Rat(40))
+        assert t.kd == 1 and len(t.rows) > 70
+        for k, c in t.rows.items():
+            assert all(t.rows.get(i) == c for i in _weyl_orbit(k)), k
+
+    @pytest.mark.parametrize("orbit,generators,size", [
+        (_swap_orbit, [lambda e: (e[1], e[0]), lambda e: (-e[0], -e[1])], 4),
+        (_weyl_orbit, [lambda e: (e[1], e[0]), lambda e: (-e[0], e[1] - e[0]),
+                       lambda e: (-e[0], -e[1])], 12),
+    ], ids=["swap", "weyl"])
+    def test_each_orbit_is_the_orbit_of_its_group(self, orbit, generators, size):
+        for key in [(e1, e2) for e1 in range(-5, 6) for e2 in range(-5, 6)]:
+            seen, todo = {key}, [key]
+            while todo:
+                e = todo.pop()
+                for g in generators:
+                    if g(e) not in seen:
+                        seen.add(g(e))
+                        todo.append(g(e))
+            assert set(orbit(key)) == seen, key
+        assert len(set(orbit((1, 3)))) == size
+
+
+def _plain_f(qorder):
+    """f by bl_mul convolving every key: the oracle for f_series."""
+    a, b, c = (t2t_factor(u, qorder) for u in ("z1", "z2", "z12"))
+    return bl_mul(bl_mul(a, b), c)
+
+
+def _per_key(a, s, qorder):
+    """a times the one-variable s one key at a time, each product truncated
+    to qorder: the oracle for bl_scalar_mul(a, s).truncate_q(qorder)."""
+    terms = {k: (c * s).truncate(qorder) for k, c in a.terms.items()}
+    return BiLaurentSeries(terms, qorder, a.region, a.window)
+
+
+_PLAIN_ROUTES = {
+    "f": (f_series, _plain_f),
+    "J": (J_series, lambda n: _per_key(bl_mul(calT(n), _plain_f(n)), eta5_over_eta2(n), n)),
+    "kwN3": (kw_character_N3, lambda n: _per_key(
+        _plain_f(n + Rat(1, 24)), eta1_over_eta2(n + Rat(1, 24)), n)),
+}
+
+
+@pytest.mark.parametrize(
+    "qorder", [Rat(1, 9), Rat(1), Rat(3), Rat(193, 24), Rat(15, 2), Rat(10), Rat(11), Rat(16)])
+@pytest.mark.parametrize("name", list(_PLAIN_ROUTES))
+def test_orbit_builds_match_the_plain_route(name, qorder):
+    build, plain = _PLAIN_ROUTES[name]
+    got, want = build(qorder), plain(qorder)
+    for field in BiLaurentSeries.__slots__:
+        assert getattr(got, field) == getattr(want, field), field
 
 
 class TestAssembled:
