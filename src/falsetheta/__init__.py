@@ -17,8 +17,6 @@ from .series import (
     series_from_json,
 )
 from .bilaurent import (
-    Region,
-    RegionMismatchError,
     ExactDivisionError,
     BiLaurentSeries,
     expand_inverse_one_minus,

@@ -4,10 +4,13 @@ Keys are the exponents (e1, e2) of the elliptic units (z1, z2), stored
 as int pairs (k1, k2) over kd, the least common key denominator: `rows`
 maps (k1, k2) to the q-series of the key (k1/kd, k2/kd); `terms`, `coeff`
 and the JSON read rational keys off it.  Operations meet on the lcm of
-their operands' kd and build their results with _from_rows.  Every series
-is tagged with the annulus (Region) its meromorphic factors were expanded
-in; mixing regions is a hard error, because the same rational function
-has different Laurent expansions in different annuli.
+their operands' kd and build their results with _from_rows.
+
+Every meromorphic factor is expanded in one annulus, the paper's
+|q| < |z1|, |z2|, |z1 z2| < 1: 1/(1 - x) is sum_k x^k for |x| < 1.  A
+Laurent polynomial is the same in every annulus, so no series records
+one.  The JSON still names it, "region": "INNER", and bl_from_json
+refuses any other, because a file may come from outside the program.
 
 bl_mul and product_coeff share one kernel, _int_product:
 it spreads the integer row each key's PuiseuxSeries holds onto one grid
@@ -31,7 +34,6 @@ outside a product's support reads as zero.  Callers choose a window as
 an analysis parameter and pair it with a compatible q-order.
 """
 
-import enum
 from math import gcd, lcm
 
 from .rat import Rat, rat, rat_ceil, rat_floor, rat_str, parse_rat
@@ -40,8 +42,6 @@ from .series import series_to_json, series_from_json
 from .series import _from_row, _grid, _mul_add, _scaled, _spread
 
 __all__ = [
-    "Region",
-    "RegionMismatchError",
     "ExactDivisionError",
     "BiLaurentSeries",
     "bl_zero",
@@ -60,15 +60,6 @@ __all__ = [
 ]
 
 
-class Region(enum.Enum):
-    INNER = "INNER"  # |q| < |z1|, |z2|, |z1 z2| < 1
-    OUTER = "OUTER"  # |z1| > 1, |z2| > 1
-
-
-class RegionMismatchError(ValueError):
-    pass
-
-
 class ExactDivisionError(ArithmeticError):
     def __init__(self, message, monomial=None):
         super().__init__(message)
@@ -80,18 +71,16 @@ UNIT_KEYS = {"z1": (1, 0), "z2": (0, 1), "z12": (1, 1)}
 
 
 class BiLaurentSeries:
-    """Immutable region-tagged series sum_k rows[k](q) z1^(k1/kd) z2^(k2/kd)."""
+    """Immutable series sum_k rows[k](q) z1^(k1/kd) z2^(k2/kd)."""
 
-    __slots__ = ("kd", "rows", "qorder", "region", "window")
+    __slots__ = ("kd", "rows", "qorder", "window")
 
-    def __init__(self, terms, qorder, region, window=None):
-        if not isinstance(region, Region):
-            raise TypeError("region must be a Region")
+    def __init__(self, terms, qorder, window=None):
         kd, ks = _scaled(*(e for key in terms for e in key))
         rows = dict(zip(zip(ks[::2], ks[1::2]), terms.values()))
-        self._store(kd, rows, rat(qorder), region, window)
+        self._store(kd, rows, rat(qorder), window)
 
-    def _store(self, kd, rows, qorder, region, window):
+    def _store(self, kd, rows, qorder, window):
         """Store rows over kd clipped to the window, truncated to qorder, zeros
         dropped and kd reduced; a kept coefficient below qorder raises."""
         lim = None if window is None else rat_floor(rat(window) * kd)
@@ -108,7 +97,7 @@ class BiLaurentSeries:
         if g > 1:
             kd //= g
             clean = {(k1 // g, k2 // g): c for (k1, k2), c in clean.items()}
-        for name, x in zip(self.__slots__, (kd, clean, qorder, region, window)):
+        for name, x in zip(self.__slots__, (kd, clean, qorder, window)):
             object.__setattr__(self, name, x)
         return self
 
@@ -139,31 +128,30 @@ class BiLaurentSeries:
 
     def clip(self, window):
         """Drop keys outside |ei| <= window; reading one of them raises."""
-        return _from_rows(self.kd, self.rows, self.qorder, self.region, window)
+        return _from_rows(self.kd, self.rows, self.qorder, window)
 
     def truncate_q(self, qorder):
         qorder = rat(qorder)
         if qorder > self.qorder:
             raise ValueError("cannot extend q-truncation")
-        return _from_rows(self.kd, self.rows, qorder, self.region, self.window)
+        return _from_rows(self.kd, self.rows, qorder, self.window)
 
     def __eq__(self, other):
         if not isinstance(other, BiLaurentSeries):
             return NotImplemented
         return (
-            self.region is other.region
-            and self.qorder == other.qorder
+            self.qorder == other.qorder
             and self.kd == other.kd
             and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.region, self.qorder, self.kd, frozenset(self.rows)))
+        return hash((self.qorder, self.kd, frozenset(self.rows)))
 
     def __repr__(self):
         n = len(self.rows)
         return (
-            f"<BiLaurentSeries {self.region.value} keys={n} "
+            f"<BiLaurentSeries keys={n} "
             f"qorder={self.qorder} window={self.window}>"
         )
 
@@ -180,9 +168,9 @@ class BiLaurentSeries:
         return bl_mul(self, other)
 
 
-def _from_rows(kd, rows, qorder, region, window=None):
+def _from_rows(kd, rows, qorder, window=None):
     """The series of rows {(k1, k2): PuiseuxSeries} over kd; see _store."""
-    return object.__new__(BiLaurentSeries)._store(kd, rows, qorder, region, window)
+    return object.__new__(BiLaurentSeries)._store(kd, rows, qorder, window)
 
 
 def _common_rows(series):
@@ -194,30 +182,23 @@ def _common_rows(series):
     return kd, out
 
 
-def bl_zero(qorder, region, window=None):
-    return BiLaurentSeries({}, qorder, region, window)
+def bl_zero(qorder, window=None):
+    return BiLaurentSeries({}, qorder, window)
 
 
-def bl_one(qorder, region, window=None):
-    return bl_monomial(q_one(qorder), 0, 0, qorder, region, window)
+def bl_one(qorder, window=None):
+    return bl_monomial(q_one(qorder), 0, 0, qorder, window)
 
 
-def bl_monomial(coeff, e1, e2, qorder, region, window=None):
+def bl_monomial(coeff, e1, e2, qorder, window=None):
     """coeff(q) * z1^e1 z2^e2; coeff may be a PuiseuxSeries or a rational."""
     if not isinstance(coeff, PuiseuxSeries):
         coeff = q_monomial(coeff, 0, qorder)
-    return BiLaurentSeries({(e1, e2): coeff}, qorder, region, window)
+    return BiLaurentSeries({(e1, e2): coeff}, qorder, window)
 
 
 def bl_mul_scalar_int(a, n):
-    return _from_rows(a.kd, {k: c * n for k, c in a.rows.items()}, a.qorder, a.region, a.window)
-
-
-def _check_regions(a, b):
-    if a.region is not b.region:
-        raise RegionMismatchError(
-            f"cannot combine {a.region.value} with {b.region.value}"
-        )
+    return _from_rows(a.kd, {k: c * n for k, c in a.rows.items()}, a.qorder, a.window)
 
 
 def bl_add(*operands):
@@ -225,12 +206,10 @@ def bl_add(*operands):
     smallest qorder (every coefficient truncated to it) and smallest window."""
     (kd, each), rows = _common_rows(operands), {}
     for b, brows in zip(operands, each):
-        _check_regions(operands[0], b)
         for k, c in brows.items():
             rows[k] = rows[k] + c if k in rows else c
     windows = [b.window for b in operands if b.window is not None]
-    return _from_rows(kd, rows, min(b.qorder for b in operands), operands[0].region,
-                      min(windows, default=None))
+    return _from_rows(kd, rows, min(b.qorder for b in operands), min(windows, default=None))
 
 
 def _int_product(factors, qorder, key=None, orbit=None):
@@ -322,10 +301,9 @@ def bl_mul(a, b, *, orbit=None):
     over the product's kd, so it must be linear in the key.  It is
     keyword-only, so that wrappers that unpack `a, b = args` keep working.
     """
-    _check_regions(a, b)
     qorder = min(a.qorder + b.qvaluation(), b.qorder + a.qvaluation())
     kd, rows = _common_rows((a, b))
-    return _from_rows(kd, _int_product(rows, qorder, orbit=orbit), qorder, a.region)
+    return _from_rows(kd, _int_product(rows, qorder, orbit=orbit), qorder)
 
 
 def product_coeff(factors, r1, r2):
@@ -345,8 +323,6 @@ def product_coeff(factors, r1, r2):
     """
     if not factors:
         raise ValueError("product_coeff needs at least one factor")
-    for f in factors[1:]:
-        _check_regions(factors[0], f)
     vals = [f.qvaluation() for f in factors]
     qorder = min(f.qorder + sum(vals) - v for f, v in zip(factors, vals))
     kd, rows = _common_rows(factors)
@@ -367,22 +343,19 @@ def bl_scalar_mul(a, s):
         if p is None:
             p = done[id(c)] = c * s
         rows[k] = p
-    return _from_rows(a.kd, rows, qorder, a.region, a.window)
+    return _from_rows(a.kd, rows, qorder, a.window)
 
 
-def expand_inverse_one_minus(unit, n, qorder, zwindow=None, invert_unit=False):
-    """INNER expansion of 1 / (1 - x), x = u^s * q^n, s = +-1.
+def expand_inverse_one_minus(unit, n, qorder, zwindow=None):
+    """INNER expansion of 1 / (1 - x), x = u * q^n.
 
-    unit selects u among z1, z2, z1*z2; invert_unit chooses s = -1.
-    For n >= 0 this is sum_{k>=0} x^k; for n < 0 it is
-    -sum_{k>=1} x^-k.  n = 0 needs a window, which then bounds the keys;
-    any window becomes the result's.
+    unit selects u among z1, z2, z1*z2.  For n >= 0 this is
+    sum_{k>=0} x^k; for n < 0 it is -sum_{k>=1} x^-k.  n = 0 needs a
+    window, which then bounds the keys; any window becomes the result's.
     """
     if unit not in UNIT_KEYS:
         raise ValueError(f"unknown unit {unit!r}")
     d1, d2 = UNIT_KEYS[unit]
-    if invert_unit:
-        d1, d2 = -d1, -d2
     n = rat(n)
     qorder = rat(qorder)
     if n == 0 and zwindow is None:
@@ -395,7 +368,7 @@ def expand_inverse_one_minus(unit, n, qorder, zwindow=None, invert_unit=False):
     while k * n < qorder and (zwindow is None or k <= zwindow):
         rows[(k * d1, k * d2)] = q_monomial(lead, k * n, qorder)
         k += 1
-    return _from_rows(1, rows, qorder, Region.INNER, zwindow)
+    return _from_rows(1, rows, qorder, zwindow)
 
 
 def bl_elliptic_shift(a, m1, m2):
@@ -409,7 +382,7 @@ def bl_elliptic_shift(a, m1, m2):
         raise ValueError("elliptic shift requires a finite window")
     qorder = a.qorder - (abs(m1) + abs(m2)) * a.window
     rows = {k: c.shift(Rat(m1 * k[0] + m2 * k[1], a.kd)) for k, c in a.rows.items()}
-    return _from_rows(a.kd, rows, qorder, a.region, a.window)
+    return _from_rows(a.kd, rows, qorder, a.window)
 
 
 def _int_constants(rows):
@@ -437,9 +410,8 @@ def laurent_poly_exact_divide(numer, denom):
     if not dterms:
         raise ZeroDivisionError("division by the zero polynomial")
     qorder = min(numer.qorder, denom.qorder)
-    region = numer.region
     if not nterms:
-        return bl_zero(qorder, region)
+        return bl_zero(qorder)
 
     lead_d = max(dterms)
     cd = dterms[lead_d]
@@ -476,7 +448,7 @@ def laurent_poly_exact_divide(numer, denom):
                 rem.pop(key, None)
     # numer / denom is the int quotient times dden / nden
     rows = {k: q_monomial(Rat(c * dden, nden), 0, qorder) for k, c in quot.items()}
-    return _from_rows(kd, rows, qorder, region)
+    return _from_rows(kd, rows, qorder)
 
 
 # -- serialization ------------------------------------------------------------
@@ -484,7 +456,7 @@ def laurent_poly_exact_divide(numer, denom):
 
 def bl_to_json(a):
     return {
-        "region": a.region.value,
+        "region": "INNER",
         "qorder": rat_str(a.qorder),
         "window": a.window,
         "terms": [
@@ -495,10 +467,10 @@ def bl_to_json(a):
 
 
 def bl_from_json(d):
+    if d["region"] != "INNER":
+        raise ValueError(f"unsupported region {d['region']!r}: every expansion is INNER")
     terms = {
         (parse_rat(t["e1"]), parse_rat(t["e2"])): series_from_json(t["series"])
         for t in d["terms"]
     }
-    return BiLaurentSeries(
-        terms, parse_rat(d["qorder"]), Region(d["region"]), d["window"]
-    )
+    return BiLaurentSeries(terms, parse_rat(d["qorder"]), d["window"])

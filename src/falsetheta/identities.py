@@ -31,7 +31,6 @@ from .series import (
     lattice_sum,
 )
 from .bilaurent import (
-    Region,
     UNIT_KEYS,
     ExactDivisionError,
     bl_zero,
@@ -67,6 +66,7 @@ from .families import (
     G_frak_rewrite_p2,
     G_frak_closed_p2,
     coeff_F,
+    F_constant_term,
     _orbit_offsets,
     G_hyper,
     H_frak,
@@ -169,7 +169,7 @@ def _rho_double_sum(order, W):
             e = n1 * n2
             if w and e >= 0 and e < order:
                 rows[(n1, n2)] = q_monomial(w, e, order)
-    return _from_rows(1, rows, order, Region.INNER, W)
+    return _from_rows(1, rows, order, W)
 
 
 def _partial_fraction_sum(order, W):
@@ -189,7 +189,7 @@ def _partial_fraction_sum(order, W):
                 if w and 0 <= e < order:
                     add = q_monomial(sign * w, e, order)
                     rows[(n2, 0)] = rows.get((n2, 0), q_zero(order)) + add
-    return _from_rows(1, rows, order, Region.INNER, W)
+    return _from_rows(1, rows, order, W)
 
 
 def _t2t_sum(unit, order, variant):
@@ -212,19 +212,19 @@ def _t2t_sum(unit, order, variant):
             b = _A_table(a, (order - a) / 2, variant == "quad").scale_q(2).shift(a)
         for m in ((a, -a) if a else (0,)):
             rows[(m * d1, m * d2)] = b
-    body = _from_rows(1, rows, order, Region.INNER)
+    body = _from_rows(1, rows, order)
     powers = {"closed": {1: -1, 2: -1}, "poch": {1: -1, 2: 1}, "quad": {1: -1}}[variant]
     return bl_scalar_mul(body, eta_product(powers, order - Rat(1, 8)).shift(Rat(1, 8)))
 
 
 def _six_monomial_numerator(n1, n2, qorder=1):
     """The six signed unit monomials of the bracketed lattice summand."""
-    return bl_add(*(bl_monomial(s, e1, e2, qorder, Region.OUTER)
+    return bl_add(*(bl_monomial(s, e1, e2, qorder)
                     for s, e1, e2 in _orbit_offsets(n1, n2, 0, 0)))
 
 
 def _one_minus(e1, e2):
-    return bl_add(bl_one(1, Region.OUTER), bl_monomial(-1, e1, e2, 1, Region.OUTER))
+    return bl_add(bl_one(1), bl_monomial(-1, e1, e2, 1))
 
 
 # E19's divisor prod (1 - z^-alpha) over the positive roots alpha of A2,
@@ -281,9 +281,7 @@ def _build_E2(p, order):
         lhs = bl_mul_scalar_int(lhs, -1)
     sign = -1 if (m + l) % 2 else 1
     B2 = order + Rat(m * m, 2)
-    pre = bl_monomial(
-        q_monomial(sign, -Rat(m * m, 2), B2 + 1), -m, 0, B2 + 1, Region.INNER
-    )
+    pre = bl_monomial(q_monomial(sign, -Rat(m * m, 2), B2 + 1), -m, 0, B2 + 1)
     rhs = bl_mul(pre, theta_hat("z1", 1, B2))
     return lhs, rhs
 
@@ -293,7 +291,7 @@ def _build_E3(p, order):
     rho_sum = _rho_double_sum(order, W)
     if p["part"] == "expansion":
         # middle route: sum over n of z1^n times a geometric series in z2 of window W
-        terms = (bl_mul(bl_monomial(1, n, 0, order, Region.INNER),
+        terms = (bl_mul(bl_monomial(1, n, 0, order),
                         expand_inverse_one_minus("z2", n, order, zwindow=W))
                  for n in range(-W, W + 1))
         return bl_add(*terms).clip(W), rho_sum
@@ -324,7 +322,7 @@ def _build_E4(p, order):
     # zeta1^(-1/2) eta^3 = pf-sum * theta_hat(z1)
     B = order + Rat(1, 8)
     eta_cubed = eta_product({1: 3}, B).shift(Rat(1, 8))
-    lhs = bl_monomial(eta_cubed, -Rat(1, 2), 0, B, Region.INNER)
+    lhs = bl_monomial(eta_cubed, -Rat(1, 2), 0, B)
     th = theta_hat("z1", 1, order)
     rhs = bl_mul(pf_sum, th)
     K = W - Rat(max(abs(k1) for k1, _ in th.rows), th.kd)
@@ -353,6 +351,10 @@ def _build_t2t(p, order):
 def _build_E7(p, order):
     r = p["r"]
     return coeff_F(r, p["p"], order), G_frak(r, p["p"], order)
+
+
+def _build_E7b(p, order):
+    return F_constant_term(p["p"], order), coeff_F((0, 0), p["p"], order)
 
 
 def _build_E8(p, order):
@@ -399,7 +401,6 @@ def _build_E12b(p, order):
         Rat(d1, 2),
         Rat(d2, 2),
         shifted.qorder + 1,
-        Region.INNER,
     )
     rhs = bl_mul(pre, shifted)
     # s01 holds the keys |e| <= W, rhs the keys -W + 1/2 <= e <= W + 1/2
@@ -455,7 +456,7 @@ def _build_E16(p, order):
         (n, 0): q_monomial((-1) ** n, n * (n + 1), order)
         for n in quadratic_range(1, 1, 0, order, 0)
     }
-    rhs = _from_rows(1, rows, order, Region.INNER)
+    rhs = _from_rows(1, rows, order)
     terms = []
     for n in range(rat_ceil(order)):
         # w^n q^n (q; q^2)_n (w q; q^2)_n / (-w q; q)_(2n+1)
@@ -490,8 +491,8 @@ def _build_E19(p, order):
     try:
         quot = laurent_poly_exact_divide(numer, _WEYL_DENOMINATOR)
     except ExactDivisionError as err:
-        bad = bl_monomial(1, err.monomial[0], err.monomial[1], 1, Region.OUTER)
-        return bad, bl_zero(1, Region.OUTER)
+        bad = bl_monomial(1, err.monomial[0], err.monomial[1], 1)
+        return bad, bl_zero(1)
     return bl_mul(quot, _WEYL_DENOMINATOR), numer
 
 
@@ -582,6 +583,12 @@ _register(_Identity(
     [dict(p=2, **d) for d in _int_pairs(2)]
     + [dict(p=3, **d) for d in ({"r": (0, 0)}, {"r": (1, 0)}, {"r": (-1, 2)})],
     Rat(15),
+))
+_register(_Identity(
+    "E7b", "congruence-restricted constant term equals the index-zero lattice coefficient",
+    _build_E7b,
+    [{"p": p} for p in (2, 3, 4)],
+    Rat(30),
 ))
 _register(_Identity(
     "E8", "three-sum rewrite of the weighted lattice sum at p = 2",
@@ -704,8 +711,7 @@ def _corrupt(lhs):
     key = keys[len(keys) // 2] if keys else (0, 0)
     exps = sorted(lhs.coeff(*key).terms)
     e = exps[len(exps) // 2] if exps else Rat(0)
-    bump = bl_monomial(q_monomial(1, e, lhs.qorder), key[0], key[1],
-                       lhs.qorder, lhs.region)
+    bump = bl_monomial(q_monomial(1, e, lhs.qorder), key[0], key[1], lhs.qorder)
     return bl_add(lhs, bump), (key[0], key[1], e)
 
 

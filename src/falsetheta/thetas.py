@@ -52,7 +52,6 @@ from .series import (
     _from_row,
 )
 from .bilaurent import (
-    Region,
     UNIT_KEYS,
     bl_mul,
     bl_scalar_mul,
@@ -101,7 +100,7 @@ def _unit_product(unit, factors, qorder, lead=(0, 0)):
     for m, row in table.items():
         e = m * l.denominator + l.numerator  # the key m + l over l's denominator
         rows[(e * d1, e * d2)] = _from_row(v, step, row, 1, qorder)
-    return _from_rows(l.denominator, rows, qorder, Region.INNER)
+    return _from_rows(l.denominator, rows, qorder)
 
 
 def unit_pochhammer(unit, start, step, qorder, inverse=False):
@@ -146,7 +145,7 @@ def theta_hat_sum(unit, k, qorder):
         h = 2 * j + 1  # twice n
         sign = -1 if j % 2 == 0 else 1
         rows[(h * d1, h * d2)] = q_monomial(sign, Rat(k * h * h, 8), qorder)
-    return _from_rows(2, rows, qorder, Region.INNER)
+    return _from_rows(2, rows, qorder)
 
 
 def theta01(unit, k, qorder):
@@ -168,7 +167,7 @@ def theta_A2(qorder):
         (n1, n2): q_monomial(1, e, qorder)
         for n1, n2, e in lattice_points((1, -1, 1), (0, 0), 0, qorder)
     }
-    return _from_rows(1, rows, qorder, Region.INNER)
+    return _from_rows(1, rows, qorder)
 
 
 def calT(qorder):
@@ -181,7 +180,7 @@ def calT(qorder):
         (n1 + n2, 2 * n1 - n2): q_monomial(1, e, qorder)
         for n1, n2, e in lattice_points((2, -2, 2), (0, 0), 0, qorder)
     }
-    return _from_rows(1, rows, qorder, Region.INNER)
+    return _from_rows(1, rows, qorder)
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +220,7 @@ def s01_factor(unit, qorder, zwindow):
             acc = list(map(add, acc, table[m]))
         h = 2 * m + 1  # twice the key m + 1/2
         rows[(h * d1, h * d2)] = _from_row(-Rat(1, 8), Rat(1, d), acc, 1, qorder)
-    return _from_rows(2, rows, qorder, Region.INNER, zwindow)
+    return _from_rows(2, rows, qorder, zwindow)
 
 
 def _f_factors(qorder):
@@ -246,7 +245,7 @@ def _weyl_orbit(key):
 
 
 def f_series(qorder):
-    """The meromorphic Jacobi form ratio, INNER region.
+    """The meromorphic Jacobi form ratio, expanded in |q| < |z1|, |z2|, |z1 z2| < 1.
 
     Product over the three units z1, z2, z1*z2 of the t2t factor; the
     (0, 0) coefficient has valuation 3/8 with leading coefficient 1.

@@ -1,4 +1,4 @@
-"""Bivariate Laurent layer: regions, windows, products and exact division."""
+"""Bivariate Laurent layer: windows, products and exact division."""
 
 from math import lcm
 
@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from falsetheta.rat import Rat
 from falsetheta.series import PuiseuxSeries, monomial, one as q_one, zero as q_zero
 from falsetheta.bilaurent import (
-    Region,
-    RegionMismatchError,
     ExactDivisionError,
     BiLaurentSeries,
     UNIT_KEYS,
@@ -31,17 +29,11 @@ from falsetheta.thetas import calT, t2t_factor, theta_hat, _swap_orbit, _weyl_or
 from falsetheta.identities import _t2t_sum
 
 
-def mono(c, e1, e2, qexp, qorder, region=Region.INNER, window=None):
-    return bl_monomial(monomial(c, qexp, qorder), e1, e2, qorder, region, window)
+def mono(c, e1, e2, qexp, qorder, window=None):
+    return bl_monomial(monomial(c, qexp, qorder), e1, e2, qorder, window)
 
 
 class TestStructure:
-    def test_region_mixing_rejected(self):
-        a = bl_one(Rat(5), Region.INNER)
-        b = bl_one(Rat(5), Region.OUTER)
-        with pytest.raises(RegionMismatchError):
-            bl_add(a, b)
-
     def test_coeff_outside_window_rejected(self):
         a = mono(1, 1, 0, 0, Rat(5), window=2)
         with pytest.raises(ValueError):
@@ -53,7 +45,7 @@ class TestStructure:
 
     def test_constructor_rejects_shallow_coefficients(self):
         with pytest.raises(ValueError):
-            BiLaurentSeries({(0, 0): q_one(Rat(2))}, Rat(5), Region.INNER)
+            BiLaurentSeries({(0, 0): q_one(Rat(2))}, Rat(5))
 
     def test_mul_qorder_rule(self):
         a = mono(1, 0, 0, 2, Rat(6))  # valuation 2, order 6
@@ -88,7 +80,12 @@ class TestStructure:
         a = bl_add(mono(1, 0, 0, 1, Rat(8)), mono(-2, 2, -1, Rat(5, 2), Rat(8)))
         b = bl_from_json(bl_to_json(a))
         assert b.terms == a.terms and b.qorder == a.qorder
-        assert b.region is a.region
+        assert bl_to_json(b)["region"] == "INNER"
+
+    def test_json_refuses_another_region(self):
+        d = dict(bl_to_json(mono(1, 0, 0, 1, Rat(8))), region="OUTER")
+        with pytest.raises(ValueError, match="region"):
+            bl_from_json(d)
 
 
 def _pairwise_product(a, b):
@@ -115,24 +112,23 @@ _keys = st.tuples(
 
 
 @st.composite
-def _operands(draw, region):
+def _operands(draw):
     qorder = draw(st.builds(Rat, st.integers(-8, 24), st.sampled_from([1, 2, 3, 4])))
     keys = draw(st.dictionaries(_keys, st.dictionaries(_exponents, _coeffs, max_size=5),
                                 max_size=4))
     return BiLaurentSeries(
-        {k: PuiseuxSeries(c, qorder) for k, c in keys.items()}, qorder, region
+        {k: PuiseuxSeries(c, qorder) for k, c in keys.items()}, qorder
     )
 
 
 @st.composite
 def _operand_pairs(draw):
-    region = draw(st.sampled_from(Region))
-    return draw(_operands(region)), draw(_operands(region))
+    return draw(_operands()), draw(_operands())
 
 
 @st.composite
 def _scalar_operands(draw):
-    a = draw(st.sampled_from(Region).flatmap(_operands))
+    a = draw(_operands())
     window = draw(st.none() | st.integers(0, 3))
     qorder = draw(st.builds(Rat, st.integers(-8, 24), st.sampled_from([1, 2, 3, 4])))
     s = PuiseuxSeries(draw(st.dictionaries(_exponents, _coeffs, max_size=5)), qorder)
@@ -148,7 +144,7 @@ class TestScalarMulAgainstPerKeyProducts:
         terms = {k: (c * s).truncate(qorder) for k, c in a.terms.items()}
         got = bl_scalar_mul(a, s)
         assert got.terms == {k: c for k, c in terms.items() if not c.is_zero()}
-        assert (got.qorder, got.window, got.region) == (qorder, a.window, a.region)
+        assert (got.qorder, got.window) == (qorder, a.window)
 
 
 class TestMulAgainstPairwiseProducts:
@@ -156,21 +152,19 @@ class TestMulAgainstPairwiseProducts:
         terms, qorder = _pairwise_product(a, b)
         c = bl_mul(a, b)
         assert c.terms == terms and c.qorder == qorder and c.window is None
-        assert c.region is a.region
 
     @given(_operand_pairs())
     @settings(max_examples=300, deadline=None)
     def test_random_operands(self, pair):
         self.check(*pair)
 
-    @pytest.mark.parametrize("region", list(Region))
-    def test_single_terms_and_an_empty_operand(self, region):
-        a = mono(Rat(-3, 2), Rat(1, 2), -1, Rat(-7, 24), Rat(5, 3), region)
-        b = mono(Rat(2, 3), 1, Rat(-3, 2), Rat(3, 8), Rat(4), region)
+    def test_single_terms_and_an_empty_operand(self):
+        a = mono(Rat(-3, 2), Rat(1, 2), -1, Rat(-7, 24), Rat(5, 3))
+        b = mono(Rat(2, 3), 1, Rat(-3, 2), Rat(3, 8), Rat(4))
         self.check(a, b)
-        self.check(a, bl_one(Rat(1), region))
-        self.check(bl_zero(Rat(3), region), b)
-        self.check(a, bl_zero(Rat(-2), region))
+        self.check(a, bl_one(Rat(1)))
+        self.check(bl_zero(Rat(3)), b)
+        self.check(a, bl_zero(Rat(-2)))
 
     @pytest.mark.parametrize(
         "build", [t2t_factor, lambda u, n: _t2t_sum(u, n, "closed")],
@@ -211,8 +205,8 @@ class TestExpansions:
     def test_zero_shift_needs_a_window(self):
         with pytest.raises(ValueError):
             expand_inverse_one_minus("z1", 0, Rat(3))
-        g = expand_inverse_one_minus("z2", 0, Rat(3), zwindow=4, invert_unit=True)
-        assert sorted(g.terms) == [(0, -k) for k in range(4, -1, -1)]
+        g = expand_inverse_one_minus("z2", 0, Rat(3), zwindow=4)
+        assert sorted(g.terms) == [(0, k) for k in range(5)]
         assert g.window == 4
 
     def test_diagonal_unit_multiplication(self):
@@ -233,21 +227,21 @@ class TestTransforms:
     def test_exact_divide_roundtrip(self):
         # (1 - z1)(1 - z2) / (1 - z1) = (1 - z2)
         numer = bl_add(
-            bl_add(mono(1, 0, 0, 0, Rat(1), region=Region.OUTER),
-                   mono(-1, 1, 0, 0, Rat(1), region=Region.OUTER)),
-            bl_add(mono(-1, 0, 1, 0, Rat(1), region=Region.OUTER),
-                   mono(1, 1, 1, 0, Rat(1), region=Region.OUTER)),
+            bl_add(mono(1, 0, 0, 0, Rat(1)),
+                   mono(-1, 1, 0, 0, Rat(1))),
+            bl_add(mono(-1, 0, 1, 0, Rat(1)),
+                   mono(1, 1, 1, 0, Rat(1))),
         )
-        denom = bl_add(mono(1, 0, 0, 0, Rat(1), region=Region.OUTER),
-                       mono(-1, 1, 0, 0, Rat(1), region=Region.OUTER))
+        denom = bl_add(mono(1, 0, 0, 0, Rat(1)),
+                       mono(-1, 1, 0, 0, Rat(1)))
         quot = laurent_poly_exact_divide(numer, denom)
         assert quot.coeff(0, 0).coeff(0) == 1
         assert quot.coeff(0, 1).coeff(0) == -1
 
     def test_exact_divide_failure_reports_monomial(self):
-        numer = mono(1, 1, 0, 0, Rat(1), region=Region.OUTER)
-        denom = bl_add(mono(1, 0, 0, 0, Rat(1), region=Region.OUTER),
-                       mono(-1, 1, 0, 0, Rat(1), region=Region.OUTER))
+        numer = mono(1, 1, 0, 0, Rat(1))
+        denom = bl_add(mono(1, 0, 0, 0, Rat(1)),
+                       mono(-1, 1, 0, 0, Rat(1)))
         with pytest.raises(ExactDivisionError) as err:
             laurent_poly_exact_divide(numer, denom)
         assert err.value.monomial is not None
@@ -293,7 +287,7 @@ class TestRowsAgainstDictSemantics:
     @given(st.lists(_raw_operands(), min_size=1, max_size=4))
     @settings(max_examples=300, deadline=None)
     def test_n_ary_add_with_windows(self, raws):
-        ops = [BiLaurentSeries(t, q, Region.INNER, w) for t, q, w in raws]
+        ops = [BiLaurentSeries(t, q, w) for t, q, w in raws]
         qorder = min(q for _, q, _ in raws)
         window = min((w for _, _, w in raws if w is not None), default=None)
         want = {}
@@ -309,8 +303,8 @@ class TestRowsAgainstDictSemantics:
     @given(_raw_operands(), _raw_operands())
     @settings(max_examples=200, deadline=None)
     def test_one_series_built_by_different_routes(self, ra, rb):
-        a, b = (BiLaurentSeries(t, q, Region.INNER, w) for t, q, w in (ra, rb))
-        routes = [(a + b, b + a), (a, BiLaurentSeries(a.terms, a.qorder, a.region)),
+        a, b = (BiLaurentSeries(t, q, w) for t, q, w in (ra, rb))
+        routes = [(a + b, b + a), (a, BiLaurentSeries(a.terms, a.qorder)),
                   (a, bl_from_json(bl_to_json(a))), (a, bl_add(a, a, a) - a - a)]
         for x, y in routes:
             assert x == y and hash(x) == hash(y)
@@ -322,13 +316,13 @@ class TestRowsAgainstDictSemantics:
         b = bl_add(a, mono(-1, Rat(1, 2), 0, 0, Rat(3)), mono(1, 2, Rat(2, 3), 0, Rat(3)))
         assert b.kd == 3 and sorted(b.rows) == [(3, -2), (6, 2)]
         c = bl_add(b, mono(-2, 1, Rat(-2, 3), 1, Rat(3)), mono(-1, 2, Rat(2, 3), 0, Rat(3)))
-        assert c.kd == 1 and c.rows == {} and c == bl_zero(Rat(3), Region.INNER)
+        assert c.kd == 1 and c.rows == {} and c == bl_zero(Rat(3))
 
     @given(_raw_operands(), _keys, st.sampled_from([5, 7]))
     @settings(max_examples=200, deadline=None)
     def test_coeff_reads_the_dict_and_zero_off_the_key_lattice(self, raw, key, p):
         terms, qorder, _ = raw
-        a = BiLaurentSeries(terms, qorder, Region.INNER)
+        a = BiLaurentSeries(terms, qorder)
         want = _window_dict(terms, qorder, None)
         assert a.coeff(*key) == want.get(key, q_zero(qorder))
         # k/(kd p) times kd has the numerator of a stored k, but is off the
@@ -356,9 +350,9 @@ class TestRowsAgainstDictSemantics:
 
     def test_exact_division_failure_reports_rat_keys(self):
         # z1^(1/2) z2^(2/3) / (1 - z1) leaves a remainder at z1^(-1/2) z2^(2/3)
-        numer = mono(1, Rat(1, 2), Rat(2, 3), 0, Rat(1), region=Region.OUTER)
-        denom = bl_add(mono(1, 0, 0, 0, Rat(1), region=Region.OUTER),
-                       mono(-1, 1, 0, 0, Rat(1), region=Region.OUTER))
+        numer = mono(1, Rat(1, 2), Rat(2, 3), 0, Rat(1))
+        denom = bl_add(mono(1, 0, 0, 0, Rat(1)),
+                       mono(-1, 1, 0, 0, Rat(1)))
         with pytest.raises(ExactDivisionError) as err:
             laurent_poly_exact_divide(numer, denom)
         assert err.value.monomial == (Rat(-1, 2), Rat(2, 3))
@@ -370,7 +364,7 @@ class TestRowsAgainstDictSemantics:
 
 
 def _fields(a):
-    return a.kd, a.rows, a.qorder, a.region, a.window
+    return a.kd, a.rows, a.qorder, a.window
 
 
 @st.composite
@@ -392,7 +386,7 @@ def _even_unit_series(draw):
 
 def _on_unit(rows, unit, qorder):
     d1, d2 = UNIT_KEYS[unit]
-    return BiLaurentSeries({(m * d1, m * d2): c for m, c in rows.items()}, qorder, Region.INNER)
+    return BiLaurentSeries({(m * d1, m * d2): c for m, c in rows.items()}, qorder)
 
 
 class TestOrbitProducts:
@@ -422,7 +416,7 @@ class TestOrbitProducts:
 
     def test_shared_rows_stay_shared(self):
         s = monomial(Rat(1, 3), Rat(1, 8), Rat(4))
-        a = BiLaurentSeries({(1, 0): s, (0, 1): s, (1, 1): q_one(Rat(4))}, Rat(4), Region.INNER)
+        a = BiLaurentSeries({(1, 0): s, (0, 1): s, (1, 1): q_one(Rat(4))}, Rat(4))
         assert a.rows[(1, 0)] is a.rows[(0, 1)]
         t = monomial(2, Rat(1, 2), Rat(3))
         for b in (bl_scalar_mul(a, t), a.truncate_q(Rat(2)), a.clip(1)):
@@ -461,7 +455,7 @@ def _fraction_exact_divide(numer, denom):
             else:
                 rem.pop(key, None)
     terms = {k: monomial(c, 0, qorder) for k, c in quot.items()}
-    return BiLaurentSeries(terms, qorder, numer.region), None
+    return BiLaurentSeries(terms, qorder), None
 
 
 _poly_keys = st.tuples(
@@ -472,7 +466,7 @@ _poly_keys = st.tuples(
 
 def _laurent_polys(min_size):
     return st.dictionaries(_poly_keys, _coeffs.filter(bool), min_size=min_size, max_size=4).map(
-        lambda t: BiLaurentSeries({k: monomial(c, 0, 1) for k, c in t.items()}, 1, Region.OUTER))
+        lambda t: BiLaurentSeries({k: monomial(c, 0, 1) for k, c in t.items()}, 1))
 
 
 class TestExactDivisionAgainstFractions:
@@ -493,11 +487,11 @@ class TestExactDivisionAgainstFractions:
 
     def test_a_leading_coefficient_that_does_not_divide(self):
         # (1 + z1) / (2 + 3 z1) leaves a remainder; (3 + 9/2 z1) / (2 + 3 z1) = 3/2
-        denom = bl_add(mono(2, 0, 0, 0, 1, Region.OUTER), mono(3, 1, 0, 0, 1, Region.OUTER))
+        denom = bl_add(mono(2, 0, 0, 0, 1), mono(3, 1, 0, 0, 1))
         with pytest.raises(ExactDivisionError):
             laurent_poly_exact_divide(
-                bl_add(mono(1, 0, 0, 0, 1, Region.OUTER), mono(1, 1, 0, 0, 1, Region.OUTER)),
+                bl_add(mono(1, 0, 0, 0, 1), mono(1, 1, 0, 0, 1)),
                 denom)
-        numer = bl_add(mono(3, 0, 0, 0, 1, Region.OUTER),
-                       mono(Rat(9, 2), 1, 0, 0, 1, Region.OUTER))
-        assert laurent_poly_exact_divide(numer, denom) == mono(Rat(3, 2), 0, 0, 0, 1, Region.OUTER)
+        numer = bl_add(mono(3, 0, 0, 0, 1),
+                       mono(Rat(9, 2), 1, 0, 0, 1))
+        assert laurent_poly_exact_divide(numer, denom) == mono(Rat(3, 2), 0, 0, 0, 1)

@@ -182,9 +182,11 @@ def test_evaluators_match_direct_high_precision_sums(z1, z2, tau):
 
     assert close(eval_theta(z1, tau), oracle_theta(z1, tau, 1))
     assert close(eval_theta(z2, tau, 2), oracle_theta(z2, tau, 2))
-    assert close(eval_eta(tau), oracle_eta(tau))
-    assert close(eval_T((z1, z2), tau), oracle_T((z1, z2), tau))
-    assert close(eval_f((z1, z2), tau), oracle_f((z1, z2), tau))
+    eta, T, f = oracle_eta(tau), oracle_T((z1, z2), tau), oracle_f((z1, z2), tau)
+    assert close(eval_eta(tau), eta)
+    assert close(eval_T((z1, z2), tau), T)
+    assert close(eval_f((z1, z2), tau), f)
+    assert close(eval_J((z1, z2), tau), eta ** 5 / oracle_eta(2 * tau) * T * f)
 
 
 @given(st.floats(1e-4, 20), st.floats(-20, 20), st.sampled_from([1, 2]))

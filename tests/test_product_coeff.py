@@ -15,10 +15,7 @@ from hypothesis import given, settings, strategies as st
 from falsetheta.rat import Rat
 from falsetheta.series import PuiseuxSeries, zero as q_zero
 from falsetheta.bilaurent import (
-    Region,
-    RegionMismatchError,
     BiLaurentSeries,
-    bl_monomial,
     bl_mul,
     product_coeff,
     _int_product,
@@ -93,13 +90,6 @@ def test_J_constant_term(qorder):
     _assert_same_coeff(J_constant_term(qorder), J_series(qorder).coeff(0, 0))
 
 
-def test_product_coeff_rejects_mixed_regions():
-    a = bl_monomial(1, 0, 0, 3, Region.INNER)
-    b = bl_monomial(1, 0, 0, 3, Region.OUTER)
-    with pytest.raises(RegionMismatchError):
-        product_coeff([a, b], 0, 0)
-
-
 def test_a_key_off_the_key_lattice_reads_zero():
     # the keys of the f factors are integers, so no tuple sums to (1/2, 0)
     factors = [t2t_factor(u, 3) for u in UNITS]
@@ -154,9 +144,8 @@ _halves = st.builds(Rat, st.integers(-3, 3), st.sampled_from([1, 2]))
 
 @st.composite
 def _factors_and_key(draw):
-    """One to three factors in one region, some perhaps empty, and a key
+    """One to three factors, some perhaps empty, and a key
     that is a sum of their keys, any small key, or one off the lattice."""
-    region = draw(st.sampled_from(Region))
     factors = []
     for _ in range(draw(st.integers(1, 3))):
         qorder = draw(st.builds(Rat, st.integers(-8, 24), st.sampled_from([1, 2, 3, 4])))
@@ -164,7 +153,7 @@ def _factors_and_key(draw):
                                     st.dictionaries(_exponents, _coeffs, max_size=5),
                                     max_size=4))
         factors.append(BiLaurentSeries(
-            {k: PuiseuxSeries(c, qorder) for k, c in keys.items()}, qorder, region
+            {k: PuiseuxSeries(c, qorder) for k, c in keys.items()}, qorder
         ))
     kind = draw(st.sampled_from(["support", "any", "off"]))
     if kind == "support" and all(f.terms for f in factors):

@@ -26,7 +26,6 @@ from falsetheta.series import (
 )
 from falsetheta.bilaurent import (
     BiLaurentSeries,
-    Region,
     bl_add,
     bl_monomial,
     bl_mul,
@@ -461,11 +460,11 @@ class TestLatticePoints:
 def _explicit_binomials(factors, order):
     """prod (1 - sign u^a q^e)^power with u = z1, one bl_mul per factor.
 
-    A negative power with a = 0 inverts the q-series; with a = +-1 and
+    A negative power with a = 0 inverts the q-series; with a = 1 and
     sign 1 it is expand_inverse_one_minus, and otherwise the explicit
     geometric sum of (sign u^a q^e)^k.
     """
-    out = bl_one(order, Region.INNER)
+    out = bl_one(order)
     for sign, a, e, power in factors:
         if a == 0:
             b = one(order) - monomial(sign, e, order)
@@ -475,16 +474,16 @@ def _explicit_binomials(factors, order):
         if power == 0:
             continue
         if power > 0:
-            b = bl_add(bl_one(order, Region.INNER),
-                       bl_monomial(monomial(-sign, e, order), a, 0, order, Region.INNER))
-        elif abs(a) == 1 and sign == 1:
-            b = expand_inverse_one_minus("z1", e, order, invert_unit=a < 0)
+            b = bl_add(bl_one(order),
+                       bl_monomial(monomial(-sign, e, order), a, 0, order))
+        elif a == 1 and sign == 1:
+            b = expand_inverse_one_minus("z1", e, order)
         else:
             k, terms = 0, {}
             while k * e < order:
                 terms[(a * k, 0)] = monomial(sign ** k, k * e, order)
                 k += 1
-            b = BiLaurentSeries(terms, order, Region.INNER)
+            b = BiLaurentSeries(terms, order)
         for _ in range(abs(power)):
             out = bl_mul(out, b)
     return out.truncate_q(order)
@@ -496,7 +495,7 @@ def _table_series(factors, order):
         (m, 0): PuiseuxSeries({Rat(i, d): c for i, c in enumerate(row)}, order)
         for m, row in table.items()
     }
-    return BiLaurentSeries(terms, order, Region.INNER)
+    return BiLaurentSeries(terms, order)
 
 
 def _factor():

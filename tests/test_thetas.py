@@ -7,7 +7,6 @@ from falsetheta.series import monomial
 from falsetheta.bilaurent import (
     UNIT_KEYS,
     BiLaurentSeries,
-    Region,
     bl_add,
     bl_monomial,
     bl_mul,
@@ -105,7 +104,7 @@ class TestTheta01:
 def _explicit_pochhammer(unit, start, step, qorder, inverse):
     """The product of unit_pochhammer, one bl_mul per factor F(u^s q^e)."""
     d1, d2 = UNIT_KEYS[unit]
-    out = bl_one(qorder, Region.INNER)
+    out = bl_one(qorder)
     e = start
     while e < qorder:
         for s in (1, -1):
@@ -116,11 +115,11 @@ def _explicit_pochhammer(unit, start, step, qorder, inverse):
                 while k * e < qorder:
                     terms[(k * s * d1, k * s * d2)] = monomial(1, k * e, qorder)
                     k += 1
-                fac = BiLaurentSeries(terms, qorder, Region.INNER)
+                fac = BiLaurentSeries(terms, qorder)
             else:
                 fac = bl_add(
-                    bl_one(qorder, Region.INNER),
-                    bl_monomial(monomial(-1, e, qorder), s * d1, s * d2, qorder, Region.INNER),
+                    bl_one(qorder),
+                    bl_monomial(monomial(-1, e, qorder), s * d1, s * d2, qorder),
                 )
             out = bl_mul(out, fac)
         e += step
@@ -146,7 +145,7 @@ class TestUnitPochhammer:
     @pytest.mark.parametrize("inverse", [False, True])
     def test_no_factor_enters_below_the_start(self, inverse):
         got = unit_pochhammer("z2", 1, 2, Rat(1), inverse)
-        assert got == bl_one(Rat(1), Region.INNER)
+        assert got == bl_one(Rat(1))
         assert got == _explicit_pochhammer("z2", 1, 2, Rat(1), inverse)
 
     def test_rejects_a_step_that_is_not_positive(self):
@@ -171,8 +170,8 @@ class TestLatticeKernels:
                 key = (n1 + n2, 2 * n1 - n2)
                 if 2 * Q < qorder and max(abs(key[0]), abs(key[1])) <= W:
                     cal[key] = monomial(1, 2 * Q, qorder)
-        assert theta_A2(qorder).clip(W) == BiLaurentSeries(a2, qorder, Region.INNER)
-        assert calT(qorder).clip(W) == BiLaurentSeries(cal, qorder, Region.INNER)
+        assert theta_A2(qorder).clip(W) == BiLaurentSeries(a2, qorder)
+        assert calT(qorder).clip(W) == BiLaurentSeries(cal, qorder)
 
     def test_theta_A2_small_coefficients(self):
         t = theta_A2(Rat(5)).clip(4)
@@ -267,7 +266,7 @@ def _per_key(a, s, qorder):
     """a times the one-variable s one key at a time, each product truncated
     to qorder: the oracle for bl_scalar_mul(a, s).truncate_q(qorder)."""
     terms = {k: (c * s).truncate(qorder) for k, c in a.terms.items()}
-    return BiLaurentSeries(terms, qorder, a.region, a.window)
+    return BiLaurentSeries(terms, qorder, a.window)
 
 
 _PLAIN_ROUTES = {
