@@ -158,13 +158,16 @@ class TestMulAgainstPairwiseProducts:
     def test_random_operands(self, pair):
         self.check(*pair)
 
-    def test_single_terms_and_an_empty_operand(self):
-        a = mono(Rat(-3, 2), Rat(1, 2), -1, Rat(-7, 24), Rat(5, 3))
-        b = mono(Rat(2, 3), 1, Rat(-3, 2), Rat(3, 8), Rat(4))
-        self.check(a, b)
-        self.check(a, bl_one(Rat(1)))
-        self.check(bl_zero(Rat(3)), b)
-        self.check(a, bl_zero(Rat(-2)))
+    _A = mono(Rat(-3, 2), Rat(1, 2), -1, Rat(-7, 24), Rat(5, 3))
+    _B = mono(Rat(2, 3), 1, Rat(-3, 2), Rat(3, 8), Rat(4))
+
+    def test_one_term_operands(self):
+        self.check(self._A, self._B)
+        self.check(self._A, bl_one(Rat(1)))
+
+    def test_an_empty_operand(self):
+        self.check(bl_zero(Rat(3)), self._B)
+        self.check(self._A, bl_zero(Rat(-2)))
 
     @pytest.mark.parametrize(
         "build", [t2t_factor, lambda u, n: _t2t_sum(u, n, "closed")],
