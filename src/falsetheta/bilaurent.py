@@ -9,8 +9,9 @@ their operands' kd and build their results with _from_rows.
 Every meromorphic factor is expanded in one annulus, the paper's
 |q| < |z1|, |z2|, |z1 z2| < 1: 1/(1 - x) is sum_k x^k for |x| < 1.  A
 Laurent polynomial is the same in every annulus, so no series records
-one.  The JSON still names it, "region": "INNER", and bl_from_json
-refuses any other, because a file may come from outside the program.
+one.  The JSON and the text output still name it, "region": ANNULUS, and
+bl_from_json refuses any other, because a file may come from outside the
+program.
 
 bl_mul and product_coeff share one kernel, _int_product:
 it spreads the integer row each key's PuiseuxSeries holds onto one grid
@@ -40,6 +41,9 @@ from .rat import Rat, rat, rat_ceil, rat_floor, rat_str, parse_rat
 from .series import PuiseuxSeries, zero as q_zero, one as q_one, monomial as q_monomial
 from .series import series_to_json, series_from_json
 from .series import _from_row, _grid, _mul_add, _scaled, _spread
+
+# The name of the one annulus every expansion is taken in.
+ANNULUS = "INNER"
 
 __all__ = [
     "ExactDivisionError",
@@ -456,7 +460,7 @@ def laurent_poly_exact_divide(numer, denom):
 
 def bl_to_json(a):
     return {
-        "region": "INNER",
+        "region": ANNULUS,
         "qorder": rat_str(a.qorder),
         "window": a.window,
         "terms": [
@@ -467,8 +471,8 @@ def bl_to_json(a):
 
 
 def bl_from_json(d):
-    if d["region"] != "INNER":
-        raise ValueError(f"unsupported region {d['region']!r}: every expansion is INNER")
+    if d["region"] != ANNULUS:
+        raise ValueError(f"unsupported region {d['region']!r}: every expansion is {ANNULUS}")
     terms = {
         (parse_rat(t["e1"]), parse_rat(t["e2"])): series_from_json(t["series"])
         for t in d["terms"]

@@ -11,7 +11,7 @@ import sys
 
 from .rat import Rat, rat_str, parse_rat, _positive_order
 from .series import PuiseuxSeries, eta_series, series_to_json
-from .bilaurent import bl_to_json
+from .bilaurent import ANNULUS, bl_to_json
 from . import thetas, families
 from .identities import (
     registered_ids,
@@ -142,7 +142,7 @@ def _print_series(s, fmt, out):
     else:
         for (e1, e2), coeff in s.terms.items():
             out.write(f"zeta1^({rat_str(e1)}) zeta2^({rat_str(e2)}): {coeff!r}\n")
-        out.write(f"region=INNER + O(q^({rat_str(s.qorder)}))\n")
+        out.write(f"region={ANNULUS} + O(q^({rat_str(s.qorder)}))\n")
 
 
 def cmd_expand(args):

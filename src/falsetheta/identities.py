@@ -66,7 +66,6 @@ from .families import (
     G_frak_rewrite_p2,
     G_frak_closed_p2,
     coeff_F,
-    F_constant_term,
     _orbit_offsets,
     G_hyper,
     H_frak,
@@ -353,10 +352,6 @@ def _build_E7(p, order):
     return coeff_F(r, p["p"], order), G_frak(r, p["p"], order)
 
 
-def _build_E7b(p, order):
-    return F_constant_term(p["p"], order), coeff_F((0, 0), p["p"], order)
-
-
 def _build_E8(p, order):
     lam = tuple(rat(x) for x in p["lam"])
     return G_frak(lam, 2, order), G_frak_rewrite_p2(lam, order)
@@ -583,12 +578,6 @@ _register(_Identity(
     [dict(p=2, **d) for d in _int_pairs(2)]
     + [dict(p=3, **d) for d in ({"r": (0, 0)}, {"r": (1, 0)}, {"r": (-1, 2)})],
     Rat(15),
-))
-_register(_Identity(
-    "E7b", "congruence-restricted constant term equals the index-zero lattice coefficient",
-    _build_E7b,
-    [{"p": p} for p in (2, 3, 4)],
-    Rat(30),
 ))
 _register(_Identity(
     "E8", "three-sum rewrite of the weighted lattice sum at p = 2",

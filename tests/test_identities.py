@@ -20,7 +20,7 @@ from falsetheta.identities import (
 )
 
 EXPECTED_IDS = [
-    "E1", "E2", "E3", "E4", "E5", "E6", "E6b", "E7", "E7b", "E8", "E9", "E10",
+    "E1", "E2", "E3", "E4", "E5", "E6", "E6b", "E7", "E8", "E9", "E10",
     "E11", "E12", "E12b", "E13", "E14", "E15", "E15b", "E16", "E17",
     "E18", "E19", "E20",
 ]
