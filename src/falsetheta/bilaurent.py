@@ -21,8 +21,8 @@ A caller that knows a product to be symmetric under a group acting
 linearly on the keys passes bl_mul the keyword-only `orbit`, a map from
 a key to the keys of its orbit: one key per orbit is convolved, and the
 keys of the orbit share one series object.  Shared rows stay shared:
-bl_scalar_mul, truncate_q and clip handle each row object once, and the
-kernel spreads it once.
+bl_scalar_mul, truncate_q, clip and bl_to_json handle each row object
+once, and the kernel spreads it once.
 
 The optional `window` W marks a clip: keys outside |e1|, |e2| <= W were
 dropped, so their coefficients are unknown and reading one raises.  It
@@ -37,7 +37,7 @@ an analysis parameter and pair it with a compatible q-order.
 
 from math import gcd, lcm
 
-from .rat import Rat, rat, rat_ceil, rat_floor, rat_str, parse_rat
+from .rat import Rat, rat, rat_ceil, rat_floor, rat_str, ratio_str, parse_rat
 from .series import PuiseuxSeries, zero as q_zero, one as q_one, monomial as q_monomial
 from .series import series_to_json, series_from_json
 from .series import _from_row, _grid, _mul_add, _scaled, _spread
@@ -458,16 +458,42 @@ def laurent_poly_exact_divide(numer, denom):
 # -- serialization ------------------------------------------------------------
 
 
+def _key_strs(a):
+    """(e1, e2, row) for each key of a in increasing key, the exponents as
+    rat_str strings written from the int key over kd."""
+    kd = a.kd
+    return [(ratio_str(k1, kd), ratio_str(k2, kd), c) for (k1, k2), c in sorted(a.rows.items())]
+
+
 def bl_to_json(a):
-    return {
-        "region": ANNULUS,
-        "qorder": rat_str(a.qorder),
-        "window": a.window,
-        "terms": [
-            {"e1": rat_str(e1), "e2": rat_str(e2), "series": series_to_json(c)}
-            for (e1, e2), c in a.terms.items()
-        ],
-    }
+    """The series as a JSON-ready dict.  Each distinct row object is
+    serialized once: keys that share a row share one "series" dict.  A
+    window that is an integer is written as that int, any other as its
+    "num/den" string."""
+    w = a.window
+    if w is not None:
+        w = rat(w)
+        w = w.numerator if w.denominator == 1 else rat_str(w)
+    done = {}  # id(row) -> its series_to_json, once per shared row
+    terms = []
+    for e1, e2, c in _key_strs(a):
+        j = done.get(id(c))
+        if j is None:
+            j = done[id(c)] = series_to_json(c)
+        terms.append({"e1": e1, "e2": e2, "series": j})
+    return {"region": ANNULUS, "qorder": rat_str(a.qorder), "window": w, "terms": terms}
+
+
+def _window_from_json(w):
+    """A window as bl_to_json writes it: None, an int or a "num/den" string."""
+    if w is None or (isinstance(w, int) and not isinstance(w, bool)):
+        return w
+    if isinstance(w, str):
+        try:
+            return parse_rat(w)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"window must be null, an integer or a 'num/den' string, got {w!r}")
 
 
 def bl_from_json(d):
@@ -477,4 +503,4 @@ def bl_from_json(d):
         (parse_rat(t["e1"]), parse_rat(t["e2"])): series_from_json(t["series"])
         for t in d["terms"]
     }
-    return BiLaurentSeries(terms, parse_rat(d["qorder"]), d["window"])
+    return BiLaurentSeries(terms, parse_rat(d["qorder"]), _window_from_json(d["window"]))

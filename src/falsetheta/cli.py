@@ -6,12 +6,13 @@ line are "num/den" or integer strings; complex numbers are "re+imi".
 """
 
 import argparse
+import functools
 import json
 import sys
 
 from .rat import Rat, rat_str, parse_rat, _positive_order
-from .series import PuiseuxSeries, eta_series, series_to_json
-from .bilaurent import ANNULUS, bl_to_json
+from .series import PuiseuxSeries, eta_series, series_to_json, _term_strs
+from .bilaurent import ANNULUS, bl_to_json, _key_strs
 from . import thetas, families
 from .identities import (
     registered_ids,
@@ -126,22 +127,51 @@ def _expand_series(args):
     raise ValueError(f"unknown series {name!r}")
 
 
+# A one-token stand-in for each "series" value in the document JSON, and
+# the depth of a "series" value there: {"terms": [{"series": {...}}]}.
+_SLOT = "\0"
+_SLOT_JSON = json.dumps(_SLOT)
+_SERIES_INDENT = "\n" + " " * 6
+
+
+def _bl_json_text(s):
+    """json.dumps(bl_to_json(s), indent=2), with each distinct row encoded once.
+
+    bl_to_json gives keys that share a row one "series" dict.  Each such
+    dict is encoded once and re-indented to its depth; the document is
+    encoded once with a slot in place of every "series", and the row texts
+    are put into the slots.
+    """
+    doc = bl_to_json(s)
+    texts, rows = {}, []  # texts: id(series dict) -> its text
+    for t in doc["terms"]:
+        j = t["series"]
+        text = texts.get(id(j))
+        if text is None:
+            text = texts[id(j)] = json.dumps(j, indent=2).replace("\n", _SERIES_INDENT)
+        rows.append(text)
+    slotted = dict(doc, terms=[dict(t, series=_SLOT) for t in doc["terms"]])
+    head, *tails = json.dumps(slotted, indent=2).split(_SLOT_JSON)
+    return head + "".join(r + tail for r, tail in zip(rows, tails))
+
+
 def _print_series(s, fmt, out):
     if isinstance(s, PuiseuxSeries):
         if fmt == "json":
-            json.dump(series_to_json(s), out, indent=2)
-            out.write("\n")
+            out.write(json.dumps(series_to_json(s), indent=2) + "\n")
         else:
-            for e, c in s.items():
-                out.write(f"q^({rat_str(e)})\t{rat_str(c)}\n")
-            out.write(f"+ O(q^({rat_str(s.order)}))\n")
+            out.write("".join(f"q^({e})\t{c}\n" for e, c in _term_strs(s))
+                      + f"+ O(q^({rat_str(s.order)}))\n")
         return
     if fmt == "json":
-        json.dump(bl_to_json(s), out, indent=2)
-        out.write("\n")
+        out.write(_bl_json_text(s) + "\n")
     else:
-        for (e1, e2), coeff in s.terms.items():
-            out.write(f"zeta1^({rat_str(e1)}) zeta2^({rat_str(e2)}): {coeff!r}\n")
+        reprs = {}  # id(row) -> repr(row), once per shared row
+        for e1, e2, c in _key_strs(s):
+            r = reprs.get(id(c))
+            if r is None:
+                r = reprs[id(c)] = repr(c)
+            out.write(f"zeta1^({e1}) zeta2^({e2}): {r}\n")
         out.write(f"region={ANNULUS} + O(q^({rat_str(s.qorder)}))\n")
 
 
@@ -155,8 +185,7 @@ def cmd_expand(args):
 
 def _emit_report(rep, fmt, out):
     if fmt == "json":
-        json.dump(report_to_json(rep), out)
-        out.write("\n")
+        out.write(json.dumps(report_to_json(rep)) + "\n")
         return
     line = f"{rep.id}\t{rep.verdict}\torder={rat_str(rep.order)}\t{rep.ms} ms"
     if rep.discrepancy is not None:
@@ -189,8 +218,7 @@ def cmd_verify(args):
 
 def _emit_residual(rep, fmt, out):
     if fmt == "json":
-        json.dump(residual_report_to_json(rep), out)
-        out.write("\n")
+        out.write(json.dumps(residual_report_to_json(rep)) + "\n")
         return
     out.write(
         f"{rep.law}\t{rep.verdict}\tresidual={rep.residual:.3e}"
@@ -298,9 +326,15 @@ def build_parser():
     return top
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built on its first call: building one costs far
+    more than a parse, and at import it would slow every import."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

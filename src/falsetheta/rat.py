@@ -6,6 +6,7 @@ lowest terms with a positive denominator.
 """
 
 from fractions import Fraction
+from math import gcd
 
 Rat = Fraction
 
@@ -20,6 +21,13 @@ def rat(x):
 def rat_str(r):
     """Render as 'num/den' (denominator always shown)."""
     return f"{r.numerator}/{r.denominator}"
+
+
+def ratio_str(n, d):
+    """rat_str(Rat(n, d)) for ints n and d > 0, reduced by one gcd with no
+    Rat built."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 def parse_rat(s):

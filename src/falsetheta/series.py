@@ -32,7 +32,7 @@ from itertools import compress, count
 from math import gcd, isqrt, lcm
 from operator import add
 
-from .rat import Rat, rat, rat_ceil, rat_str, parse_rat
+from .rat import Rat, rat, rat_ceil, rat_str, ratio_str, parse_rat
 
 __all__ = [
     "PuiseuxSeries",
@@ -496,12 +496,19 @@ def lattice_sum(form, linear, const, order, weight, lower=(None, None)):
 # -- serialization ------------------------------------------------------------
 
 
+def _term_strs(s):
+    """The (exponent, coefficient) pairs of items() as rat_str strings, read
+    straight off the int row: exponent (v + step i)/d and coefficient c/den,
+    each reduced by one gcd."""
+    d, (v, t) = _scaled(s.v, s.step)
+    den = s.den
+    return [(ratio_str(v + t * i, d), ratio_str(c, den)) for i, c in enumerate(s.row) if c]
+
+
 def series_to_json(s):
     return {
         "order": rat_str(s.order),
-        "terms": [
-            {"exp": rat_str(e), "coeff": rat_str(c)} for e, c in s.items()
-        ],
+        "terms": [{"exp": e, "coeff": c} for e, c in _term_strs(s)],
     }
 
 

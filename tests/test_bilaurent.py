@@ -1,5 +1,6 @@
 """Bivariate Laurent layer: windows, products and exact division."""
 
+import json
 from math import lcm
 
 import pytest
@@ -26,7 +27,7 @@ from falsetheta.bilaurent import (
     _int_product,
 )
 from falsetheta.thetas import calT, t2t_factor, theta_hat, _swap_orbit, _weyl_orbit
-from falsetheta.identities import _t2t_sum
+from falsetheta.identities import _build_E3, _t2t_sum
 
 
 def mono(c, e1, e2, qexp, qorder, window=None):
@@ -81,6 +82,26 @@ class TestStructure:
         b = bl_from_json(bl_to_json(a))
         assert b.terms == a.terms and b.qorder == a.qorder
         assert bl_to_json(b)["region"] == "INNER"
+
+    def test_json_roundtrip_at_a_rational_window(self):
+        a = _build_E3({"part": "product"}, 20)[0]
+        assert a.window == Rat(29, 2)
+        d = json.loads(json.dumps(bl_to_json(a)))
+        assert d["window"] == "29/2"
+        b = bl_from_json(d)
+        assert b == a and b.window == a.window
+
+    def test_json_writes_an_integer_window_as_an_int(self):
+        for w in (2, Rat(2)):
+            d = bl_to_json(mono(1, 0, 0, 1, Rat(8), window=w))
+            assert d["window"] == 2 and type(d["window"]) is int
+            assert bl_from_json(d).window == 2
+
+    @pytest.mark.parametrize("window", [2.5, True, "x", "1/0", "1/2/3", [1]])
+    def test_json_refuses_a_malformed_window(self, window):
+        d = dict(bl_to_json(mono(1, 0, 0, 1, Rat(8))), window=window)
+        with pytest.raises(ValueError, match="window"):
+            bl_from_json(d)
 
     def test_json_refuses_another_region(self):
         d = dict(bl_to_json(mono(1, 0, 0, 1, Rat(8))), region="OUTER")

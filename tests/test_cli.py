@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, output formats, argument parsing."""
 
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from falsetheta.cli import main, USAGE_ERROR, DISCREPANCY
+from falsetheta import thetas
+from falsetheta.bilaurent import BiLaurentSeries, bl_to_json, _from_rows
+from falsetheta.cli import main, build_parser, _print_series, USAGE_ERROR, DISCREPANCY
+from falsetheta.rat import Rat, rat_str
+from falsetheta.series import PuiseuxSeries, series_to_json
 
 
 def run(capsys, *argv):
@@ -292,3 +298,104 @@ class TestOptionNames:
         captured = capsys.readouterr()
         assert exc.value.code == USAGE_ERROR
         assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+class TestSharedParser:
+    def test_a_call_leaks_nothing_into_the_next(self, capsys):
+        first = ("expand", "theta", "--order", "9", "--format", "json")
+        code, out, _ = run(capsys, *first)
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "theta", "--order", "9", "--window"])
+        assert exc.value.code == USAGE_ERROR
+        assert "expected one argument" in capsys.readouterr().err
+        code3, out3, _ = run(capsys, "expand", "theta", "--order", "9", "--window", "1")
+        assert code3 == 0 and out3 != out
+        code4, out4, _ = run(capsys, *first)
+        assert code == code4 == 0 and out4 == out
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+
+# -- the output path against the encoders it replaces -------------------------
+
+
+def _former_text(s):
+    """_print_series's text as it was written from Rat terms and items()."""
+    if isinstance(s, PuiseuxSeries):
+        lines = [f"q^({rat_str(e)})\t{rat_str(c)}\n" for e, c in s.items()]
+        return "".join(lines) + f"+ O(q^({rat_str(s.order)}))\n"
+    lines = [f"zeta1^({rat_str(e1)}) zeta2^({rat_str(e2)}): {c!r}\n"
+             for (e1, e2), c in s.terms.items()]
+    return "".join(lines) + f"region=INNER + O(q^({rat_str(s.qorder)}))\n"
+
+
+def _printed(s, fmt):
+    out = io.StringIO()
+    _print_series(s, fmt, out)
+    return out.getvalue()
+
+
+_keys = st.tuples(*[st.builds(Rat, st.integers(-4, 4), st.sampled_from([1, 2, 3]))] * 2)
+
+
+@st.composite
+def _rows(draw, qorder):
+    terms = draw(st.dictionaries(
+        st.builds(Rat, st.integers(-12, 30), st.sampled_from([1, 2, 3, 8])),
+        st.builds(Rat, st.integers(-5, 5), st.sampled_from([1, 2, 3, 7])),
+        max_size=4,
+    ))
+    return PuiseuxSeries(terms, qorder)
+
+
+@st.composite
+def _shared_row_series(draw):
+    """A two-variable series whose keys take their rows from a few objects,
+    so that keys share rows; a zero row drops its keys, and a window of
+    None, an int or a Rat clips them."""
+    qorder = draw(st.builds(Rat, st.integers(1, 24), st.sampled_from([1, 2, 4])))
+    rows = draw(st.lists(_rows(qorder), min_size=1, max_size=4))
+    keys = draw(st.dictionaries(_keys, st.integers(0, len(rows) - 1), max_size=12))
+    window = draw(st.none() | st.integers(0, 3)
+                  | st.builds(Rat, st.integers(1, 9), st.sampled_from([2, 3])))
+    return BiLaurentSeries({k: rows[i] for k, i in keys.items()}, qorder, window)
+
+
+class TestOutputPath:
+    @given(_shared_row_series())
+    @settings(max_examples=200, deadline=None)
+    def test_two_variable_json_and_text(self, s):
+        assert _printed(s, "json") == json.dumps(bl_to_json(s), indent=2) + "\n"
+        assert _printed(s, "text") == _former_text(s)
+
+    @given(_rows(Rat(31, 2)))
+    @settings(max_examples=100, deadline=None)
+    def test_one_variable_json_and_text(self, s):
+        assert _printed(s, "json") == json.dumps(series_to_json(s), indent=2) + "\n"
+        assert _printed(s, "text") == _former_text(s)
+
+    @given(_shared_row_series())
+    @settings(max_examples=100, deadline=None)
+    def test_shared_rows_write_what_distinct_rows_write(self, s):
+        copy = _from_rows(s.kd, {k: PuiseuxSeries(c.terms, c.order) for k, c in s.rows.items()},
+                          s.qorder, s.window)
+        assert len({id(c) for c in copy.rows.values()}) == len(copy.rows)
+        d = bl_to_json(s)
+        assert d == bl_to_json(copy)
+        # keys that share a row share its "series" dict
+        seen = {}
+        for t, (_, c) in zip(d["terms"], sorted(s.rows.items())):
+            assert seen.setdefault(id(c), t["series"]) is t["series"]
+        assert len({id(t["series"]) for t in d["terms"]}) == len(seen)
+
+    @pytest.mark.parametrize("name, build, order", [
+        ("f", thetas.f_series, "5"), ("J", thetas.J_series, "4"),
+        ("kwN3", thetas.kw_character_N3, "4"),
+    ])
+    def test_cli_json_of_the_orbit_builders(self, capsys, name, build, order):
+        s = build(Rat(order)).clip(6)
+        assert len({id(c) for c in s.rows.values()}) < len(s.rows)  # rows are shared
+        code, out, _ = run(capsys, "expand", name, "--order", order, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(bl_to_json(s), indent=2) + "\n"

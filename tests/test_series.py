@@ -6,7 +6,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from falsetheta.rat import Rat, rat, rat_str, parse_rat
 from falsetheta.series import (
@@ -176,6 +176,32 @@ _grid_series = st.builds(
     st.builds(Rat, st.integers(-6, 30), st.sampled_from([1, 2, 3, 8])),
 )
 _any_series = st.one_of(_mixed_series, _grid_series)
+
+
+def _former_json_terms(s):
+    """series_to_json's terms as rat_str of each Rat pair of items(): the
+    oracle for the terms written straight off the int row."""
+    return [{"exp": rat_str(e), "coeff": rat_str(c)} for e, c in s.items()]
+
+
+# rational grids, many below zero, with coefficients over a common den > 1
+_json_series = st.builds(
+    lambda v, step, den, cs, order: _on_grid(v, step, [Rat(c, den) for c in cs], order),
+    st.builds(Rat, st.integers(-60, 20), st.integers(1, 24)),
+    st.builds(Rat, st.integers(1, 12), st.integers(1, 24)),
+    st.integers(2, 36),
+    st.lists(st.integers(-40, 40), max_size=10),
+    st.builds(Rat, st.integers(-10, 40), st.integers(1, 6)),
+)
+
+
+class TestJsonAgainstRatStrings:
+    @given(st.one_of(_json_series, _any_series))
+    @settings(max_examples=300, deadline=None)
+    @example(zero(Rat(5, 2)))
+    @example(_on_grid(Rat(-7, 6), Rat(5, 12), [Rat(1, 6), 0, Rat(-3, 4), Rat(2, 3)], 3))
+    def test_terms_match_rat_str_of_items(self, s):
+        assert series_to_json(s)["terms"] == _former_json_terms(s)
 
 
 class TestMulAgainstPairwiseProducts:
