@@ -11,8 +11,8 @@ from .rat import Rat, rat, rat_str, parse_rat
 from .series import (
     PuiseuxSeries,
     pochhammer,
-    eta_series,
     eta_product,
+    eta_quotient,
     series_to_json,
     series_from_json,
 )
@@ -36,7 +36,6 @@ from .thetas import (
     f_series,
     J_series,
     kw_character_N3,
-    eta5_over_eta2,
 )
 from .families import (
     G_frak,

@@ -21,8 +21,8 @@ A caller that knows a product to be symmetric under a group acting
 linearly on the keys passes bl_mul the keyword-only `orbit`, a map from
 a key to the keys of its orbit: one key per orbit is convolved, and the
 keys of the orbit share one series object.  Shared rows stay shared:
-bl_scalar_mul, truncate_q, clip and bl_to_json handle each row object
-once, and the kernel spreads it once.
+bl_scalar_mul, bl_mul_scalar_int, truncate_q, clip and bl_to_json map
+each row object once, through _map_rows, and the kernel spreads it once.
 
 The optional `window` W marks a clip: keys outside |e1|, |e2| <= W were
 dropped, so their coefficients are unknown and reading one raises.  It
@@ -87,16 +87,11 @@ class BiLaurentSeries:
     def _store(self, kd, rows, qorder, window):
         """Store rows over kd clipped to the window, truncated to qorder, zeros
         dropped and kd reduced; a kept coefficient below qorder raises."""
-        lim = None if window is None else rat_floor(rat(window) * kd)
-        clean, done = {}, {}  # done: id(row) -> the row truncated, once per shared row
-        for k, c in rows.items():
-            if lim is not None and (abs(k[0]) > lim or abs(k[1]) > lim):
-                continue
-            t = done.get(id(c))
-            if t is None:
-                t = done[id(c)] = c.truncate(qorder)  # raises if c.order < qorder
-            if t.row:
-                clean[k] = t
+        if window is not None:
+            lim = rat_floor(rat(window) * kd)
+            rows = {k: c for k, c in rows.items() if abs(k[0]) <= lim and abs(k[1]) <= lim}
+        # truncate raises if c.order < qorder
+        clean = {k: t for k, t in _map_rows(rows, lambda c: c.truncate(qorder)).items() if t.row}
         g = gcd(kd, *(x for k in clean for x in k))
         if g > 1:
             kd //= g
@@ -110,8 +105,7 @@ class BiLaurentSeries:
 
     def qvaluation(self):
         """Minimal coefficient valuation over all keys (qorder if empty)."""
-        each = {id(c): c for c in self.rows.values()}.values()  # shared rows once
-        return min((c.v for c in each), default=self.qorder)
+        return min((c.v for c in self.rows.values()), default=self.qorder)
 
     @property
     def terms(self):
@@ -159,22 +153,22 @@ class BiLaurentSeries:
             f"qorder={self.qorder} window={self.window}>"
         )
 
-    # operator sugar delegating to the module-level operations
-    def __add__(self, other):
-        return bl_add(self, other)
-
-    def __sub__(self, other):
-        return bl_add(self, bl_mul_scalar_int(other, -1))
-
-    def __mul__(self, other):
-        if isinstance(other, PuiseuxSeries):
-            return bl_scalar_mul(self, other)
-        return bl_mul(self, other)
-
 
 def _from_rows(kd, rows, qorder, window=None):
     """The series of rows {(k1, k2): PuiseuxSeries} over kd; see _store."""
     return object.__new__(BiLaurentSeries)._store(kd, rows, qorder, window)
+
+
+def _map_rows(rows, fn):
+    """{k: fn(c)} for the rows {k: c}, calling fn once per distinct row
+    object: keys that share a row share its image."""
+    done, out = {}, {}  # done: id(row) -> fn(row)
+    for k, c in rows.items():
+        i = id(c)
+        if i not in done:
+            done[i] = fn(c)
+        out[k] = done[i]
+    return out
 
 
 def _common_rows(series):
@@ -186,23 +180,23 @@ def _common_rows(series):
     return kd, out
 
 
-def bl_zero(qorder, window=None):
-    return BiLaurentSeries({}, qorder, window)
+def bl_zero(qorder):
+    return BiLaurentSeries({}, qorder)
 
 
-def bl_one(qorder, window=None):
-    return bl_monomial(q_one(qorder), 0, 0, qorder, window)
+def bl_one(qorder):
+    return bl_monomial(q_one(qorder), 0, 0, qorder)
 
 
-def bl_monomial(coeff, e1, e2, qorder, window=None):
+def bl_monomial(coeff, e1, e2, qorder):
     """coeff(q) * z1^e1 z2^e2; coeff may be a PuiseuxSeries or a rational."""
     if not isinstance(coeff, PuiseuxSeries):
         coeff = q_monomial(coeff, 0, qorder)
-    return BiLaurentSeries({(e1, e2): coeff}, qorder, window)
+    return BiLaurentSeries({(e1, e2): coeff}, qorder)
 
 
 def bl_mul_scalar_int(a, n):
-    return _from_rows(a.kd, {k: c * n for k, c in a.rows.items()}, a.qorder, a.window)
+    return _from_rows(a.kd, _map_rows(a.rows, lambda c: c * n), a.qorder, a.window)
 
 
 def bl_add(*operands):
@@ -236,7 +230,8 @@ def _int_product(factors, qorder, key=None, orbit=None):
     """
     if not all(factors):
         return {}
-    # each row object once, however many keys share it
+    # each row object once, however many keys share it; keyed by id here,
+    # not through _map_rows, as the grid needs every distinct row at once
     each = [list({id(s): s for s in f.values()}.values()) for f in factors]
     g0, ints = _grid(*(x for ss in each for s in ss for x in (s.step, s.v)))
     ints = iter(ints)
@@ -341,13 +336,7 @@ def bl_scalar_mul(a, s):
     """Multiply every coefficient by the one-variable series s(q); keys that
     share one row object share its product."""
     qorder = min(a.qorder + s.valuation(), s.order + a.qvaluation())
-    rows, done = {}, {}  # done: id(row) -> its product, once per shared row
-    for k, c in a.rows.items():
-        p = done.get(id(c))
-        if p is None:
-            p = done[id(c)] = c * s
-        rows[k] = p
-    return _from_rows(a.kd, rows, qorder, a.window)
+    return _from_rows(a.kd, _map_rows(a.rows, lambda c: c * s), qorder, a.window)
 
 
 def expand_inverse_one_minus(unit, n, qorder, zwindow=None):
@@ -458,11 +447,13 @@ def laurent_poly_exact_divide(numer, denom):
 # -- serialization ------------------------------------------------------------
 
 
-def _key_strs(a):
-    """(e1, e2, row) for each key of a in increasing key, the exponents as
-    rat_str strings written from the int key over kd."""
+def _key_strs(a, fn):
+    """(e1, e2, fn(row)) for each key of a in increasing key, the exponents
+    as rat_str strings written from the int key over kd, and fn called once
+    per distinct row object."""
     kd = a.kd
-    return [(ratio_str(k1, kd), ratio_str(k2, kd), c) for (k1, k2), c in sorted(a.rows.items())]
+    return [(ratio_str(k1, kd), ratio_str(k2, kd), x)
+            for (k1, k2), x in sorted(_map_rows(a.rows, fn).items())]
 
 
 def bl_to_json(a):
@@ -474,13 +465,7 @@ def bl_to_json(a):
     if w is not None:
         w = rat(w)
         w = w.numerator if w.denominator == 1 else rat_str(w)
-    done = {}  # id(row) -> its series_to_json, once per shared row
-    terms = []
-    for e1, e2, c in _key_strs(a):
-        j = done.get(id(c))
-        if j is None:
-            j = done[id(c)] = series_to_json(c)
-        terms.append({"e1": e1, "e2": e2, "series": j})
+    terms = [{"e1": e1, "e2": e2, "series": j} for e1, e2, j in _key_strs(a, series_to_json)]
     return {"region": ANNULUS, "qorder": rat_str(a.qorder), "window": w, "terms": terms}
 
 

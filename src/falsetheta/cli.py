@@ -11,7 +11,7 @@ import json
 import sys
 
 from .rat import Rat, rat_str, parse_rat, _positive_order
-from .series import PuiseuxSeries, eta_series, series_to_json, _term_strs
+from .series import PuiseuxSeries, eta_quotient, series_to_json, _term_strs
 from .bilaurent import ANNULUS, bl_to_json, _key_strs
 from . import thetas, families
 from .identities import (
@@ -90,7 +90,7 @@ def _expand_series(args):
         raise ValueError(f"--window must be nonnegative, got {W}")
     name = args.name
     if name == "eta":
-        return eta_series(args.k, order)
+        return eta_quotient({args.k: 1}, order)
     # the window only clips what is printed; builders build whole objects
     if name == "theta":
         return thetas.theta_hat(args.unit, args.k, order).clip(W)
@@ -143,7 +143,9 @@ def _bl_json_text(s):
     are put into the slots.
     """
     doc = bl_to_json(s)
-    texts, rows = {}, []  # texts: id(series dict) -> its text
+    # texts: id(series dict) -> its text; _map_rows dedupes rows, and these
+    # are bl_to_json's dicts, which keys that share a row already share
+    texts, rows = {}, []
     for t in doc["terms"]:
         j = t["series"]
         text = texts.get(id(j))
@@ -166,11 +168,7 @@ def _print_series(s, fmt, out):
     if fmt == "json":
         out.write(_bl_json_text(s) + "\n")
     else:
-        reprs = {}  # id(row) -> repr(row), once per shared row
-        for e1, e2, c in _key_strs(s):
-            r = reprs.get(id(c))
-            if r is None:
-                r = reprs[id(c)] = repr(c)
+        for e1, e2, r in _key_strs(s, repr):
             out.write(f"zeta1^({e1}) zeta2^({e2}): {r}\n")
         out.write(f"region={ANNULUS} + O(q^({rat_str(s.qorder)}))\n")
 

@@ -16,12 +16,13 @@ from .rat import Rat, rat, rat_ceil, rat_floor, _positive_order
 from .series import (
     PuiseuxSeries,
     zero as q_zero,
+    eta_quotient,
     quadratic_range,
     lattice_sum,
     _from_row,
 )
 from .bilaurent import product_coeff
-from .thetas import t2t_factor, s01_factor, eta5_over_eta2
+from .thetas import t2t_factor, s01_factor
 
 __all__ = [
     "sgn_star",
@@ -278,7 +279,7 @@ def H_frak(r1, r2, order):
         s01_factor("z12", build, W),
     ]
     coeff = product_coeff(kernel, r1, r2)
-    return (eta5_over_eta2(build) * coeff).truncate(order)
+    return (eta_quotient({1: 5, 2: -1}, build) * coeff).truncate(order)
 
 
 def F0_series(p, order):

@@ -25,8 +25,8 @@ from .series import (
     zero as q_zero,
     monomial as q_monomial,
     pochhammer,
-    eta_series,
     eta_product,
+    eta_quotient,
     quadratic_range,
     lattice_sum,
 )
@@ -54,7 +54,6 @@ from .thetas import (
     s01_factor,
     f_coeff,
     J_constant_term,
-    eta5_over_eta2,
     unit_pochhammer,
     _unit_product,
 )
@@ -86,7 +85,7 @@ __all__ = [
 
 def _f_coeff_scaled(r1, r2, order):
     """eta^5/eta(2 tau) times the (r1, r2) coefficient of the ratio."""
-    return (eta5_over_eta2(order) * f_coeff(r1, r2, order)).truncate(order)
+    return (eta_quotient({1: 5, 2: -1}, order) * f_coeff(r1, r2, order)).truncate(order)
 
 
 # -- report plumbing ----------------------------------------------------------
@@ -297,8 +296,7 @@ def _build_E3(p, order):
     # product route, division-free:
     # eta^3 theta_hat(z1 z2) = rho-sum * theta_hat(z1) * theta_hat(z2)
     B = order + Rat(1, 8)
-    eta_cubed = eta_product({1: 3}, B).shift(Rat(1, 8))
-    lhs = bl_scalar_mul(theta_hat("z12", 1, B), eta_cubed)
+    lhs = bl_scalar_mul(theta_hat("z12", 1, B), eta_quotient({1: 3}, B))
     th1 = theta_hat("z1", 1, order)
     rhs = bl_mul(bl_mul(rho_sum, th1), theta_hat("z2", 1, order))
     K = W - Rat(max(abs(k1) for k1, _ in th1.rows), th1.kd)
@@ -320,8 +318,7 @@ def _build_E4(p, order):
         return bl_add(*terms).truncate_q(order), pf_sum
     # zeta1^(-1/2) eta^3 = pf-sum * theta_hat(z1)
     B = order + Rat(1, 8)
-    eta_cubed = eta_product({1: 3}, B).shift(Rat(1, 8))
-    lhs = bl_monomial(eta_cubed, -Rat(1, 2), 0, B)
+    lhs = bl_monomial(eta_quotient({1: 3}, B), -Rat(1, 2), 0, B)
     th = theta_hat("z1", 1, order)
     rhs = bl_mul(pf_sum, th)
     K = W - Rat(max(abs(k1) for k1, _ in th.rows), th.kd)
@@ -331,8 +328,8 @@ def _build_E4(p, order):
 def _build_E5(p, order):
     if p["part"] == "eta":
         lhs = pochhammer(-1, 1, 1, None, order - Rat(1, 8)).shift(Rat(1, 8))
-        lhs = (lhs * eta_series(1, order)).truncate(order)
-        rhs = eta_series(2, order).shift(Rat(1, 12)).truncate(order)
+        lhs = (lhs * eta_quotient({1: 1}, order)).truncate(order)
+        rhs = eta_quotient({2: 1}, order).shift(Rat(1, 12)).truncate(order)
         return lhs, rhs
     # theta_hat(u; 2tau) (u q, u^-1 q; q^2)_oo = theta_hat(u; tau) q^(1/8) (-q; q)_oo
     unit = p["unit"]
@@ -428,10 +425,8 @@ def _build_E15(p, order):
         rhs = eta_product({1: 2, 2: 2}, order) * _ghyper_q2((0, 0), order)
         return lhs, rhs
     r = p["r"]
-    # eta^3 = q^(1/8) (q; q)_oo^3 and eta(2 tau)^3 = q^(1/4) (q^2; q^2)_oo^3
-    eta1 = eta_product({1: 3}, order - Rat(1, 8)).shift(Rat(1, 8))
-    lhs = (eta1 * f_coeff(r[0], r[1], order)).truncate(order)
-    rhs = (eta_product({2: 3}, order) * _ghyper_q2(r, order)).shift(Rat(1, 2))
+    lhs = (eta_quotient({1: 3}, order) * f_coeff(r[0], r[1], order)).truncate(order)
+    rhs = (eta_quotient({2: 3}, order) * _ghyper_q2(r, order)).shift(Rat(1, 4))
     return lhs, rhs.truncate(order)
 
 

@@ -235,15 +235,17 @@ def eta_multiplier(gamma):
     """Multiplier chi(gamma) with eta(gamma tau) = chi (c tau + d)^(1/2) eta(tau).
 
     Principal square-root branch.  For c > 0 this is the classical
-    exp(pi i ((a+d)/(12c) - s(d,c) - 1/4)); translations give e^(pi i b/12)
-    and matrices with c < 0 (or -identity translations) reduce to their
-    negatives via chi(gamma) = i * chi(-gamma).
+    exp(pi i ((a+d)/(12c) - s(d,c) - 1/4)); translations give e^(pi i b/12).
+    Any other matrix reduces to its negative, whose c tau + d is -w for
+    w = c tau + d: chi(gamma) = i chi(-gamma) for c < 0, where w lies in
+    the lower half-plane and sqrt(w) = i sqrt(-w), and -i chi(-gamma) for
+    c = 0, d < 0, where sqrt(w) = sqrt(-1) = i.
     """
     a, b, c, d = gamma
     if a * d - b * c != 1:
         raise ValueError("matrix must have determinant 1")
     if c < 0 or (c == 0 and d < 0):
-        return 1j * eta_multiplier((-a, -b, -c, -d))
+        return (1j if c else -1j) * eta_multiplier((-a, -b, -c, -d))
     if c == 0:
         return cmath.exp(1j * math.pi * b / 12)
     expo = Rat(a + d, 12 * c) - dedekind_sum(d, c) - Rat(1, 4)
@@ -251,7 +253,7 @@ def eta_multiplier(gamma):
 
 
 _VALIDATION_TAUS = (0.13 + 0.82j, -0.37 + 1.31j, 0.52 + 0.61j)
-_VALIDATION_GAMMAS = ((0, -1, 1, 0), (1, 0, 1, 1), (3, 1, 2, 1), (1, 1, 0, 1))
+_VALIDATION_GAMMAS = ((0, -1, 1, 0), (1, 0, 1, 1), (3, 1, 2, 1), (1, 1, 0, 1), (-1, -1, 0, -1))
 ETA_VALIDATION_TOL = 1e-9
 
 

@@ -32,7 +32,7 @@ from itertools import compress, count
 from math import gcd, isqrt, lcm
 from operator import add
 
-from .rat import Rat, rat, rat_ceil, rat_str, ratio_str, parse_rat
+from .rat import Rat, rat, rat_ceil, rat_str, ratio_str, parse_rat, _positive_order
 
 __all__ = [
     "PuiseuxSeries",
@@ -40,8 +40,8 @@ __all__ = [
     "one",
     "monomial",
     "pochhammer",
-    "eta_series",
     "eta_product",
+    "eta_quotient",
     "quadratic_range",
     "lattice_rows",
     "lattice_points",
@@ -341,24 +341,27 @@ def pochhammer(sign, s, t, n, order):
     return _binomial_series([(sign, 0, s + j * t, 1) for j in range(n)], order)
 
 
-def eta_product(powers, order):
-    """prod_k (q^k; q^k)_infinity^powers[k], truncated below `order`.
+def _check_powers(powers):
+    if not all(isinstance(k, int) and k >= 1 and isinstance(p, int) for k, p in powers.items()):
+        raise ValueError("powers must map positive integers to integers")
+    return powers
 
-    powers maps positive integers k to integer powers; the q^(k/24) of
-    eta(k tau) is left to the caller.
-    """
-    factors = []
-    for k, p in powers.items():
-        if not isinstance(k, int) or k < 1 or not isinstance(p, int):
-            raise ValueError("powers must map positive integers to integers")
-        factors += [(1, 0, j, p) for j in range(k, rat_ceil(rat(order)), k)]
+
+def eta_product(powers, order):
+    """prod_k (q^k; q^k)_infinity^powers[k], truncated below `order`, for
+    powers mapping positive integers k to integers: the bare product, with
+    none of eta_quotient's q^(k/24)."""
+    top = rat_ceil(rat(order))
+    factors = [(1, 0, j, p) for k, p in _check_powers(powers).items() for j in range(k, top, k)]
     return _binomial_series(factors, order)
 
 
-def eta_series(scale, order):
-    """q^(k/24) * (q^k; q^k)_infinity truncated below `order` (k = scale)."""
-    pre = Rat(scale, 24)
-    return eta_product({scale: 1}, rat(order) - pre).shift(pre)
+def eta_quotient(powers, order):
+    """prod_k eta(k tau)^powers[k], exact below the positive `order`, with
+    eta(k tau) = q^(k/24) (q^k; q^k)_infinity: the eta_product shifted by
+    its q^(sum_k k powers[k] / 24)."""
+    pre = Rat(sum(k * p for k, p in _check_powers(powers).items()), 24)
+    return eta_product(powers, _positive_order(order) - pre).shift(pre)
 
 
 # -- products of binomials -------------------------------------------------------

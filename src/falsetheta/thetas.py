@@ -36,7 +36,9 @@ z1 z2) of one factor that is even in its unit, so its coefficients are
 fixed by the 12-element group W(A2) x {+-1} acting on the keys (e1, e2);
 calT is fixed by the same group.  f_series and J_series pass that group's
 orbits (_swap_orbit, _weyl_orbit) to bl_mul, which then convolves one key
-per orbit.  f_coeff and J_constant_term pass none.
+per orbit.  f_coeff and J_constant_term pass none.  J and the N = 3
+character scale by eta(tau)^5/eta(2 tau) and eta(tau)/eta(2 tau), each one
+`series.eta_quotient`, which carries its own q-power.
 """
 
 from functools import lru_cache
@@ -44,7 +46,7 @@ from operator import add
 
 from .rat import Rat, rat, rat_ceil, rat_floor, _positive_order
 from .series import (
-    eta_product,
+    eta_quotient,
     quadratic_range,
     lattice_points,
     monomial as q_monomial,
@@ -73,8 +75,6 @@ __all__ = [
     "J_series",
     "J_constant_term",
     "kw_character_N3",
-    "eta5_over_eta2",
-    "eta1_over_eta2",
 ]
 
 
@@ -262,18 +262,6 @@ def f_coeff(r1, r2, qorder):
     return product_coeff(_f_factors(qorder), r1, r2)
 
 
-def eta5_over_eta2(order):
-    """eta(tau)^5 / eta(2 tau) as a one-variable series (valuation 1/8)."""
-    order = _positive_order(order)
-    return eta_product({1: 5, 2: -1}, order - Rat(1, 8)).shift(Rat(1, 8))
-
-
-def eta1_over_eta2(order):
-    """eta(tau) / eta(2 tau) (valuation -1/24)."""
-    order = _positive_order(order)
-    return eta_product({1: 1, 2: -1}, order + Rat(1, 24)).shift(-Rat(1, 24))
-
-
 def J_series(qorder):
     """eta^5/eta(2tau) * calT * f: an index-zero combination, whole (calT
     has finite key support); callers clip it.  calT and f are both
@@ -281,7 +269,7 @@ def J_series(qorder):
     per orbit, and the keys of an orbit share one row to the end."""
     qorder = _positive_order(qorder)
     body = bl_mul(calT(qorder), f_series(qorder), orbit=_weyl_orbit)
-    return bl_scalar_mul(body, eta5_over_eta2(qorder)).truncate_q(qorder)
+    return bl_scalar_mul(body, eta_quotient({1: 5, 2: -1}, qorder)).truncate_q(qorder)
 
 
 def J_constant_term(qorder):
@@ -291,7 +279,7 @@ def J_constant_term(qorder):
     """
     qorder = _positive_order(qorder)
     body = product_coeff([calT(qorder), *_f_factors(qorder)], 0, 0)
-    return (eta5_over_eta2(qorder) * body).truncate(qorder)
+    return (eta_quotient({1: 5, 2: -1}, qorder) * body).truncate(qorder)
 
 
 def kw_character_N3(qorder):
@@ -301,4 +289,4 @@ def kw_character_N3(qorder):
     deeper."""
     qorder = _positive_order(qorder)
     build = qorder + Rat(1, 24)
-    return bl_scalar_mul(f_series(build), eta1_over_eta2(build)).truncate_q(qorder)
+    return bl_scalar_mul(f_series(build), eta_quotient({1: 1, 2: -1}, build)).truncate_q(qorder)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from falsetheta.rat import Rat
-from falsetheta.series import eta_series
+from falsetheta.series import eta_quotient
 from falsetheta.thetas import f_series
 from falsetheta.families import (
     G_frak,
@@ -197,7 +197,7 @@ def test_criterion_7_classical_oracles(capsys):
                 expect[Rat(e) + Rat(1, 24)] = Rat(-1 if k % 2 else 1)
         k += 1
     expect[Rat(1, 24)] = Rat(1)
-    eta_ok = dict(eta_series(1, Rat(200) + Rat(1, 24)).items()) == expect
+    eta_ok = dict(eta_quotient({1: 1}, Rat(200) + Rat(1, 24)).items()) == expect
 
     tri = {}
     n = 0

@@ -17,6 +17,7 @@ from falsetheta.bilaurent import (
     bl_zero,
     bl_add,
     bl_mul,
+    bl_mul_scalar_int,
     bl_scalar_mul,
     bl_elliptic_shift,
     expand_inverse_one_minus,
@@ -26,12 +27,13 @@ from falsetheta.bilaurent import (
     _common_rows,
     _int_product,
 )
-from falsetheta.thetas import calT, t2t_factor, theta_hat, _swap_orbit, _weyl_orbit
+from falsetheta.thetas import calT, f_series, t2t_factor, theta_hat, _swap_orbit, _weyl_orbit
 from falsetheta.identities import _build_E3, _t2t_sum
 
 
 def mono(c, e1, e2, qexp, qorder, window=None):
-    return bl_monomial(monomial(c, qexp, qorder), e1, e2, qorder, window)
+    m = bl_monomial(monomial(c, qexp, qorder), e1, e2, qorder)
+    return m if window is None else m.clip(window)
 
 
 class TestStructure:
@@ -328,8 +330,9 @@ class TestRowsAgainstDictSemantics:
     @settings(max_examples=200, deadline=None)
     def test_one_series_built_by_different_routes(self, ra, rb):
         a, b = (BiLaurentSeries(t, q, w) for t, q, w in (ra, rb))
-        routes = [(a + b, b + a), (a, BiLaurentSeries(a.terms, a.qorder)),
-                  (a, bl_from_json(bl_to_json(a))), (a, bl_add(a, a, a) - a - a)]
+        routes = [(bl_add(a, b), bl_add(b, a)), (a, BiLaurentSeries(a.terms, a.qorder)),
+                  (a, bl_from_json(bl_to_json(a))),
+                  (a, bl_add(bl_add(a, a, a), bl_mul_scalar_int(a, -2)))]
         for x, y in routes:
             assert x == y and hash(x) == hash(y)
             assert (x.kd, x.rows) == (y.kd, y.rows)
@@ -446,6 +449,12 @@ class TestOrbitProducts:
         for b in (bl_scalar_mul(a, t), a.truncate_q(Rat(2)), a.clip(1)):
             assert b.rows[(1, 0)] is b.rows[(0, 1)]
         assert bl_scalar_mul(a, t).rows[(0, 1)] == (s * t).truncate(3)
+
+    def test_sharing_survives_an_int_scalar(self):
+        f = f_series(6)
+        g = bl_mul_scalar_int(f, -1)
+        assert len({id(c) for c in g.rows.values()}) == len({id(c) for c in f.rows.values()})
+        assert g == BiLaurentSeries({k: c * -1 for k, c in f.terms.items()}, f.qorder)
 
 
 # -- exact division against the Fraction long division ---------------------------

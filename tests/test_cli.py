@@ -112,6 +112,18 @@ class TestExpand:
         assert code == USAGE_ERROR
         assert out == "" and "rankone takes one index" in err
 
+    @pytest.mark.parametrize("name", ["coeffF", "F0", "Fconst", "rankone"])
+    def test_p_below_two_is_usage_error(self, capsys, name):
+        code, out, err = run(capsys, "expand", name, "--p", "1", "--order", "4")
+        assert code == USAGE_ERROR
+        assert out == "" and "p must be an integer >= 2" in err
+
+    def test_a2_theta_at_the_default_order_and_window(self, capsys):
+        code, out, _ = run(capsys, "expand", "thetaA2")
+        assert code == 0
+        assert "zeta1^(0/1) zeta2^(0/1): 1 + O(q^20)\n" in out
+        assert out.endswith("region=INNER + O(q^(20/1))\n")
+
     def test_bad_family_parameter_is_usage_error(self, capsys):
         code, _, err = run(capsys, "expand", "Gfrak", "--p", "1", "--order", "4")
         assert code == USAGE_ERROR
@@ -141,6 +153,17 @@ class TestVerify:
         assert code == USAGE_ERROR
         assert out == "" and "compares no coefficient" in err
 
+    def test_all_at_one_order(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--order", "6")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 23 and all(line.split("\t")[1] == "equal" for line in lines)
+
+    def test_all_at_an_order_where_one_compares_nothing_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "all", "--order", "1/2")
+        assert code == USAGE_ERROR
+        assert out == "" and "compares no coefficient" in err
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys, "verify", "E19", "--order", "6", "--format", "json"
@@ -158,6 +181,14 @@ class TestCheck:
         )
         assert code == 0
         assert out.startswith("T_MOD\tequal")
+
+    def test_theta_law_at_minus_a_translation(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "THETA_MOD", "--gamma=-1,-1,0,-1",
+            "--tau", "0.1+1.2i", "--z", "0.21+0.13i",
+        )
+        assert code == 0
+        assert out.startswith("THETA_MOD\tequal")
 
     def test_membership_violation_is_usage_error(self, capsys):
         code, _, err = run(

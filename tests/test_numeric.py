@@ -255,6 +255,14 @@ class TestEtaMultiplier:
             assert abs(abs(eta_multiplier((a, b, c, d))) - 1) < 1e-14
             found += 1
 
+    @pytest.mark.parametrize("gamma", [(-1, 0, 0, -1), (-1, -1, 0, -1), (-1, 2, 0, -1)])
+    def test_minus_a_translation(self, gamma):
+        # c tau + d = -1, whose principal square root is i
+        a, b, c, d = gamma
+        for tau in (0.3 + 0.9j, -0.2 + 1.4j):
+            rhs = eta_multiplier(gamma) * cmath.sqrt(c * tau + d) * eval_eta(tau)
+            assert abs(eval_eta((a * tau + b) / (c * tau + d)) - rhs) < 1e-12
+
     def test_self_check_below_tolerance(self):
         assert eta_multiplier_self_check() < 1e-9
 
@@ -345,7 +353,7 @@ class TestBridge:
         assert abs(a - b) < 1e-8
 
     def test_q_series_evaluation(self):
-        from falsetheta.series import eta_series
+        from falsetheta.series import eta_quotient
 
-        s = eta_series(1, Rat(40))
+        s = eta_quotient({1: 1}, Rat(40))
         assert abs(eval_q_series(s, TAU) - eval_eta(TAU)) < 1e-12

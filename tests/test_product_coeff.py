@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from falsetheta.rat import Rat
-from falsetheta.series import PuiseuxSeries, zero as q_zero
+from falsetheta.series import PuiseuxSeries, eta_quotient, zero as q_zero
 from falsetheta.bilaurent import (
     BiLaurentSeries,
     bl_mul,
@@ -27,7 +27,6 @@ from falsetheta.thetas import (
     f_coeff,
     J_series,
     J_constant_term,
-    eta5_over_eta2,
 )
 from falsetheta.families import H_frak
 from falsetheta.identities import _inverse_poch_pair
@@ -72,7 +71,7 @@ def test_h_frak_kernel_at_half_integer_r1():
         for r2 in range(-1, 2):
             want = full.coeff(r1, r2)
             _assert_same_coeff(product_coeff(factors, r1, r2), want)
-            scaled = (eta5_over_eta2(build) * want).truncate(order)
+            scaled = (eta_quotient({1: 5, 2: -1}, build) * want).truncate(order)
             assert H_frak(r1, r2, order) == scaled
 
 

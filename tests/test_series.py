@@ -15,8 +15,8 @@ from falsetheta.series import (
     one,
     monomial,
     pochhammer,
-    eta_series,
     eta_product,
+    eta_quotient,
     quadratic_range,
     lattice_rows,
     lattice_points,
@@ -354,12 +354,27 @@ class TestBuilders:
 
     def test_eta_matches_pentagonal_sum_to_200(self):
         order = Rat(200)
-        assert eta_series(1, order) == pentagonal_eta(order)
+        assert eta_quotient({1: 1}, order) == pentagonal_eta(order)
 
     def test_eta_scale_two(self):
-        e2 = eta_series(2, Rat(20))
+        e2 = eta_quotient({2: 1}, Rat(20))
         assert e2.valuation() == Rat(2, 24)
         assert e2.coeff(Rat(1, 12) + 2) == -1
+
+    @pytest.mark.parametrize("powers", [{1: 5, 2: -1}, {1: 1, 2: -1}, {1: 3}, {2: 3}, {3: -2, 1: 1}])
+    def test_eta_quotient_against_pentagonal_sums(self, powers):
+        order, deep = Rat(29, 3), Rat(35, 3)
+        want = one(deep)
+        for k, p in powers.items():
+            eta_k = pentagonal_eta(deep / k).scale_q(k)  # eta(k tau)
+            for _ in range(abs(p)):
+                want = want * (eta_k if p > 0 else eta_k.invert())
+        assert eta_quotient(powers, order) == want.truncate(order)
+
+    @pytest.mark.parametrize("powers", [{0: 1}, {-2: 1}, {1: Rat(1, 2)}, {"1": 1}, {Rat(1, 2): 2}])
+    def test_eta_quotient_rejects_bad_powers(self, powers):
+        with pytest.raises(ValueError, match="powers must map"):
+            eta_quotient(powers, Rat(5))
 
     def test_pochhammer_with_a_zero_exponent(self):
         # (1 - 1)(1 - q) = 0 and (1 + 1)(1 + q) = 2 + 2q

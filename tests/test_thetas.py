@@ -3,7 +3,7 @@
 import pytest
 
 from falsetheta.rat import Rat
-from falsetheta.series import monomial
+from falsetheta.series import eta_quotient, monomial
 from falsetheta.bilaurent import (
     UNIT_KEYS,
     BiLaurentSeries,
@@ -28,8 +28,6 @@ from falsetheta.thetas import (
     J_series,
     J_constant_term,
     kw_character_N3,
-    eta5_over_eta2,
-    eta1_over_eta2,
     _swap_orbit,
     _weyl_orbit,
 )
@@ -52,8 +50,8 @@ from falsetheta.thetas import (
         lambda n: J_series(n).clip(2),
         lambda n: J_constant_term(n),
         lambda n: kw_character_N3(n),
-        lambda n: eta5_over_eta2(n),
-        lambda n: eta1_over_eta2(n),
+        lambda n: eta_quotient({1: 5, 2: -1}, n),
+        lambda n: eta_quotient({1: 1, 2: -1}, n),
         lambda n: H_frak(Rat(1, 2), 0, n),
     ],
 )
@@ -271,9 +269,10 @@ def _per_key(a, s, qorder):
 
 _PLAIN_ROUTES = {
     "f": (f_series, _plain_f),
-    "J": (J_series, lambda n: _per_key(bl_mul(calT(n), _plain_f(n)), eta5_over_eta2(n), n)),
+    "J": (J_series, lambda n: _per_key(
+        bl_mul(calT(n), _plain_f(n)), eta_quotient({1: 5, 2: -1}, n), n)),
     "kwN3": (kw_character_N3, lambda n: _per_key(
-        _plain_f(n + Rat(1, 24)), eta1_over_eta2(n + Rat(1, 24)), n)),
+        _plain_f(n + Rat(1, 24)), eta_quotient({1: 1, 2: -1}, n + Rat(1, 24)), n)),
 }
 
 
@@ -289,7 +288,7 @@ def test_orbit_builds_match_the_plain_route(name, qorder):
 
 class TestAssembled:
     def test_eta_quotient_valuation(self):
-        e = eta5_over_eta2(Rat(6))
+        e = eta_quotient({1: 5, 2: -1}, Rat(6))
         assert e.valuation() == Rat(1, 8)
         assert e.coeff(Rat(1, 8)) == 1
 

@@ -70,8 +70,8 @@ _BUILDERS = {
     "J_series": thetas.J_series,
     "J_constant_term": thetas.J_constant_term,
     "kw_character_N3": thetas.kw_character_N3,
-    "eta5_over_eta2": thetas.eta5_over_eta2,
-    "eta1_over_eta2": thetas.eta1_over_eta2,
+    "eta5_over_eta2": lambda n: series.eta_quotient({1: 5, 2: -1}, n),
+    "eta1_over_eta2": lambda n: series.eta_quotient({1: 1, 2: -1}, n),
     "G_frak": lambda n: families.G_frak((Rat(1, 3), Rat(2, 3)), 3, n),
     "G_frak_rewrite_p2": lambda n: families.G_frak_rewrite_p2((Rat(-1, 2), 0), n),
     "G_frak_closed_p2": lambda n: families.G_frak_closed_p2((1, -1), n),
@@ -87,7 +87,7 @@ _BUILDERS = {
     "monomial": lambda n: series.monomial(Rat(-2, 3), Rat(5, 2), n),
     "pochhammer": lambda n: series.pochhammer(-1, Rat(1, 2), 2, None, n),
     "pochhammer_finite": lambda n: series.pochhammer(1, 0, 1, 4, n),
-    "eta_series": lambda n: series.eta_series(2, n),
+    "eta_series": lambda n: series.eta_quotient({2: 1}, n),
     "eta_product": lambda n: series.eta_product({1: -2, 3: 1}, n),
     "lattice_sum": lambda n: series.lattice_sum(
         (1, -1, 1), (0, Rat(1, 2)), Rat(1, 3), n, lambda n1, n2: n1 - 2 * n2),
