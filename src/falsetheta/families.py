@@ -6,7 +6,7 @@ layer: the two-variable lattice sums by `series.lattice_sum`, the
 rank-one sums by `series.quadratic_range`.  No box is guessed; exactly
 the indices with exponent below the truncation order are visited.  The
 hypergeometric inner sums A_m are each one list of ints, built term by
-term from their term ratio by `_A_table`.
+term from their term ratio by `_A_table` on `series._divide`.
 """
 
 from itertools import count
@@ -19,6 +19,7 @@ from .series import (
     eta_quotient,
     quadratic_range,
     lattice_sum,
+    _divide,
     _from_row,
 )
 from .bilaurent import product_coeff
@@ -207,7 +208,7 @@ def _A_table(m, order, quad=0):
 
     One list of ints, by the term ratio: from 1/(q; q)_m, each term is the
     last one shifted by 1 + quad (2n - 1 + m) and divided in place by
-    (1 - q^n)(1 - q^(n + m)), row[i] += row[i - k], until its valuation
+    (1 - q^n)(1 - q^(n + m)) by series._divide, until its valuation
     n + quad n (n + m) reaches the order.
     """
     order = _positive_order(order)
@@ -217,8 +218,7 @@ def _A_table(m, order, quad=0):
     v, ks = 0, range(1, m + 1)  # the divisors of the term of n = 0
     for n in count(1):
         for k in ks:
-            for i in range(k, len(term)):
-                term[i] += term[i - k]
+            _divide(term, k)
         total[v:] = map(add, total[v:], term)
         v += 1 + quad * (2 * n - 1 + m)
         if v >= top:

@@ -18,6 +18,7 @@ raises.
 import fnmatch
 import time
 from dataclasses import dataclass
+from operator import add
 
 from .rat import Rat, rat, rat_str, rat_ceil, _positive_order
 from .series import (
@@ -29,6 +30,8 @@ from .series import (
     eta_quotient,
     quadratic_range,
     lattice_sum,
+    _binomial_table,
+    _from_row,
 )
 from .bilaurent import (
     UNIT_KEYS,
@@ -55,7 +58,6 @@ from .thetas import (
     f_coeff,
     J_constant_term,
     unit_pochhammer,
-    _unit_product,
 )
 from .families import (
     sgn_star,
@@ -447,13 +449,18 @@ def _build_E16(p, order):
         for n in quadratic_range(1, 1, 0, order, 0)
     }
     rhs = _from_rows(1, rows, order)
-    terms = []
-    for n in range(rat_ceil(order)):
-        # w^n q^n (q; q^2)_n (w q; q^2)_n / (-w q; q)_(2n+1)
-        factors = [(1, a, 2 * j + 1, 1) for j in range(n) for a in (0, 1)]
-        factors += [(-1, 1, j + 1, -1) for j in range(2 * n + 1)]
-        terms.append(_unit_product("z1", factors, order, (n, n)))
-    return bl_add(*terms), rhs
+    # term n is (w q)^n T_n, T_0 = 1/(1 + w q), T_n / T_(n-1) the four binomials of ratio
+    top, totals = rat_ceil(order), {}  # totals: w^k -> the ints of q^0 .. q^(top - 1)
+    d, table = _binomial_table([(-1, 1, 1, -1)], order)
+    for n in range(top):
+        if n:
+            ratio = [(1, a, 2 * n - 1, 1) for a in (0, 1)] + [(-1, 1, 2 * n + j, -1) for j in (0, 1)]
+            d, table = _binomial_table(ratio, order - n, (d, table))
+        for m, row in table.items():  # added before the next step changes it in place
+            total = totals.setdefault(m + n, [0] * top)
+            total[n:] = map(add, total[n:], row)
+    lhs = {(k, 0): _from_row(Rat(0), Rat(1), row, 1, order) for k, row in totals.items()}
+    return _from_rows(1, lhs, order), rhs
 
 
 def _build_E17(p, order):

@@ -30,7 +30,7 @@ coefficients that are the exact rationals of its floats.
 
 from itertools import compress, count
 from math import gcd, isqrt, lcm
-from operator import add
+from operator import add, sub
 
 from .rat import Rat, rat, rat_ceil, rat_str, ratio_str, parse_rat, _positive_order
 
@@ -367,7 +367,13 @@ def eta_quotient(powers, order):
 # -- products of binomials -------------------------------------------------------
 
 
-def _binomial_table(factors, order):
+def _divide(row, k, sign=1):
+    """Divide the ints row in place by (1 - sign q^k) below its length."""
+    for i in range(k, len(row)):
+        row[i] += sign * row[i - k]
+
+
+def _binomial_table(factors, order, start=None):
     """prod (1 - sign u^a q^e)^power over factors, as a table of ints.
 
     factors are tuples (sign, a, e, power) of integers and a rational
@@ -375,25 +381,31 @@ def _binomial_table(factors, order):
     table maps m to the list of ints whose entry i is the coefficient of
     u^m q^(i/d), for every i/d < order.  Each factor multiplies the table
     in place.  A negative power takes the INNER expansion of the inverse,
-    sum_k (sign u^a q^e)^k, which needs e > 0.
+    sum_k (sign u^a q^e)^k, which needs e > 0.  start, a (d, table) from
+    an earlier call, is cut to the order and multiplied in place; an order
+    past its rows' end or an e off its grid 1/d raises ValueError.
     """
     factors = [(sign, a, rat(e), power) for sign, a, e, power in factors]
-    d = lcm(1, *(e.denominator for _, _, e, _ in factors))
+    d, table = start or (lcm(1, *(e.denominator for _, _, e, _ in factors)), None)
     n = max(0, rat_ceil(rat(order) * d))
-    table = {0: [1] + [0] * (n - 1)} if n else {}
+    if table is None:
+        table = {0: [1] + [0] * (n - 1)} if n else {}
+    elif min(map(len, table.values()), default=0) < n:
+        raise ValueError(f"cannot continue a table to order {order}: its rows end before it")
+    for row in table.values():
+        del row[n:]
     for sign, a, e, power in factors:
-        if e < 0 or (not e and power < 0):
-            raise ValueError(f"cannot expand (1 - {sign} u^{a} q^{e})^{power}")
+        if e < 0 or (not e and power < 0) or d % e.denominator:
+            raise ValueError(f"cannot expand (1 - {sign} u^{a} q^{e})^{power} on the grid 1/{d}")
         k = e.numerator * (d // e.denominator)
         for _ in range(abs(power) if k < n else 0):
             if power > 0:  # every row is read before it is written
                 for m in sorted(table, reverse=a > 0):
                     dst = table.setdefault(m + a, [0] * n)
-                    dst[k:] = [x - sign * y for x, y in zip(dst[k:], table[m])]
-            elif not a:  # row[i] += sign * row[i - k], in increasing i
+                    dst[k:] = map(sub if sign > 0 else add, dst[k:], table[m])
+            elif not a:
                 for row in table.values():
-                    for i in range(k, n):
-                        row[i] += sign * row[i - k]
+                    _divide(row, k, sign)
             else:  # rows in the direction of a: m is final before it feeds m + a
                 step = 1 if a > 0 else -1
                 rows = sorted(table)[::step]
@@ -402,7 +414,7 @@ def _binomial_table(factors, order):
                     src = table.get(m, ())
                     if any(src[:n - k]):
                         dst = table.setdefault(m + a, [0] * n)
-                        dst[k:] = [x + sign * y for x, y in zip(dst[k:], src)]
+                        dst[k:] = map(add if sign > 0 else sub, dst[k:], src)
     return d, table
 
 

@@ -21,15 +21,16 @@ q^20: one build of the z1 factor, best of 5 on a 2-vCPU Xeon under
 CPython 3.11.7, took 0.25 ms against the double sum's 0.62 ms at
 q^(15/2), 1.1 against 1.6 ms at q^20, and 2.7 against 2.5 ms at q^30.
 
-Every product of binomials (1 - sign u^a q^e)^(+-1) along one unit,
-such as theta_hat, theta01, unit_pochhammer, t2t_factor and
-s01_factor, is one call of the integer kernel
-`series._binomial_table`, whose row m becomes the key u^m
-(`_unit_product`); every sum of q^(quadratic in n) is enumerated exactly
-by `series.quadratic_range` or `series.lattice_points`.  Builders build
-whole objects, and callers clip them: only s01_factor takes a key
-window, because its factor 1/(1 - u) has no finite key support; it
-applies that factor as a running sum of the kernel's rows.
+Every product of binomials (1 - sign u^a q^e)^(+-1) along one unit, such
+as theta_hat, theta01, unit_pochhammer, t2t_factor and s01_factor, is
+one call of the integer kernel `series._binomial_table`, whose row m
+becomes the key u^m (`_unit_product`); continued, it sums a term ratio
+that is such a product (E16).  Every sum of q^(quadratic in n) is
+enumerated exactly by `series.quadratic_range` or
+`series.lattice_points`.  Builders build whole objects, and callers clip
+them: only s01_factor takes a key window, because its factor 1/(1 - u)
+has no finite key support; it applies that factor as a running sum of
+the kernel's rows.
 
 f is a product over the three positive roots of A2 (the units z1, z2,
 z1 z2) of one factor that is even in its unit, so its coefficients are

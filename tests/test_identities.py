@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from falsetheta.rat import Rat
+from falsetheta.bilaurent import bl_add
+from falsetheta.rat import Rat, rat_ceil
 from falsetheta.series import PuiseuxSeries
+from falsetheta.thetas import _unit_product
 from falsetheta.identities import (
     _REGISTRY,
     _compares,
@@ -164,6 +166,27 @@ def test_compares_looks_below_every_order():
     assert _compares(a, zero, 10) and _compares(zero, a, 10)
     assert not _compares(a, zero, Rat(7, 8))  # the order asked
     assert not _compares(a.shift(2), zero, 10)  # q^(23/8) lies past zero's order
+
+
+def _E16_left_by_terms(order):
+    """E16's left side term by term: each w^n q^n (q; q^2)_n (w q; q^2)_n /
+    (-w q; q)_(2n+1) one _unit_product of its 4n + 1 factors, built from 1."""
+    terms = []
+    for n in range(rat_ceil(order)):
+        factors = [(1, a, 2 * j + 1, 1) for j in range(n) for a in (0, 1)]
+        factors += [(-1, 1, j + 1, -1) for j in range(2 * n + 1)]
+        terms.append(_unit_product("z1", factors, order, (n, n)))
+    return bl_add(*terms)
+
+
+@pytest.mark.parametrize("order", [Rat(1), Rat(7, 2), Rat(25), Rat(40), Rat(81, 2)])
+def test_E16_left_side_is_its_term_by_term_sum(order):
+    # the default order is 25; the term ratio must hold past it too
+    (point,) = identity_grid("E16")
+    got, _ = _REGISTRY["E16"].build(point, order)
+    want = _E16_left_by_terms(order)
+    fields = ("kd", "rows", "qorder", "window")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
 
 
 @pytest.mark.parametrize("order", [Rat(8), Rat(17, 2), Rat(20)])

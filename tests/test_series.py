@@ -530,8 +530,8 @@ def _explicit_binomials(factors, order):
     return out.truncate_q(order)
 
 
-def _table_series(factors, order):
-    d, table = _binomial_table(factors, order)
+def _table_series(factors, order, start=None):
+    d, table = _binomial_table(factors, order, start)
     terms = {
         (m, 0): PuiseuxSeries({Rat(i, d): c for i, c in enumerate(row)}, order)
         for m, row in table.items()
@@ -539,16 +539,19 @@ def _table_series(factors, order):
     return BiLaurentSeries(terms, order)
 
 
-def _factor():
+def _factor(grid=None):
+    """A factor (sign, a, e, power); with a grid d, e lies on the grid 1/d."""
+    lift = Rat(1, grid or 2)
+
     def fix(sign, a, e, power):
         # the INNER inverse needs e > 0; e = 0 inverses are refused
-        return (sign, a, e if power >= 0 or e else Rat(1, 2), power)
+        return (sign, a, e if power >= 0 or e else lift, power)
 
     return st.builds(
         fix,
         st.sampled_from([1, -1]),
         st.sampled_from([-1, 0, 1, 2]),
-        _rationals(0, 5),
+        _rationals(0, 5) if grid is None else st.builds(Rat, st.integers(0, 5 * grid), st.just(grid)),
         st.integers(-2, 3),
     )
 
@@ -565,6 +568,38 @@ class TestBinomialKernel:
         # with e = 0 no q-order stops the sum of (sign u^a)^k
         with pytest.raises(ValueError, match="cannot expand"):
             _binomial_table([(sign, a, 0, -1)], Rat(3))
+
+    @given(st.lists(_factor(), max_size=3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_a_continued_table_is_the_product_of_both_lists(self, first, data):
+        o1 = Rat(data.draw(st.integers(1, 16), label="2 o1"), 2)
+        d, table = _binomial_table(first, o1)
+        # the second list lies on the first table's grid 1/d, at o2 <= o1
+        second = data.draw(st.lists(_factor(d), max_size=3), label="second")
+        o2 = Rat(data.draw(st.integers(1, 12 * o1), label="12 o2"), 12)
+        got = _table_series(second, o2, (d, table))
+        assert got == _explicit_binomials(first + second, o2)
+
+    @pytest.mark.parametrize("factors, o1, o2", [
+        ([(1, 0, 1, 1)], Rat(3), Rat(7, 2)),
+        ([(-1, 1, Rat(1, 2), -1)], Rat(3), Rat(31, 10)),
+        ([(1, -1, 2, 2)], Rat(1, 2), Rat(4)),
+        ([(1, 0, 1, 1)], Rat(0), Rat(1, 2)),  # an empty table holds nothing
+    ])
+    def test_continuing_beyond_the_rows_is_refused(self, factors, o1, o2):
+        start = _binomial_table(factors, o1)
+        with pytest.raises(ValueError, match="rows end before"):
+            _binomial_table([(1, 0, 1, 1)], o2, start)
+
+    @pytest.mark.parametrize("factors, e", [
+        ([(1, 0, 1, 1)], Rat(1, 2)),
+        ([(1, 1, Rat(1, 2), -1)], Rat(1, 3)),
+        ([(-1, 0, Rat(1, 6), 1)], Rat(1, 4)),
+    ])
+    def test_an_exponent_off_the_grid_is_refused(self, factors, e):
+        start = _binomial_table(factors, Rat(4))
+        with pytest.raises(ValueError, match="on the grid 1/"):
+            _binomial_table([(1, 0, e, 1)], Rat(3), start)
 
 
 def test_rat_string_roundtrip():

@@ -6,7 +6,10 @@ claimed orders.  A builder that overclaims its order, or keeps a key it
 has not finished, disagrees with its deeper build.
 """
 
+from functools import partial
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from falsetheta import families, series, thetas
 from falsetheta.identities import _REGISTRY, registered_ids, _t2t_sum
@@ -113,3 +116,31 @@ def test_s01_agrees_with_a_deeper_and_wider_build(unit, order):
     wide = thetas.s01_factor(unit, order, W + order + 4)
     assert _disagreement(shallow, wide) is None
     assert shallow == wide.clip(W)
+
+
+_INTS = st.integers(-3, 3)
+# each strategy draws one builder's parameters and returns the builder of
+# the order alone
+_DRAWN = {
+    "theta_hat": st.builds(partial, st.just(thetas.theta_hat), st.sampled_from(_UNITS),
+                           st.sampled_from([1, 2])),
+    "t2t_factor": st.builds(partial, st.just(thetas.t2t_factor), st.sampled_from(_UNITS)),
+    "s01_factor": st.builds(lambda u, w: partial(thetas.s01_factor, u, zwindow=w),
+                            st.sampled_from(_UNITS), st.integers(0, 6)),
+    "G_hyper": st.builds(lambda r1, r2: partial(families.G_hyper, (r1, r2)), _INTS, _INTS),
+    "H_frak": st.builds(lambda j, r2: partial(families.H_frak, Rat(2 * j + 1, 2), r2),
+                        _INTS, _INTS),
+    "A_table": st.builds(lambda m, quad: partial(families._A_table, m, quad=quad),
+                         st.integers(0, 12), st.sampled_from([0, 1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRAWN))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_drawn_builder_agrees_with_a_deeper_build(name, data):
+    build = data.draw(_DRAWN[name], label=name)
+    order = Rat(data.draw(st.integers(1, 20), label="2 order"), 2)
+    shallow = build(order)
+    for delta in DELTAS:
+        assert _disagreement(shallow, build(order + delta)) is None, delta
