@@ -17,11 +17,9 @@ from .series import (
     series_from_json,
 )
 from .bilaurent import (
-    ExactDivisionError,
     BiLaurentSeries,
     expand_inverse_one_minus,
     bl_elliptic_shift,
-    laurent_poly_exact_divide,
     bl_to_json,
     bl_from_json,
 )

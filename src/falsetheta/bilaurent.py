@@ -30,9 +30,9 @@ is set only by `clip` and by builders that bound what they build, such
 as the geometric series 1/(1 - u), whose key support at a fixed q-order
 is otherwise unbounded.  bl_add keeps the smallest of its operands'
 windows; bl_scalar_mul, truncate_q and bl_elliptic_shift keep their
-operand's; bl_mul and laurent_poly_exact_divide return none, so a key
-outside a product's support reads as zero.  Callers choose a window as
-an analysis parameter and pair it with a compatible q-order.
+operand's; bl_mul returns none, so a key outside a product's support
+reads as zero.  Callers choose a window as an analysis parameter and
+pair it with a compatible q-order.
 """
 
 from math import gcd, lcm
@@ -46,7 +46,6 @@ from .series import _from_row, _grid, _mul_add, _scaled, _spread
 ANNULUS = "INNER"
 
 __all__ = [
-    "ExactDivisionError",
     "BiLaurentSeries",
     "bl_zero",
     "bl_one",
@@ -57,17 +56,10 @@ __all__ = [
     "bl_scalar_mul",
     "expand_inverse_one_minus",
     "bl_elliptic_shift",
-    "laurent_poly_exact_divide",
     "UNIT_KEYS",
     "bl_to_json",
     "bl_from_json",
 ]
-
-
-class ExactDivisionError(ArithmeticError):
-    def __init__(self, message, monomial=None):
-        super().__init__(message)
-        self.monomial = monomial
 
 
 # key direction of each elliptic unit; z1*z2 is a derived direction
@@ -376,72 +368,6 @@ def bl_elliptic_shift(a, m1, m2):
     qorder = a.qorder - (abs(m1) + abs(m2)) * a.window
     rows = {k: c.shift(Rat(m1 * k[0] + m2 * k[1], a.kd)) for k, c in a.rows.items()}
     return _from_rows(a.kd, rows, qorder, a.window)
-
-
-def _int_constants(rows):
-    """(den, {key: int}): constant coefficients as ints over their lcm den."""
-    den = lcm(*(c.den for c in rows.values()))
-    return den, {k: c.row[0] * (den // c.den) for k, c in rows.items()}
-
-
-def laurent_poly_exact_divide(numer, denom):
-    """Exact quotient of two Laurent polynomials with constant coefficients.
-
-    Raises ExactDivisionError (carrying the offending monomial) when the
-    division leaves a remainder.  Division runs by repeatedly cancelling
-    the lex-leading term; the quotient support is confined a priori to
-    the componentwise box [min(numer) - max(denom), max(numer) - min(denom)].
-    Each operand's coefficients are ints over one denominator; a quotient
-    entry stays an int when the divisor's leading coefficient divides it,
-    as it always does for a monic divisor, and is a Rat otherwise.
-    """
-    kd, rows = _common_rows((numer, denom))
-    for r, who in zip(rows, ("numerator", "denominator")):
-        if any(c.v or len(c.row) != 1 for c in r.values()):
-            raise ValueError(f"{who} is not a constant-coefficient Laurent polynomial")
-    (nden, nterms), (dden, dterms) = map(_int_constants, rows)
-    if not dterms:
-        raise ZeroDivisionError("division by the zero polynomial")
-    qorder = min(numer.qorder, denom.qorder)
-    if not nterms:
-        return bl_zero(qorder)
-
-    lead_d = max(dterms)
-    cd = dterms[lead_d]
-    lo = (
-        min(k[0] for k in nterms) - max(k[0] for k in dterms),
-        min(k[1] for k in nterms) - max(k[1] for k in dterms),
-    )
-    hi = (
-        max(k[0] for k in nterms) - min(k[0] for k in dterms),
-        max(k[1] for k in nterms) - min(k[1] for k in dterms),
-    )
-    rem = dict(nterms)
-    quot = {}
-    while rem:
-        lead = max(rem)
-        t = (lead[0] - lead_d[0], lead[1] - lead_d[1])
-        if not (lo[0] <= t[0] <= hi[0] and lo[1] <= t[1] <= hi[1]):
-            mono = (Rat(lead[0], kd), Rat(lead[1], kd))
-            raise ExactDivisionError(
-                f"nonzero remainder at monomial z1^{mono[0]} z2^{mono[1]}",
-                monomial=mono,
-            )
-        x = rem[lead]
-        c, r = divmod(x, cd)
-        if r:
-            c = Rat(x, cd)
-        quot[t] = quot.get(t, 0) + c
-        for k, v in dterms.items():
-            key = (t[0] + k[0], t[1] + k[1])
-            s = rem.get(key, 0) - c * v
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    # numer / denom is the int quotient times dden / nden
-    rows = {k: q_monomial(Rat(c * dden, nden), 0, qorder) for k, c in quot.items()}
-    return _from_rows(kd, rows, qorder)
 
 
 # -- serialization ------------------------------------------------------------

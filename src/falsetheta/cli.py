@@ -83,48 +83,39 @@ def _int_index(r):
     return tuple(int(x) for x in r)
 
 
+def _rank_one(a, order):
+    if a.r[1]:
+        raise ValueError(f"rankone takes one index, --r r,0; got a second {a.r[1]}")
+    return families.rank_one_coeff(a.p, _int_index(a.r)[0], order)
+
+
+# each series name and its builder from the parsed arguments and the order;
+# the window only clips what is printed, builders build whole objects
+_SERIES = {
+    "eta": lambda a, order: eta_quotient({a.k: 1}, order),
+    "theta": lambda a, order: thetas.theta_hat(a.unit, a.k, order).clip(a.window),
+    "theta01": lambda a, order: thetas.theta01(a.unit, a.k, order).clip(a.window),
+    "thetaA2": lambda a, order: thetas.theta_A2(order).clip(a.window),
+    "calT": lambda a, order: thetas.calT(order).clip(a.window),
+    "f": lambda a, order: thetas.f_series(order).clip(a.window),
+    "J": lambda a, order: thetas.J_series(order).clip(a.window),
+    "kwN3": lambda a, order: thetas.kw_character_N3(order).clip(a.window),
+    "Gfrak": lambda a, order: families.G_frak(a.lam, a.p, order),
+    "Ghyper": lambda a, order: families.G_hyper(_int_index(a.r), order),
+    "Hfrak": lambda a, order: families.H_frak(a.r[0], a.r[1], order),
+    "F0": lambda a, order: families.F0_series(a.p, order),
+    "coeffF": lambda a, order: families.coeff_F(_int_index(a.r), a.p, order),
+    "rankone": _rank_one,
+    "rogers": lambda a, order: families.rogers_false_theta(order),
+    "Fconst": lambda a, order: families.F_constant_term(a.p, order),
+}
+
+
 def _expand_series(args):
     order = _positive_order(args.order, "--order")
-    W = args.window
-    if W < 0:
-        raise ValueError(f"--window must be nonnegative, got {W}")
-    name = args.name
-    if name == "eta":
-        return eta_quotient({args.k: 1}, order)
-    # the window only clips what is printed; builders build whole objects
-    if name == "theta":
-        return thetas.theta_hat(args.unit, args.k, order).clip(W)
-    if name == "theta01":
-        return thetas.theta01(args.unit, args.k, order).clip(W)
-    if name == "thetaA2":
-        return thetas.theta_A2(order).clip(W)
-    if name == "calT":
-        return thetas.calT(order).clip(W)
-    if name == "f":
-        return thetas.f_series(order).clip(W)
-    if name == "J":
-        return thetas.J_series(order).clip(W)
-    if name == "kwN3":
-        return thetas.kw_character_N3(order).clip(W)
-    if name == "Gfrak":
-        return families.G_frak(args.lam, args.p, order)
-    if name == "Ghyper":
-        return families.G_hyper(_int_index(args.r), order)
-    if name == "Hfrak":
-        return families.H_frak(args.r[0], args.r[1], order)
-    if name == "F0":
-        return families.F0_series(args.p, order)
-    if name == "coeffF":
-        return families.coeff_F(_int_index(args.r), args.p, order)
-    if name == "rankone":
-        if args.r[1]:
-            raise ValueError(f"rankone takes one index, --r r,0; got a second {args.r[1]}")
-        return families.rank_one_coeff(args.p, _int_index(args.r)[0], order)
-    if name == "rogers":
-        return families.rogers_false_theta(order)
-    if name == "Fconst":
-        return families.F_constant_term(args.p, order)
-    raise ValueError(f"unknown series {name!r}")
+    if args.window < 0:
+        raise ValueError(f"--window must be nonnegative, got {args.window}")
+    return _SERIES[args.name](args, order)
 
 
 # A one-token stand-in for each "series" value in the document JSON, and
@@ -276,11 +267,7 @@ def build_parser():
 
     pe = sub.add_parser("expand", help="print a truncated series expansion",
                         allow_abbrev=False)
-    pe.add_argument("name", choices=[
-        "eta", "theta", "theta01", "thetaA2", "calT", "f", "J", "kwN3",
-        "Gfrak", "Ghyper", "Hfrak", "F0", "coeffF", "rankone", "rogers",
-        "Fconst",
-    ])
+    pe.add_argument("name", choices=list(_SERIES))
     pe.add_argument("--order", type=_parse_rat_arg, default=DEFAULT_ORDER)
     pe.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     pe.add_argument("--p", type=int, default=2)

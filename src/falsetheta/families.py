@@ -62,10 +62,21 @@ def _pQ(p, s1, s2):
     return (p, -p, p), (p * (2 * s1 - s2), p * (2 * s2 - s1)), p * quad_Q(s1, s2)
 
 
-def _check_lambda(lam, p, order):
-    l1, l2 = rat(lam[0]), rat(lam[1])
+def _check_p(p):
     if not (isinstance(p, int) and p >= 2):
         raise ValueError("p must be an integer >= 2")
+
+
+def _check_r(r):
+    r1, r2 = r
+    if not (isinstance(r1, int) and isinstance(r2, int)):
+        raise ValueError("r must be a pair of integers")
+    return r1, r2
+
+
+def _check_lambda(lam, p, order):
+    l1, l2 = rat(lam[0]), rat(lam[1])
+    _check_p(p)
     return l1, l2, _positive_order(order)
 
 
@@ -123,9 +134,7 @@ def G_frak_closed_p2(r, order):
     sum over n1 >= 0, n2 in Z of rho(n2, n2 + r2) (-1)^n1
     q^(E(n1, n2)) with E the shifted quadratic exponent.
     """
-    r1, r2 = r
-    if not (isinstance(r1, int) and isinstance(r2, int)):
-        raise ValueError("r must be a pair of integers")
+    r1, r2 = _check_r(r)
     return lattice_sum(
         (Rat(1, 2), 1, 2),
         (r1 + Rat(1, 2), 2 * r2 + 2),
@@ -156,11 +165,8 @@ def coeff_F(r, p, order):
     Enumerates the full lattice with exponent p Q(n - 1/p) and weights
     each point by the six signed Weyl-orbit contributions.
     """
-    r1, r2 = r
-    if not (isinstance(r1, int) and isinstance(r2, int)):
-        raise ValueError("r must be a pair of integers")
-    if not (isinstance(p, int) and p >= 2):
-        raise ValueError("p must be an integer >= 2")
+    r1, r2 = _check_r(r)
+    _check_p(p)
 
     def weight(n1, n2):
         w = 0
@@ -178,8 +184,7 @@ def F_constant_term(p, order):
     sum over n1, n2 >= 1 with n1 = n2 mod 3 of min(n1, n2) times
     q^((p/3) Q*(n) - n1 - n2 + 1/p) (1 - q^n1)(1 - q^n2)(1 - q^(n1+n2)).
     """
-    if not (isinstance(p, int) and p >= 2):
-        raise ValueError("p must be an integer >= 2")
+    _check_p(p)
     order = _positive_order(order)
     out = q_zero(order)
     # (1-a)(1-b)(1-ab) expanded; the -ab and +ab terms cancel.  Each
@@ -238,9 +243,7 @@ def G_hyper(r, order):
     that is sum over n4 of q^pre A_{|n4 - r1|} A_{|n4 - r2|} A_{|n4|}, with
     pre the q-power above; each A_m is one `_A_table` call below order - pre.
     """
-    r1, r2 = r
-    if not (isinstance(r1, int) and isinstance(r2, int)):
-        raise ValueError("r must be a pair of integers")
+    r1, r2 = _check_r(r)
     order = _positive_order(order)
     out = q_zero(order)
     med = sorted((0, r1, r2))[1]
@@ -288,8 +291,7 @@ def F0_series(p, order):
     (1/2) (2n1 - n2)(2n2 - n1)(n1 + n2) q^(p Q(n - 1/p)) over Z^2.
     At p = 2 it equals a quadratic-weight sum (identity E18).
     """
-    if not (isinstance(p, int) and p >= 2):
-        raise ValueError("p must be an integer >= 2")
+    _check_p(p)
     return lattice_sum(
         *_pQ(p, -Rat(1, p), -Rat(1, p)),
         _positive_order(order),
@@ -304,8 +306,7 @@ def rank_one_coeff(p, r, order):
 
     with s0 = (p - 1) / (2p).
     """
-    if not (isinstance(p, int) and p >= 2):
-        raise ValueError("p must be an integer >= 2")
+    _check_p(p)
     if not isinstance(r, int):
         raise ValueError("r must be an integer")
     order = _positive_order(order)

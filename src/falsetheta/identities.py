@@ -31,12 +31,11 @@ from .series import (
     quadratic_range,
     lattice_sum,
     _binomial_table,
+    _divide,
     _from_row,
 )
 from .bilaurent import (
     UNIT_KEYS,
-    ExactDivisionError,
-    bl_zero,
     bl_one,
     bl_monomial,
     bl_mul,
@@ -45,7 +44,6 @@ from .bilaurent import (
     bl_mul_scalar_int,
     bl_elliptic_shift,
     expand_inverse_one_minus,
-    laurent_poly_exact_divide,
     product_coeff,
     _common_rows,
     _from_rows,
@@ -60,7 +58,6 @@ from .thetas import (
     unit_pochhammer,
 )
 from .families import (
-    sgn_star,
     rho,
     quad_Q,
     G_frak,
@@ -227,23 +224,31 @@ def _one_minus(e1, e2):
     return bl_add(bl_one(1), bl_monomial(-1, e1, e2, 1))
 
 
-# E19's divisor prod (1 - z^-alpha) over the positive roots alpha of A2,
-# the same at every grid point and order
+# E19's divisor prod (1 - z^-alpha) over the positive roots alpha of A2 (the
+# keys of UNIT_KEYS), the same at every grid point and order.  E19 divides by
+# one factor at a time, with _divide_one_minus, and multiplies back by this.
 _WEYL_DENOMINATOR = bl_mul(bl_mul(_one_minus(-1, 0), _one_minus(0, -1)), _one_minus(-1, -1))
 
 
-def _sgn_weighted_sum(order, extra_half):
-    """sum_{n1 >= 0, n2 in Z} sgn*(n2) (-1)^n1 q^(E(n)) with the shifted
-    quadratic exponent E(n) = n1 (n1 + 1)/2 + n1 n2 + 2 n2^2 + 2 n2;
-    extra_half adds the q^(1/2) prefactor."""
-    return lattice_sum(
-        (Rat(1, 2), 1, 2),
-        (Rat(1, 2), 2),
-        Rat(1, 2) if extra_half else 0,
-        order,
-        lambda n1, n2: sgn_star(n2) * (-1) ** n1,
-        (0, None),
-    )
+def _divide_one_minus(terms, d):
+    """{key: int} divided by (1 - z^d), d a nonzero step of entries -1, 0, 1.
+
+    Along each line of keys k0 + t d the quotient is the running sum of the
+    ints from the line's least t, one series._divide(row, 1).  A line whose
+    ints do not sum to zero leaves that sum at its last key, which the
+    product with (1 - z^d) does not cancel.
+    """
+    lines = {}  # the key at t = 0 of each line -> {t: int}
+    for (k1, k2), c in terms.items():
+        t = k1 * d[0] if d[0] else k2 * d[1]
+        lines.setdefault((k1 - t * d[0], k2 - t * d[1]), {})[t] = c
+    out = {}
+    for (b1, b2), line in lines.items():
+        lo = min(line)
+        row = [line.get(t, 0) for t in range(lo, max(line) + 1)]
+        _divide(row, 1)
+        out.update(((b1 + t * d[0], b2 + t * d[1]), c) for t, c in enumerate(row, lo) if c)
+    return out
 
 
 def _ghyper_q2(r, order):
@@ -403,7 +408,7 @@ def _build_E12b(p, order):
 
 
 def _build_E13(p, order):
-    return _f_coeff_scaled(0, 0, order), _sgn_weighted_sum(order, True)
+    return _f_coeff_scaled(0, 0, order), G_frak_closed_p2((0, 0), order)
 
 
 def _build_E14(p, order):
@@ -423,7 +428,7 @@ def _build_E14(p, order):
 
 def _build_E15(p, order):
     if p["part"] == "base":
-        lhs = _sgn_weighted_sum(order, False)
+        lhs = G_frak_closed_p2((0, 0), order + Rat(1, 2)).shift(-Rat(1, 2))
         rhs = eta_product({1: 2, 2: 2}, order) * _ghyper_q2((0, 0), order)
         return lhs, rhs
     r = p["r"]
@@ -484,13 +489,15 @@ def _build_E18(p, order):
 
 
 def _build_E19(p, order):
-    numer = _six_monomial_numerator(p["n1"], p["n2"])
-    try:
-        quot = laurent_poly_exact_divide(numer, _WEYL_DENOMINATOR)
-    except ExactDivisionError as err:
-        bad = bl_monomial(1, err.monomial[0], err.monomial[1], 1)
-        return bad, bl_zero(1)
-    return bl_mul(quot, _WEYL_DENOMINATOR), numer
+    n1, n2 = p["n1"], p["n2"]
+    quot = {}  # the six-monomial numerator as ints, then divided factor by factor
+    for s, e1, e2 in _orbit_offsets(n1, n2, 0, 0):
+        quot[e1, e2] = quot.get((e1, e2), 0) + s
+    for a1, a2 in UNIT_KEYS.values():  # the positive roots alpha
+        quot = _divide_one_minus(quot, (-a1, -a2))
+    rows = {c: q_monomial(c, 0, 1) for c in set(quot.values())}  # keys of one int share a row
+    quot = _from_rows(1, {k: rows[c] for k, c in quot.items()}, 1)
+    return bl_mul(quot, _WEYL_DENOMINATOR), _six_monomial_numerator(n1, n2)
 
 
 def _build_E20(p, order):

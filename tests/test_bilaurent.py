@@ -1,4 +1,4 @@
-"""Bivariate Laurent layer: windows, products and exact division."""
+"""Bivariate Laurent layer: windows, products and transforms."""
 
 import json
 from math import lcm
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from falsetheta.rat import Rat
 from falsetheta.series import PuiseuxSeries, monomial, one as q_one, zero as q_zero
 from falsetheta.bilaurent import (
-    ExactDivisionError,
     BiLaurentSeries,
     UNIT_KEYS,
     bl_monomial,
@@ -21,7 +20,6 @@ from falsetheta.bilaurent import (
     bl_scalar_mul,
     bl_elliptic_shift,
     expand_inverse_one_minus,
-    laurent_poly_exact_divide,
     bl_to_json,
     bl_from_json,
     _common_rows,
@@ -250,28 +248,6 @@ class TestTransforms:
         assert s.coeff(2, 0).coeff(2) == 1
         assert s.coeff(-1, 0).coeff(-1) == 1
 
-    def test_exact_divide_roundtrip(self):
-        # (1 - z1)(1 - z2) / (1 - z1) = (1 - z2)
-        numer = bl_add(
-            bl_add(mono(1, 0, 0, 0, Rat(1)),
-                   mono(-1, 1, 0, 0, Rat(1))),
-            bl_add(mono(-1, 0, 1, 0, Rat(1)),
-                   mono(1, 1, 1, 0, Rat(1))),
-        )
-        denom = bl_add(mono(1, 0, 0, 0, Rat(1)),
-                       mono(-1, 1, 0, 0, Rat(1)))
-        quot = laurent_poly_exact_divide(numer, denom)
-        assert quot.coeff(0, 0).coeff(0) == 1
-        assert quot.coeff(0, 1).coeff(0) == -1
-
-    def test_exact_divide_failure_reports_monomial(self):
-        numer = mono(1, 1, 0, 0, Rat(1))
-        denom = bl_add(mono(1, 0, 0, 0, Rat(1)),
-                       mono(-1, 1, 0, 0, Rat(1)))
-        with pytest.raises(ExactDivisionError) as err:
-            laurent_poly_exact_divide(numer, denom)
-        assert err.value.monomial is not None
-
 
 # -- int key rows against Rat-keyed dicts ----------------------------------------
 
@@ -375,17 +351,6 @@ class TestRowsAgainstDictSemantics:
         assert (got.qorder, got.window) == (qorder, W)
         _assert_canonical(got)
 
-    def test_exact_division_failure_reports_rat_keys(self):
-        # z1^(1/2) z2^(2/3) / (1 - z1) leaves a remainder at z1^(-1/2) z2^(2/3)
-        numer = mono(1, Rat(1, 2), Rat(2, 3), 0, Rat(1))
-        denom = bl_add(mono(1, 0, 0, 0, Rat(1)),
-                       mono(-1, 1, 0, 0, Rat(1)))
-        with pytest.raises(ExactDivisionError) as err:
-            laurent_poly_exact_divide(numer, denom)
-        assert err.value.monomial == (Rat(-1, 2), Rat(2, 3))
-        assert all(type(e) is Rat for e in err.value.monomial)
-        assert "z1^-1/2 z2^2/3" in str(err.value)
-
 
 # -- one key per orbit against every key -----------------------------------------
 
@@ -455,76 +420,3 @@ class TestOrbitProducts:
         g = bl_mul_scalar_int(f, -1)
         assert len({id(c) for c in g.rows.values()}) == len({id(c) for c in f.rows.values()})
         assert g == BiLaurentSeries({k: c * -1 for k, c in f.terms.items()}, f.qorder)
-
-
-# -- exact division against the Fraction long division ---------------------------
-
-
-def _fraction_exact_divide(numer, denom):
-    """The lex-leading long division on Rat keys and Rat coefficients, the
-    oracle for laurent_poly_exact_divide: (quotient, None), or (None, the
-    monomial of the remainder) when the division is not exact."""
-    nterms = {k: c.coeff(0) for k, c in numer.terms.items()}
-    dterms = {k: c.coeff(0) for k, c in denom.terms.items()}
-    qorder = min(numer.qorder, denom.qorder)
-    lead_d = max(dterms)
-    cd = dterms[lead_d]
-    lo = tuple(min(k[i] for k in nterms) - max(k[i] for k in dterms) for i in (0, 1))
-    hi = tuple(max(k[i] for k in nterms) - min(k[i] for k in dterms) for i in (0, 1))
-    rem = dict(nterms)
-    quot = {}
-    while rem:
-        lead = max(rem)
-        t = (lead[0] - lead_d[0], lead[1] - lead_d[1])
-        if not (lo[0] <= t[0] <= hi[0] and lo[1] <= t[1] <= hi[1]):
-            return None, lead
-        c = rem[lead] / cd
-        quot[t] = quot.get(t, Rat(0)) + c
-        for k, v in dterms.items():
-            key = (t[0] + k[0], t[1] + k[1])
-            s = rem.get(key, Rat(0)) - c * v
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    terms = {k: monomial(c, 0, qorder) for k, c in quot.items()}
-    return BiLaurentSeries(terms, qorder), None
-
-
-_poly_keys = st.tuples(
-    st.builds(Rat, st.integers(-2, 2), st.sampled_from([1, 2])),
-    st.builds(Rat, st.integers(-2, 2), st.sampled_from([1, 3])),
-)
-
-
-def _laurent_polys(min_size):
-    return st.dictionaries(_poly_keys, _coeffs.filter(bool), min_size=min_size, max_size=4).map(
-        lambda t: BiLaurentSeries({k: monomial(c, 0, 1) for k, c in t.items()}, 1))
-
-
-class TestExactDivisionAgainstFractions:
-    @given(_laurent_polys(1), _laurent_polys(1), st.booleans())
-    @settings(max_examples=300, deadline=None)
-    def test_random_polynomials(self, numer, denom, exact):
-        if exact:
-            numer = bl_mul(numer, denom)
-        want, mono = _fraction_exact_divide(numer, denom)
-        if mono is None:
-            assert _fields(laurent_poly_exact_divide(numer, denom)) == _fields(want)
-        else:
-            assert not exact
-            with pytest.raises(ExactDivisionError) as err:
-                laurent_poly_exact_divide(numer, denom)
-            assert err.value.monomial == mono
-            assert str(err.value) == f"nonzero remainder at monomial z1^{mono[0]} z2^{mono[1]}"
-
-    def test_a_leading_coefficient_that_does_not_divide(self):
-        # (1 + z1) / (2 + 3 z1) leaves a remainder; (3 + 9/2 z1) / (2 + 3 z1) = 3/2
-        denom = bl_add(mono(2, 0, 0, 0, 1), mono(3, 1, 0, 0, 1))
-        with pytest.raises(ExactDivisionError):
-            laurent_poly_exact_divide(
-                bl_add(mono(1, 0, 0, 0, 1), mono(1, 1, 0, 0, 1)),
-                denom)
-        numer = bl_add(mono(3, 0, 0, 0, 1),
-                       mono(Rat(9, 2), 1, 0, 0, 1))
-        assert laurent_poly_exact_divide(numer, denom) == mono(Rat(3, 2), 0, 0, 0, 1)

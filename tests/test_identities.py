@@ -3,7 +3,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from falsetheta import identities
 from falsetheta.bilaurent import bl_add
 from falsetheta.rat import Rat, rat_ceil
 from falsetheta.series import PuiseuxSeries
@@ -11,6 +13,7 @@ from falsetheta.thetas import _unit_product
 from falsetheta.identities import (
     _REGISTRY,
     _compares,
+    _divide_one_minus,
     _series_diff,
     _six_monomial_numerator,
     registered_ids,
@@ -141,6 +144,41 @@ def test_E19_compares_over_its_whole_grid():
     assert len(empty) == 11
     assert all(not _six_monomial_numerator(p["n1"], p["n2"]).terms for p in empty)
     assert verify_identity("E19", order=1).verdict == "equal"
+
+
+# the steps d = -alpha of E19's factors (1 - z^d), alpha the positive roots of A2
+_ROOT_STEPS = [(-1, 0), (0, -1), (-1, -1)]
+
+
+def _times_one_minus(terms, d):
+    """{key: int} times (1 - z^d), zeros dropped."""
+    out = dict(terms)
+    for (k1, k2), c in terms.items():
+        key = (k1 + d[0], k2 + d[1])
+        out[key] = out.get(key, 0) - c
+    return {k: c for k, c in out.items() if c}
+
+
+@given(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                       st.integers(-5, 5), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_dividing_by_one_minus_undoes_the_product(q):
+    want = {k: c for k, c in q.items() if c}
+    for d in _ROOT_STEPS:
+        assert _divide_one_minus(_times_one_minus(q, d), d) == want, d
+
+
+@pytest.mark.parametrize("d", _ROOT_STEPS)
+def test_a_line_that_does_not_sum_to_zero_leaves_a_remainder(d):
+    numer = {(0, 0): 1, (1, 0): 1}  # 1 + z1: along each d, a line sums to 1 or 2
+    assert _times_one_minus(_divide_one_minus(numer, d), d) != numer
+
+
+def test_E19_finds_a_numerator_that_the_denominator_does_not_divide(monkeypatch):
+    # 1 + z1 in place of the six monomials, on both sides
+    monkeypatch.setattr(identities, "_orbit_offsets",
+                        lambda n1, n2, r1, r2: ((1, 0, 0), (1, 1, 0)))
+    assert verify_identity("E19", {"n1": 0, "n2": 0}, 1).verdict == "unequal"
 
 
 _T2T_POINTS = [(i, p) for i in ("E6", "E6b") for p in identity_grid(i)]

@@ -558,6 +558,7 @@ def _factor(grid=None):
 
 class TestBinomialKernel:
     @given(st.lists(_factor(), max_size=4), st.builds(Rat, st.integers(1, 8), st.just(2)))
+    @example([(-1, 0, Rat(1, 2), -1)], Rat(4))  # 1/(1 + q^(1/2)): _divide's sign
     @settings(max_examples=80, deadline=None)
     def test_matches_the_factor_by_factor_product(self, factors, order):
         assert _table_series(factors, order) == _explicit_binomials(factors, order)
