@@ -27,7 +27,6 @@ from .thetas import (
     theta_hat,
     theta_hat_sum,
     theta01,
-    theta_A2,
     calT,
     t2t_factor,
     s01_factor,

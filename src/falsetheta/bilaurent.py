@@ -21,8 +21,8 @@ A caller that knows a product to be symmetric under a group acting
 linearly on the keys passes bl_mul the keyword-only `orbit`, a map from
 a key to the keys of its orbit: one key per orbit is convolved, and the
 keys of the orbit share one series object.  Shared rows stay shared:
-bl_scalar_mul, bl_mul_scalar_int, truncate_q, clip and bl_to_json map
-each row object once, through _map_rows, and the kernel spreads it once.
+bl_scalar_mul, truncate_q, clip and bl_to_json map each row object once,
+through _map_rows, and the kernel spreads it once.
 
 The optional `window` W marks a clip: keys outside |e1|, |e2| <= W were
 dropped, so their coefficients are unknown and reading one raises.  It
@@ -38,7 +38,7 @@ pair it with a compatible q-order.
 from math import gcd, lcm
 
 from .rat import Rat, rat, rat_ceil, rat_floor, rat_str, ratio_str, parse_rat
-from .series import PuiseuxSeries, zero as q_zero, one as q_one, monomial as q_monomial
+from .series import PuiseuxSeries, zero as q_zero, monomial as q_monomial
 from .series import series_to_json, series_from_json
 from .series import _from_row, _grid, _mul_add, _scaled, _spread
 
@@ -47,8 +47,6 @@ ANNULUS = "INNER"
 
 __all__ = [
     "BiLaurentSeries",
-    "bl_zero",
-    "bl_one",
     "bl_monomial",
     "bl_add",
     "bl_mul",
@@ -172,23 +170,11 @@ def _common_rows(series):
     return kd, out
 
 
-def bl_zero(qorder):
-    return BiLaurentSeries({}, qorder)
-
-
-def bl_one(qorder):
-    return bl_monomial(q_one(qorder), 0, 0, qorder)
-
-
 def bl_monomial(coeff, e1, e2, qorder):
     """coeff(q) * z1^e1 z2^e2; coeff may be a PuiseuxSeries or a rational."""
     if not isinstance(coeff, PuiseuxSeries):
         coeff = q_monomial(coeff, 0, qorder)
     return BiLaurentSeries({(e1, e2): coeff}, qorder)
-
-
-def bl_mul_scalar_int(a, n):
-    return _from_rows(a.kd, _map_rows(a.rows, lambda c: c * n), a.qorder, a.window)
 
 
 def bl_add(*operands):
@@ -325,9 +311,11 @@ def product_coeff(factors, r1, r2):
 
 
 def bl_scalar_mul(a, s):
-    """Multiply every coefficient by the one-variable series s(q); keys that
-    share one row object share its product."""
-    qorder = min(a.qorder + s.valuation(), s.order + a.qvaluation())
+    """Multiply every coefficient by the one-variable series s(q), or by an
+    int, which keeps the qorder; keys that share one row object share its
+    product."""
+    qorder = (a.qorder if isinstance(s, int)
+              else min(a.qorder + s.valuation(), s.order + a.qvaluation()))
     return _from_rows(a.kd, _map_rows(a.rows, lambda c: c * s), qorder, a.window)
 
 

@@ -95,7 +95,6 @@ _SERIES = {
     "eta": lambda a, order: eta_quotient({a.k: 1}, order),
     "theta": lambda a, order: thetas.theta_hat(a.unit, a.k, order).clip(a.window),
     "theta01": lambda a, order: thetas.theta01(a.unit, a.k, order).clip(a.window),
-    "thetaA2": lambda a, order: thetas.theta_A2(order).clip(a.window),
     "calT": lambda a, order: thetas.calT(order).clip(a.window),
     "f": lambda a, order: thetas.f_series(order).clip(a.window),
     "J": lambda a, order: thetas.J_series(order).clip(a.window),

@@ -18,6 +18,7 @@ raises.
 import fnmatch
 import time
 from dataclasses import dataclass
+from functools import reduce
 from operator import add
 
 from .rat import Rat, rat, rat_str, rat_ceil, _positive_order
@@ -36,12 +37,10 @@ from .series import (
 )
 from .bilaurent import (
     UNIT_KEYS,
-    bl_one,
     bl_monomial,
     bl_mul,
     bl_add,
     bl_scalar_mul,
-    bl_mul_scalar_int,
     bl_elliptic_shift,
     expand_inverse_one_minus,
     product_coeff,
@@ -214,20 +213,19 @@ def _t2t_sum(unit, order, variant):
     return bl_scalar_mul(body, eta_product(powers, order - Rat(1, 8)).shift(Rat(1, 8)))
 
 
-def _six_monomial_numerator(n1, n2, qorder=1):
-    """The six signed unit monomials of the bracketed lattice summand."""
-    return bl_add(*(bl_monomial(s, e1, e2, qorder)
-                    for s, e1, e2 in _orbit_offsets(n1, n2, 0, 0)))
-
-
-def _one_minus(e1, e2):
-    return bl_add(bl_one(1), bl_monomial(-1, e1, e2, 1))
+def _int_poly(terms):
+    """The Laurent polynomial {key: int} at q^0, to q^1; keys of one int share
+    one row, and zero ints are dropped."""
+    rows = {c: q_monomial(c, 0, 1) for c in set(terms.values())}
+    return _from_rows(1, {k: rows[c] for k, c in terms.items()}, 1)
 
 
 # E19's divisor prod (1 - z^-alpha) over the positive roots alpha of A2 (the
-# keys of UNIT_KEYS), the same at every grid point and order.  E19 divides by
-# one factor at a time, with _divide_one_minus, and multiplies back by this.
-_WEYL_DENOMINATOR = bl_mul(bl_mul(_one_minus(-1, 0), _one_minus(0, -1)), _one_minus(-1, -1))
+# keys of UNIT_KEYS), built from the roots and not from _orbit_offsets, the
+# same at every grid point and order.  E19 divides by one factor at a time,
+# with _divide_one_minus, and multiplies back by this.
+_WEYL_DENOMINATOR = reduce(bl_mul, (_int_poly({(0, 0): 1, (-a1, -a2): -1})
+                                    for a1, a2 in UNIT_KEYS.values()))
 
 
 def _divide_one_minus(terms, d):
@@ -256,11 +254,6 @@ def _ghyper_q2(r, order):
     return G_hyper(tuple(r), order / 2).scale_q(2)
 
 
-def _inverse_poch_pair(unit, order):
-    """1/(u q^(1/2), u^-1 q^(1/2); q)_oo on one unit, INNER."""
-    return unit_pochhammer(unit, Rat(1, 2), 1, order, inverse=True)
-
-
 # -- identity builders ---------------------------------------------------------
 # each builder returns (lhs, rhs); the engine compares every key of both,
 # so a builder whose routes agree only on a key box clips both sides to it
@@ -283,7 +276,7 @@ def _build_E2(p, order):
     lhs = bl_elliptic_shift(theta_hat("z1", 1, B).clip(Wt), m, 0)
     if l % 2:
         # integer shift: zeta^n picks up (-1)^l on the half-integer support
-        lhs = bl_mul_scalar_int(lhs, -1)
+        lhs = bl_scalar_mul(lhs, -1)
     sign = -1 if (m + l) % 2 else 1
     B2 = order + Rat(m * m, 2)
     pre = bl_monomial(q_monomial(sign, -Rat(m * m, 2), B2 + 1), -m, 0, B2 + 1)
@@ -416,7 +409,7 @@ def _build_E14(p, order):
     if p["part"] == "poch":
         # the sixfold product over the three units, read at one key
         build = order + Rat(1, 2)
-        pairs = [_inverse_poch_pair(u, build) for u in ("z1", "z2", "z12")]
+        pairs = [unit_pochhammer(u, Rat(1, 2), 1, build, inverse=True) for u in UNIT_KEYS]
         lhs = product_coeff(pairs, r[0], r[1])
         return lhs.truncate(order), G_hyper(r, order)
     sh = Rat(1, 2) + Rat(2, 3) * quad_Q(Rat(r[0]), Rat(r[1]))
@@ -489,15 +482,13 @@ def _build_E18(p, order):
 
 
 def _build_E19(p, order):
-    n1, n2 = p["n1"], p["n2"]
-    quot = {}  # the six-monomial numerator as ints, then divided factor by factor
-    for s, e1, e2 in _orbit_offsets(n1, n2, 0, 0):
-        quot[e1, e2] = quot.get((e1, e2), 0) + s
+    numer = {}  # the six signed unit monomials of the bracketed lattice summand
+    for s, e1, e2 in _orbit_offsets(p["n1"], p["n2"], 0, 0):
+        numer[e1, e2] = numer.get((e1, e2), 0) + s
+    quot = numer
     for a1, a2 in UNIT_KEYS.values():  # the positive roots alpha
         quot = _divide_one_minus(quot, (-a1, -a2))
-    rows = {c: q_monomial(c, 0, 1) for c in set(quot.values())}  # keys of one int share a row
-    quot = _from_rows(1, {k: rows[c] for k, c in quot.items()}, 1)
-    return bl_mul(quot, _WEYL_DENOMINATOR), _six_monomial_numerator(n1, n2)
+    return bl_mul(_int_poly(quot), _WEYL_DENOMINATOR), _int_poly(numer)
 
 
 def _build_E20(p, order):
@@ -766,14 +757,15 @@ def run_suite(pattern="*", order_overrides=None, jobs=1):
 
     The filter is a shell-style pattern, with "|" separating
     alternatives; a pattern that matches no id raises ValueError.
-    Reports come back sorted by id regardless of execution order.  jobs
-    is the number of worker processes; with jobs > 1 the identities run
-    in parallel in spawned workers, each with its own builder caches, so
-    a script that calls this needs the usual `if __name__ == "__main__"`
-    guard.  With jobs = 1 they run one after another in this process.
+    Reports come back sorted by id regardless of execution order.  jobs,
+    an int of at least 1, is the number of worker processes; with jobs > 1
+    the identities run in parallel in spawned workers, each with its own
+    builder caches, so a script that calls this needs the usual
+    `if __name__ == "__main__"` guard.  With jobs = 1 they run one after
+    another in this process.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ValueError(f"jobs must be at least 1 and an int, got {jobs!r}")
     order_overrides = order_overrides or {}
     alts = [a for a in pattern.split("|") if a]
     ids = [i for i in registered_ids() if any(fnmatch.fnmatch(i, a) for a in alts)]
@@ -788,11 +780,7 @@ def run_suite(pattern="*", order_overrides=None, jobs=1):
         spawn = multiprocessing.get_context("spawn")
         workers = min(jobs, len(ids))
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            reports = list(pool.map(_verify_at, ids, orders))
+            reports = list(pool.map(verify_identity, ids, [None] * len(ids), orders))
     else:
-        reports = [_verify_at(i, o) for i, o in zip(ids, orders)]
+        reports = [verify_identity(i, order=o) for i, o in zip(ids, orders)]
     return sorted(reports, key=lambda r: r.id)
-
-
-def _verify_at(ident_id, order):
-    return verify_identity(ident_id, order=order)

@@ -67,7 +67,6 @@ __all__ = [
     "theta_hat",
     "theta_hat_sum",
     "theta01",
-    "theta_A2",
     "calT",
     "t2t_factor",
     "s01_factor",
@@ -159,20 +158,9 @@ def theta01(unit, k, qorder):
     return _unit_product(unit, factors, qorder)
 
 
-def theta_A2(qorder):
-    """A2 lattice theta: coefficient q^(Q(n)) on the key (n1, n2), with
-    Q(n) = n1^2 - n1 n2 + n2^2; Q is positive definite, so the keys are
-    finite at every q-order."""
-    qorder = _positive_order(qorder)
-    rows = {
-        (n1, n2): q_monomial(1, e, qorder)
-        for n1, n2, e in lattice_points((1, -1, 1), (0, 0), 0, qorder)
-    }
-    return _from_rows(1, rows, qorder)
-
-
 def calT(qorder):
-    """Dilated A2 theta: q^(2Q(n)) on the key (n1+n2, 2n1-n2).
+    """Dilated A2 theta: q^(2Q(n)) on the key (n1+n2, 2n1-n2), with the
+    positive definite Q(n) = n1^2 - n1 n2 + n2^2.
 
     The key map is injective and its image satisfies e1 + e2 = 0 mod 3.
     """

@@ -45,7 +45,6 @@ EXPAND_ARGS = {
     "eta": ["--k", "2", "--order", "30"],
     "theta": ["--unit", "z2", "--order", "12", "--window", "3"],
     "theta01": ["--unit", "z12", "--k", "2", "--order", "12"],
-    "thetaA2": ["--order", "12", "--window", "3"],
     "calT": ["--order", "20", "--window", "4"],
     "f": ["--order", "6", "--window", "3"],
     "J": ["--order", "5", "--window", "2"],

@@ -12,11 +12,8 @@ from falsetheta.bilaurent import (
     BiLaurentSeries,
     UNIT_KEYS,
     bl_monomial,
-    bl_one,
-    bl_zero,
     bl_add,
     bl_mul,
-    bl_mul_scalar_int,
     bl_scalar_mul,
     bl_elliptic_shift,
     expand_inverse_one_minus,
@@ -167,6 +164,14 @@ class TestScalarMulAgainstPerKeyProducts:
         assert got.terms == {k: c for k, c in terms.items() if not c.is_zero()}
         assert (got.qorder, got.window) == (qorder, a.window)
 
+    @given(_scalar_operands(), st.integers(-3, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_an_int_scalar_keeps_the_qorder_and_window(self, operands, n):
+        a, _ = operands
+        got = bl_scalar_mul(a, n)
+        assert got.terms == {k: c * n for k, c in a.terms.items() if n}
+        assert (got.qorder, got.window) == (a.qorder, a.window)
+
 
 class TestMulAgainstPairwiseProducts:
     def check(self, a, b):
@@ -184,11 +189,11 @@ class TestMulAgainstPairwiseProducts:
 
     def test_one_term_operands(self):
         self.check(self._A, self._B)
-        self.check(self._A, bl_one(Rat(1)))
+        self.check(self._A, bl_monomial(1, 0, 0, Rat(1)))
 
     def test_an_empty_operand(self):
-        self.check(bl_zero(Rat(3)), self._B)
-        self.check(self._A, bl_zero(Rat(-2)))
+        self.check(BiLaurentSeries({}, Rat(3)), self._B)
+        self.check(self._A, BiLaurentSeries({}, Rat(-2)))
 
     @pytest.mark.parametrize(
         "build", [t2t_factor, lambda u, n: _t2t_sum(u, n, "closed")],
@@ -308,7 +313,7 @@ class TestRowsAgainstDictSemantics:
         a, b = (BiLaurentSeries(t, q, w) for t, q, w in (ra, rb))
         routes = [(bl_add(a, b), bl_add(b, a)), (a, BiLaurentSeries(a.terms, a.qorder)),
                   (a, bl_from_json(bl_to_json(a))),
-                  (a, bl_add(bl_add(a, a, a), bl_mul_scalar_int(a, -2)))]
+                  (a, bl_add(bl_add(a, a, a), bl_scalar_mul(a, -2)))]
         for x, y in routes:
             assert x == y and hash(x) == hash(y)
             assert (x.kd, x.rows) == (y.kd, y.rows)
@@ -319,7 +324,7 @@ class TestRowsAgainstDictSemantics:
         b = bl_add(a, mono(-1, Rat(1, 2), 0, 0, Rat(3)), mono(1, 2, Rat(2, 3), 0, Rat(3)))
         assert b.kd == 3 and sorted(b.rows) == [(3, -2), (6, 2)]
         c = bl_add(b, mono(-2, 1, Rat(-2, 3), 1, Rat(3)), mono(-1, 2, Rat(2, 3), 0, Rat(3)))
-        assert c.kd == 1 and c.rows == {} and c == bl_zero(Rat(3))
+        assert c.kd == 1 and c.rows == {} and c == BiLaurentSeries({}, Rat(3))
 
     @given(_raw_operands(), _keys, st.sampled_from([5, 7]))
     @settings(max_examples=200, deadline=None)
@@ -417,6 +422,6 @@ class TestOrbitProducts:
 
     def test_sharing_survives_an_int_scalar(self):
         f = f_series(6)
-        g = bl_mul_scalar_int(f, -1)
+        g = bl_scalar_mul(f, -1)
         assert len({id(c) for c in g.rows.values()}) == len({id(c) for c in f.rows.values()})
         assert g == BiLaurentSeries({k: c * -1 for k, c in f.terms.items()}, f.qorder)

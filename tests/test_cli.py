@@ -118,12 +118,6 @@ class TestExpand:
         assert code == USAGE_ERROR
         assert out == "" and "p must be an integer >= 2" in err
 
-    def test_a2_theta_at_the_default_order_and_window(self, capsys):
-        code, out, _ = run(capsys, "expand", "thetaA2")
-        assert code == 0
-        assert "zeta1^(0/1) zeta2^(0/1): 1 + O(q^20)\n" in out
-        assert out.endswith("region=INNER + O(q^(20/1))\n")
-
     def test_bad_family_parameter_is_usage_error(self, capsys):
         code, _, err = run(capsys, "expand", "Gfrak", "--p", "1", "--order", "4")
         assert code == USAGE_ERROR

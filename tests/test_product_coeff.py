@@ -21,6 +21,7 @@ from falsetheta.bilaurent import (
     _int_product,
 )
 from falsetheta.thetas import (
+    unit_pochhammer,
     t2t_factor,
     s01_factor,
     f_series,
@@ -29,7 +30,6 @@ from falsetheta.thetas import (
     J_constant_term,
 )
 from falsetheta.families import H_frak
-from falsetheta.identities import _inverse_poch_pair
 
 UNITS = ("z1", "z2", "z12")
 
@@ -77,7 +77,8 @@ def test_h_frak_kernel_at_half_integer_r1():
 
 def test_sixfold_inverse_pochhammer_kernel():
     order = Rat(13, 2)
-    factors = [_inverse_poch_pair(u, order) for u in UNITS]
+    # E14's 1/(u q^(1/2), u^-1 q^(1/2); q)_oo on each unit
+    factors = [unit_pochhammer(u, Rat(1, 2), 1, order, inverse=True) for u in UNITS]
     full = _full(factors)
     for r1 in range(-2, 3):
         for r2 in range(-2, 3):

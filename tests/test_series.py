@@ -29,7 +29,6 @@ from falsetheta.bilaurent import (
     bl_add,
     bl_monomial,
     bl_mul,
-    bl_one,
     bl_scalar_mul,
     expand_inverse_one_minus,
 )
@@ -505,7 +504,7 @@ def _explicit_binomials(factors, order):
     sign 1 it is expand_inverse_one_minus, and otherwise the explicit
     geometric sum of (sign u^a q^e)^k.
     """
-    out = bl_one(order)
+    out = bl_monomial(1, 0, 0, order)
     for sign, a, e, power in factors:
         if a == 0:
             b = one(order) - monomial(sign, e, order)
@@ -515,7 +514,7 @@ def _explicit_binomials(factors, order):
         if power == 0:
             continue
         if power > 0:
-            b = bl_add(bl_one(order),
+            b = bl_add(bl_monomial(1, 0, 0, order),
                        bl_monomial(monomial(-sign, e, order), a, 0, order))
         elif a == 1 and sign == 1:
             b = expand_inverse_one_minus("z1", e, order)

@@ -10,7 +10,6 @@ from falsetheta.bilaurent import (
     bl_add,
     bl_monomial,
     bl_mul,
-    bl_one,
 )
 from falsetheta.families import H_frak
 from falsetheta.identities import _t2t_sum
@@ -19,7 +18,6 @@ from falsetheta.thetas import (
     theta_hat,
     theta_hat_sum,
     theta01,
-    theta_A2,
     calT,
     t2t_factor,
     s01_factor,
@@ -41,7 +39,6 @@ from falsetheta.thetas import (
         lambda n: theta_hat("z1", 1, n),
         lambda n: theta_hat_sum("z1", 1, n),
         lambda n: theta01("z1", 1, n),
-        lambda n: theta_A2(n).clip(2),
         lambda n: calT(n).clip(2),
         lambda n: t2t_factor("z1", n),
         lambda n: s01_factor("z1", n, 2),
@@ -102,7 +99,7 @@ class TestTheta01:
 def _explicit_pochhammer(unit, start, step, qorder, inverse):
     """The product of unit_pochhammer, one bl_mul per factor F(u^s q^e)."""
     d1, d2 = UNIT_KEYS[unit]
-    out = bl_one(qorder)
+    out = bl_monomial(1, 0, 0, qorder)
     e = start
     while e < qorder:
         for s in (1, -1):
@@ -116,7 +113,7 @@ def _explicit_pochhammer(unit, start, step, qorder, inverse):
                 fac = BiLaurentSeries(terms, qorder)
             else:
                 fac = bl_add(
-                    bl_one(qorder),
+                    bl_monomial(1, 0, 0, qorder),
                     bl_monomial(monomial(-1, e, qorder), s * d1, s * d2, qorder),
                 )
             out = bl_mul(out, fac)
@@ -143,7 +140,7 @@ class TestUnitPochhammer:
     @pytest.mark.parametrize("inverse", [False, True])
     def test_no_factor_enters_below_the_start(self, inverse):
         got = unit_pochhammer("z2", 1, 2, Rat(1), inverse)
-        assert got == bl_one(Rat(1))
+        assert got == bl_monomial(1, 0, 0, Rat(1))
         assert got == _explicit_pochhammer("z2", 1, 2, Rat(1), inverse)
 
     def test_rejects_a_step_that_is_not_positive(self):
@@ -157,26 +154,16 @@ class TestLatticeKernels:
         [(Rat(1, 2), 0), (Rat(7, 2), 1), (Rat(5), 2), (Rat(9), 6), (Rat(40), 10), (Rat(13), 3)],
     )
     def test_theta_A2_and_calT_match_a_box(self, qorder, W):
-        # theta_A2 keys are n itself; a calT key k within the window has
-        # n1 = (k1 + k2)/3 and n2 = (2 k1 - k2)/3, so |n1|, |n2| <= W too
-        a2, cal = {}, {}
+        # calT dilates the A2 theta sum_n q^(Q(n)); a calT key k within the
+        # window has n1 = (k1 + k2)/3 and n2 = (2 k1 - k2)/3, so |n1|, |n2| <= W
+        cal = {}
         for n1 in range(-W, W + 1):
             for n2 in range(-W, W + 1):
                 Q = n1 * n1 - n1 * n2 + n2 * n2
-                if Q < qorder:
-                    a2[(n1, n2)] = monomial(1, Q, qorder)
                 key = (n1 + n2, 2 * n1 - n2)
                 if 2 * Q < qorder and max(abs(key[0]), abs(key[1])) <= W:
                     cal[key] = monomial(1, 2 * Q, qorder)
-        assert theta_A2(qorder).clip(W) == BiLaurentSeries(a2, qorder)
         assert calT(qorder).clip(W) == BiLaurentSeries(cal, qorder)
-
-    def test_theta_A2_small_coefficients(self):
-        t = theta_A2(Rat(5)).clip(4)
-        assert t.coeff(0, 0).coeff(0) == 1
-        assert t.coeff(1, 0).coeff(1) == 1
-        assert t.coeff(1, 1).coeff(1) == 1  # Q(1,1) = 1
-        assert t.coeff(1, -1).coeff(3) == 1
 
     def test_calT_is_the_dilated_substitution(self):
         t = calT(Rat(9)).clip(6)

@@ -64,7 +64,6 @@ _BUILDERS = {
        for u in _UNITS for k in (1, 2)},
     "theta_hat_sum": lambda n: thetas.theta_hat_sum("z1", 2, n),
     "theta01": lambda n: thetas.theta01("z12", 2, n),
-    "theta_A2": thetas.theta_A2,
     "calT": thetas.calT,
     "t2t_factor": lambda n: thetas.t2t_factor("z12", n),
     "t2t_sum_closed": lambda n: _t2t_sum("z1", n, "closed"),
