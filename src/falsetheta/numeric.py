@@ -1,10 +1,15 @@
 """Complex evaluation and numerical transformation-law checks.
 
-Everything here is double precision.  The theta, eta and lattice-theta
-sums keep exactly the terms of magnitude at least e^-41 (about 1.6e-18),
-found by the formal layer's exact enumerators (the integer solver of
-`series.quadratic_range`, and `series.lattice_rows`); against 25-digit
-direct sums they agree to 1e-12 relative (tests/test_numeric.py).
+Everything here is double precision.  The theta and eta sums keep
+exactly the terms of magnitude at least e^-41 (about 1.6e-18); the
+lattice theta T keeps at least those and omits only terms below it, as
+A_0 B_0 + A_1 B_1 by the coset identity of the A2 lattice (see eval_T).
+Theta, eta and T's two factors are rank-one sums through one kernel,
+_coset_sum, over index ranges that the formal layer's integer solver
+(series._negative_range) finds exactly.  A point whose largest term
+would overflow a double is refused before anything is summed.  Against
+25-digit direct sums the evaluators agree to 1e-12 relative
+(tests/test_numeric.py).
 Verification tolerances are 1e-8 relative.
 
 The eta multiplier convention (Dedekind-sum formula plus the principal
@@ -15,13 +20,14 @@ self-certifying rather than trusted.
 
 import cmath
 import math
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .rat import Rat, rat_floor
-from .series import lattice_rows, _negative_range
+from .series import _negative_range
 
 __all__ = [
     "eval_theta",
@@ -48,11 +54,15 @@ __all__ = [
 ]
 
 _TWO_PI_I = 2j * math.pi
+_ETA_PHASE = cmath.exp(-_TWO_PI_I / 12)
+_LOG_MAX = math.log(sys.float_info.max)  # e^_LOG_MAX is the largest double
 
-# Each lattice sum keeps exactly the terms e^(2 pi i X) of magnitude at
-# least e^-41 (about 1.6e-18), those with Im X < _TAIL, found with series'
-# enumerators from the exact rationals of the floats Im tau and Im z
-# (Fraction(x) or x.as_integer_ratio(); rat() refuses floats as implicit).
+# The theta and eta sums keep exactly the terms e^(2 pi i X) of magnitude
+# at least e^-41 (about 1.6e-18), those with Im X < _TAIL; the lattice
+# theta keeps at least those, and omits only terms below e^-41.  Their
+# index ranges are solved by series._negative_range on integers, the
+# floats Im tau and Im z scaled by x.as_integer_ratio() (whose
+# denominators are powers of two).
 _TAIL = Fraction(41 / (2 * math.pi))
 
 LAW_IDS = (
@@ -70,36 +80,91 @@ LAW_IDS = (
 # -- pointwise evaluators -----------------------------------------------------
 
 
+def _coset_range(alpha, beta, gamma, M, e):
+    """The k with alpha n^2 + beta n + gamma < 0 at n = M k + e, as a range
+    (integer arguments, alpha > 0)."""
+    return _negative_range(
+        alpha * M * M, (2 * alpha * e + beta) * M, (alpha * e + beta) * e + gamma, None
+    )
+
+
+def _coset_sum(a, tau, u, M, e, ks):
+    """sum of e^(2 pi i (a tau n^2 + n u)) over n = M k + e for k in ks."""
+    x, y = _TWO_PI_I * a * tau, _TWO_PI_I * u
+    total = 0j
+    for k in ks:
+        n = M * k + e
+        total += cmath.exp(x * (n * n) + y * n)  # n * n is exact
+    return total
+
+
+def _refuse_overflow(top):
+    """Refuse a sum whose largest term, of magnitude up to e^(2 pi top),
+    might not be a finite double; before any index range is solved."""
+    if not 2 * math.pi * top <= _LOG_MAX:
+        raise ValueError(
+            f"the sum's largest term, about e^{2 * math.pi * top:.4g}, is not a finite "
+            "double: Im z is too large for Im tau"
+        )
+
+
 def _theta_indices(t, y, scale):
     """The j (n = j + 1/2) of eval_theta's terms of magnitude at least e^-41
-    at the floats t = Im tau, y = Im z: s/2 j^2 + (s/2 + y) j + s/8 + y/2 <
-    _TAIL for s = scale t, times 8 b d D for t = a/b, y = c/d, _TAIL = N/D."""
+    at the floats t = Im tau, y = Im z: s n^2/2 + y n < _TAIL for s = scale t,
+    in 2n = 2j + 1 and times 8 b d D for t = a/b, y = c/d, _TAIL = N/D."""
     (a, b), (c, d), (N, D) = t.as_integer_ratio(), y.as_integer_ratio(), _TAIL.as_integer_ratio()
     s, y = scale * a * d * D, c * b * D  # b d D times s and y
-    return _negative_range(4 * s, 4 * s + 8 * y, s + 4 * y - 8 * b * d * N, None)
+    return _coset_range(s, 4 * y, -8 * b * d * N, 2, 1)
 
 
 def _eta_indices(t):
     """The k of eval_eta's terms of magnitude at least e^-41 at the float
-    t = Im tau: 3t/2 k^2 + t/2 k + t/24 < _TAIL, times 24 b D for t = a/b."""
+    t = Im tau: t n^2/24 < _TAIL at n = 6k + 1, times 24 b D for t = a/b."""
     a, b = t.as_integer_ratio()
-    s = a * _TAIL.denominator  # b D times t
-    return _negative_range(36 * s, 12 * s, s - 24 * b * _TAIL.numerator, None)
+    N, D = _TAIL.as_integer_ratio()
+    return _coset_range(a * D, 0, -24 * b * N, 6, 1)
+
+
+def _T_indices(t, y1, y2):
+    """The k of eval_T's factors A_e and B_e (n = 2k + e), as pairs of
+    ranges for e = 0, 1, at the floats t = Im tau and y_i = Im z_i.
+
+    A's term at n and B's at m have Im exponents 3t n^2/2 + 3(y1+y2) n/2
+    and t m^2/2 + (y1-y2) m/2, at least -3(y1+y2)^2/(8t) and
+    -(y1-y2)^2/(8t) over the reals.  Each factor keeps the indices whose
+    exponent is below _TAIL minus the other's minimum, so every lattice term of
+    magnitude at least e^-41 is a product of kept terms.  The inequalities
+    are solved times 8 T D, for T, P and Q the integers L t, L (y1+y2) and
+    L (y1-y2), L the common denominator of t, y1 and y2, _TAIL = N/D.
+    """
+    (a, b), (c1, d1), (c2, d2) = t.as_integer_ratio(), y1.as_integer_ratio(), y2.as_integer_ratio()
+    N, D = _TAIL.as_integer_ratio()
+    L = math.lcm(b, d1, d2)
+    T, Y1, Y2 = a * (L // b), c1 * (L // d1), c2 * (L // d2)
+    P, Q = Y1 + Y2, Y1 - Y2
+    K = 8 * T * L * N
+    return [
+        (
+            _coset_range(12 * T * T * D, 12 * T * P * D, -K - Q * Q * D, 2, e),
+            _coset_range(4 * T * T * D, 4 * T * Q * D, -K - 3 * P * P * D, 2, e),
+        )
+        for e in (0, 1)
+    ]
 
 
 def eval_theta(z, tau, scale=1):
     """Odd Jacobi theta sum_{n in 1/2+Z} q^(scale*n^2/2) e^(2 pi i n (z+1/2)).
 
     n = j + 1/2 runs over the j of the terms of magnitude at least e^-41
-    (see _theta_indices and _TAIL).
+    (see _theta_indices and _TAIL); the kernel sums over the odd 2n.
     """
-    if tau.imag <= 0:
+    t = tau.imag
+    if t <= 0:
         raise ValueError("tau must lie in the upper half plane")
-    total = 0j
-    for j in _theta_indices(tau.imag, z.imag, scale):
-        n = j + 0.5
-        total += cmath.exp(_TWO_PI_I * (scale * tau * n * n / 2 + n * (z + 0.5)))
-    return total
+    y = z.imag
+    # the Im exponent scale t n^2/2 + y n is at least -y^2/(2 scale t)
+    _refuse_overflow(y * y / (2 * scale * t))
+    return _coset_sum(scale / 8, tau, (z + 0.5) / 2, 2, 1, _theta_indices(t, y, scale))
 
 
 def eval_eta(tau):
@@ -108,10 +173,8 @@ def eval_eta(tau):
     and _TAIL)."""
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
-    total = 0j
-    for k in _eta_indices(tau.imag):
-        total += (-1) ** (k & 1) * cmath.exp(_TWO_PI_I * tau * (6 * k + 1) ** 2 / 24)
-    return total
+    # (-1)^k = e^(2 pi i (n - 1)/12) at n = 6k + 1
+    return _ETA_PHASE * _coset_sum(1 / 24, tau, 1 / 12, 6, 1, _eta_indices(tau.imag))
 
 
 _THETA_ZERO_GUARD = 1e-6
@@ -136,23 +199,28 @@ def eval_f(z, tau):
 def eval_T(z, tau):
     """Hexagonal-lattice theta sum_{n in Z^2} q^(2Q(n)) e^(2 pi i (n1 w1 + n2 w2)).
 
-    Q(n) = n1^2 - n1 n2 + n2^2, w1 = z1 + 2 z2 and w2 = z1 - z2.  The
-    points are those that series.lattice_rows gives for the terms of
-    magnitude at least e^-41 (see _TAIL).
+    Q(n) = n1^2 - n1 n2 + n2^2, w1 = z1 + 2 z2 and w2 = z1 - z2.  With
+    m = 2 n2 - n1, which is n1 mod 2, 2Q(n) = (3 n1^2 + m^2)/2 and
+    n1 w1 + n2 w2 = 3 n1 (z1 + z2)/2 + m (z1 - z2)/2: the lattice is two
+    cosets of a rectangular one (theta_A2 = theta_3 theta_3(3.) + theta_2
+    theta_2(3.), Conway and Sloane, ch. 4), and the sum is A_0 B_0 + A_1 B_1
+    for the rank-one sums A_e of e^(2 pi i (3 tau n^2/2 + 3 n (z1 + z2)/2))
+    and B_e of e^(2 pi i (tau m^2/2 + m (z1 - z2)/2)) over n, m = e mod 2.
+    The products keep at least every term of magnitude at least e^-41, and
+    omit only terms below it (see _T_indices and _TAIL).
     """
-    if tau.imag <= 0:
+    t = tau.imag
+    if t <= 0:
         raise ValueError("tau must lie in the upper half plane")
     z1, z2 = z
-    w1 = z1 + 2 * z2
-    w2 = z1 - z2
-    t, y1, y2 = Fraction(tau.imag), Fraction(z1.imag), Fraction(z2.imag)
-    total = 0j
-    # the term's magnitude is e^(-2 pi (2 t Q(n) + (y1 + 2 y2) n1 + (y1 - y2) n2))
-    for n1, row in lattice_rows((2 * t, -2 * t, 2 * t), (y1 + 2 * y2, y1 - y2), 0, _TAIL):
-        for n2 in row:
-            q_exp = 2 * (n1 * n1 + n2 * n2 - n1 * n2)
-            total += cmath.exp(_TWO_PI_I * (tau * q_exp + n1 * w1 + n2 * w2))
-    return total
+    y1, y2 = z1.imag, z2.imag
+    # A's and B's largest terms, at the real minima of their Im exponents
+    _refuse_overflow((3 * (y1 + y2) * (y1 + y2) + (y1 - y2) * (y1 - y2)) / (8 * t))
+    u, v = 3 * (z1 + z2) / 2, (z1 - z2) / 2
+    return sum(
+        _coset_sum(1.5, tau, u, 2, e, ka) * _coset_sum(0.5, tau, v, 2, e, kb)
+        for e, (ka, kb) in enumerate(_T_indices(t, y1, y2))
+    )
 
 
 def eval_J(z, tau):
@@ -322,6 +390,13 @@ def _check_tolerance(tolerance):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
 
 
+def _check_finite(name, x):
+    """Refuse a complex argument with a nan or inf part, which has no value
+    to check a law at."""
+    if not cmath.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {complex_str(x)}")
+
+
 def _check_gamma(gamma, level):
     a, b, c, d = gamma
     for x in gamma:
@@ -384,7 +459,8 @@ def check_transformation(law, element, z, tau, tolerance=1e-8):
     element is a matrix (a, b, c, d) for *_MOD laws and a pair (m, l) of
     integer vectors for *_ELL laws (integers for THETA_ELL); z is one
     complex number for the THETA laws and a pair (z1, z2) for the others.
-    Malformed input or tolerance raises ValueError.  The residual is
+    Malformed input or tolerance, a nan or inf part of tau or z, or a
+    point whose terms overflow a double raises ValueError.  The residual is
     |LHS - factor * RHS| / max(1, |RHS|) with the exact automorphy factor
     of the cited law.
     """
@@ -392,6 +468,7 @@ def check_transformation(law, element, z, tau, tolerance=1e-8):
         raise ValueError(f"unknown law {law!r}")
     _check_tolerance(tolerance)
     tau = complex(tau)
+    _check_finite("tau", tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     kind, mode = law.split("_")
@@ -399,12 +476,15 @@ def check_transformation(law, element, z, tau, tolerance=1e-8):
         if isinstance(z, (tuple, list)):
             raise ValueError(f"{law} takes one z, not a pair")
         z = complex(z)
+        _check_finite("z", z)
         params = {"tau": complex_str(tau), "z": complex_str(z)}
         evaluator = eval_theta
     else:
         if not isinstance(z, (tuple, list)) or len(z) != 2:
             raise ValueError(f"{law} takes a pair z = (z1, z2)")
         z = z1, z2 = complex(z[0]), complex(z[1])
+        _check_finite("z1", z1)
+        _check_finite("z2", z2)
         params = {"tau": complex_str(tau), "z": [complex_str(z1), complex_str(z2)]}
         evaluator = {"F": eval_f, "T": eval_T, "J": eval_J}[kind]
     if mode == "MOD":

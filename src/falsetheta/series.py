@@ -24,8 +24,8 @@ exponent below the order, as one range of n2 per n1; `lattice_points`
 reads them off with their exponents, and `lattice_sum` sums them with a
 weight.  Both scale to integers and solve with integer square roots, so
 exactly the qualifying indices are visited.  The numeric layer sums its
-theta, eta and lattice-theta series over the same enumerators, with
-coefficients that are the exact rationals of its floats.
+theta, eta and lattice-theta series over ranges from the same integer
+solver, with coefficients that are the exact rationals of its floats.
 """
 
 from itertools import compress, count

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,6 +260,29 @@ class TestCheck:
         )
         assert code == USAGE_ERROR
         assert out == "" and "finite and positive" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("THETA_ELL", "--m", "1", "--l", "0", "--tau", "0.1+1.2i", "--z", "nan"),
+         "z must be finite"),
+        (("THETA_ELL", "--m", "1", "--l", "0", "--tau", "0.1+1.2i", "--z", "1e309"),
+         "z must be finite"),
+        (("F_ELL", "--m", "2,0", "--l", "0,0", "--tau", "0.1+1.2i", "--z", "nan+0.1i,0.1"),
+         "z1 must be finite"),
+        (("THETA_ELL", "--m", "1", "--l", "0", "--tau", "1e309+1i", "--z", "0.1"),
+         "tau must be finite"),
+        (("J_MOD", "--gamma", "1,0,6,1", "--tau", "0.1+1.2i", "--z", "0.2+1e300i,0.1"),
+         "not a finite double"),
+        (("THETA_ELL", "--m", "1", "--l", "0", "--tau", "0.1+1.2i", "--z", "0.2+1e8i"),
+         "not a finite double"),
+    ])
+    def test_a_non_finite_or_overflowing_point_is_usage_error(self, capsys, argv, message):
+        # unrefused, each gives a verdict, a traceback or a sum over about
+        # 10^300 terms
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "check", *argv)
+        assert time.monotonic() - t0 < 1.0
+        assert code == USAGE_ERROR
+        assert out == "" and message in err
 
     def test_tolerance_can_force_discrepancy(self, capsys):
         code, out, _ = run(

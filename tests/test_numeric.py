@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from falsetheta.rat import Rat
-from falsetheta.series import quadratic_range
+from falsetheta.series import lattice_rows, quadratic_range
 from falsetheta.thetas import f_series
 from falsetheta.numeric import (
     eval_theta,
@@ -31,6 +31,7 @@ from falsetheta.numeric import (
     transformation_grid,
     LAW_IDS,
     _TAIL,
+    _T_indices,
     _eta_indices,
     _theta_indices,
 )
@@ -91,6 +92,24 @@ class TestEvaluators:
             for b in range(-9, 10)
         )
         assert abs(v - s) < 1e-12
+
+    @pytest.mark.parametrize("evaluator,z", [
+        (eval_theta, 0.2 + 1e8j),
+        (eval_f, (0.2 + 1e8j, 0.1)),
+        (eval_T, (0.2 + 1e300j, 0.1)),
+        (eval_J, (0.1, 0.2 - 1e300j)),
+        (eval_T, (0.1 + 1e308j, 1e308j)),
+    ])
+    def test_a_point_whose_terms_overflow_is_refused(self, evaluator, z):
+        with pytest.raises(ValueError, match="not a finite double"):
+            evaluator(z, TAU)
+
+    def test_the_overflow_bound_is_the_largest_double(self):
+        # theta's largest term at tau = 1.2i is e^(2 pi y^2/2.4): e^704.0
+        # at y = 16.4, e^714.1 at y = 16.5, past the largest double e^709.78
+        assert cmath.isfinite(eval_theta(0.2 + 16.4j, 1.2j))
+        with pytest.raises(ValueError, match="not a finite double"):
+            eval_theta(0.2 + 16.5j, 1.2j)
 
     def test_J_assembly(self):
         z = (Z, 0.11 + 0.4j)
@@ -158,18 +177,39 @@ def oracle_T(z, tau):
     ))
 
 
+def _largest_T_exponent(z1, z2, tau):
+    """-Im of the exponent of the largest term of eval_T's two factors,
+    at the real minima of their quadratics."""
+    y1, y2 = z1.imag, z2.imag
+    return (3 * (y1 + y2) ** 2 + (y1 - y2) ** 2) / (8 * tau.imag)
+
+
 def _oracle_points():
-    """The sample points and the three transformed points of the
-    two-variable modular grids with the smallest Im tau (about 0.003)."""
+    """The sample points, the three transformed points of the two-variable
+    modular grids with the smallest Im tau (about 0.003), and the shifted
+    point of the T_ELL and of the J_ELL grid with T's largest term (there
+    Im z is about 2 Im tau, where eval_T's factors widen their ranges most)."""
     moved = set()
     for law in ("F_MOD", "T_MOD", "J_MOD"):
         for (a, b, c, d), (z1, z2), tau in transformation_grid(law):
             w = c * tau + d
             moved.add((z1 / w, z2 / w, (a * tau + b) / w))
     moved = sorted(moved, key=lambda p: p[2].imag)[:3]
-    return [pytest.param(*p, id=f"sample{i}") for i, p in enumerate(sample_points())] + [
-        pytest.param(*p, id=f"Im_tau={p[2].imag:.4f}") for p in moved
+    shifted = [
+        max(
+            (
+                (z1 + m1 * tau + l1, z2 + m2 * tau + l2, tau)
+                for ((m1, m2), (l1, l2)), (z1, z2), tau in transformation_grid(law)
+            ),
+            key=lambda p: _largest_T_exponent(*p),
+        )
+        for law in ("T_ELL", "J_ELL")
     ]
+    return (
+        [pytest.param(*p, id=f"sample{i}") for i, p in enumerate(sample_points())]
+        + [pytest.param(*p, id=f"Im_tau={p[2].imag:.4f}") for p in moved]
+        + [pytest.param(*p, id=f"{law}_shift") for law, p in zip(("T_ELL", "J_ELL"), shifted)]
+    )
 
 
 ORACLE_RTOL = 1e-12  # double-precision sums, measured within 3e-14
@@ -198,6 +238,57 @@ def test_theta_and_eta_indices_are_quadratic_range_on_the_exact_rationals(t, y, 
     assert _theta_indices(t, y, scale) == want
     t_ = Fraction(t)
     assert _eta_indices(t) == quadratic_range(3 * t_ / 2, t_ / 2, t_ / 24, _TAIL)
+
+
+def _row_by_row_T(z, tau):
+    """The lattice theta summed point by point over the lattice_rows of its
+    terms of magnitude at least e^-41, an oracle for eval_T's coset
+    products.  Returns the sum and the sum of the terms' magnitudes."""
+    z1, z2 = z
+    w1, w2 = z1 + 2 * z2, z1 - z2
+    t, y1, y2 = Fraction(tau.imag), Fraction(z1.imag), Fraction(z2.imag)
+    total, size = 0j, 0.0
+    for n1, row in lattice_rows((2 * t, -2 * t, 2 * t), (y1 + 2 * y2, y1 - y2), 0, _TAIL):
+        for n2 in row:
+            term = cmath.exp(2j * math.pi * (
+                tau * 2 * (n1 * n1 + n2 * n2 - n1 * n2) + n1 * w1 + n2 * w2
+            ))
+            total += term
+            size += abs(term)
+    return total, size
+
+
+_UNIT = st.floats(-1, 1)
+
+
+@given(st.floats(2e-3, 3), _UNIT, _UNIT, _UNIT, st.floats(-3, 3), st.floats(-3, 3))
+@settings(max_examples=100, deadline=None)
+def test_T_by_cosets_matches_the_row_by_row_lattice_sum(t, x, x1, x2, e1, e2):
+    # Im z_i = e_i t: up to three times Im tau, past the ELL grids' shifts
+    tau, z = complex(x, t), (complex(x1, e1 * t), complex(x2, e2 * t))
+    want, size = _row_by_row_T(z, tau)
+    assert abs(eval_T(z, tau) - want) <= 1e-13 * size
+
+
+@given(st.floats(1e-3, 5), st.floats(-3, 3), st.floats(-3, 3))
+@settings(max_examples=300, deadline=None)
+def test_T_coset_ranges_cover_every_lattice_term_above_the_tail(t, y1, y2):
+    # the lattice point (n1, n2) is the product of A's n = n1 and B's
+    # m = 2 n2 - n1, both of parity e = n1 mod 2 and index (n - e)/2
+    t_, y1_, y2_ = Fraction(t), Fraction(y1), Fraction(y2)
+    ranges = _T_indices(t, y1, y2)
+    rows = 0
+    for n1, row in lattice_rows((2 * t_, -2 * t_, 2 * t_), (y1_ + 2 * y2_, y1_ - y2_), 0, _TAIL):
+        if not row:
+            continue
+        rows += 1
+        e = n1 % 2
+        ka, kb = ranges[e]
+        assert (n1 - e) // 2 in ka, (n1, ka)
+        # m grows with n2, and kb is one range: its two ends cover the row
+        for n2 in (row[0], row[-1]):
+            assert (2 * n2 - n1 - e) // 2 in kb, (n1, n2, kb)
+    assert rows  # the term at n = 0 has magnitude 1 > e^-41
 
 
 class TestArithmetic:
@@ -336,6 +427,20 @@ class TestTransformationLaws:
             check_transformation("THETA_MOD", (1, 1, 0, 1), Z, TAU, tolerance)
         with pytest.raises(ValueError, match="finite and positive"):
             run_transformation_checks("THETA_MOD", tolerance)
+
+    @pytest.mark.parametrize("law,z,tau,name", [
+        ("THETA_ELL", complex(math.nan, 0), TAU, "z"),
+        ("THETA_ELL", complex(math.inf, 0), TAU, "z"),
+        ("F_ELL", (complex(math.nan, 0.1), 0.1), TAU, "z1"),
+        ("F_ELL", (Z, complex(0.1, -math.inf)), TAU, "z2"),
+        ("THETA_ELL", Z, complex(math.inf, 1), "tau"),
+        ("THETA_ELL", Z, complex(0.1, math.nan), "tau"),
+    ])
+    def test_a_nan_or_inf_argument_is_refused(self, law, z, tau, name):
+        # unrefused, a nan residual reads as an "unequal" verdict
+        element = (1, 0) if law == "THETA_ELL" else ((2, 0), (0, 0))
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            check_transformation(law, element, z, tau)
 
     def test_residual_report_schema(self):
         rep = check_transformation("THETA_ELL", (1, 0), Z, TAU)
