@@ -2,9 +2,11 @@
 
 Keys are the exponents (e1, e2) of the elliptic units (z1, z2), stored
 as int pairs (k1, k2) over kd, the least common key denominator: `rows`
-maps (k1, k2) to the q-series of the key (k1/kd, k2/kd); `terms`, `coeff`
-and the JSON read rational keys off it.  Operations meet on the lcm of
-their operands' kd and build their results with _from_rows.
+maps (k1, k2) to the q-series of the key (k1/kd, k2/kd), and each
+PuiseuxSeries keeps its q-exponents the same way, as ints over its qd;
+`terms`, `coeff` and the JSON read rational keys off it, and `qorder` is
+a Rat.  Operations meet on the lcm of their operands' kd and build their
+results with _from_rows.
 
 Every meromorphic factor is expanded in one annulus, the paper's
 |q| < |z1|, |z2|, |z1 z2| < 1: 1/(1 - x) is sum_k x^k for |x| < 1.  A
@@ -13,10 +15,11 @@ one.  The JSON and the text output still name it, "region": ANNULUS, and
 bl_from_json refuses any other, because a file may come from outside the
 program.
 
-bl_mul and product_coeff share one kernel, _int_product:
-it spreads the integer row each key's PuiseuxSeries holds onto one grid
-of exponents and convolves the rows with series._mul_add, on which
-PuiseuxSeries products run too; each result row becomes a series as is.
+bl_mul and product_coeff share one kernel, _int_product: it puts the
+int exponents of every key's PuiseuxSeries over one denominator, spreads
+the integer rows onto one grid of exponents and convolves them with
+series._mul_add, on which PuiseuxSeries products run too; each result
+row becomes a series as is, from ints.
 A caller that knows a product to be symmetric under a group acting
 linearly on the keys passes bl_mul the keyword-only `orbit`, a map from
 a key to the keys of its orbit: one key per orbit is convolved, and the
@@ -37,10 +40,10 @@ pair it with a compatible q-order.
 
 from math import gcd, lcm
 
-from .rat import Rat, rat, rat_ceil, rat_floor, rat_str, ratio_str, parse_rat
+from .rat import Rat, rat, rat_floor, rat_str, ratio_str, parse_rat
 from .series import PuiseuxSeries, zero as q_zero, monomial as q_monomial
 from .series import series_to_json, series_from_json
-from .series import _from_row, _grid, _mul_add, _scaled, _spread
+from .series import _ceil_div, _from_row, _mul_add, _scaled, _spread
 
 # The name of the one annulus every expansion is taken in.
 ANNULUS = "INNER"
@@ -95,7 +98,10 @@ class BiLaurentSeries:
 
     def qvaluation(self):
         """Minimal coefficient valuation over all keys (qorder if empty)."""
-        return min((c.v for c in self.rows.values()), default=self.qorder)
+        if not self.rows:
+            return self.qorder
+        qd = lcm(*(c.qd for c in self.rows.values()))
+        return Rat(min(c.lo * (qd // c.qd) for c in self.rows.values()), qd)
 
     @property
     def terms(self):
@@ -192,10 +198,11 @@ def _int_product(factors, qorder, key=None, orbit=None):
     """The rows below qorder of the product of the factors, given as their
     rows over one kd; with a key over that kd, only that key's.
 
-    Each key's row is spread onto one grid of step s, the gcd of all steps
-    and of the valuation differences within each factor: a key of
-    valuation v becomes (lo, ints), v = e0 + lo s for e0 its factor's least
-    valuation, ints over the lcm of the factor's denominators.  Key tuples
+    Every row goes over qd, the lcm of the rows' qd and of the qorder's
+    denominator, and is spread onto one grid of step s, the gcd of all
+    steps and of the valuation differences within each factor: a key of
+    valuation v/qd becomes (lo, ints), v = e0 + lo s for e0 its factor's
+    least valuation, ints over the lcm of the factor's denominators.  Key tuples
     are walked from the last factor down to the first, whose key is looked
     up when the sum is fixed, and skipped once their rows start at or past
     the order; each tuple's row product is added into one row per key.
@@ -211,10 +218,9 @@ def _int_product(factors, qorder, key=None, orbit=None):
     # each row object once, however many keys share it; keyed by id here,
     # not through _map_rows, as the grid needs every distinct row at once
     each = [list({id(s): s for s in f.values()}.values()) for f in factors]
-    g0, ints = _grid(*(x for ss in each for s in ss for x in (s.step, s.v)))
-    ints = iter(ints)
-    # (series, step / g0, valuation / g0) for each row of each factor
-    grid = [[(s, next(ints), next(ints)) for s in ss] for ss in each]
+    qd = lcm(qorder.denominator, *(s.qd for ss in each for s in ss))
+    # (series, step, valuation) over qd for each row of each factor
+    grid = [[(s, s.s * (qd // s.qd), s.lo * (qd // s.qd)) for s in ss] for ss in each]
     e0 = [min(u for _, _, u in fg) for fg in grid]
     g = gcd(*(x for fg, m in zip(grid, e0) for _, t, u in fg for x in (t, u - m)))
     scale, rows = 1, []
@@ -223,8 +229,8 @@ def _int_product(factors, qorder, key=None, orbit=None):
         scale *= den
         spread = {id(s): ((u - m) // g, _spread(s.row, t // g, den // s.den)) for s, t, u in fg}
         rows.append({k: spread[id(s)] for k, s in f.items()})
-    v, step = g0 * sum(e0), g0 * g
-    ntop = rat_ceil((qorder - v) / step)
+    v, top = sum(e0), qorder.numerator * (qd // qorder.denominator)
+    ntop = _ceil_div(top - v, g)
 
     def tuples(i, k, s):
         # (key sum, start, rows) of factors[:i + 1] whose keys sum to k
@@ -258,10 +264,10 @@ def _int_product(factors, qorder, key=None, orbit=None):
             part = nxt
         _mul_add(dst, s, part, tup[-1])
     if orbit is None:
-        return {k: _from_row(v, step, row, scale, qorder) for k, row in sums.items()}
+        return {k: _from_row(qd, v, g, row, scale, top) for k, row in sums.items()}
     out = {}
     for k, row in sums.items():
-        c = _from_row(v, step, row, scale, qorder)
+        c = _from_row(qd, v, g, row, scale, top)
         out.update(dict.fromkeys(orbit(k), c))
     return out
 

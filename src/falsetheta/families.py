@@ -20,7 +20,7 @@ from .series import (
     quadratic_range,
     lattice_sum,
     _divide,
-    _from_row,
+    _int_row,
 )
 from .bilaurent import product_coeff
 from .thetas import t2t_factor, s01_factor
@@ -230,7 +230,7 @@ def _A_table(m, order, quad=0):
             break
         del term[top - v:]
         ks = (n, n + m)
-    return _from_row(Rat(0), Rat(1), total, 1, order)
+    return _int_row(total, 0, 1, order)
 
 
 def G_hyper(r, order):

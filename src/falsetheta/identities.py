@@ -33,7 +33,7 @@ from .series import (
     lattice_sum,
     _binomial_table,
     _divide,
-    _from_row,
+    _int_row,
 )
 from .bilaurent import (
     UNIT_KEYS,
@@ -220,14 +220,6 @@ def _int_poly(terms):
     return _from_rows(1, {k: rows[c] for k, c in terms.items()}, 1)
 
 
-# E19's divisor prod (1 - z^-alpha) over the positive roots alpha of A2 (the
-# keys of UNIT_KEYS), built from the roots and not from _orbit_offsets, the
-# same at every grid point and order.  E19 divides by one factor at a time,
-# with _divide_one_minus, and multiplies back by this.
-_WEYL_DENOMINATOR = reduce(bl_mul, (_int_poly({(0, 0): 1, (-a1, -a2): -1})
-                                    for a1, a2 in UNIT_KEYS.values()))
-
-
 def _divide_one_minus(terms, d):
     """{key: int} divided by (1 - z^d), d a nonzero step of entries -1, 0, 1.
 
@@ -247,6 +239,15 @@ def _divide_one_minus(terms, d):
         _divide(row, 1)
         out.update(((b1 + t * d[0], b2 + t * d[1]), c) for t, c in enumerate(row, lo) if c)
     return out
+
+
+def _times_one_minus(terms, d):
+    """{key: int} times (1 - z^d), zero ints dropped."""
+    out = dict(terms)
+    for (k1, k2), c in terms.items():
+        k = (k1 + d[0], k2 + d[1])
+        out[k] = out.get(k, 0) - c
+    return {k: c for k, c in out.items() if c}
 
 
 def _ghyper_q2(r, order):
@@ -457,7 +458,7 @@ def _build_E16(p, order):
         for m, row in table.items():  # added before the next step changes it in place
             total = totals.setdefault(m + n, [0] * top)
             total[n:] = map(add, total[n:], row)
-    lhs = {(k, 0): _from_row(Rat(0), Rat(1), row, 1, order) for k, row in totals.items()}
+    lhs = {(k, 0): _int_row(row, 0, 1, order) for k, row in totals.items()}
     return _from_rows(1, lhs, order), rhs
 
 
@@ -485,10 +486,12 @@ def _build_E19(p, order):
     numer = {}  # the six signed unit monomials of the bracketed lattice summand
     for s, e1, e2 in _orbit_offsets(p["n1"], p["n2"], 0, 0):
         numer[e1, e2] = numer.get((e1, e2), 0) + s
-    quot = numer
-    for a1, a2 in UNIT_KEYS.values():  # the positive roots alpha
-        quot = _divide_one_minus(quot, (-a1, -a2))
-    return bl_mul(_int_poly(quot), _WEYL_DENOMINATOR), _int_poly(numer)
+    # divide by the Weyl denominator prod (1 - z^-alpha) over the positive
+    # roots alpha of A2 (the keys of UNIT_KEYS) one factor at a time, then
+    # multiply the quotient back by each factor
+    roots = [(-a1, -a2) for a1, a2 in UNIT_KEYS.values()]
+    quot = reduce(_divide_one_minus, roots, numer)
+    return _int_poly(reduce(_times_one_minus, roots, quot)), _int_poly(numer)
 
 
 def _build_E20(p, order):

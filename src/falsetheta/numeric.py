@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rat import Rat, rat_floor
+from .rat import Rat
 from .series import _negative_range
 
 __all__ = [
@@ -251,23 +251,18 @@ def eval_bilaurent(F, z1, z2, tau):
 # -- arithmetic helpers -------------------------------------------------------
 
 
-def _sawtooth(x):
-    fl = rat_floor(x)
-    if x == fl:
-        return Rat(0)
-    return x - fl - Rat(1, 2)
-
-
 def dedekind_sum(d, c):
-    """Exact s(d, c) = sum_{k=1}^{c-1} ((k/c)) ((kd/c)); requires gcd = 1."""
+    """Exact s(d, c) = sum_{k=1}^{c-1} ((k/c)) ((kd/c)); requires gcd = 1.
+
+    For 0 < k < c neither k/c nor kd/c is an integer, so the sawtooth
+    ((x)) = x - floor(x) - 1/2 makes the sum
+    sum_k (2k - c)(2 (kd mod c) - c) / (4 c^2), one Rat of an int sum.
+    """
     if not isinstance(c, int) or c <= 0:
         raise ValueError("c must be a positive integer")
     if math.gcd(c, d) != 1:
         raise ValueError("d and c must be coprime")
-    total = Rat(0)
-    for k in range(1, c):
-        total += _sawtooth(Rat(k, c)) * _sawtooth(Rat(k * d, c))
-    return total
+    return Rat(sum((2 * k - c) * (2 * (k * d % c) - c) for k in range(1, c)), 4 * c * c)
 
 
 def jacobi_symbol(a, n):

@@ -13,9 +13,18 @@ Rat = Fraction
 
 def rat(x):
     """Coerce an int, a string 'a/b' or a Rat to Rat."""
+    if type(x) is Rat:
+        return x
     if isinstance(x, float):
         raise TypeError("refusing float -> rational coercion; pass an exact value")
     return x if isinstance(x, Rat) else Rat(x)
+
+
+def _ratio(x):
+    """(numerator, denominator) of rat(x), building no Rat for an int."""
+    if type(x) is not int:
+        x = rat(x)
+    return x.numerator, x.denominator
 
 
 def rat_str(r):

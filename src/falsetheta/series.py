@@ -1,38 +1,42 @@
 """Truncated formal Puiseux series in q with exact rational coefficients.
 
-A series is sum_i c_i q^(v + i s), the c_i one row of Python ints over a
-common denominator, with a truncation order: every exponent strictly
-below `order` is represented exactly, everything at or above it is
-unknown and silently dropped.  The valuation v, the step s and the order
-are exact rationals; no floating point enters this layer.  The row is
-kept in one canonical form, so equal series have equal fields; `terms`,
-`items`, `coeff` and the JSON read {exponent: coefficient} off the row.
+A series is sum_i c_i q^((lo + i s)/qd), the c_i one row of Python ints
+over a common denominator, with a truncation order top/qd: every
+exponent strictly below the order is represented exactly, everything at
+or above it is unknown and silently dropped.  qd, lo, s and top are
+ints, so sums, products, truncations and shifts do integer arithmetic
+only; no floating point enters this layer.  The fields are kept in one
+canonical form, so equal series have equal fields; `order`,
+`valuation()`, `terms`, `items`, `coeff` and the JSON read rational
+exponents and coefficients off them.
 
 The truncation contract composes under multiplication as
 
     order(a*b) = min(order(a) + val(b), order(b) + val(a))
 
 where val() is the minimal stored exponent (defined as the order for the
-empty series, which is the canonical zero).  Sums and products spread
-each operand's row onto the coarsest grid common to both; a product is
-one convolution, _mul_add, which bilaurent's products share.
+empty series, which is the canonical zero).  Sums and products put both
+operands over the lcm of their qd and spread each row onto the coarsest
+grid common to both; a product is one convolution, _mul_add, which
+bilaurent's products share.
 
 Sums of q^(quadratic in n) are enumerated exactly, with no guessed box:
 `quadratic_range` gives the integers n with a n^2 + b n + c < order, and
 `lattice_rows` the integer points of a positive-definite two-variable
 exponent below the order, as one range of n2 per n1; `lattice_points`
 reads them off with their exponents, and `lattice_sum` sums them with a
-weight.  Both scale to integers and solve with integer square roots, so
-exactly the qualifying indices are visited.  The numeric layer sums its
-theta, eta and lattice-theta series over ranges from the same integer
-solver, with coefficients that are the exact rationals of its floats.
+weight, keyed by the integer exponent.  Both scale to integers and solve
+with integer square roots, so exactly the qualifying indices are
+visited.  The numeric layer sums its theta, eta and lattice-theta series
+over ranges from the same integer solver, with coefficients that are the
+exact rationals of its floats.
 """
 
 from itertools import compress, count
 from math import gcd, isqrt, lcm
 from operator import add, sub
 
-from .rat import Rat, rat, rat_ceil, rat_str, ratio_str, parse_rat, _positive_order
+from .rat import Rat, rat, rat_ceil, ratio_str, parse_rat, _positive_order, _ratio
 
 __all__ = [
     "PuiseuxSeries",
@@ -50,54 +54,56 @@ __all__ = [
     "series_from_json",
 ]
 
-_ONE = Rat(1)
-
 
 class PuiseuxSeries:
-    """Immutable truncated series sum_i row[i]/den q^(v + i step)."""
+    """Immutable truncated series sum_i row[i]/den q^((lo + i s)/qd), exact
+    below q^(top/qd)."""
 
-    __slots__ = ("v", "step", "row", "den", "order")
+    __slots__ = ("qd", "lo", "s", "top", "row", "den")
 
     def __init__(self, terms, order):
-        order = rat(order)
-        clean = {}
-        for e, c in terms.items():
-            e = rat(e)
-            c = rat(c)
-            if c and e < order:
-                clean[e] = c
-        d, us = _scaled(*clean)  # d times each exponent
-        den, cs = _scaled(*clean.values())
-        lo = min(us, default=0)
-        g = gcd(*(u - lo for u in us)) or 1
-        row = [0] * ((max(us) - lo) // g + 1) if us else []
-        for u, c in zip(us, cs):
-            row[(u - lo) // g] = c
-        self._store(Rat(lo, d), Rat(g, d), row, den, order)
+        qd, (top, *us) = _scaled(order, *terms)
+        cs = [c if type(c) is int else rat(c) for c in terms.values()]
+        self._store_terms(qd, {u: c for u, c in zip(us, cs) if c and u < top}, top)
 
-    def _store(self, v, step, row, den, order):
-        """Store sum_i row[i]/den q^(v + i step), all below order, canonically:
-        row[0] and row[-1] nonzero, nonzero indices of gcd 1 (step 1 for one
-        term), den > 0 coprime to the row; zero is v = order, step 1, [], 1."""
-        lo = next(compress(count(), row), None)
-        if lo is None:
-            v, step, row, den = order, _ONE, [], 1
+    def _store_terms(self, qd, terms, top):
+        """Store sum c q^(u/qd) over {u: c}, ints u < top and c ints or Rats,
+        on the coarsest grid through the u."""
+        den, cs = _scaled(*terms.values())
+        lo = min(terms, default=top)
+        g = gcd(*(u - lo for u in terms)) or 1
+        row = [0] * ((max(terms) - lo) // g + 1) if terms else []
+        for u, c in zip(terms, cs):
+            row[(u - lo) // g] = c
+        return self._store(qd, lo, g, row, den, top)
+
+    def _store(self, qd, lo, s, row, den, top):
+        """Store sum_i row[i]/den q^((lo + i s)/qd), all below q^(top/qd),
+        canonically: row[0] and row[-1] nonzero, nonzero indices of gcd 1
+        (s = qd, the step 1, for one term), den > 0 coprime to the row and
+        gcd(qd, lo, s, top) = 1; zero is lo = top, s = qd, [], den 1."""
+        first = next(compress(count(), row), None)
+        if first is None:
+            lo, s, row, den = top, qd, [], 1
         else:
             hi = len(row) - next(compress(count(), reversed(row)))
-            if lo or hi < len(row):
-                row = row[lo:hi]
-                v += lo * step
+            if first or hi < len(row):
+                row = row[first:hi]
+                lo += first * s
             g = gcd(*compress(count(), row))
             if not g:
-                step = _ONE
+                s = qd
             elif g > 1:
                 row = row[::g]
-                step *= g
+                s *= g
             h = gcd(den, *row) if den != 1 else 1
             if h > 1:
                 row = [c // h for c in row]
                 den //= h
-        for name, x in zip(self.__slots__, (v, step, row, den, order)):
+        g = gcd(qd, lo, s, top)
+        if g > 1:
+            qd, lo, s, top = qd // g, lo // g, s // g, top // g
+        for name, x in zip(self.__slots__, (qd, lo, s, top, row, den)):
             object.__setattr__(self, name, x)
         return self
 
@@ -106,14 +112,21 @@ class PuiseuxSeries:
 
     # -- basic queries ----------------------------------------------------
 
+    @property
+    def order(self):
+        """The truncation order top/qd."""
+        return Rat(self.top, self.qd)
+
     def valuation(self):
         """Minimal stored exponent; equals order for the zero series."""
-        return self.v
+        return Rat(self.lo, self.qd)
 
     def coeff(self, e):
-        i = (rat(e) - self.v) / self.step
-        if i.denominator == 1 and 0 <= i < len(self.row):
-            return Rat(self.row[i.numerator], self.den)
+        n, d = _ratio(e)
+        u, r = divmod(n * self.qd, d)  # e = u/qd when r == 0
+        i, r2 = divmod(u - self.lo, self.s)
+        if not (r or r2) and 0 <= i < len(self.row):
+            return Rat(self.row[i], self.den)
         return Rat(0)
 
     def is_zero(self):
@@ -121,8 +134,8 @@ class PuiseuxSeries:
 
     def items(self):
         """The (exponent, coefficient) pairs, in increasing exponent."""
-        d, (v, s) = _scaled(self.v, self.step)
-        return [(Rat(v + s * i, d), Rat(c, self.den)) for i, c in enumerate(self.row) if c]
+        qd, lo, s, den = self.qd, self.lo, self.s, self.den
+        return [(Rat(lo + s * i, qd), Rat(c, den)) for i, c in enumerate(self.row) if c]
 
     @property
     def terms(self):
@@ -135,25 +148,29 @@ class PuiseuxSeries:
         """The sum, of the smaller order, on the coarsest grid that holds
         both operands' exponents."""
         if isinstance(other, int):
-            other = monomial(other, 0, self.order)
-        order = min(self.order, other.order)
+            other = _constant(other, self.qd, self.top)
+        qd = lcm(self.qd, other.qd)
+        ma, mb = qd // self.qd, qd // other.qd
+        top = min(self.top * ma, other.top * mb)
         if not (self.row and other.row):
-            return (self if self.row else other).truncate(order)
-        step, (ka, kb, dv) = _grid(self.step, other.step, self.v - other.v)
+            return (self if self.row else other)._cut(qd, top)
+        la, lb, sa, sb = self.lo * ma, other.lo * mb, self.s * ma, other.s * mb
+        step = gcd(sa, sb, la - lb)
         den = lcm(self.den, other.den)
-        xa, xb = _spread(self.row, ka, den // self.den), _spread(other.row, kb, den // other.den)
-        oa, ob = max(dv, 0), max(-dv, 0)  # each row's offset from min(v)
+        xa = _spread(self.row, sa // step, den // self.den)
+        xb = _spread(other.row, sb // step, den // other.den)
+        oa, ob = max(la - lb, 0) // step, max(lb - la, 0) // step  # offsets from min(lo)
         dst = [0] * max(oa + len(xa), ob + len(xb))
         dst[oa:oa + len(xa)] = xa
         dst[ob:ob + len(xb)] = map(add, dst[ob:ob + len(xb)], xb)
-        v = min(self.v, other.v)
-        del dst[max(rat_ceil((order - v) / step), 0):]
-        return _from_row(v, step, dst, den, order)
+        lo = min(la, lb)
+        del dst[max(_ceil_div(top - lo, step), 0):]
+        return _from_row(qd, lo, step, dst, den, top)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _from_row(self.v, self.step, [-c for c in self.row], self.den, self.order)
+        return _from_row(self.qd, self.lo, self.s, [-c for c in self.row], self.den, self.top)
 
     def __sub__(self, other):
         return self + (-other)
@@ -164,26 +181,29 @@ class PuiseuxSeries:
     def __mul__(self, other):
         """The product, of order min(order(a) + val(b), order(b) + val(a)).
 
-        Both rows are spread onto the gcd of the two steps, and one
-        _mul_add convolves them below the order, over the product of the
-        denominators.
+        Both operands go over the lcm of their qd, their rows are spread
+        onto the gcd of the two steps, and one _mul_add convolves them
+        below the order, over the product of the denominators.
         """
         if isinstance(other, int):
-            return _from_row(self.v, self.step, [c * other for c in self.row],
-                             self.den, self.order)
-        order = min(self.order + other.valuation(), other.order + self.valuation())
-        step, (ka, kb) = _grid(self.step, other.step)
-        v = self.v + other.v
-        dst = [0] * rat_ceil((order - v) / step)
-        _mul_add(dst, 0, _spread(self.row, ka), _spread(other.row, kb))
-        return _from_row(v, step, dst, self.den * other.den, order)
+            return _from_row(self.qd, self.lo, self.s, [c * other for c in self.row],
+                             self.den, self.top)
+        qd = lcm(self.qd, other.qd)
+        ma, mb = qd // self.qd, qd // other.qd
+        la, lb, sa, sb = self.lo * ma, other.lo * mb, self.s * ma, other.s * mb
+        top = min(self.top * ma + lb, other.top * mb + la)
+        step = gcd(sa, sb)
+        dst = [0] * max(_ceil_div(top - la - lb, step), 0)
+        _mul_add(dst, 0, _spread(self.row, sa // step), _spread(other.row, sb // step))
+        return _from_row(qd, la + lb, step, dst, self.den * other.den, top)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        result = one(self.order + (n - 1) * self.valuation() if n else self.order)
+        top = self.top + (n - 1) * self.lo if n else self.top
+        result = _constant(1, self.qd, top)
         for _ in range(n):
             result = result * self
         return result
@@ -197,37 +217,48 @@ class PuiseuxSeries:
         """
         if self.is_zero():
             raise ZeroDivisionError("cannot invert the zero series")
-        c = Rat(self.den, self.row[0])
-        h = self.shift(-self.v, c) - 1  # of the relative precision order - v
-        geom = power = one(h.order)
-        while power.valuation() < h.order:  # (-h)^k has valuation >= k val(h)
+        lead = self.row[0]
+        sign = 1 if lead > 0 else -1
+        # h = a / (c q^v) - 1, of the relative precision order - v
+        h = _from_row(self.qd, 0, self.s, [0, *(sign * c for c in self.row[1:])], sign * lead,
+                      self.top - self.lo)
+        geom = power = _constant(1, h.qd, h.top)
+        while power.lo * h.qd < h.top * power.qd:  # (-h)^k has valuation >= k val(h)
             power = power * (-h)
             geom = geom + power
-        return geom.shift(-self.v, c)
+        return geom.shift(Rat(-self.lo, self.qd), Rat(self.den, lead))
 
     def shift(self, e, c=1):
         """Multiply by the exact monomial c*q^e (order shifts by e)."""
-        e = rat(e)
-        c = rat(c)
-        row = [x * c.numerator for x in self.row] if c != 1 else self.row
-        return _from_row(self.v + e, self.step, row, self.den * c.denominator, self.order + e)
+        (n, d), (cn, cd) = _ratio(e), _ratio(c)
+        qd = lcm(self.qd, d)
+        m, u = qd // self.qd, n * (qd // d)
+        row = [x * cn for x in self.row] if cn != 1 else self.row
+        return _from_row(qd, self.lo * m + u, self.s * m, row, self.den * cd, self.top * m + u)
 
     def scale_q(self, k):
         """Substitute q -> q^k for positive rational k."""
-        k = rat(k)
-        if k <= 0:
+        n, d = _ratio(k)
+        if n <= 0:
             raise ValueError("scale factor must be positive")
-        return _from_row(self.v * k, self.step * k, self.row, self.den, self.order * k)
+        return _from_row(self.qd * d, self.lo * n, self.s * n, self.row, self.den, self.top * n)
 
     def truncate(self, order):
         """Lower the truncation order (raising it is not meaningful)."""
-        order = rat(order)
-        if order == self.order:
-            return self
-        if order > self.order:
+        n, d = _ratio(order)
+        if n * self.qd > self.top * d:
             raise ValueError("cannot extend a truncated series")
-        n = max(rat_ceil((order - self.v) / self.step), 0)
-        return _from_row(self.v, self.step, self.row[:n], self.den, order)
+        qd = lcm(self.qd, d)
+        return self._cut(qd, n * (qd // d))
+
+    def _cut(self, qd, top):
+        """The series truncated to the order top/qd, no more than its own,
+        for qd a multiple of its qd."""
+        m = qd // self.qd
+        if top == self.top * m:
+            return self
+        lo, s = self.lo * m, self.s * m
+        return _from_row(qd, lo, s, self.row[:max(_ceil_div(top - lo, s), 0)], self.den, top)
 
     # -- comparison and display ---------------------------------------------
 
@@ -237,7 +268,7 @@ class PuiseuxSeries:
         return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
     def __hash__(self):
-        return hash((self.order, self.v, self.step, self.den, tuple(self.row)))
+        return hash((self.qd, self.lo, self.s, self.top, self.den, tuple(self.row)))
 
     def __repr__(self):
         if not self.row:
@@ -256,25 +287,36 @@ class PuiseuxSeries:
         return f"{body} + O(q^{self.order})"
 
 
-def _from_row(v, step, row, den, order):
-    """The series sum_i row[i]/den q^(v + i step) for Rat v, step > 0 and
-    order, every exponent below order, and ints den > 0 and row, not copied."""
-    return object.__new__(PuiseuxSeries)._store(v, step, row, den, order)
+def _from_row(qd, lo, s, row, den, top):
+    """The series sum_i row[i]/den q^((lo + i s)/qd) for ints qd > 0, s > 0,
+    den > 0 and lo, every exponent below top/qd, and the ints row, not
+    copied."""
+    return object.__new__(PuiseuxSeries)._store(qd, lo, s, row, den, top)
+
+
+def _constant(c, qd, top):
+    """The int c as a series of order top/qd."""
+    return _from_row(qd, 0, qd, [c] if top > 0 else [], 1, top)
+
+
+def _int_row(row, v, d, order):
+    """The series sum_i row[i] q^(v + i/d) for the ints row, not copied, a
+    rational v, an int d > 0 and a rational order above every exponent."""
+    (vn, vd), (n, od) = _ratio(v), _ratio(order)
+    qd = lcm(d, vd, od)
+    return _from_row(qd, vn * (qd // vd), qd // d, row, 1, n * (qd // od))
+
+
+def _ceil_div(a, b):
+    """ceil(a / b) for ints a and b > 0."""
+    return -(-a // b)
 
 
 def _scaled(*vals):
     """(d, integers d*v) for rationals v, d the lcm of their denominators."""
-    vals = [rat(v) for v in vals]
+    vals = [v if type(v) is int else rat(v) for v in vals]
     d = lcm(*(v.denominator for v in vals))
     return d, [v.numerator * (d // v.denominator) for v in vals]
-
-
-def _grid(*xs):
-    """(g, [x / g for x in xs]) for g > 0 the gcd of the rationals xs,
-    not all zero: the coarsest step of a grid through all of them."""
-    d, us = _scaled(*xs)
-    g = gcd(*us)
-    return Rat(g, d), [u // g for u in us]
 
 
 def _spread(row, k, f=1):
@@ -308,8 +350,10 @@ def one(order):
 
 
 def monomial(c, e, order):
-    c, e, order = rat(c), rat(e), rat(order)
-    return _from_row(e, _ONE, [c.numerator] if e < order else [], c.denominator, order)
+    (cn, cd), (n, d), (on, od) = _ratio(c), _ratio(e), _ratio(order)
+    qd = lcm(d, od)
+    u, top = n * (qd // d), on * (qd // od)
+    return _from_row(qd, u, qd, [cn] if u < top else [], cd, top)
 
 
 # -- classical builders ------------------------------------------------------
@@ -385,19 +429,21 @@ def _binomial_table(factors, order, start=None):
     an earlier call, is cut to the order and multiplied in place; an order
     past its rows' end or an e off its grid 1/d raises ValueError.
     """
-    factors = [(sign, a, rat(e), power) for sign, a, e, power in factors]
-    d, table = start or (lcm(1, *(e.denominator for _, _, e, _ in factors)), None)
-    n = max(0, rat_ceil(rat(order) * d))
+    factors = [(sign, a, _ratio(e), power) for sign, a, e, power in factors]
+    d, table = start or (lcm(1, *(ed for _, _, (_, ed), _ in factors)), None)
+    on, od = _ratio(order)
+    n = max(0, _ceil_div(on * d, od))
     if table is None:
         table = {0: [1] + [0] * (n - 1)} if n else {}
     elif min(map(len, table.values()), default=0) < n:
         raise ValueError(f"cannot continue a table to order {order}: its rows end before it")
     for row in table.values():
         del row[n:]
-    for sign, a, e, power in factors:
-        if e < 0 or (not e and power < 0) or d % e.denominator:
-            raise ValueError(f"cannot expand (1 - {sign} u^{a} q^{e})^{power} on the grid 1/{d}")
-        k = e.numerator * (d // e.denominator)
+    for sign, a, (en, ed), power in factors:
+        if en < 0 or (not en and power < 0) or d % ed:
+            raise ValueError(f"cannot expand (1 - {sign} u^{a} q^{Rat(en, ed)})^{power} "
+                             f"on the grid 1/{d}")
+        k = en * (d // ed)
         for _ in range(abs(power) if k < n else 0):
             if power > 0:  # every row is read before it is written
                 for m in sorted(table, reverse=a > 0):
@@ -421,7 +467,7 @@ def _binomial_table(factors, order, start=None):
 def _binomial_series(factors, order):
     """The one-variable product of _binomial_table, every a = 0."""
     d, table = _binomial_table(factors, order)
-    return _from_row(Rat(0), Rat(1, d), table.get(0, []), 1, rat(order))
+    return _int_row(table.get(0, []), 0, d, order)
 
 
 # -- exact enumeration of quadratic exponents ----------------------------------
@@ -499,30 +545,36 @@ def lattice_points(form, linear, const, order, lower=(None, None)):
 
 def lattice_sum(form, linear, const, order, weight, lower=(None, None)):
     """sum of weight(n1, n2) q^E(n) over the points n that
-    lattice_points(form, linear, const, order, lower) yields."""
+    lattice_points(form, linear, const, order, lower) yields, the weights
+    added up by the int exponent d E(n) over the lcm d of the inputs'
+    denominators."""
+    d, (a, b, c, l1, l2, k, top) = _scaled(*form, *linear, const, order)
     acc = {}
-    for n1, n2, e in lattice_points(form, linear, const, order, lower):
-        w = weight(n1, n2)
-        if w:
-            acc[e] = acc.get(e, 0) + w
-    return PuiseuxSeries(acc, order)
+    for n1, row in lattice_rows(form, linear, const, order, lower):
+        lin = b * n1 + l2
+        cst = (a * n1 + l1) * n1 + k
+        for n2 in row:
+            w = weight(n1, n2)
+            if w:
+                u = (c * n2 + lin) * n2 + cst
+                acc[u] = acc.get(u, 0) + w
+    return object.__new__(PuiseuxSeries)._store_terms(d, acc, top)
 
 
 # -- serialization ------------------------------------------------------------
 
 
-def _term_strs(s):
+def _term_strs(a):
     """The (exponent, coefficient) pairs of items() as rat_str strings, read
-    straight off the int row: exponent (v + step i)/d and coefficient c/den,
+    straight off the int row: exponent (lo + s i)/qd and coefficient c/den,
     each reduced by one gcd."""
-    d, (v, t) = _scaled(s.v, s.step)
-    den = s.den
-    return [(ratio_str(v + t * i, d), ratio_str(c, den)) for i, c in enumerate(s.row) if c]
+    qd, lo, s, den = a.qd, a.lo, a.s, a.den
+    return [(ratio_str(lo + s * i, qd), ratio_str(c, den)) for i, c in enumerate(a.row) if c]
 
 
 def series_to_json(s):
     return {
-        "order": rat_str(s.order),
+        "order": ratio_str(s.top, s.qd),
         "terms": [{"exp": e, "coeff": c} for e, c in _term_strs(s)],
     }
 

@@ -52,7 +52,7 @@ from .series import (
     lattice_points,
     monomial as q_monomial,
     _binomial_table,
-    _from_row,
+    _int_row,
 )
 from .bilaurent import (
     UNIT_KEYS,
@@ -96,10 +96,10 @@ def _unit_product(unit, factors, qorder, lead=(0, 0)):
     d1, d2 = _unit_dirs(unit)
     l, v = lead[0], rat(lead[1])  # l an int or a Rat
     d, table = _binomial_table(factors, qorder - v)
-    step, rows = Rat(1, d), {}
+    rows = {}
     for m, row in table.items():
         e = m * l.denominator + l.numerator  # the key m + l over l's denominator
-        rows[(e * d1, e * d2)] = _from_row(v, step, row, 1, qorder)
+        rows[(e * d1, e * d2)] = _int_row(row, v, d, qorder)
     return _from_rows(l.denominator, rows, qorder)
 
 
@@ -208,7 +208,7 @@ def s01_factor(unit, qorder, zwindow):
         if m in table:
             acc = list(map(add, acc, table[m]))
         h = 2 * m + 1  # twice the key m + 1/2
-        rows[(h * d1, h * d2)] = _from_row(-Rat(1, 8), Rat(1, d), acc, 1, qorder)
+        rows[(h * d1, h * d2)] = _int_row(acc, Rat(-1, 8), d, qorder)
     return _from_rows(2, rows, qorder, zwindow)
 
 

@@ -291,7 +291,26 @@ def test_T_coset_ranges_cover_every_lattice_term_above_the_tail(t, y1, y2):
     assert rows  # the term at n = 0 has magnitude 1 > e^-41
 
 
+def _sawtooth(x):
+    """((x)) = x - floor(x) - 1/2, and 0 at the integers."""
+    fl = math.floor(x)
+    return Rat(0) if x == fl else x - fl - Rat(1, 2)
+
+
+def _sawtooth_dedekind_sum(d, c):
+    """s(d, c) as the sum of sawtooth products, one Rat per term."""
+    return sum((_sawtooth(Rat(k, c)) * _sawtooth(Rat(k * d, c)) for k in range(1, c)), Rat(0))
+
+
 class TestArithmetic:
+    def test_dedekind_sum_matches_the_sawtooth_sum(self):
+        pairs = [(d, c) for c in range(1, 61) for d in range(-c, c + 1)
+                 if math.gcd(d, c) == 1]
+        for d, c in pairs:
+            got = dedekind_sum(d, c)
+            assert type(got) is Rat and got == _sawtooth_dedekind_sum(d, c), (d, c)
+        assert sum(d < 0 for d, _ in pairs) > 500
+
     def test_dedekind_base_cases(self):
         assert dedekind_sum(1, 2) == 0
         assert dedekind_sum(1, 3) == Rat(1, 18)

@@ -20,6 +20,7 @@ from falsetheta.series import (
     quadratic_range,
     lattice_rows,
     lattice_points,
+    lattice_sum,
     series_to_json,
     series_from_json,
     _binomial_table,
@@ -136,20 +137,24 @@ def _pairwise_mul(a, b):
 
 def _assert_clean(s):
     """Rat exponents below the Rat order, each with a nonzero Rat
-    coefficient, read off the one stored form: a row that starts and ends
-    nonzero, with nonzero entries at indices of gcd 1, over a denominator
-    coprime to them; zero is v = order, step 1."""
-    assert type(s.order) is Rat
+    coefficient, read off the one stored int form: exponents (lo + i s)/qd
+    below top/qd with qd > 0 and gcd(qd, lo, s, top) = 1, and a row that
+    starts and ends nonzero, with nonzero entries at indices of gcd 1, over
+    a denominator coprime to them; zero is lo = top, s = qd, den 1."""
+    assert type(s.order) is Rat and s.order == Rat(s.top, s.qd)
+    assert type(s.valuation()) is Rat
     for e, c in s.terms.items():
         assert type(e) is Rat and e < s.order
         assert type(c) is Rat and c
-    assert type(s.v) is Rat and type(s.step) is Rat and s.den > 0
+    assert all(type(x) is int for x in (s.qd, s.lo, s.s, s.top, s.den, *s.row))
+    assert s.qd > 0 and s.s > 0 and s.den > 0
+    assert gcd(s.qd, s.lo, s.s, s.top) == 1
     if not s.row:
-        assert (s.v, s.step, s.den) == (s.order, 1, 1)
+        assert (s.lo, s.s, s.den) == (s.top, s.qd, 1)
         return
-    assert s.row[0] and s.row[-1] and s.step > 0
+    assert s.row[0] and s.row[-1] and s.lo + s.s * (len(s.row) - 1) < s.top
     assert gcd(*(i for i, c in enumerate(s.row) if c)) == (1 if len(s.row) > 1 else 0)
-    assert len(s.row) > 1 or s.step == 1
+    assert len(s.row) > 1 or s.s == s.qd
     assert gcd(s.den, *s.row) == 1
 
 
@@ -312,13 +317,23 @@ class TestRowsAgainstDictSemantics:
         assert a.items() == sorted(a.terms.items())
         assert a.truncate(a.order) is a
 
+    @given(_any_series, st.integers(-48, 96), st.integers(1, 24))
+    @settings(max_examples=300, deadline=None)
+    def test_coeff_reads_the_terms_on_and_off_the_grid(self, a, n, d):
+        terms = a.terms
+        near = [x + Rat(k, d) for x in terms for k in (-1, 1)]  # on or off the grid
+        for e in (Rat(n, d), n, *terms, *near):
+            got = a.coeff(e)
+            assert type(got) is Rat and got == terms.get(e, 0)
+
     def test_a_grid_of_one_term_and_the_zero_series(self):
+        # q^(1/8) over qd = 8, its one term on the step s = qd
         a = monomial(Rat(-3, 4), Rat(1, 8), 2)
-        assert (a.v, a.step, a.row, a.den) == (Rat(1, 8), 1, [-3], 4)
+        assert (a.qd, a.lo, a.s, a.top, a.row, a.den) == (8, 1, 8, 16, [-3], 4)
         b = _on_grid(Rat(1, 8), Rat(1, 3), [2, 0, 0, Rat(4, 3)], 3)
-        assert (b.v, b.step, b.row, b.den) == (Rat(1, 8), 1, [6, 4], 3)
+        assert (b.qd, b.lo, b.s, b.top, b.row, b.den) == (8, 1, 8, 24, [6, 4], 3)
         z = a - a
-        assert z == zero(2) and (z.v, z.step, z.row, z.den) == (2, 1, [], 1)
+        assert z == zero(2) and (z.qd, z.lo, z.s, z.top, z.row, z.den) == (1, 2, 1, 2, [], 1)
         assert a.coeff(Rat(1, 8)) == Rat(-3, 4) and a.coeff(Rat(9, 8)) == 0
 
 
@@ -488,6 +503,32 @@ class TestLatticePoints:
         assert all(isinstance(r, range) for _, r in rows)
         assert [n1 for n1, _ in rows] == sorted({n1 for n1, _ in rows})
         assert [(n1, n2) for n1, r in rows for n2 in r] == [(n1, n2) for n1, n2, _ in want]
+
+    @given(
+        a=_rationals(1, 4, 4), c=_rationals(1, 4, 4),
+        skew=_rationals(-1, 1, 4),
+        l1=_rationals(-3, 3, 8), l2=_rationals(-3, 3, 8), const=_rationals(-3, 3, 8),
+        order=_rationals(-4, 12),
+        lower=st.tuples(st.none() | st.integers(-4, 4), st.none() | st.integers(-4, 4)),
+        w=st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+        wden=st.sampled_from([1, 1, 2, 3, 7]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sum_matches_one_rat_per_point(self, a, c, skew, l1, l2, const, order, lower,
+                                           w, wden):
+        b = skew * Rat(8, 5) * min(a, c)
+        args = ((a, b, c), (l1, l2), const, order)
+
+        def weight(n1, n2):  # an int for wden 1, else a Rat; some weights are 0
+            x = w[0] * n1 + w[1] * n2 + w[2]
+            return x if wden == 1 else Rat(x, wden)
+
+        acc = {}
+        for n1, n2, e in lattice_points(*args, lower):
+            acc[e] = acc.get(e, 0) + weight(n1, n2)
+        got = lattice_sum(*args, weight, lower)
+        assert got == PuiseuxSeries(acc, order)
+        _assert_clean(got)
 
     @pytest.mark.parametrize("form", [(1, 2, 1), (1, 3, 1), (0, 0, 1), (-1, 0, -1)])
     def test_rejects_a_form_that_is_not_positive_definite(self, form):
