@@ -43,7 +43,7 @@ from math import gcd, lcm
 from .rat import Rat, rat, rat_floor, rat_str, ratio_str, parse_rat
 from .series import PuiseuxSeries, zero as q_zero, monomial as q_monomial
 from .series import series_to_json, series_from_json
-from .series import _ceil_div, _from_row, _mul_add, _scaled, _spread
+from .series import _ceil_div, _from_row, _mul_add, _scaled, _spread, _zeros
 
 # The name of the one annulus every expansion is taken in.
 ANNULUS = "INNER"
@@ -254,7 +254,7 @@ def _int_product(factors, qorder, key=None, orbit=None):
         if dst is None:
             if out in others:
                 continue
-            dst = sums[out] = [0] * ntop
+            dst = sums[out] = _zeros(ntop)
             if orbit is not None:
                 others.update(orbit(out))
         part = tup[0] if len(tup) > 1 else [1]

@@ -11,8 +11,9 @@ q-power (anything involving 1/(1 - zeta) factors) clip both sides to a
 key box where both routes are complete, read off the support of the
 series they built: a product with a factor clipped at W is complete
 within W less the other factors' largest key.  The engine compares
-every key of the two sides it is given; a grid that compares nothing
-raises.
+every key of the two sides it is given, one- and two-variable alike, in
+one walk over their rows that finds the least differing exponent and
+counts the coefficients compared; a grid that compares none raises.
 """
 
 import fnmatch
@@ -121,36 +122,32 @@ def report_to_json(rep):
 # -- comparison ----------------------------------------------------------------
 
 
-def _series_diff(a, b, order):
-    """(e, a_e, b_e) at the least e below every order where a, b differ."""
-    o = min(a.order, b.order, order)
-    a, b = a.truncate(o), b.truncate(o)
-    if a == b:
-        return None
-    e = (a - b).valuation()
-    return (e, a.coeff(e), b.coeff(e))
+def _diff(lhs, rhs, order):
+    """(discrepancy, compared) of two sides below order and both sides' orders.
 
-
-def _compares(a, b, order):
-    """Whether a or b has a nonzero coefficient below order and below both
-    sides' orders: whether comparing them checks anything."""
-    if isinstance(a, PuiseuxSeries):
-        o, coeffs = min(a.order, b.order, order), (a, b)
+    A PuiseuxSeries is one row, a BiLaurentSeries its rows in increasing
+    key.  The discrepancy is None, or the least q-exponent e where the
+    sides differ, ties going to the first key: (e, a_e, b_e) for one
+    variable, ((e1, e2, e), a_e, b_e) for two.  compared counts the places
+    (key, e) where either side has a nonzero coefficient.
+    """
+    if isinstance(lhs, PuiseuxSeries):
+        o, kd, (ra, rb) = min(lhs.order, rhs.order, order), None, ({(): lhs}, {(): rhs})
     else:
-        o, coeffs = min(a.qorder, b.qorder, order), (*a.rows.values(), *b.rows.values())
-    return any(not c.truncate(o).is_zero() for c in coeffs)
-
-
-def _bl_diff(a, b, order):
-    """((e1, e2, e), a_e, b_e) at the least e, then key, where a and b differ."""
-    kd, (ra, rb) = _common_rows((a, b))
-    za, zb = q_zero(a.qorder), q_zero(b.qorder)
-    best = None
+        o, (kd, (ra, rb)) = min(lhs.qorder, rhs.qorder, order), _common_rows((lhs, rhs))
+    zero, disc, least, compared = q_zero(o), None, None, 0
     for key in sorted(ra.keys() | rb.keys()):
-        d = _series_diff(ra.get(key, za), rb.get(key, zb), order)
-        if d is not None and (best is None or d[0] < best[0][2]):
-            best = ((Rat(key[0], kd), Rat(key[1], kd), d[0]), d[1], d[2])
-    return best
+        a, b = ra.get(key, zero).truncate(o), rb.get(key, zero).truncate(o)
+        if a == b:
+            compared += len(a.row) - a.row.count(0)
+            continue
+        # Rats only where the rows differ
+        compared += len(a.terms.keys() | b.terms.keys())
+        e = (a - b).valuation()
+        if disc is None or e < least:
+            loc = e if kd is None else (Rat(key[0], kd), Rat(key[1], kd), e)
+            disc, least = (loc, a.coeff(e), b.coeff(e)), e
+    return disc, compared
 
 
 # -- builder helpers -----------------------------------------------------------
@@ -711,11 +708,13 @@ def verify_identity(ident_id, params=None, order=None, corrupt=False):
     """Build both sides of one registered identity and compare them.
 
     With params=None the entry's whole parameter grid is checked and the
-    reports are folded into one (first discrepancy wins).  corrupt=True
-    perturbs one mid-support coefficient of the left side; the report
-    then carries the perturbed location as its discrepancy (engine
-    self-test support).  Raises ValueError for an order <= 0, and for a
-    whole grid whose sides are all zero below the order.
+    reports are folded into one (first discrepancy wins).  Each point is
+    compared below the order and both sides' orders, and the coefficients
+    compared, the places where either side is nonzero, are added up over
+    the grid.  corrupt=True perturbs one mid-support coefficient of the
+    left side; the report then carries the perturbed location as its
+    discrepancy (engine self-test support).  Raises ValueError for an
+    order <= 0, and for a whole grid that compares no coefficient.
     """
     if ident_id not in _REGISTRY:
         raise KeyError(f"unknown identity {ident_id!r}")
@@ -726,13 +725,12 @@ def verify_identity(ident_id, params=None, order=None, corrupt=False):
     verdict = "equal"
     disc = None
     shown = {}
-    compared = False
+    compared = 0
     for point in grid:
         lhs, rhs = ident.build(point, order)
         if corrupt:
             lhs, injected = _corrupt(lhs)
-        diff = _series_diff if isinstance(lhs, PuiseuxSeries) else _bl_diff
-        d = diff(lhs, rhs, order)
+        d, n = _diff(lhs, rhs, order)
         if d is not None:
             if corrupt and d[0] != injected:
                 raise AssertionError(f"corruption at {injected} reported at {d[0]}")
@@ -743,7 +741,7 @@ def verify_identity(ident_id, params=None, order=None, corrupt=False):
         if corrupt:
             # a corrupted side must be flagged; reaching here is a bug
             raise AssertionError("corrupted comparison reported equal")
-        compared = compared or _compares(lhs, rhs, order)
+        compared += n
     if params is None and disc is None and not compared:
         raise ValueError(
             f"{ident_id} compares no coefficient below order {rat_str(order)}"

@@ -18,7 +18,9 @@ where val() is the minimal stored exponent (defined as the order for the
 empty series, which is the canonical zero).  Sums and products put both
 operands over the lcm of their qd and spread each row onto the coarsest
 grid common to both; a product is one convolution, _mul_add, which
-bilaurent's products share.
+bilaurent's products share.  The rows of a new series, a sum or a
+product are laid out by _zeros, which refuses with ValueError one longer
+than _MAX_ROW before allocating it.
 
 Sums of q^(quadratic in n) are enumerated exactly, with no guessed box:
 `quadratic_range` gives the integers n with a n^2 + b n + c < order, and
@@ -37,6 +39,12 @@ from math import gcd, isqrt, lcm
 from operator import add, sub
 
 from .rat import Rat, rat, rat_ceil, ratio_str, parse_rat, _positive_order, _ratio
+
+# The most entries a row may have: terms whose exponents lie far apart on a
+# fine grid, such as 0, 1/2^62 and 1, would otherwise lay out a row of
+# billions of zeros.  The rows that the identities, the expansions and the
+# tests build have under a thousand entries.
+_MAX_ROW = 10**7
 
 __all__ = [
     "PuiseuxSeries",
@@ -72,7 +80,7 @@ class PuiseuxSeries:
         den, cs = _scaled(*terms.values())
         lo = min(terms, default=top)
         g = gcd(*(u - lo for u in terms)) or 1
-        row = [0] * ((max(terms) - lo) // g + 1) if terms else []
+        row = _zeros((max(terms) - lo) // g + 1) if terms else []
         for u, c in zip(terms, cs):
             row[(u - lo) // g] = c
         return self._store(qd, lo, g, row, den, top)
@@ -160,7 +168,7 @@ class PuiseuxSeries:
         xa = _spread(self.row, sa // step, den // self.den)
         xb = _spread(other.row, sb // step, den // other.den)
         oa, ob = max(la - lb, 0) // step, max(lb - la, 0) // step  # offsets from min(lo)
-        dst = [0] * max(oa + len(xa), ob + len(xb))
+        dst = _zeros(max(oa + len(xa), ob + len(xb)))
         dst[oa:oa + len(xa)] = xa
         dst[ob:ob + len(xb)] = map(add, dst[ob:ob + len(xb)], xb)
         lo = min(la, lb)
@@ -193,7 +201,7 @@ class PuiseuxSeries:
         la, lb, sa, sb = self.lo * ma, other.lo * mb, self.s * ma, other.s * mb
         top = min(self.top * ma + lb, other.top * mb + la)
         step = gcd(sa, sb)
-        dst = [0] * max(_ceil_div(top - la - lb, step), 0)
+        dst = _zeros(max(_ceil_div(top - la - lb, step), 0))
         _mul_add(dst, 0, _spread(self.row, sa // step), _spread(other.row, sb // step))
         return _from_row(qd, la + lb, step, dst, self.den * other.den, top)
 
@@ -307,6 +315,14 @@ def _int_row(row, v, d, order):
     return _from_row(qd, vn * (qd // vd), qd // d, row, 1, n * (qd // od))
 
 
+def _zeros(n):
+    """[0] * n, refusing with ValueError a row longer than _MAX_ROW before
+    allocating it."""
+    if n > _MAX_ROW:
+        raise ValueError(f"a series row of {n} entries is longer than the {_MAX_ROW} allowed")
+    return [0] * n
+
+
 def _ceil_div(a, b):
     """ceil(a / b) for ints a and b > 0."""
     return -(-a // b)
@@ -325,7 +341,7 @@ def _spread(row, k, f=1):
         row = [c * f for c in row]
     if k == 1:
         return row
-    out = [0] * (k * (len(row) - 1) + 1)
+    out = _zeros(k * (len(row) - 1) + 1)
     out[::k] = row
     return out
 

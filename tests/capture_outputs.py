@@ -5,11 +5,11 @@
 Each entry maps a name to what the program gives for it:
 
 - "sides <id> <point>": the sha256 of both sides of one grid point at the
-  identity's default order, as bl_to_json or series_to_json;
-- "report <id>": the identity's report_to_json at its default order,
+  identity's capture order, as bl_to_json or series_to_json;
+- "report <id>": the identity's report_to_json at its capture order,
   without "ms";
 - "corrupt <id> <order>": the report of a corrupt=True run at order 8 and
-  at the default order, which carries the corrupted location;
+  at the capture order, which carries the corrupted location;
 - "law <law> <i>": the verdict of the i-th point of the law's grid (the
   residual floats depend on the platform's libm, so they are left out);
 - "expand <name> <format>": the exit code and stdout sha256 of one
@@ -28,17 +28,22 @@ from pathlib import Path
 
 from falsetheta import cli
 from falsetheta.bilaurent import bl_to_json
-from falsetheta.identities import (
-    _REGISTRY,
-    identity_default_order,
-    registered_ids,
-    report_to_json,
-    verify_identity,
-)
+from falsetheta.identities import _REGISTRY, registered_ids, report_to_json, verify_identity
 from falsetheta.numeric import LAW_IDS, run_transformation_checks
+from falsetheta.rat import Rat
 from falsetheta.series import PuiseuxSeries, series_to_json
 
 PATH = Path(__file__).with_name("outputs.json")
+
+# the order each identity's entries are captured at, the default orders when
+# they were captured: named here so that a default order can deepen without
+# moving these entries or making them slower to recompute
+CAPTURE_ORDERS = {
+    "E1": 30, "E2": 20, "E3": 20, "E4": 20, "E5": 20, "E6": 20, "E6b": 20,
+    "E7": 15, "E8": 20, "E9": 15, "E10": 15, "E11": 15, "E12": 15, "E12b": 15,
+    "E13": 20, "E14": 15, "E15": 30, "E15b": 30, "E16": 25, "E17": 15,
+    "E18": 25, "E19": 1, "E20": 40,
+}
 
 # the arguments of the one expand call per series name
 EXPAND_ARGS = {
@@ -76,7 +81,7 @@ def _report(rep):
 
 def sides():
     for ident in registered_ids():
-        order = identity_default_order(ident)
+        order = Rat(CAPTURE_ORDERS[ident])
         for point in _REGISTRY[ident].grid:
             pair = _REGISTRY[ident].build(point, order)
             yield (f"sides {ident} {json.dumps(point)}",
@@ -85,12 +90,12 @@ def sides():
 
 def reports():
     for ident in registered_ids():
-        yield f"report {ident}", _report(verify_identity(ident))
+        yield f"report {ident}", _report(verify_identity(ident, order=CAPTURE_ORDERS[ident]))
 
 
 def corruptions():
     for ident in registered_ids():
-        for order in (8, identity_default_order(ident)):
+        for order in (8, CAPTURE_ORDERS[ident]):
             rep = verify_identity(ident, order=order, corrupt=True)
             yield f"corrupt {ident} {order}", _report(rep)
 

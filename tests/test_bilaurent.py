@@ -52,6 +52,12 @@ class TestStructure:
         assert c.qorder == min(Rat(6) + 3, Rat(7) + 2)
         assert c.coeff(1, 0).coeff(5) == 1
 
+    def test_a_product_row_too_long_to_lay_out_is_refused(self):
+        # known below q^(10^8), so each key's product row has 10^8 entries
+        p = PuiseuxSeries({0: 1, 1: 1}, 10**8)
+        with pytest.raises(ValueError, match="entries is longer than"):
+            bl_mul(bl_monomial(p, 0, 0, 10**8), bl_monomial(p, 1, 0, 10**8))
+
     def test_add_keeps_the_smaller_window(self):
         a = mono(1, 0, 0, 0, Rat(5), window=3)
         b = mono(1, 1, 1, 0, Rat(5), window=1)

@@ -108,6 +108,15 @@ class TestExpand:
         assert exc.value.code == USAGE_ERROR
         assert "cannot parse rational '1/0'" in capsys.readouterr().err
 
+    def test_a_row_too_long_to_lay_out_is_usage_error(self, capsys):
+        # G_frak at this lambda would lay out one row of 999,986,666,632 entries
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "expand", "Gfrak", "--lambda", "1/1000003,1/999983",
+                             "--order", "4")
+        assert time.monotonic() - t0 < 1
+        assert code == USAGE_ERROR
+        assert out == "" and "999986666632 entries" in err
+
     def test_rankone_with_a_nonzero_second_index_is_usage_error(self, capsys):
         code, out, err = run(capsys, "expand", "rankone", "--r", "2,5", "--order", "4")
         assert code == USAGE_ERROR

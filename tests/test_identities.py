@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from falsetheta import families, identities, thetas
-from falsetheta.bilaurent import BiLaurentSeries, bl_add, bl_monomial
+from falsetheta.bilaurent import BiLaurentSeries, bl_add, bl_monomial, _common_rows
 from falsetheta.rat import Rat, rat_ceil
-from falsetheta.series import PuiseuxSeries
+from falsetheta.series import PuiseuxSeries, zero as q_zero
 from falsetheta.thetas import _unit_product
 from falsetheta.identities import (
     _REGISTRY,
-    _compares,
+    _diff,
     _divide_one_minus,
     _int_poly,
-    _series_diff,
     registered_ids,
     identity_grid,
     identity_default_order,
@@ -112,16 +111,17 @@ def test_suite_is_deterministic_under_jobs():
     assert [r.verdict for r in seq] == [r.verdict for r in par]
 
 
-def test_series_diff_is_the_least_differing_exponent_below_every_order():
+def test_diff_is_the_least_differing_exponent_below_every_order():
     a = PuiseuxSeries({0: 1, Rat(1, 3): 2, Rat(7, 8): 5, 3: 1}, 4)
     b = PuiseuxSeries({0: 1, Rat(1, 3): 2, Rat(7, 8): 4, Rat(9, 8): 1}, Rat(7, 2))
-    assert _series_diff(a, b, 10) == (Rat(7, 8), 5, 4)
-    assert _series_diff(a, b, Rat(7, 8)) is None
+    # compared: q^0, q^(1/3), q^(7/8), q^(9/8) and a's q^3
+    assert _diff(a, b, 10) == ((Rat(7, 8), 5, 4), 5)
+    assert _diff(a, b, Rat(7, 8)) == (None, 2)
     c = PuiseuxSeries({0: 1, Rat(1, 3): 2, Rat(7, 8): 5, Rat(9, 8): 1}, 3)
-    assert _series_diff(a, c, 10) == (Rat(9, 8), 0, 1)
+    assert _diff(a, c, 10) == ((Rat(9, 8), 0, 1), 4)
     # a's q^3 lies at c's order, so only q^(9/8) can differ
-    assert _series_diff(c, a, 10) == (Rat(9, 8), 1, 0)
-    assert _series_diff(a, a.truncate(3), 10) is None
+    assert _diff(c, a, 10) == ((Rat(9, 8), 1, 0), 4)
+    assert _diff(a, a.truncate(3), 10) == (None, 3)
 
 
 def test_a_grid_that_compares_nothing_is_refused():
@@ -134,7 +134,7 @@ def test_vanishing_sums_compare_at_every_grid_point(ident, order):
     # each side is one half of a sum that cancels, so neither is zero
     for point in identity_grid(ident):
         lhs, rhs = _REGISTRY[ident].build(point, order)
-        assert _compares(lhs, rhs, order), point
+        assert _diff(lhs, rhs, order)[1], point
     assert verify_identity(ident, order=order).verdict == "equal"
 
 
@@ -147,7 +147,7 @@ def _six_monomials(n1, n2):
 def test_E19_compares_over_its_whole_grid():
     # the points whose six-monomial numerator cancels compare nothing alone
     empty = [p for p in identity_grid("E19")
-             if not _compares(*_REGISTRY["E19"].build(p, Rat(1)), Rat(1))]
+             if not _diff(*_REGISTRY["E19"].build(p, Rat(1)), Rat(1))[1]]
     assert len(empty) == 11
     assert all(not _six_monomials(p["n1"], p["n2"]).terms for p in empty)
     assert verify_identity("E19", order=1).verdict == "equal"
@@ -214,7 +214,7 @@ _T2T_POINTS = [(i, p) for i in ("E6", "E6b") for p in identity_grid(i)]
                          ids=[f"{i}-{p['variant']}-{p['unit']}" for i, p in _T2T_POINTS])
 def test_each_theta_ratio_point_compares_and_is_equal(ident, point):
     lhs, rhs = _REGISTRY[ident].build(point, Rat(8))
-    assert _compares(lhs, rhs, Rat(8))
+    assert _diff(lhs, rhs, Rat(8))[1]
     assert verify_identity(ident, point, 8).verdict == "equal"
 
 
@@ -224,12 +224,96 @@ def test_theta_ratio_grids_check_every_variant_on_every_unit(ident, variants):
     assert points == {(v, u) for v in variants for u in ("z1", "z2", "z12")}
 
 
-def test_compares_looks_below_every_order():
+def test_diff_counts_below_every_order():
     a = PuiseuxSeries({Rat(7, 8): 5, 3: 1}, 4)
     zero = PuiseuxSeries({}, 2)
-    assert _compares(a, zero, 10) and _compares(zero, a, 10)
-    assert not _compares(a, zero, Rat(7, 8))  # the order asked
-    assert not _compares(a.shift(2), zero, 10)  # q^(23/8) lies past zero's order
+    # q^3 lies past zero's order
+    assert _diff(a, zero, 10)[1] == _diff(zero, a, 10)[1] == 1
+    assert _diff(a, zero, Rat(7, 8))[1] == 0  # the order asked
+    assert _diff(a.shift(2), zero, 10)[1] == 0  # q^(23/8) lies past zero's order
+
+
+# the comparison as three helpers, one per variable count and one for
+# whether anything is compared, kept as the oracle of _diff
+
+
+def _series_diff(a, b, order):
+    """(e, a_e, b_e) at the least e below every order where a, b differ."""
+    o = min(a.order, b.order, order)
+    a, b = a.truncate(o), b.truncate(o)
+    if a == b:
+        return None
+    e = (a - b).valuation()
+    return (e, a.coeff(e), b.coeff(e))
+
+
+def _compares(a, b, order):
+    """Whether a or b has a nonzero coefficient below order and below both
+    sides' orders."""
+    if isinstance(a, PuiseuxSeries):
+        o, coeffs = min(a.order, b.order, order), (a, b)
+    else:
+        o, coeffs = min(a.qorder, b.qorder, order), (*a.rows.values(), *b.rows.values())
+    return any(not c.truncate(o).is_zero() for c in coeffs)
+
+
+def _bl_diff(a, b, order):
+    """((e1, e2, e), a_e, b_e) at the least e, then key, where a and b differ."""
+    kd, (ra, rb) = _common_rows((a, b))
+    za, zb = q_zero(a.qorder), q_zero(b.qorder)
+    best = None
+    for key in sorted(ra.keys() | rb.keys()):
+        d = _series_diff(ra.get(key, za), rb.get(key, zb), order)
+        if d is not None and (best is None or d[0] < best[0][2]):
+            best = ((Rat(key[0], kd), Rat(key[1], kd), d[0]), d[1], d[2])
+    return best
+
+
+def _places(a, b, order):
+    """The places (key, e) below every order where a or b is nonzero."""
+    if isinstance(a, PuiseuxSeries):
+        a, b = bl_monomial(a, 0, 0, a.order), bl_monomial(b, 0, 0, b.order)
+    o = min(a.qorder, b.qorder, order)
+    return {(k, e) for s in (a, b) for k, c in s.terms.items() for e in c.truncate(o).terms}
+
+
+_EXPS = st.sampled_from(sorted({Rat(n, d) for d in (1, 2, 3) for n in range(-2, 9)}))
+_CHANGES = st.dictionaries(_EXPS, st.integers(-2, 2), max_size=3)
+_ORDERS = st.sampled_from([Rat(n, 2) for n in range(-1, 9) if n])
+_KEYS = st.sampled_from([(Rat(a, 2), Rat(b, 2)) for a in (-2, -1, 0, 1) for b in (-1, 0, 2)])
+
+
+@st.composite
+def _side_pairs(draw):
+    """Two sides that share most terms, of unequal orders; two-variable sides
+    may miss keys of the other, and one change at several keys gives equal
+    least exponents at two keys."""
+    qa, qb = draw(_ORDERS), draw(_ORDERS)
+    if draw(st.booleans()):
+        a = draw(st.dictionaries(_EXPS, st.integers(-2, 2), max_size=6))
+        b = {**a, **draw(_CHANGES)}
+        return PuiseuxSeries(a, qa), PuiseuxSeries(b, qb)
+    a = draw(st.dictionaries(_KEYS, st.dictionaries(_EXPS, st.integers(-2, 2), max_size=4),
+                             max_size=5))
+    b = dict(a)
+    changes = draw(_CHANGES)
+    for key in draw(st.lists(_KEYS, max_size=3)):
+        b[key] = {**b.get(key, {}), **changes}
+    for key in draw(st.lists(_KEYS, max_size=2)):
+        b.pop(key, None)
+    return tuple(BiLaurentSeries({k: PuiseuxSeries(t, q) for k, t in terms.items()}, q)
+                 for terms, q in ((a, qa), (b, qb)))
+
+
+@given(_side_pairs(), _ORDERS)
+@settings(max_examples=300, deadline=None)
+def test_diff_matches_the_three_helpers(sides, order):
+    a, b = sides
+    disc, compared = _diff(a, b, order)
+    diff = _series_diff if isinstance(a, PuiseuxSeries) else _bl_diff
+    assert disc == diff(a, b, order)
+    assert compared == len(_places(a, b, order))
+    assert bool(compared) == _compares(a, b, order)
 
 
 def _E16_left_by_terms(order):

@@ -8,8 +8,9 @@ import json
 
 import pytest
 
-from capture_outputs import EXPAND_ARGS, GROUPS, PATH
+from capture_outputs import CAPTURE_ORDERS, EXPAND_ARGS, GROUPS, PATH
 from falsetheta.cli import build_parser
+from falsetheta.identities import registered_ids
 
 STORED = json.loads(PATH.read_text())
 
@@ -26,6 +27,10 @@ def test_outputs_match_the_stored_ones(group):
 
 def test_every_entry_belongs_to_a_group():
     assert {name.split()[0] for name in STORED} == set(GROUPS)
+
+
+def test_every_identity_has_a_capture_order():
+    assert sorted(CAPTURE_ORDERS) == registered_ids()
 
 
 def test_every_series_name_is_expanded():

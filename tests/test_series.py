@@ -99,6 +99,19 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             rat(0.5)
 
+    @pytest.mark.parametrize("build", [
+        # three terms on the grid 1/2^62: a row of 2^62 + 1 entries
+        lambda: PuiseuxSeries({0: 1, Fraction(1, 2**62): 1, 1: 1}, 2),
+        # a sum spread onto that grid, and a sum whose terms lie 10^8 apart
+        lambda: PuiseuxSeries({0: 1, 1: 1}, 2) + PuiseuxSeries({Fraction(1, 2**62): 1}, 2),
+        lambda: PuiseuxSeries({0: 1}, 10**9) + PuiseuxSeries({10**8: 1}, 10**9),
+        # a product known below q^(10^8)
+        lambda: PuiseuxSeries({0: 1, 1: 1}, 10**8) * PuiseuxSeries({0: 1, 1: 1}, 10**8),
+    ])
+    def test_a_row_too_long_to_lay_out_is_refused(self, build):
+        with pytest.raises(ValueError, match="entries is longer than"):
+            build()
+
     @given(small_series(), small_series())
     @settings(max_examples=60, deadline=None)
     def test_add_commutes(self, a, b):
