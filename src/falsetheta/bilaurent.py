@@ -15,17 +15,19 @@ one.  The JSON and the text output still name it, "region": ANNULUS, and
 bl_from_json refuses any other, because a file may come from outside the
 program.
 
-bl_mul and product_coeff share one kernel, _int_product: it puts the
-int exponents of every key's PuiseuxSeries over one denominator, spreads
-the integer rows onto one grid of exponents and convolves them with
+bl_mul and product_coeff share one layout, _layout: it puts the int
+exponents of every key's PuiseuxSeries over one denominator and spreads
+the integer rows onto one grid of exponents, which they convolve with
 series._mul_add, on which PuiseuxSeries products run too; each result
-row becomes a series as is, from ints.
+row becomes a series as is, from ints.  bl_mul walks the key pairs of
+its two factors; product_coeff reads one coefficient of a(z1) b(z2)
+c(z1 z2), one unit factor per direction, as a sum over the keys of c.
 A caller that knows a product to be symmetric under a group acting
 linearly on the keys passes bl_mul the keyword-only `orbit`, a map from
 a key to the keys of its orbit: one key per orbit is convolved, and the
 keys of the orbit share one series object.  Shared rows stay shared:
 bl_scalar_mul, truncate_q, clip and bl_to_json map each row object once,
-through _map_rows, and the kernel spreads it once.
+through _map_rows, and _layout spreads it once.
 
 The optional `window` W marks a clip: keys outside |e1|, |e2| <= W were
 dropped, so their coefficients are unknown and reading one raises.  It
@@ -194,27 +196,18 @@ def bl_add(*operands):
     return _from_rows(kd, rows, min(b.qorder for b in operands), min(windows, default=None))
 
 
-def _int_product(factors, qorder, key=None, orbit=None):
-    """The rows below qorder of the product of the factors, given as their
-    rows over one kd; with a key over that kd, only that key's.
+def _layout(factors, qorder):
+    """(rows, ntop, series) for products below qorder of the nonempty
+    factors, given as their rows over one kd.
 
     Every row goes over qd, the lcm of the rows' qd and of the qorder's
-    denominator, and is spread onto one grid of step s, the gcd of all
+    denominator, and is spread onto one grid of step g, the gcd of all
     steps and of the valuation differences within each factor: a key of
-    valuation v/qd becomes (lo, ints), v = e0 + lo s for e0 its factor's
-    least valuation, ints over the lcm of the factor's denominators.  Key tuples
-    are walked from the last factor down to the first, whose key is looked
-    up when the sum is fixed, and skipped once their rows start at or past
-    the order; each tuple's row product is added into one row per key.
-
-    `orbit` maps a key over kd to the keys of its orbit under a group that
-    the caller guarantees to be a symmetry of the product.  The first key
-    of each orbit that the walk reaches is convolved in full, tuples that
-    sum to any other key of that orbit are skipped, and every key of the
-    orbit maps to the same series object.
+    valuation u/qd becomes (lo, ints), u = e0 + lo g for e0 its factor's
+    least valuation, ints over the lcm of the factor's denominators.  A
+    product of one row per factor starts at the sum of their lo, and its
+    first ntop entries lie below the order; `series` makes it a series.
     """
-    if not all(factors):
-        return {}
     # each row object once, however many keys share it; keyed by id here,
     # not through _map_rows, as the grid needs every distinct row at once
     each = [list({id(s): s for s in f.values()}.values()) for f in factors]
@@ -230,46 +223,7 @@ def _int_product(factors, qorder, key=None, orbit=None):
         spread = {id(s): ((u - m) // g, _spread(s.row, t // g, den // s.den)) for s, t, u in fg}
         rows.append({k: spread[id(s)] for k, s in f.items()})
     v, top = sum(e0), qorder.numerator * (qd // qorder.denominator)
-    ntop = _ceil_div(top - v, g)
-
-    def tuples(i, k, s):
-        # (key sum, start, rows) of factors[:i + 1] whose keys sum to k
-        # (any sum if k is None) and whose rows start below ntop - s
-        if i == 0:
-            # a missing key reads as a row that starts at ntop
-            hits = rows[0].items() if k is None else [(k, rows[0].get(k, (ntop, ())))]
-            for kk, (lo, r) in hits:
-                if s + lo < ntop:
-                    yield kk, s + lo, (r,)
-            return
-        for kk, (lo, r) in rows[i].items():
-            if s + lo < ntop:
-                rest = None if k is None else (k[0] - kk[0], k[1] - kk[1])
-                for out, t, head in tuples(i - 1, rest, s + lo):
-                    yield (out[0] + kk[0], out[1] + kk[1]), t, head + (r,)
-
-    sums, others = {}, set()  # others: the keys that an orbit's first key stands for
-    for out, s, tup in tuples(len(rows) - 1, key, 0):
-        dst = sums.get(out)
-        if dst is None:
-            if out in others:
-                continue
-            dst = sums[out] = _zeros(ntop)
-            if orbit is not None:
-                others.update(orbit(out))
-        part = tup[0] if len(tup) > 1 else [1]
-        for r in tup[1:-1]:
-            nxt = [0] * min(len(part) + len(r) - 1, ntop - s)
-            _mul_add(nxt, 0, part, r)
-            part = nxt
-        _mul_add(dst, s, part, tup[-1])
-    if orbit is None:
-        return {k: _from_row(qd, v, g, row, scale, top) for k, row in sums.items()}
-    out = {}
-    for k, row in sums.items():
-        c = _from_row(qd, v, g, row, scale, top)
-        out.update(dict.fromkeys(orbit(k), c))
-    return out
+    return rows, _ceil_div(top - v, g), lambda row: _from_row(qd, v, g, row, scale, top)
 
 
 def bl_mul(a, b, *, orbit=None):
@@ -277,43 +231,78 @@ def bl_mul(a, b, *, orbit=None):
 
         qorder = min(a.qorder + qval(b), b.qorder + qval(a)).
 
-    One call of the integer-row kernel that product_coeff shares, over
-    every key pair; keys that cancel are dropped.  `orbit`, for a product
-    the caller knows to be symmetric, is _int_product's: one key per orbit
-    is convolved, and the orbit's keys share its row.  It maps int keys
-    over the product's kd, so it must be linear in the key.  It is
-    keyword-only, so that wrappers that unpack `a, b = args` keep working.
+    Every key pair whose rows start below the order, the keys of a taken
+    by the start of their rows, is convolved by series._mul_add into its
+    key sum's row; keys that cancel are dropped.  `orbit` maps an int key
+    over the product's kd to the keys of its orbit under a group that the
+    caller guarantees to be a symmetry of the product, so it must be
+    linear: the first key of an orbit that the walk reaches is convolved,
+    pairs that sum to its other keys are skipped, and they all share its
+    series.  It is keyword-only, so that wrappers that unpack `a, b =
+    args` keep working.
     """
     qorder = min(a.qorder + b.qvaluation(), b.qorder + a.qvaluation())
-    kd, rows = _common_rows((a, b))
-    return _from_rows(kd, _int_product(rows, qorder, orbit=orbit), qorder)
+    kd, pair = _common_rows((a, b))
+    if not all(pair):
+        return _from_rows(kd, {}, qorder)
+    (ra, rb), ntop, series = _layout(pair, qorder)
+    ra = sorted(ra.items(), key=lambda kv: kv[1][0])
+    sums, others = {}, set()  # others: the keys that an orbit's first key stands for
+    for (b1, b2), (lb, y) in rb.items():
+        for (a1, a2), (la, x) in ra:
+            s = la + lb
+            if s >= ntop:
+                break
+            k = (a1 + b1, a2 + b2)
+            dst = sums.get(k)
+            if dst is None:
+                if k in others:
+                    continue
+                dst = sums[k] = _zeros(ntop)
+                if orbit is not None:
+                    others.update(orbit(k))
+            _mul_add(dst, s, x, y)
+    rows = {}
+    for k, row in sums.items():
+        rows.update(dict.fromkeys(orbit(k) if orbit else (k,), series(row)))
+    return _from_rows(kd, rows, qorder)
 
 
-def product_coeff(factors, r1, r2):
-    """The (r1, r2) coefficient of the product of `factors`, without
-    building the product.
+def product_coeff(a, b, c, r1, r2):
+    """The (r1, r2) coefficient of a(z1) b(z2) c(z1 z2), without building
+    the product: the one-dimensional sum sum_m a_(r1-m) b_(r2-m) c_m.
 
-    One call of the integer-row kernel that bl_mul shares, over the key
-    tuples k_0 + ... + k_n = (r1, r2) only: for factors along pairwise
-    independent unit directions, as in A(z1) B(z2) C(z1 z2), this is the
-    one-dimensional sum sum_m A_(r1-m) B_(r2-m) C_m.  A key off the
-    lattice of key sums reads zero.
-
-    The result order follows the bl_mul rule,
-    min_i (qorder_i + sum_{j != i} qval_j); it is the order of the
-    left-to-right bl_mul product whenever no leading coefficients of a
-    partial product cancel, which holds for such independent factors.
+    Each key (m, m) of c looks up a at (r1 - m, 0) and b at (0, r2 - m),
+    and a hit costs two series._mul_add.  A key of a factor off its unit
+    raises ValueError; a key (r1, r2) off the lattice of key sums reads
+    zero.  The order follows the bl_mul rule, min_i (qorder_i +
+    sum_{j != i} qval_j), that of (a b) c: no leading terms of a b cancel.
     """
-    if not factors:
-        raise ValueError("product_coeff needs at least one factor")
+    factors = (a, b, c)
+    for (unit, (d1, d2)), f in zip(UNIT_KEYS.items(), factors):
+        off = next((k for k in f.rows if k[0] * d2 != k[1] * d1), None)
+        if off is not None:
+            key = ", ".join(ratio_str(x, f.kd) for x in off)
+            raise ValueError(f"product_coeff's {unit} factor has the key ({key}), off its unit")
     vals = [f.qvaluation() for f in factors]
     qorder = min(f.qorder + sum(vals) - v for f, v in zip(factors, vals))
     kd, rows = _common_rows(factors)
     k1, k2 = rat(r1) * kd, rat(r2) * kd
-    if k1.denominator != 1 or k2.denominator != 1:
-        return q_zero(qorder)  # off the lattice of key sums
-    key = (k1.numerator, k2.numerator)
-    return _int_product(rows, qorder, key).get(key, q_zero(qorder))
+    if k1.denominator != 1 or k2.denominator != 1 or not all(rows):
+        return q_zero(qorder)  # off the lattice of key sums, or an empty factor
+    (ra, rb, rc), ntop, series = _layout(rows, qorder)
+    dst = _zeros(ntop)
+    for (m, _), (lc, z) in rc.items():
+        ha, hb = ra.get((k1.numerator - m, 0)), rb.get((0, k2.numerator - m))
+        if ha is None or hb is None:
+            continue
+        (la, x), (lb, y) = ha, hb
+        s = la + lb + lc
+        if s < ntop:
+            ab = [0] * min(len(x) + len(y) - 1, ntop - s)
+            _mul_add(ab, 0, x, y)
+            _mul_add(dst, s, ab, z)
+    return series(dst)
 
 
 def bl_scalar_mul(a, s):

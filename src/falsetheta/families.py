@@ -21,6 +21,7 @@ from .series import (
     lattice_sum,
     _divide,
     _int_row,
+    _zeros,
 )
 from .bilaurent import product_coeff
 from .thetas import t2t_factor, s01_factor
@@ -218,8 +219,8 @@ def _A_table(m, order, quad=0):
     """
     order = _positive_order(order)
     top = rat_ceil(order)
+    total = _zeros(top)
     term = [1] + [0] * (top - 1)  # term[i] is the coefficient of q^(v + i)
-    total = [0] * top
     v, ks = 0, range(1, m + 1)  # the divisors of the term of n = 0
     for n in count(1):
         for k in ks:
@@ -281,7 +282,7 @@ def H_frak(r1, r2, order):
         s01_factor("z2", build, W),
         s01_factor("z12", build, W),
     ]
-    coeff = product_coeff(kernel, r1, r2)
+    coeff = product_coeff(*kernel, r1, r2)
     return (eta_quotient({1: 5, 2: -1}, build) * coeff).truncate(order)
 
 

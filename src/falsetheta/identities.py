@@ -408,7 +408,7 @@ def _build_E14(p, order):
         # the sixfold product over the three units, read at one key
         build = order + Rat(1, 2)
         pairs = [unit_pochhammer(u, Rat(1, 2), 1, build, inverse=True) for u in UNIT_KEYS]
-        lhs = product_coeff(pairs, r[0], r[1])
+        lhs = product_coeff(*pairs, r[0], r[1])
         return lhs.truncate(order), G_hyper(r, order)
     sh = Rat(1, 2) + Rat(2, 3) * quad_Q(Rat(r[0]), Rat(r[1]))
     lam = (Rat(r[0] + r[1], 3), Rat(2 * r[1] - r[0], 3))

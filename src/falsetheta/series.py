@@ -450,7 +450,10 @@ def _binomial_table(factors, order, start=None):
     on, od = _ratio(order)
     n = max(0, _ceil_div(on * d, od))
     if table is None:
-        table = {0: [1] + [0] * (n - 1)} if n else {}
+        table = {}
+        if n:  # the first row laid out; the later rows have its length
+            table[0] = _zeros(n)
+            table[0][0] = 1
     elif min(map(len, table.values()), default=0) < n:
         raise ValueError(f"cannot continue a table to order {order}: its rows end before it")
     for row in table.values():

@@ -37,7 +37,8 @@ z1 z2) of one factor that is even in its unit, so its coefficients are
 fixed by the 12-element group W(A2) x {+-1} acting on the keys (e1, e2);
 calT is fixed by the same group.  f_series and J_series pass that group's
 orbits (_swap_orbit, _weyl_orbit) to bl_mul, which then convolves one key
-per orbit.  f_coeff and J_constant_term pass none.  J and the N = 3
+per orbit; J_constant_term sums calT_k f_coeff(-k) over one key k per
+orbit.  J and the N = 3
 character scale by eta(tau)^5/eta(2 tau) and eta(tau)/eta(2 tau), each one
 `series.eta_quotient`, which carries its own q-power.
 """
@@ -248,7 +249,7 @@ def f_series(qorder):
 
 def f_coeff(r1, r2, qorder):
     """f_series(qorder).coeff(r1, r2), read without building f."""
-    return product_coeff(_f_factors(qorder), r1, r2)
+    return product_coeff(*_f_factors(qorder), r1, r2)
 
 
 def J_series(qorder):
@@ -264,10 +265,13 @@ def J_series(qorder):
 def J_constant_term(qorder):
     """J_series(qorder).coeff(0, 0), read without building J.
 
-    The (0, 0) coefficient of calT * f is sum_k calT_k f_(-k).
-    """
+    The (0, 0) coefficient of calT * f is sum_k calT_k f_(-k); both are
+    symmetric under _weyl_orbit, so it sums |orbit| calT_k f_coeff(-k)
+    over one key k of each orbit of calT's keys."""
     qorder = _positive_order(qorder)
-    body = product_coeff([calT(qorder), *_f_factors(qorder)], 0, 0)
+    t = calT(qorder)  # int keys, over kd = 1
+    reps = {frozenset(_weyl_orbit(k)): k for k in t.rows}  # one key per orbit
+    body = sum(t.rows[k] * f_coeff(-k[0], -k[1], qorder) * len(o) for o, k in reps.items())
     return (eta_quotient({1: 5, 2: -1}, qorder) * body).truncate(qorder)
 
 

@@ -19,8 +19,6 @@ from falsetheta.bilaurent import (
     expand_inverse_one_minus,
     bl_to_json,
     bl_from_json,
-    _common_rows,
-    _int_product,
 )
 from falsetheta.thetas import calT, f_series, t2t_factor, theta_hat, _swap_orbit, _weyl_orbit
 from falsetheta.identities import _build_E3, _t2t_sum
@@ -398,16 +396,11 @@ class TestOrbitProducts:
     def test_one_key_per_orbit_against_every_key(self, g):
         rows, qorder = g
         a, b, c = (_on_unit(rows, u, qorder) for u in ("z1", "z2", "z12"))
-        for factors, orbit in (((a, b), _swap_orbit), ((a, b, c), _weyl_orbit)):
-            vals = [f.qvaluation() for f in factors]
-            order = min(f.qorder + sum(vals) - v for f, v in zip(factors, vals))
-            _, krows = _common_rows(factors)
-            want = _int_product(krows, order)
-            got = _int_product(krows, order, orbit=orbit)
-            assert {k: s for k, s in got.items() if s.row} == {
-                k: s for k, s in want.items() if s.row}
-            for k, s in got.items():
-                assert all(got[kk] is s for kk in orbit(k))
+        for x, y, orbit in ((a, b, _swap_orbit), (bl_mul(a, b), c, _weyl_orbit)):
+            got = bl_mul(x, y, orbit=orbit)
+            assert _fields(got) == _fields(bl_mul(x, y))
+            for k, s in got.rows.items():
+                assert all(got.rows[kk] is s for kk in orbit(k))
         got = bl_mul(bl_mul(a, b, orbit=_swap_orbit), c, orbit=_weyl_orbit)
         assert _fields(got) == _fields(bl_mul(bl_mul(a, b), c))
 

@@ -326,6 +326,10 @@ class TestATable:
         want = _A_by_terms(m, order, quad)
         assert got.terms == want.terms and got.order == want.order
 
+    def test_a_table_too_long_to_lay_out_is_refused(self):
+        with pytest.raises(ValueError, match="row of 100000000 entries is longer than"):
+            _A_table(0, 10**8)
+
     def test_leading_terms(self):
         # A_0 = 1 + q + 3q^2 + ...: 1 + q/(1 - q)^2 + q^2/((q)_2)^2 + ...
         a = _A_table(0, 3)

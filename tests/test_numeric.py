@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from falsetheta.rat import Rat
 from falsetheta.series import lattice_rows, quadratic_range
@@ -243,31 +243,59 @@ def test_theta_and_eta_indices_are_quadratic_range_on_the_exact_rationals(t, y, 
 def _row_by_row_T(z, tau):
     """The lattice theta summed point by point over the lattice_rows of its
     terms of magnitude at least e^-41, an oracle for eval_T's coset
-    products.  Returns the sum and the sum of the terms' magnitudes."""
+    products.  Returns the sum, the number of terms, the sum of their
+    magnitudes |t_n| and the sum of |t_n| P(n), for the bound on the
+    exponent parts P(n) = 2Q(n)|tau| + 2(|n1| + |n2|)(|z1| + |z2|)."""
     z1, z2 = z
     w1, w2 = z1 + 2 * z2, z1 - z2
     t, y1, y2 = Fraction(tau.imag), Fraction(z1.imag), Fraction(z2.imag)
-    total, size = 0j, 0.0
+    total, count, size, spread = 0j, 0, 0.0, 0.0
     for n1, row in lattice_rows((2 * t, -2 * t, 2 * t), (y1 + 2 * y2, y1 - y2), 0, _TAIL):
         for n2 in row:
-            term = cmath.exp(2j * math.pi * (
-                tau * 2 * (n1 * n1 + n2 * n2 - n1 * n2) + n1 * w1 + n2 * w2
-            ))
+            q2 = 2 * (n1 * n1 + n2 * n2 - n1 * n2)
+            term = cmath.exp(2j * math.pi * (tau * q2 + n1 * w1 + n2 * w2))
             total += term
+            count += 1
             size += abs(term)
-    return total, size
+            spread += abs(term) * (q2 * abs(tau) + 2 * (abs(n1) + abs(n2)) * (abs(z1) + abs(z2)))
+    return total, count, size, spread
+
+
+def _T_error_bound(z, tau, count, size, spread):
+    """A bound on |eval_T - _row_by_row_T| to first order in the unit
+    roundoff u (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, ch. 3 and 4).
+
+    - Each term is e^(2 pi i E(n)).  Both sums form E(n) from float parts
+      whose magnitudes add up to at most 2 pi P(n) before they cancel, with
+      at most 8 roundings, each off by u times that; exp adds at most 4u.
+      So each sum's term n is off by at most (4 + 16 pi P(n)) u |t_n|, and
+      the two sums by twice that.
+    - Adding N complex terms one by one is off by at most 2 N u sum |t_n|;
+      eval_T's two products of coset sums A_e B_e, each of at most L
+      terms, by at most 2 (L + 3) u times the sum of their products.
+    - Those products keep every term of the oracle and at most K more,
+      each of magnitude below e^-41.
+    """
+    ranges = _T_indices(tau.imag, z[0].imag, z[1].imag)
+    L = max(len(ka) + len(kb) for ka, kb in ranges)
+    K = sum(len(ka) * len(kb) for ka, kb in ranges)
+    u = 2.0**-53
+    return u * ((8 + 2 * (count + L + 3)) * size + 32 * math.pi * spread) + 2 * K * math.exp(-41)
 
 
 _UNIT = st.floats(-1, 1)
 
 
 @given(st.floats(2e-3, 3), _UNIT, _UNIT, _UNIT, st.floats(-3, 3), st.floats(-3, 3))
+@example(2.969862013724624, 0.0, 0.0, 0.0, 3.0, 2.75)
+@example(2.9589489719603774, 0.0, 0.0, 0.0, 2.785919076833812, 2.75)
 @settings(max_examples=100, deadline=None)
 def test_T_by_cosets_matches_the_row_by_row_lattice_sum(t, x, x1, x2, e1, e2):
     # Im z_i = e_i t: up to three times Im tau, past the ELL grids' shifts
     tau, z = complex(x, t), (complex(x1, e1 * t), complex(x2, e2 * t))
-    want, size = _row_by_row_T(z, tau)
-    assert abs(eval_T(z, tau) - want) <= 1e-13 * size
+    want, count, size, spread = _row_by_row_T(z, tau)
+    assert abs(eval_T(z, tau) - want) <= _T_error_bound(z, tau, count, size, spread)
 
 
 @given(st.floats(1e-3, 5), st.floats(-3, 3), st.floats(-3, 3))

@@ -1,12 +1,13 @@
 """On-demand Fourier coefficients equal those of the full product build.
 
-bl_mul and product_coeff share one integer-row kernel, whose
-convolution PuiseuxSeries products run on too.  Every kernel whose coefficients
-the identities read through product_coeff is also built in full with
-bl_mul here, and the two are compared key by key: each coefficient's
-q-expansion and its truncation order must agree exactly.  Random
-factors are checked against the sum over key tuples of products of
-PuiseuxSeries.
+bl_mul and product_coeff share one integer-row layout, whose rows they
+convolve with the kernel PuiseuxSeries products run on too.  Every kernel
+whose coefficients the identities read through product_coeff is also
+built in full with bl_mul here, and the two are compared key by key:
+each coefficient's q-expansion and its truncation order must agree
+exactly.  Random factors along z1, z2 and z1 z2, and E17's four-factor
+constant term, are checked against the sum over key tuples of products
+of PuiseuxSeries.
 """
 
 import pytest
@@ -14,14 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from falsetheta.rat import Rat
 from falsetheta.series import PuiseuxSeries, eta_quotient, zero as q_zero
-from falsetheta.bilaurent import (
-    BiLaurentSeries,
-    bl_mul,
-    product_coeff,
-    _int_product,
-)
+from falsetheta.bilaurent import BiLaurentSeries, UNIT_KEYS, bl_mul, product_coeff
 from falsetheta.thetas import (
     unit_pochhammer,
+    calT,
+    theta_hat,
     t2t_factor,
     s01_factor,
     f_series,
@@ -53,7 +51,7 @@ def test_f_kernel_coefficients(qorder):
     for r1 in range(-3, 4):
         for r2 in range(-3, 4):
             want = full.coeff(r1, r2)
-            _assert_same_coeff(product_coeff(factors, r1, r2), want)
+            _assert_same_coeff(product_coeff(*factors, r1, r2), want)
             _assert_same_coeff(f_coeff(r1, r2, qorder), want)
 
 
@@ -70,7 +68,7 @@ def test_h_frak_kernel_at_half_integer_r1():
     for r1 in (Rat(1, 2), Rat(-1, 2), Rat(3, 2), Rat(-3, 2)):
         for r2 in range(-1, 2):
             want = full.coeff(r1, r2)
-            _assert_same_coeff(product_coeff(factors, r1, r2), want)
+            _assert_same_coeff(product_coeff(*factors, r1, r2), want)
             scaled = (eta_quotient({1: 5, 2: -1}, build) * want).truncate(order)
             assert H_frak(r1, r2, order) == scaled
 
@@ -82,7 +80,7 @@ def test_sixfold_inverse_pochhammer_kernel():
     full = _full(factors)
     for r1 in range(-2, 3):
         for r2 in range(-2, 3):
-            _assert_same_coeff(product_coeff(factors, r1, r2), full.coeff(r1, r2))
+            _assert_same_coeff(product_coeff(*factors, r1, r2), full.coeff(r1, r2))
 
 
 @pytest.mark.parametrize("qorder", [Rat(6), Rat(8)])
@@ -90,16 +88,40 @@ def test_J_constant_term(qorder):
     _assert_same_coeff(J_constant_term(qorder), J_series(qorder).coeff(0, 0))
 
 
+def test_J_constant_term_by_orbits_against_the_four_factor_sum():
+    # past E17's default order; the oracle sums calT_k f_(-k) over every
+    # key tuple of calT and the three f factors
+    qorder = Rat(30)
+    factors = [calT(qorder), *(t2t_factor(u, qorder) for u in UNITS)]
+    want = eta_quotient({1: 5, 2: -1}, qorder) * _tuplewise_coeff(factors, 0, 0)
+    _assert_same_coeff(J_constant_term(qorder), want.truncate(qorder))
+
+
 def test_a_key_off_the_key_lattice_reads_zero():
     # the keys of the f factors are integers, so no tuple sums to (1/2, 0)
     factors = [t2t_factor(u, 3) for u in UNITS]
-    got = product_coeff(factors, Rat(1, 2), 0)
+    got = product_coeff(*factors, Rat(1, 2), 0)
     assert got.is_zero() and got.order == Rat(13, 4)
-    assert not product_coeff(factors, 0, 0).is_zero()
-    # and the kernel does not compute a key on the lattice in its place:
-    # with the factors' rows over the key denominator 2, (1, 0) is (1/2, 0)
-    rows = [{(2 * k1, 2 * k2): c for (k1, k2), c in f.rows.items()} for f in factors]
-    assert _int_product(rows, Rat(13, 4), (1, 0)) == {}
+    assert not product_coeff(*factors, 0, 0).is_zero()
+    # with a theta_hat along z1 the keys go over the key denominator 2, and
+    # a key on that lattice but off the product's support reads zero too
+    factors[0] = theta_hat("z1", 1, 3)
+    full = _full(factors)
+    for r1, r2 in ((0, 0), (Rat(1, 2), 0), (Rat(1, 4), 0), (Rat(-3, 2), 1)):
+        _assert_same_coeff(product_coeff(*factors, r1, r2), full.coeff(r1, r2))
+    assert product_coeff(*factors, 0, 0).is_zero()
+    assert not product_coeff(*factors, Rat(1, 2), 0).is_zero()
+
+
+@pytest.mark.parametrize("unit", UNITS)
+def test_a_factor_off_its_unit_is_refused(unit):
+    factors = [t2t_factor(u, 3) for u in UNITS]
+    i = UNITS.index(unit)
+    # one key of the factor moved off its unit direction
+    stray = {**factors[i].terms, (Rat(1, 2), Rat(-1, 2)): PuiseuxSeries({0: 1}, 3)}
+    factors[i] = BiLaurentSeries(stray, 3)
+    with pytest.raises(ValueError, match=f"{unit} factor has the key \\(1/2, -1/2\\)"):
+        product_coeff(*factors, 0, 0)
 
 
 def _tuplewise_coeff(factors, r1, r2):
@@ -144,16 +166,16 @@ _halves = st.builds(Rat, st.integers(-3, 3), st.sampled_from([1, 2]))
 
 @st.composite
 def _factors_and_key(draw):
-    """One to three factors, some perhaps empty, and a key
-    that is a sum of their keys, any small key, or one off the lattice."""
+    """Three factors along z1, z2 and z1 z2, with integer and half-integer
+    keys, some perhaps empty, and a key that is a sum of their keys, any
+    small key, or one off the lattice."""
     factors = []
-    for _ in range(draw(st.integers(1, 3))):
+    for d1, d2 in UNIT_KEYS.values():
         qorder = draw(st.builds(Rat, st.integers(-8, 24), st.sampled_from([1, 2, 3, 4])))
-        keys = draw(st.dictionaries(st.tuples(_halves, _halves),
-                                    st.dictionaries(_exponents, _coeffs, max_size=5),
+        keys = draw(st.dictionaries(_halves, st.dictionaries(_exponents, _coeffs, max_size=5),
                                     max_size=4))
         factors.append(BiLaurentSeries(
-            {k: PuiseuxSeries(c, qorder) for k, c in keys.items()}, qorder
+            {(m * d1, m * d2): PuiseuxSeries(c, qorder) for m, c in keys.items()}, qorder
         ))
     kind = draw(st.sampled_from(["support", "any", "off"]))
     if kind == "support" and all(f.terms for f in factors):
@@ -169,4 +191,4 @@ def _factors_and_key(draw):
 @settings(max_examples=300, deadline=None)
 def test_random_factors_against_the_tuplewise_sum(case):
     factors, (r1, r2) = case
-    _assert_same_coeff(product_coeff(factors, r1, r2), _tuplewise_coeff(factors, r1, r2))
+    _assert_same_coeff(product_coeff(*factors, r1, r2), _tuplewise_coeff(factors, r1, r2))

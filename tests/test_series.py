@@ -112,6 +112,11 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="entries is longer than"):
             build()
 
+    def test_a_binomial_table_too_long_to_lay_out_is_refused(self):
+        # a factor on the grid 1/10^9 below q^2: rows of 2*10^9 entries
+        with pytest.raises(ValueError, match="row of 2000000000 entries is longer than"):
+            pochhammer(-1, Fraction(1, 10**9), 1, None, 2)
+
     @given(small_series(), small_series())
     @settings(max_examples=60, deadline=None)
     def test_add_commutes(self, a, b):
