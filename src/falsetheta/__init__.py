@@ -18,6 +18,7 @@ from .series import (
 )
 from .bilaurent import (
     BiLaurentSeries,
+    bl_on_unit,
     expand_inverse_one_minus,
     bl_elliptic_shift,
     bl_to_json,

@@ -21,7 +21,8 @@ the integer rows onto one grid of exponents, which they convolve with
 series._mul_add, on which PuiseuxSeries products run too; each result
 row becomes a series as is, from ints.  bl_mul walks the key pairs of
 its two factors; product_coeff reads one coefficient of a(z1) b(z2)
-c(z1 z2), one unit factor per direction, as a sum over the keys of c.
+c(z1 z2) from three series in z1 as a sum over the keys of c.  One-unit
+builders build in z1 alone, and bl_on_unit moves a series onto z2 or z1 z2.
 A caller that knows a product to be symmetric under a group acting
 linearly on the keys passes bl_mul the keyword-only `orbit`, a map from
 a key to the keys of its orbit: one key per orbit is convolved, and the
@@ -45,7 +46,7 @@ from math import gcd, lcm
 from .rat import Rat, rat, rat_floor, rat_str, ratio_str, parse_rat
 from .series import PuiseuxSeries, zero as q_zero, monomial as q_monomial
 from .series import series_to_json, series_from_json
-from .series import _ceil_div, _from_row, _mul_add, _scaled, _spread, _zeros
+from .series import _ceil_div, _from_row, _json_field, _mul_add, _scaled, _spread, _zeros
 
 # The name of the one annulus every expansion is taken in.
 ANNULUS = "INNER"
@@ -56,6 +57,7 @@ __all__ = [
     "bl_add",
     "bl_mul",
     "product_coeff",
+    "bl_on_unit",
     "bl_scalar_mul",
     "expand_inverse_one_minus",
     "bl_elliptic_shift",
@@ -268,22 +270,27 @@ def bl_mul(a, b, *, orbit=None):
     return _from_rows(kd, rows, qorder)
 
 
-def product_coeff(a, b, c, r1, r2):
-    """The (r1, r2) coefficient of a(z1) b(z2) c(z1 z2), without building
-    the product: the one-dimensional sum sum_m a_(r1-m) b_(r2-m) c_m.
+def _refuse_off_z1(a, name):
+    """Raise ValueError naming the first key of a that is not in z1 alone."""
+    off = next((k for k in a.rows if k[1]), None)
+    if off is not None:
+        key = ", ".join(ratio_str(x, a.kd) for x in off)
+        raise ValueError(f"{name} has the key ({key}), off z1")
 
-    Each key (m, m) of c looks up a at (r1 - m, 0) and b at (0, r2 - m),
-    and a hit costs two series._mul_add.  A key of a factor off its unit
-    raises ValueError; a key (r1, r2) off the lattice of key sums reads
-    zero.  The order follows the bl_mul rule, min_i (qorder_i +
-    sum_{j != i} qval_j), that of (a b) c: no leading terms of a b cancel.
+
+def product_coeff(a, b, c, r1, r2):
+    """The (r1, r2) coefficient of a(z1) b(z2) c(z1 z2) for three series in
+    z1, without building the product: the sum sum_m a_(r1-m) b_(r2-m) c_m.
+
+    Each key m of c looks up a at r1 - m and b at r2 - m, and a hit costs
+    two series._mul_add.  A key of a factor off z1 raises ValueError; a
+    key (r1, r2) off the lattice of key sums reads zero.  The order follows
+    the bl_mul rule, min_i (qorder_i + sum_{j != i} qval_j), that of
+    (a b) c: no leading terms of a b cancel.
     """
     factors = (a, b, c)
-    for (unit, (d1, d2)), f in zip(UNIT_KEYS.items(), factors):
-        off = next((k for k in f.rows if k[0] * d2 != k[1] * d1), None)
-        if off is not None:
-            key = ", ".join(ratio_str(x, f.kd) for x in off)
-            raise ValueError(f"product_coeff's {unit} factor has the key ({key}), off its unit")
+    for unit, f in zip(UNIT_KEYS, factors):
+        _refuse_off_z1(f, f"product_coeff's {unit} factor")
     vals = [f.qvaluation() for f in factors]
     qorder = min(f.qorder + sum(vals) - v for f, v in zip(factors, vals))
     kd, rows = _common_rows(factors)
@@ -293,7 +300,7 @@ def product_coeff(a, b, c, r1, r2):
     (ra, rb, rc), ntop, series = _layout(rows, qorder)
     dst = _zeros(ntop)
     for (m, _), (lc, z) in rc.items():
-        ha, hb = ra.get((k1.numerator - m, 0)), rb.get((0, k2.numerator - m))
+        ha, hb = ra.get((k1.numerator - m, 0)), rb.get((k2.numerator - m, 0))
         if ha is None or hb is None:
             continue
         (la, x), (lb, y) = ha, hb
@@ -305,6 +312,18 @@ def product_coeff(a, b, c, r1, r2):
     return series(dst)
 
 
+def bl_on_unit(a, unit):
+    """a(u), u = z1, z2 or z1 z2, for a series a(z1) in z1 alone, keeping
+    its qorder, window and row objects: the key (e, 0) goes to e times the
+    unit's UNIT_KEYS direction.  An unknown unit or a key off z1 raises ValueError."""
+    if unit not in UNIT_KEYS:
+        raise ValueError(f"unknown unit {unit!r}")
+    _refuse_off_z1(a, "bl_on_unit's series")
+    d1, d2 = UNIT_KEYS[unit]
+    rows = {(e * d1, e * d2): c for (e, _), c in a.rows.items()}
+    return _from_rows(a.kd, rows, a.qorder, a.window)
+
+
 def bl_scalar_mul(a, s):
     """Multiply every coefficient by the one-variable series s(q), or by an
     int, which keeps the qorder; keys that share one row object share its
@@ -314,27 +333,24 @@ def bl_scalar_mul(a, s):
     return _from_rows(a.kd, _map_rows(a.rows, lambda c: c * s), qorder, a.window)
 
 
-def expand_inverse_one_minus(unit, n, qorder, zwindow=None):
-    """INNER expansion of 1 / (1 - x), x = u * q^n.
+def expand_inverse_one_minus(n, qorder, zwindow=None):
+    """INNER expansion of 1 / (1 - x), x = z1 * q^n.
 
-    unit selects u among z1, z2, z1*z2.  For n >= 0 this is
-    sum_{k>=0} x^k; for n < 0 it is -sum_{k>=1} x^-k.  n = 0 needs a
-    window, which then bounds the keys; any window becomes the result's.
+    For n >= 0 this is sum_{k>=0} x^k; for n < 0 it is -sum_{k>=1} x^-k.
+    n = 0 needs a window, which then bounds the keys; any window becomes
+    the result's.
     """
-    if unit not in UNIT_KEYS:
-        raise ValueError(f"unknown unit {unit!r}")
-    d1, d2 = UNIT_KEYS[unit]
     n = rat(n)
     qorder = rat(qorder)
     if n == 0 and zwindow is None:
         raise ValueError("n = 0 expansion requires a window")
-    lead, k = 1, 0
+    d, lead, k = 1, 1, 0
     if n < 0:
         # 1/(1 - x) = -x^-1/(1 - x^-1)
-        d1, d2, n, lead, k = -d1, -d2, -n, -1, 1
+        d, n, lead, k = -1, -n, -1, 1
     rows = {}
     while k * n < qorder and (zwindow is None or k <= zwindow):
-        rows[(k * d1, k * d2)] = q_monomial(lead, k * n, qorder)
+        rows[(k * d, 0)] = q_monomial(lead, k * n, qorder)
         k += 1
     return _from_rows(1, rows, qorder, zwindow)
 
@@ -385,16 +401,21 @@ def _window_from_json(w):
     if isinstance(w, str):
         try:
             return parse_rat(w)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             pass
     raise ValueError(f"window must be null, an integer or a 'num/den' string, got {w!r}")
 
 
 def bl_from_json(d):
-    if d["region"] != ANNULUS:
-        raise ValueError(f"unsupported region {d['region']!r}: every expansion is {ANNULUS}")
+    """The series of a bl_to_json document; a missing field or a malformed
+    value raises ValueError."""
+    region = _json_field(d, "region")
+    if region != ANNULUS:
+        raise ValueError(f"unsupported region {region!r}: every expansion is {ANNULUS}")
     terms = {
-        (parse_rat(t["e1"]), parse_rat(t["e2"])): series_from_json(t["series"])
-        for t in d["terms"]
+        (parse_rat(_json_field(t, "e1")), parse_rat(_json_field(t, "e2"))):
+            series_from_json(_json_field(t, "series"))
+        for t in _json_field(d, "terms")
     }
-    return BiLaurentSeries(terms, parse_rat(d["qorder"]), _window_from_json(d["window"]))
+    qorder = parse_rat(_json_field(d, "qorder"))
+    return BiLaurentSeries(terms, qorder, _window_from_json(_json_field(d, "window")))

@@ -12,7 +12,7 @@ import sys
 
 from .rat import Rat, rat_str, parse_rat, _positive_order
 from .series import PuiseuxSeries, eta_quotient, series_to_json, _term_strs
-from .bilaurent import ANNULUS, bl_to_json, _key_strs
+from .bilaurent import ANNULUS, bl_on_unit, bl_to_json, _key_strs
 from . import thetas, families
 from .identities import (
     registered_ids,
@@ -46,7 +46,7 @@ def _parse_complex(s):
 def _parse_rat_arg(s):
     try:
         return parse_rat(s)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse rational {s!r}")
 
 
@@ -93,8 +93,8 @@ def _rank_one(a, order):
 # the window only clips what is printed, builders build whole objects
 _SERIES = {
     "eta": lambda a, order: eta_quotient({a.k: 1}, order),
-    "theta": lambda a, order: thetas.theta_hat(a.unit, a.k, order).clip(a.window),
-    "theta01": lambda a, order: thetas.theta01(a.unit, a.k, order).clip(a.window),
+    "theta": lambda a, order: bl_on_unit(thetas.theta_hat(a.k, order), a.unit).clip(a.window),
+    "theta01": lambda a, order: bl_on_unit(thetas.theta01(a.k, order), a.unit).clip(a.window),
     "calT": lambda a, order: thetas.calT(order).clip(a.window),
     "f": lambda a, order: thetas.f_series(order).clip(a.window),
     "J": lambda a, order: thetas.J_series(order).clip(a.window),

@@ -49,8 +49,8 @@ def sgn_star(n):
 
 
 def rho(a, b):
-    """(sgn_star(a) + sgn_star(b)) / 2, taking values in {-1, 0, 1}."""
-    return Rat(sgn_star(a) + sgn_star(b), 2)
+    """(sgn_star(a) + sgn_star(b)) / 2, the int -1, 0 or 1."""
+    return (sgn_star(a) + sgn_star(b)) // 2
 
 
 def quad_Q(x, y):
@@ -262,8 +262,8 @@ def G_hyper(r, order):
 def H_frak(r1, r2, order):
     """Half-shifted Fourier coefficient of the mixed theta-ratio kernel.
 
-    r1 lies in 1/2 + Z, r2 in Z.  Extracted from the product of one
-    full-period theta ratio and two half-period ratios, scaled by
+    r1 lies in 1/2 + Z, r2 in Z.  Read off t(z1) s(z2) s(z1 z2), t the full-
+    and s the half-period theta ratio, one s01_factor table, scaled by
     eta^5 / eta(2 tau).  Every s01 key that reaches (r1, r2) below the
     order lies in the window W = floor(order/2) + floor(max |r|) + 4.
     """
@@ -277,12 +277,8 @@ def H_frak(r1, r2, order):
     mag = max(abs(r1), abs(r2))
     W = rat_floor(order / 2) + rat_floor(mag) + 4
     build = order + Rat(1, 2)  # pad for the q^(-1/8) valuations below
-    kernel = [
-        t2t_factor("z1", build),
-        s01_factor("z2", build, W),
-        s01_factor("z12", build, W),
-    ]
-    coeff = product_coeff(*kernel, r1, r2)
+    s = s01_factor(build, W)
+    coeff = product_coeff(t2t_factor(build), s, s, r1, r2)
     return (eta_quotient({1: 5, 2: -1}, build) * coeff).truncate(order)
 
 

@@ -40,6 +40,7 @@ from .bilaurent import (
     UNIT_KEYS,
     bl_monomial,
     bl_mul,
+    bl_on_unit,
     bl_add,
     bl_scalar_mul,
     bl_elliptic_shift,
@@ -258,10 +259,7 @@ def _ghyper_q2(r, order):
 
 
 def _build_E1(p, order):
-    return (
-        theta_hat(p["unit"], p["k"], order),
-        theta_hat_sum(p["unit"], p["k"], order),
-    )
+    return tuple(bl_on_unit(b(p["k"], order), p["unit"]) for b in (theta_hat, theta_hat_sum))
 
 
 def _build_E2(p, order):
@@ -271,14 +269,14 @@ def _build_E2(p, order):
     js = quadratic_range(Rat(1, 2), Rat(1, 2) + m, Rat(1, 8) + Rat(m, 2), order)
     Wt = max(abs(j + Rat(1, 2)) for j in js)
     B = order + abs(m) * Wt
-    lhs = bl_elliptic_shift(theta_hat("z1", 1, B).clip(Wt), m, 0)
+    lhs = bl_elliptic_shift(theta_hat(1, B).clip(Wt), m, 0)
     if l % 2:
         # integer shift: zeta^n picks up (-1)^l on the half-integer support
         lhs = bl_scalar_mul(lhs, -1)
     sign = -1 if (m + l) % 2 else 1
     B2 = order + Rat(m * m, 2)
     pre = bl_monomial(q_monomial(sign, -Rat(m * m, 2), B2 + 1), -m, 0, B2 + 1)
-    rhs = bl_mul(pre, theta_hat("z1", 1, B2))
+    rhs = bl_mul(pre, theta_hat(1, B2))
     return lhs, rhs
 
 
@@ -288,15 +286,15 @@ def _build_E3(p, order):
     if p["part"] == "expansion":
         # middle route: sum over n of z1^n times a geometric series in z2 of window W
         terms = (bl_mul(bl_monomial(1, n, 0, order),
-                        expand_inverse_one_minus("z2", n, order, zwindow=W))
+                        bl_on_unit(expand_inverse_one_minus(n, order, zwindow=W), "z2"))
                  for n in range(-W, W + 1))
         return bl_add(*terms).clip(W), rho_sum
     # product route, division-free:
     # eta^3 theta_hat(z1 z2) = rho-sum * theta_hat(z1) * theta_hat(z2)
     B = order + Rat(1, 8)
-    lhs = bl_scalar_mul(theta_hat("z12", 1, B), eta_quotient({1: 3}, B))
-    th1 = theta_hat("z1", 1, order)
-    rhs = bl_mul(bl_mul(rho_sum, th1), theta_hat("z2", 1, order))
+    lhs = bl_scalar_mul(bl_on_unit(theta_hat(1, B), "z12"), eta_quotient({1: 3}, B))
+    th1 = theta_hat(1, order)
+    rhs = bl_mul(bl_mul(rho_sum, th1), bl_on_unit(th1, "z2"))
     K = W - Rat(max(abs(k1) for k1, _ in th1.rows), th1.kd)
     return lhs.clip(K), rhs.clip(K)
 
@@ -311,13 +309,13 @@ def _build_E4(p, order):
             sign = -1 if n % 2 else 1
             for m in ((0,) if n == 0 else (n, -n)):
                 base = Rat(m * (m + 1), 2)
-                g = expand_inverse_one_minus("z1", m, order - base, zwindow=W)
+                g = expand_inverse_one_minus(m, order - base, zwindow=W)
                 terms.append(bl_scalar_mul(g, q_monomial(sign, base, order)))
         return bl_add(*terms).truncate_q(order), pf_sum
     # zeta1^(-1/2) eta^3 = pf-sum * theta_hat(z1)
     B = order + Rat(1, 8)
     lhs = bl_monomial(eta_quotient({1: 3}, B), -Rat(1, 2), 0, B)
-    th = theta_hat("z1", 1, order)
+    th = theta_hat(1, order)
     rhs = bl_mul(pf_sum, th)
     K = W - Rat(max(abs(k1) for k1, _ in th.rows), th.kd)
     return lhs.clip(K), rhs.clip(K)
@@ -331,15 +329,15 @@ def _build_E5(p, order):
         return lhs, rhs
     # theta_hat(u; 2tau) (u q, u^-1 q; q^2)_oo = theta_hat(u; tau) q^(1/8) (-q; q)_oo
     unit = p["unit"]
-    lhs = bl_mul(theta_hat(unit, 2, order), unit_pochhammer(unit, 1, 2, order))
+    lhs = bl_on_unit(bl_mul(theta_hat(2, order), unit_pochhammer(1, 2, order)), unit)
     scalar = pochhammer(-1, 1, 1, None, order - Rat(1, 8)).shift(Rat(1, 8))
-    rhs = bl_scalar_mul(theta_hat(unit, 1, order), scalar)
+    rhs = bl_scalar_mul(bl_on_unit(theta_hat(1, order), unit), scalar)
     return lhs, rhs
 
 
 def _build_t2t(p, order):
     u = p["unit"]
-    return t2t_factor(u, order), _t2t_sum(u, order, p["variant"])
+    return bl_on_unit(t2t_factor(order), u), _t2t_sum(u, order, p["variant"])
 
 
 def _build_E7(p, order):
@@ -384,7 +382,7 @@ def _build_E12b(p, order):
     unit = p["unit"]
     W = int(order)
     d1, d2 = UNIT_KEYS[unit]
-    t = t2t_factor(unit, order + W + Rat(1, 2)).clip(W)
+    t = bl_on_unit(t2t_factor(order + W + Rat(1, 2)), unit).clip(W)
     shifted = bl_elliptic_shift(t, -d1, -d2)
     pre = bl_monomial(
         q_monomial(1, -Rat(1, 4), shifted.qorder + 1),
@@ -395,7 +393,7 @@ def _build_E12b(p, order):
     rhs = bl_mul(pre, shifted)
     # s01 holds the keys |e| <= W, rhs the keys -W + 1/2 <= e <= W + 1/2
     K = W - Rat(1, 2)
-    return s01_factor(unit, order, W).clip(K), rhs.clip(K)
+    return bl_on_unit(s01_factor(order, W), unit).clip(K), rhs.clip(K)
 
 
 def _build_E13(p, order):
@@ -405,10 +403,9 @@ def _build_E13(p, order):
 def _build_E14(p, order):
     r = p["r"]
     if p["part"] == "poch":
-        # the sixfold product over the three units, read at one key
-        build = order + Rat(1, 2)
-        pairs = [unit_pochhammer(u, Rat(1, 2), 1, build, inverse=True) for u in UNIT_KEYS]
-        lhs = product_coeff(*pairs, r[0], r[1])
+        # the sixfold product, one inverse pair on each unit, read at one key
+        pair = unit_pochhammer(Rat(1, 2), 1, order + Rat(1, 2), inverse=True)
+        lhs = product_coeff(pair, pair, pair, r[0], r[1])
         return lhs.truncate(order), G_hyper(r, order)
     sh = Rat(1, 2) + Rat(2, 3) * quad_Q(Rat(r[0]), Rat(r[1]))
     lam = (Rat(r[0] + r[1], 3), Rat(2 * r[1] - r[0], 3))

@@ -7,7 +7,8 @@ A_0 B_0 + A_1 B_1 by the coset identity of the A2 lattice (see eval_T).
 Theta, eta and T's two factors are rank-one sums through one kernel,
 _coset_sum, over index ranges that the formal layer's integer solver
 (series._negative_range) finds exactly.  A point whose largest term
-would overflow a double is refused before anything is summed.  Against
+would overflow a double, or whose index range holds more than
+_MAX_TERMS terms, is refused before anything is summed.  Against
 25-digit direct sums the evaluators agree to 1e-12 relative
 (tests/test_numeric.py).
 Verification tolerances are 1e-8 relative.
@@ -65,6 +66,13 @@ _LOG_MAX = math.log(sys.float_info.max)  # e^_LOG_MAX is the largest double
 # denominators are powers of two).
 _TAIL = Fraction(41 / (2 * math.pi))
 
+# The most terms one rank-one sum may take.  As Im tau falls to zero the
+# index range of the kept terms widens like Im tau^(-1/2); a range past
+# this bound is refused before anything is summed, where it would
+# otherwise run for minutes.  At Im tau = 1e-10 the widest sum of the
+# transformation checks takes 722,516 terms.
+_MAX_TERMS = 10**6
+
 LAW_IDS = (
     "THETA_MOD",
     "THETA_ELL",
@@ -89,7 +97,13 @@ def _coset_range(alpha, beta, gamma, M, e):
 
 
 def _coset_sum(a, tau, u, M, e, ks):
-    """sum of e^(2 pi i (a tau n^2 + n u)) over n = M k + e for k in ks."""
+    """sum of e^(2 pi i (a tau n^2 + n u)) over n = M k + e for k in ks;
+    a range of more than _MAX_TERMS raises ValueError before any term."""
+    if len(ks) > _MAX_TERMS:
+        raise ValueError(
+            f"the sum needs {len(ks)} terms, more than the {_MAX_TERMS} allowed: "
+            "Im tau is too small"
+        )
     x, y = _TWO_PI_I * a * tau, _TWO_PI_I * u
     total = 0j
     for k in ks:

@@ -40,11 +40,16 @@ def ratio_str(n, d):
 
 
 def parse_rat(s):
-    """Parse 'num/den' or a plain integer string."""
+    """Parse 'num/den' or a plain integer string; anything else, a zero
+    denominator or a value that is not a string included, raises ValueError."""
+    if not isinstance(s, str):
+        raise ValueError(f"expected a 'num/den' string, got {s!r}")
     s = s.strip()
     if "/" in s:
-        num, den = s.split("/")
-        return Rat(int(num), int(den))
+        num, den = (int(x) for x in s.split("/"))  # ValueError unless two
+        if den == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Rat(num, den)
     return Rat(int(s))
 
 

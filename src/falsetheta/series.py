@@ -598,8 +598,16 @@ def series_to_json(s):
     }
 
 
+def _json_field(d, name):
+    """d[name] for a JSON object d; ValueError naming the field if d has none."""
+    if not isinstance(d, dict) or name not in d:
+        raise ValueError(f"the JSON object has no {name!r} field")
+    return d[name]
+
+
 def series_from_json(d):
-    return PuiseuxSeries(
-        {parse_rat(t["exp"]): parse_rat(t["coeff"]) for t in d["terms"]},
-        parse_rat(d["order"]),
-    )
+    """The series of a series_to_json document; a missing field or a
+    malformed value raises ValueError."""
+    terms = {parse_rat(_json_field(t, "exp")): parse_rat(_json_field(t, "coeff"))
+             for t in _json_field(d, "terms")}
+    return PuiseuxSeries(terms, parse_rat(_json_field(d, "order")))

@@ -21,26 +21,29 @@ q^20: one build of the z1 factor, best of 5 on a 2-vCPU Xeon under
 CPython 3.11.7, took 0.25 ms against the double sum's 0.62 ms at
 q^(15/2), 1.1 against 1.6 ms at q^20, and 2.7 against 2.5 ms at q^30.
 
-Every product of binomials (1 - sign u^a q^e)^(+-1) along one unit, such
-as theta_hat, theta01, unit_pochhammer, t2t_factor and s01_factor, is
-one call of the integer kernel `series._binomial_table`, whose row m
-becomes the key u^m (`_unit_product`); continued, it sums a term ratio
-that is such a product (E16).  Every sum of q^(quadratic in n) is
-enumerated exactly by `series.quadratic_range` or
+Every one-unit builder returns a series in u = z1 alone, which
+`bilaurent.bl_on_unit` moves onto z2 or z1 z2, so a table is built once
+however many units read it.  Every product of binomials (1 - sign u^a
+q^e)^(+-1), such as theta_hat, theta01, unit_pochhammer, t2t_factor and
+s01_factor, is one call of the integer kernel `series._binomial_table`,
+whose row m becomes the key u^m (`_unit_product`); continued, it sums a
+term ratio that is such a product (E16).  Every sum of q^(quadratic in
+n) is enumerated exactly by `series.quadratic_range` or
 `series.lattice_points`.  Builders build whole objects, and callers clip
 them: only s01_factor takes a key window, because its factor 1/(1 - u)
 has no finite key support; it applies that factor as a running sum of
 the kernel's rows.
 
 f is a product over the three positive roots of A2 (the units z1, z2,
-z1 z2) of one factor that is even in its unit, so its coefficients are
-fixed by the 12-element group W(A2) x {+-1} acting on the keys (e1, e2);
-calT is fixed by the same group.  f_series and J_series pass that group's
-orbits (_swap_orbit, _weyl_orbit) to bl_mul, which then convolves one key
-per orbit; J_constant_term sums calT_k f_coeff(-k) over one key k per
-orbit.  J and the N = 3
-character scale by eta(tau)^5/eta(2 tau) and eta(tau)/eta(2 tau), each one
-`series.eta_quotient`, which carries its own q-power.
+z1 z2) of one factor g = t2t_factor that is even in its unit, so its
+coefficients are fixed by the 12-element group W(A2) x {+-1} acting on
+the keys (e1, e2); calT is fixed by the same group.  f_series and
+J_series pass that group's orbits (_swap_orbit, _weyl_orbit) to bl_mul,
+which then convolves one key per orbit; f_coeff reads product_coeff(g,
+g, g), and J_constant_term sums calT_k times that read at -k over one
+key k per orbit.  J and the N = 3 character scale by eta(tau)^5/eta(2 tau)
+and eta(tau)/eta(2 tau), each one `series.eta_quotient`, which carries
+its own q-power.
 """
 
 from functools import lru_cache
@@ -56,8 +59,8 @@ from .series import (
     _int_row,
 )
 from .bilaurent import (
-    UNIT_KEYS,
     bl_mul,
+    bl_on_unit,
     bl_scalar_mul,
     product_coeff,
     _from_rows,
@@ -79,32 +82,23 @@ __all__ = [
 ]
 
 
-def _unit_dirs(unit):
-    if unit not in UNIT_KEYS:
-        raise ValueError(f"unknown unit {unit!r}")
-    return UNIT_KEYS[unit]
-
-
 def _two_sided(start, step, qorder, power=1):
     """(1 - u q^e)^power (1 - u^-1 q^e)^power, e = start + j*step < qorder."""
     count = max(0, rat_ceil((qorder - start) / step))
     return [(1, s, start + j * step, power) for j in range(count) for s in (1, -1)]
 
 
-def _unit_product(unit, factors, qorder, lead=(0, 0)):
-    """u^l q^v prod (1 - sign u^a q^e)^power over factors, (l, v) = lead, INNER:
-    the key u^(m + l) along unit carries row m of series._binomial_table."""
-    d1, d2 = _unit_dirs(unit)
+def _unit_product(factors, qorder, lead=(0, 0)):
+    """u^l q^v prod (1 - sign u^a q^e)^power over factors, (l, v) = lead, INNER,
+    u = z1: the key u^(m + l) carries row m of series._binomial_table."""
     l, v = lead[0], rat(lead[1])  # l an int or a Rat
     d, table = _binomial_table(factors, qorder - v)
-    rows = {}
-    for m, row in table.items():
-        e = m * l.denominator + l.numerator  # the key m + l over l's denominator
-        rows[(e * d1, e * d2)] = _int_row(row, v, d, qorder)
+    rows = {(m * l.denominator + l.numerator, 0): _int_row(row, v, d, qorder)
+            for m, row in table.items()}  # the key m + l over l's denominator
     return _from_rows(l.denominator, rows, qorder)
 
 
-def unit_pochhammer(unit, start, step, qorder, inverse=False):
+def unit_pochhammer(start, step, qorder, inverse=False):
     """prod over e = start + j*step < qorder of F(u q^e) F(u^-1 q^e), INNER.
 
     F(x) = 1 - x, or with inverse=True its INNER geometric expansion
@@ -114,11 +108,11 @@ def unit_pochhammer(unit, start, step, qorder, inverse=False):
     if step <= 0:
         raise ValueError("step must be positive")
     power = -1 if inverse else 1
-    return _unit_product(unit, _two_sided(start, step, qorder, power), qorder)
+    return _unit_product(_two_sided(start, step, qorder, power), qorder)
 
 
-def theta_hat(unit, k, qorder):
-    """Product-form theta_hat(u; k*tau), keys along the selected unit.
+def theta_hat(k, qorder):
+    """Product-form theta_hat(u; k*tau), u = z1.
 
     Exponents of the unit lie in 1/2 + Z; the coefficient of u^m is the
     single signed monomial (-1)^(m+1/2) q^(k m^2 / 2).
@@ -129,10 +123,10 @@ def theta_hat(unit, k, qorder):
     # q^(k/8) u^(-1/2) (1 - u) (u q^k, u^-1 q^k; q^k)_oo (q^k; q^k)_oo
     factors = [*((1, 0, e, 1) for e in range(k, rat_ceil(qorder), k)),
                (1, 1, 0, 1), *_two_sided(k, k, qorder)]
-    return _unit_product(unit, factors, qorder, (-Rat(1, 2), Rat(k, 8)))
+    return _unit_product(factors, qorder, (-Rat(1, 2), Rat(k, 8)))
 
 
-def theta_hat_sum(unit, k, qorder):
+def theta_hat_sum(k, qorder):
     """Half-integer indexed sum form of theta_hat; oracle for the product.
 
     The key u^n, n = j + 1/2, carries (-1)^(j+1) q^(k n^2 / 2).
@@ -140,23 +134,22 @@ def theta_hat_sum(unit, k, qorder):
     if k not in (1, 2):
         raise ValueError("scale k must be 1 or 2")
     qorder = _positive_order(qorder)
-    d1, d2 = _unit_dirs(unit)
     rows = {}
     for j in quadratic_range(Rat(k, 2), Rat(k, 2), Rat(k, 8), qorder):
         h = 2 * j + 1  # twice n
         sign = -1 if j % 2 == 0 else 1
-        rows[(h * d1, h * d2)] = q_monomial(sign, Rat(k * h * h, 8), qorder)
+        rows[(h, 0)] = q_monomial(sign, Rat(k * h * h, 8), qorder)
     return _from_rows(2, rows, qorder)
 
 
-def theta01(unit, k, qorder):
-    """(q^k, u q^(k/2), u^-1 q^(k/2); q^k)_oo with integer unit exponents."""
+def theta01(k, qorder):
+    """(q^k, u q^(k/2), u^-1 q^(k/2); q^k)_oo, u = z1, integer exponents of u."""
     if k not in (1, 2):
         raise ValueError("scale k must be 1 or 2")
     qorder = _positive_order(qorder)
     factors = [*((1, 0, e, 1) for e in range(k, rat_ceil(qorder), k)),
                *_two_sided(Rat(k, 2), k, qorder)]
-    return _unit_product(unit, factors, qorder)
+    return _unit_product(factors, qorder)
 
 
 def calT(qorder):
@@ -174,23 +167,23 @@ def calT(qorder):
 
 
 @lru_cache(maxsize=None)
-def t2t_factor(unit, qorder):
-    """INNER expansion of theta(z; 2 tau) / theta(z; tau) on one unit:
-    the product q^(1/8) (-q; q)_oo / (u q, u^-1 q; q^2)_oo, every factor
-    of (-q; q)_oo and every inverse factor of the denominator in turn.
+def t2t_factor(qorder):
+    """INNER expansion of theta(z; 2 tau) / theta(z; tau), u = z1: the
+    product q^(1/8) (-q; q)_oo / (u q, u^-1 q; q^2)_oo, every factor of
+    (-q; q)_oo and every inverse factor of the denominator in turn.
     """
     qorder = _positive_order(qorder)
     factors = [*((-1, 0, e, 1) for e in range(1, rat_ceil(qorder))),
                *_two_sided(1, 2, qorder, -1)]
-    return _unit_product(unit, factors, qorder, (0, Rat(1, 8)))
+    return _unit_product(factors, qorder, (0, Rat(1, 8)))
 
 
-def s01_factor(unit, qorder, zwindow):
+def s01_factor(qorder, zwindow):
     """INNER expansion of the rational part of theta01(z; 2tau)/theta(z; tau):
 
         u^(1/2) q^(-1/8) (-q; q)_oo / ((u; q^2)_oo (u^-1 q^2; q^2)_oo),
 
-    on the keys |e| <= W = zwindow, each exact below qorder.  Its j = 0
+    u = z1, on the keys |e| <= W = zwindow, each exact below qorder.  Its j = 0
     factor 1/(1 - u) = sum_k u^k enters last, as a running sum of the
     other factors' rows along u: the key u^(m + 1/2) sums the rows to m.
     """
@@ -203,18 +196,12 @@ def s01_factor(unit, qorder, zwindow):
         *_two_sided(2, 2, build, -1),
     ]
     d, table = _binomial_table(factors, build)
-    d1, d2 = _unit_dirs(unit)
     acc, rows = [0] * len(table[0]), {}
     for m in range(min(table), rat_floor(zwindow - Rat(1, 2)) + 1):
         if m in table:
             acc = list(map(add, acc, table[m]))
-        h = 2 * m + 1  # twice the key m + 1/2
-        rows[(h * d1, h * d2)] = _int_row(acc, Rat(-1, 8), d, qorder)
+        rows[(2 * m + 1, 0)] = _int_row(acc, Rat(-1, 8), d, qorder)  # twice m + 1/2
     return _from_rows(2, rows, qorder, zwindow)
-
-
-def _f_factors(qorder):
-    return [t2t_factor(unit, qorder) for unit in ("z1", "z2", "z12")]
 
 
 def _swap_orbit(key):
@@ -243,13 +230,15 @@ def f_series(qorder):
     symmetric under _swap_orbit and the whole under _weyl_orbit, and
     bl_mul convolves one key of each orbit.
     """
-    a, b, c = _f_factors(qorder)
+    g = t2t_factor(qorder)
+    a, b, c = (bl_on_unit(g, u) for u in ("z1", "z2", "z12"))
     return bl_mul(bl_mul(a, b, orbit=_swap_orbit), c, orbit=_weyl_orbit)
 
 
 def f_coeff(r1, r2, qorder):
     """f_series(qorder).coeff(r1, r2), read without building f."""
-    return product_coeff(*_f_factors(qorder), r1, r2)
+    g = t2t_factor(qorder)
+    return product_coeff(g, g, g, r1, r2)
 
 
 def J_series(qorder):
@@ -269,9 +258,10 @@ def J_constant_term(qorder):
     symmetric under _weyl_orbit, so it sums |orbit| calT_k f_coeff(-k)
     over one key k of each orbit of calT's keys."""
     qorder = _positive_order(qorder)
-    t = calT(qorder)  # int keys, over kd = 1
+    t, g = calT(qorder), t2t_factor(qorder)  # calT: int keys, over kd = 1
     reps = {frozenset(_weyl_orbit(k)): k for k in t.rows}  # one key per orbit
-    body = sum(t.rows[k] * f_coeff(-k[0], -k[1], qorder) * len(o) for o, k in reps.items())
+    body = sum(t.rows[k] * product_coeff(g, g, g, -k[0], -k[1]) * len(o)
+               for o, k in reps.items())
     return (eta_quotient({1: 5, 2: -1}, qorder) * body).truncate(qorder)
 
 

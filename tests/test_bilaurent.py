@@ -14,6 +14,7 @@ from falsetheta.bilaurent import (
     bl_monomial,
     bl_add,
     bl_mul,
+    bl_on_unit,
     bl_scalar_mul,
     bl_elliptic_shift,
     expand_inverse_one_minus,
@@ -109,6 +110,27 @@ class TestStructure:
         with pytest.raises(ValueError, match="region"):
             bl_from_json(d)
 
+    @pytest.mark.parametrize("field", ["region", "qorder", "window", "terms"])
+    def test_json_missing_a_field_is_refused_by_name(self, field):
+        d = bl_to_json(mono(1, 0, 0, 1, Rat(8)))
+        del d[field]
+        with pytest.raises(ValueError, match=f"no '{field}' field"):
+            bl_from_json(d)
+
+    @pytest.mark.parametrize("field", ["e1", "e2", "series"])
+    def test_json_term_missing_a_field_is_refused_by_name(self, field):
+        d = bl_to_json(mono(1, 0, 0, 1, Rat(8)))
+        del d["terms"][0][field]
+        with pytest.raises(ValueError, match=f"no '{field}' field"):
+            bl_from_json(d)
+
+    @pytest.mark.parametrize("field", ["qorder", "e1"])
+    def test_json_zero_denominator_is_a_value_error(self, field):
+        d = bl_to_json(mono(1, 0, 0, 1, Rat(8)))
+        (d if field == "qorder" else d["terms"][0])[field] = "1/0"
+        with pytest.raises(ValueError, match="zero denominator"):
+            bl_from_json(d)
+
 
 def _pairwise_product(a, b):
     """The product key pair by key pair with PuiseuxSeries.__mul__:
@@ -200,7 +222,8 @@ class TestMulAgainstPairwiseProducts:
         self.check(self._A, BiLaurentSeries({}, Rat(-2)))
 
     @pytest.mark.parametrize(
-        "build", [t2t_factor, lambda u, n: _t2t_sum(u, n, "closed")],
+        "build", [lambda u, n: bl_on_unit(t2t_factor(n), u),
+                  lambda u, n: _t2t_sum(u, n, "closed")],
         ids=["product", "closed"],
     )
     def test_the_factors_of_f_and_J(self, build):
@@ -224,21 +247,21 @@ class TestMulAgainstPairwiseProducts:
 class TestExpansions:
     def test_inner_geometric_positive_shift(self):
         # 1/(1 - z q^2) = sum_k z^k q^(2k)
-        g = expand_inverse_one_minus("z1", 2, Rat(7), zwindow=6)
+        g = expand_inverse_one_minus(2, Rat(7), zwindow=6)
         assert g.coeff(0, 0).coeff(0) == 1
         assert g.coeff(3, 0).coeff(6) == 1
         assert g.coeff(1, 0).coeff(3) == 0
 
     def test_inner_negative_shift_flips(self):
         # 1/(1 - z q^-1) = -sum_{k>=1} z^-k q^k for |q| < |z| < 1
-        g = expand_inverse_one_minus("z1", -1, Rat(5), zwindow=6)
+        g = expand_inverse_one_minus(-1, Rat(5), zwindow=6)
         assert g.coeff(-2, 0).coeff(2) == -1
         assert g.coeff(0, 0).is_zero()
 
     def test_zero_shift_needs_a_window(self):
         with pytest.raises(ValueError):
-            expand_inverse_one_minus("z1", 0, Rat(3))
-        g = expand_inverse_one_minus("z2", 0, Rat(3), zwindow=4)
+            expand_inverse_one_minus(0, Rat(3))
+        g = bl_on_unit(expand_inverse_one_minus(0, Rat(3), zwindow=4), "z2")
         assert sorted(g.terms) == [(0, k) for k in range(5)]
         assert g.window == 4
 
@@ -349,7 +372,7 @@ class TestRowsAgainstDictSemantics:
     def test_clip_and_elliptic_shift_on_half_integer_keys(self, m, j, unit):
         # E2's path: theta_hat's keys lie in 1/2 + Z
         W = j + Rat(1, 2)
-        th = theta_hat(unit, 1, Rat(12))
+        th = bl_on_unit(theta_hat(1, Rat(12)), unit)
         clipped = th.clip(W)
         want = _window_dict(th.terms, th.qorder, W)
         assert clipped.terms == want and clipped.window == W and clipped.kd == 2
@@ -359,6 +382,47 @@ class TestRowsAgainstDictSemantics:
         assert got.terms == _window_dict(want, qorder, W)
         assert (got.qorder, got.window) == (qorder, W)
         _assert_canonical(got)
+
+
+# -- one series in z1 moved onto a unit -------------------------------------------
+
+
+@st.composite
+def _z1_operands(draw):
+    """(terms, qorder, window) with keys (e, 0), e of denominator 1 or 2."""
+    qorder = draw(st.builds(Rat, st.integers(-8, 24), st.sampled_from([1, 2, 3, 4])))
+    keys = draw(st.dictionaries(st.builds(Rat, st.integers(-7, 7), st.sampled_from([1, 2])),
+                                st.dictionaries(_exponents, _coeffs, max_size=4), max_size=5))
+    terms = {(e, Rat(0)): PuiseuxSeries(c, qorder) for e, c in keys.items()}
+    return terms, qorder, draw(_windows)
+
+
+class TestOnUnit:
+    @given(_z1_operands(), st.sampled_from(sorted(UNIT_KEYS)))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_key_map_of_the_unit(self, raw, unit):
+        terms, qorder, window = raw
+        a = BiLaurentSeries(terms, qorder, window)
+        got = bl_on_unit(a, unit)
+        # the substitution z1 -> u, written out on the Rat keys
+        d1, d2 = {"z1": (1, 0), "z2": (0, 1), "z12": (1, 1)}[unit]
+        want = {(e * d1, e * d2): c for (e, _), c in a.terms.items()}
+        assert got.terms == want
+        assert (got.qorder, got.window) == (a.qorder, a.window)
+        _assert_canonical(got)
+        # the rows are the same objects, key for key
+        moved = {(e * d1, e * d2): c for (e, _), c in a.rows.items()}
+        assert got.rows.keys() == moved.keys()
+        assert all(got.rows[k] is c for k, c in moved.items())
+
+    def test_refuses_an_unknown_unit(self):
+        with pytest.raises(ValueError, match="unknown unit 'z3'"):
+            bl_on_unit(theta_hat(1, Rat(3)), "z3")
+
+    def test_refuses_a_key_off_z1(self):
+        a = bl_add(mono(1, 1, 0, 0, Rat(3)), mono(1, Rat(1, 2), Rat(-1, 2), 0, Rat(3)))
+        with pytest.raises(ValueError, match=r"has the key \(1/2, -1/2\), off z1"):
+            bl_on_unit(a, "z12")
 
 
 # -- one key per orbit against every key -----------------------------------------
@@ -406,7 +470,7 @@ class TestOrbitProducts:
 
     def test_orbit_is_keyword_only(self):
         # a wrapper that unpacks `a, b = args` sees only the two operands
-        a = t2t_factor("z1", Rat(2))
+        a = t2t_factor(Rat(2))
         with pytest.raises(TypeError):
             bl_mul(a, a, _swap_orbit)
 

@@ -283,10 +283,12 @@ class TestCheck:
          "not a finite double"),
         (("THETA_ELL", "--m", "1", "--l", "0", "--tau", "0.1+1.2i", "--z", "0.2+1e8i"),
          "not a finite double"),
+        (("THETA_ELL", "--m", "1", "--l", "0", "--tau", "0.1+1e-20i", "--z", "0.1"),
+         "more than the 1000000 allowed"),
     ])
     def test_a_non_finite_or_overflowing_point_is_usage_error(self, capsys, argv, message):
         # unrefused, each gives a verdict, a traceback or a sum over about
-        # 10^300 terms
+        # 10^300 terms (10^11 at Im tau = 1e-20)
         t0 = time.monotonic()
         code, out, err = run(capsys, "check", *argv)
         assert time.monotonic() - t0 < 1.0

@@ -323,7 +323,7 @@ def _E16_left_by_terms(order):
     for n in range(rat_ceil(order)):
         factors = [(1, a, 2 * j + 1, 1) for j in range(n) for a in (0, 1)]
         factors += [(-1, 1, j + 1, -1) for j in range(2 * n + 1)]
-        terms.append(_unit_product("z1", factors, order, (n, n)))
+        terms.append(_unit_product(factors, order, (n, n)))
     return bl_add(*terms)
 
 

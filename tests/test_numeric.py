@@ -30,8 +30,10 @@ from falsetheta.numeric import (
     sample_points,
     transformation_grid,
     LAW_IDS,
+    _MAX_TERMS,
     _TAIL,
     _T_indices,
+    _coset_sum,
     _eta_indices,
     _theta_indices,
 )
@@ -103,6 +105,27 @@ class TestEvaluators:
     def test_a_point_whose_terms_overflow_is_refused(self, evaluator, z):
         with pytest.raises(ValueError, match="not a finite double"):
             evaluator(z, TAU)
+
+    @pytest.mark.parametrize("evaluator,z", [
+        (eval_theta, 0.1),
+        (eval_eta, None),
+        (eval_T, (0.1, 0.2)),
+        (eval_J, (0.1, 0.2)),
+    ])
+    def test_a_point_past_the_term_budget_is_refused(self, evaluator, z):
+        # at Im tau = 1e-20 theta's range holds about 7.2e10 terms
+        tau = 0.1 + 1e-20j
+        with pytest.raises(ValueError, match="more than the 1000000 allowed"):
+            evaluator(tau) if z is None else evaluator(z, tau)
+
+    def test_the_term_budget_is_checked_before_any_term(self):
+        # an unsummable tau: a range past the budget raises before exp is
+        # called, one within it is summed
+        with pytest.raises(ValueError, match=f"needs {_MAX_TERMS + 1} terms"):
+            _coset_sum(1, None, 0.0, 1, 0, range(_MAX_TERMS + 1))
+        assert _coset_sum(1, 1j, 0.0, 1, 0, range(0)) == 0
+        # the widest sum of a check at Im tau = 1e-10 stays within it
+        assert len(_theta_indices(1e-10, 0.0, 1)) == 722516 <= _MAX_TERMS
 
     def test_the_overflow_bound_is_the_largest_double(self):
         # theta's largest term at tau = 1.2i is e^(2 pi y^2/2.4): e^704.0

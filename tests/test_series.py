@@ -576,7 +576,7 @@ def _explicit_binomials(factors, order):
             b = bl_add(bl_monomial(1, 0, 0, order),
                        bl_monomial(monomial(-sign, e, order), a, 0, order))
         elif a == 1 and sign == 1:
-            b = expand_inverse_one_minus("z1", e, order)
+            b = expand_inverse_one_minus(e, order)
         else:
             k, terms = 0, {}
             while k * e < order:
@@ -665,3 +665,43 @@ def test_rat_string_roundtrip():
     assert rat_str(Rat(-3, 7)) == "-3/7"
     assert parse_rat("-3/7") == Rat(-3, 7)
     assert parse_rat("5") == Rat(5)
+
+
+@pytest.mark.parametrize("s, message", [
+    ("1/0", "zero denominator"),
+    ("-3/0", "zero denominator"),
+    ("1/2/3", "unpack"),
+    ("x", "invalid literal"),
+    ("1.5", "invalid literal"),
+    (3, "expected a 'num/den' string"),
+    (None, "expected a 'num/den' string"),
+])
+def test_parse_rat_refuses_a_malformed_string_with_value_error(s, message):
+    with pytest.raises(ValueError, match=message):
+        parse_rat(s)
+
+
+@pytest.mark.parametrize("path, field", [
+    ((), "order"),
+    ((), "terms"),
+    (("terms", 0), "exp"),
+    (("terms", 0), "coeff"),
+])
+def test_series_json_missing_a_field_is_refused_by_name(path, field):
+    d = series_to_json(monomial(Rat(2, 3), Rat(1, 2), 3))
+    node = d
+    for step in path:
+        node = node[step]
+    del node[field]
+    with pytest.raises(ValueError, match=f"no '{field}' field"):
+        series_from_json(d)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1/0", "zero denominator"), (3, "expected a 'num/den' string")])
+@pytest.mark.parametrize("field", ["order", "exp", "coeff"])
+def test_series_json_malformed_rational_is_a_value_error(field, value, message):
+    d = series_to_json(monomial(Rat(2, 3), Rat(1, 2), 3))
+    (d if field == "order" else d["terms"][0])[field] = value
+    with pytest.raises(ValueError, match=message):
+        series_from_json(d)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from falsetheta import families, series, thetas
+from falsetheta.bilaurent import bl_on_unit
 from falsetheta.identities import _REGISTRY, registered_ids, _t2t_sum
 from falsetheta.rat import Rat
 from falsetheta.series import PuiseuxSeries
@@ -57,15 +58,15 @@ def test_identity_sides_agree_with_a_deeper_build(ident):
 
 _UNITS = ("z1", "z2", "z12")
 _BUILDERS = {
-    "unit_pochhammer": lambda n: thetas.unit_pochhammer("z2", Rat(1, 3), 1, n),
+    "unit_pochhammer": lambda n: thetas.unit_pochhammer(Rat(1, 3), 1, n),
     "unit_pochhammer_inverse": lambda n: thetas.unit_pochhammer(
-        "z12", Rat(1, 2), 1, n, inverse=True),
-    **{f"theta_hat_{u}_{k}": (lambda n, u=u, k=k: thetas.theta_hat(u, k, n))
+        Rat(1, 2), 1, n, inverse=True),
+    **{f"theta_hat_{u}_{k}": (lambda n, u=u, k=k: bl_on_unit(thetas.theta_hat(k, n), u))
        for u in _UNITS for k in (1, 2)},
-    "theta_hat_sum": lambda n: thetas.theta_hat_sum("z1", 2, n),
-    "theta01": lambda n: thetas.theta01("z12", 2, n),
+    "theta_hat_sum": lambda n: thetas.theta_hat_sum(2, n),
+    "theta01": lambda n: thetas.theta01(2, n),
     "calT": thetas.calT,
-    "t2t_factor": lambda n: thetas.t2t_factor("z12", n),
+    "t2t_factor": thetas.t2t_factor,
     "t2t_sum_closed": lambda n: _t2t_sum("z1", n, "closed"),
     "f_series": thetas.f_series,
     "f_coeff": lambda n: thetas.f_coeff(1, -1, n),
@@ -109,10 +110,13 @@ def test_public_builder_agrees_with_a_deeper_build(name, order):
 @pytest.mark.parametrize("unit", _UNITS)
 def test_s01_agrees_with_a_deeper_and_wider_build(unit, order):
     W = 3
-    shallow = thetas.s01_factor(unit, order, W)
+    def build(n, w):
+        return bl_on_unit(thetas.s01_factor(n, w), unit)
+
+    shallow = build(order, W)
     for delta in DELTAS:
-        assert _disagreement(shallow, thetas.s01_factor(unit, order + delta, W + 1)) is None
-    wide = thetas.s01_factor(unit, order, W + order + 4)
+        assert _disagreement(shallow, build(order + delta, W + 1)) is None
+    wide = build(order, W + order + 4)
     assert _disagreement(shallow, wide) is None
     assert shallow == wide.clip(W)
 
@@ -121,11 +125,10 @@ _INTS = st.integers(-3, 3)
 # each strategy draws one builder's parameters and returns the builder of
 # the order alone
 _DRAWN = {
-    "theta_hat": st.builds(partial, st.just(thetas.theta_hat), st.sampled_from(_UNITS),
-                           st.sampled_from([1, 2])),
-    "t2t_factor": st.builds(partial, st.just(thetas.t2t_factor), st.sampled_from(_UNITS)),
-    "s01_factor": st.builds(lambda u, w: partial(thetas.s01_factor, u, zwindow=w),
-                            st.sampled_from(_UNITS), st.integers(0, 6)),
+    "theta_hat": st.builds(partial, st.just(thetas.theta_hat), st.sampled_from([1, 2])),
+    "t2t_factor": st.just(thetas.t2t_factor),
+    "s01_factor": st.builds(lambda w: partial(thetas.s01_factor, zwindow=w),
+                            st.integers(0, 6)),
     "G_hyper": st.builds(lambda r1, r2: partial(families.G_hyper, (r1, r2)), _INTS, _INTS),
     "H_frak": st.builds(lambda j, r2: partial(families.H_frak, Rat(2 * j + 1, 2), r2),
                         _INTS, _INTS),
