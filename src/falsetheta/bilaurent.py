@@ -46,7 +46,7 @@ from math import gcd, lcm
 from .rat import Rat, rat, rat_floor, rat_str, ratio_str, parse_rat
 from .series import PuiseuxSeries, zero as q_zero, monomial as q_monomial
 from .series import series_to_json, series_from_json
-from .series import _ceil_div, _from_row, _json_field, _mul_add, _scaled, _spread, _zeros
+from .series import _ceil_div, _from_row, _json_field, _json_list, _mul_add, _scaled, _spread, _zeros
 
 # The name of the one annulus every expansion is taken in.
 ANNULUS = "INNER"
@@ -69,6 +69,17 @@ __all__ = [
 
 # key direction of each elliptic unit; z1*z2 is a derived direction
 UNIT_KEYS = {"z1": (1, 0), "z2": (0, 1), "z12": (1, 1)}
+
+# W(A2) on keys in root coordinates, the units of UNIT_KEYS its positive
+# roots: each w as (det w, ((a, b), (c, d))), w(e) = (a e1 + b e2, c e1 + d e2)
+_WEYL = (
+    (1, ((1, 0), (0, 1))),  # the identity
+    (-1, ((-1, 1), (0, 1))),  # s1
+    (-1, ((1, 0), (1, -1))),  # s2
+    (1, ((0, -1), (1, -1))),  # s1 s2
+    (1, ((-1, 1), (-1, 0))),  # s2 s1
+    (-1, ((0, -1), (-1, 0))),  # w0, the longest element
+)
 
 
 class BiLaurentSeries:
@@ -200,7 +211,8 @@ def bl_add(*operands):
 
 def _layout(factors, qorder):
     """(rows, ntop, series) for products below qorder of the nonempty
-    factors, given as their rows over one kd.
+    factors, given as their rows over one kd; a rows dict given twice, as
+    in product_coeff(g, g, g, ...), is laid out once.
 
     Every row goes over qd, the lcm of the rows' qd and of the qorder's
     denominator, and is spread onto one grid of step g, the gcd of all
@@ -218,12 +230,15 @@ def _layout(factors, qorder):
     grid = [[(s, s.s * (qd // s.qd), s.lo * (qd // s.qd)) for s in ss] for ss in each]
     e0 = [min(u for _, _, u in fg) for fg in grid]
     g = gcd(*(x for fg, m in zip(grid, e0) for _, t, u in fg for x in (t, u - m)))
-    scale, rows = 1, []
+    scale, rows, done = 1, [], {}  # done: id(factor) -> its laid-out rows
     for f, fg, m in zip(factors, grid, e0):
         den = lcm(*(s.den for s, _, _ in fg))
         scale *= den
-        spread = {id(s): ((u - m) // g, _spread(s.row, t // g, den // s.den)) for s, t, u in fg}
-        rows.append({k: spread[id(s)] for k, s in f.items()})
+        if id(f) not in done:
+            spread = {id(s): ((u - m) // g, _spread(s.row, t // g, den // s.den))
+                      for s, t, u in fg}
+            done[id(f)] = {k: spread[id(s)] for k, s in f.items()}
+        rows.append(done[id(f)])
     v, top = sum(e0), qorder.numerator * (qd // qorder.denominator)
     return rows, _ceil_div(top - v, g), lambda row: _from_row(qd, v, g, row, scale, top)
 
@@ -415,7 +430,7 @@ def bl_from_json(d):
     terms = {
         (parse_rat(_json_field(t, "e1")), parse_rat(_json_field(t, "e2"))):
             series_from_json(_json_field(t, "series"))
-        for t in _json_field(d, "terms")
+        for t in _json_list(d, "terms")
     }
     qorder = parse_rat(_json_field(d, "qorder"))
     return BiLaurentSeries(terms, qorder, _window_from_json(_json_field(d, "window")))

@@ -7,6 +7,11 @@ rank-one sums by `series.quadratic_range`.  No box is guessed; exactly
 the indices with exponent below the truncation order are visited.  The
 hypergeometric inner sums A_m are each one list of ints, built term by
 term from their term ratio by `_A_table` on `series._divide`.
+
+W(A2) is one table, `bilaurent._WEYL`, of six signed matrices w.  With
+rho = (1, 1) and C the Cartan matrix, coeff_F's orbit offsets are
+w(n) - rho - r, F_constant_term's Weyl-denominator terms rho - w rho,
+and G_frak's bracket gradients C (rho - w rho).
 """
 
 from itertools import count
@@ -23,7 +28,7 @@ from .series import (
     _int_row,
     _zeros,
 )
-from .bilaurent import product_coeff
+from .bilaurent import product_coeff, _WEYL
 from .thetas import t2t_factor, s01_factor
 
 __all__ = [
@@ -81,18 +86,6 @@ def _check_lambda(lam, p, order):
     return l1, l2, _positive_order(order)
 
 
-# the six bracket summands: sign and the gradient g of the linear term
-# L(n) = g . (n + lambda)
-_BRACKET = (
-    (1, (0, 0)),
-    (-1, (2, -1)),
-    (-1, (-1, 2)),
-    (1, (3, 0)),
-    (1, (0, 3)),
-    (-1, (2, 2)),
-)
-
-
 def G_frak(lam, p, order):
     """Weighted positive-cone lattice sum with the six-term bracket.
 
@@ -100,13 +93,17 @@ def G_frak(lam, p, order):
     the alternating bracket of q-powers linear in n + lam.
     """
     l1, l2, order = _check_lambda(lam, p, order)
-    form, (b1, b2), c = _pQ(p, l1 - Rat(1, p), l2 - Rat(1, p))
+    form, (b1, b2), const = _pQ(p, l1 - Rat(1, p), l2 - Rat(1, p))
     out = q_zero(order)
-    for sign, (g1, g2) in _BRACKET:
+    # the bracket: sign w q^(g . (n + lam)) for each w of bilaurent._WEYL,
+    # with the gradient g = C (rho - w rho), C the Cartan matrix
+    for sign, ((a, b), (c, d)) in _WEYL:
+        o1, o2 = 1 - a - b, 1 - c - d  # rho - w rho, rho = (1, 1)
+        g1, g2 = 2 * o1 - o2, 2 * o2 - o1
         out = out + lattice_sum(
             form,
             (b1 + g1, b2 + g2),
-            c + g1 * l1 + g2 * l2,
+            const + g1 * l1 + g2 * l2,
             order,
             lambda n1, n2: sign * min(n1, n2),
             (1, 1),
@@ -146,18 +143,12 @@ def G_frak_closed_p2(r, order):
     )
 
 
-# per-summand integer offsets (l1, l2) of the Weyl-orbit expansion of the
-# Fourier coefficient, as affine functions of the lattice point n and the
-# index r; a summand contributes min(l1+1, l2+1) when both are >= 0
+# per-summand integer offsets (l1, l2) = w(n) - rho - r of the Weyl-orbit
+# expansion of the Fourier coefficient, one for each w of bilaurent._WEYL
+# with its sign; a summand contributes min(l1+1, l2+1) when both are >= 0
 def _orbit_offsets(n1, n2, r1, r2):
-    return (
-        (1, n1 - 1 - r1, n2 - 1 - r2),
-        (-1, n2 - n1 - 1 - r1, n2 - 1 - r2),
-        (-1, n1 - 1 - r1, n1 - n2 - 1 - r2),
-        (1, -n2 - 1 - r1, n1 - n2 - 1 - r2),
-        (1, n2 - n1 - 1 - r1, -n1 - 1 - r2),
-        (-1, -n2 - 1 - r1, -n1 - 1 - r2),
-    )
+    return [(sign, a * n1 + b * n2 - 1 - r1, c * n1 + d * n2 - 1 - r2)
+            for sign, ((a, b), (c, d)) in _WEYL]
 
 
 def coeff_F(r, p, order):
@@ -188,19 +179,13 @@ def F_constant_term(p, order):
     _check_p(p)
     order = _positive_order(order)
     out = q_zero(order)
-    # (1-a)(1-b)(1-ab) expanded; the -ab and +ab terms cancel.  Each
-    # summand's extra power of q is linear in n, so it joins `linear`
-    for sign, (o1, o2) in (
-        (1, (0, 0)),
-        (-1, (1, 0)),
-        (-1, (0, 1)),
-        (1, (2, 1)),
-        (1, (1, 2)),
-        (-1, (2, 2)),
-    ):
+    # (1-x)(1-y)(1-xy) = sum sign w x^o1 y^o2 over w of bilaurent._WEYL,
+    # (o1, o2) = rho - w rho: the Weyl denominator identity.  Each summand's
+    # extra power of q is linear in n, so it joins `linear`
+    for sign, ((a, b), (c, d)) in _WEYL:
         out = out + lattice_sum(
             (Rat(p, 3), Rat(p, 3), Rat(p, 3)),
-            (o1 - 1, o2 - 1),
+            (-a - b, -c - d),  # rho - w rho - (1, 1)
             Rat(1, p),
             order,
             lambda n1, n2: 0 if (n1 - n2) % 3 else sign * min(n1, n2),

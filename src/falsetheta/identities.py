@@ -66,6 +66,7 @@ from .families import (
     G_frak_closed_p2,
     coeff_F,
     _orbit_offsets,
+    _pQ,
     G_hyper,
     H_frak,
     F0_series,
@@ -461,8 +462,7 @@ def _build_E17(p, order):
 
 
 def _build_E18(p, order):
-    # 2 Q(n - 1/2) = 2 n1^2 - 2 n1 n2 + 2 n2^2 - n1 - n2 + 1/2
-    exponent = (2, -2, 2), (-1, -1), Rat(1, 2), order
+    exponent = *_pQ(2, -Rat(1, 2), -Rat(1, 2)), order  # 2 Q(n - 1/2), as F0_series(2)
     if p["part"] == "simplify":
         # the quadratic-weight rewrite of F0's cubic weight at p = 2
         return F0_series(2, order), lattice_sum(

@@ -605,9 +605,17 @@ def _json_field(d, name):
     return d[name]
 
 
+def _json_list(d, name):
+    """_json_field(d, name); ValueError naming the field if it is not a list."""
+    value = _json_field(d, name)
+    if not isinstance(value, list):
+        raise ValueError(f"the JSON field {name!r} is not a list: {value!r}")
+    return value
+
+
 def series_from_json(d):
     """The series of a series_to_json document; a missing field or a
     malformed value raises ValueError."""
     terms = {parse_rat(_json_field(t, "exp")): parse_rat(_json_field(t, "coeff"))
-             for t in _json_field(d, "terms")}
+             for t in _json_list(d, "terms")}
     return PuiseuxSeries(terms, parse_rat(_json_field(d, "order")))

@@ -37,13 +37,13 @@ the kernel's rows.
 f is a product over the three positive roots of A2 (the units z1, z2,
 z1 z2) of one factor g = t2t_factor that is even in its unit, so its
 coefficients are fixed by the 12-element group W(A2) x {+-1} acting on
-the keys (e1, e2); calT is fixed by the same group.  f_series and
-J_series pass that group's orbits (_swap_orbit, _weyl_orbit) to bl_mul,
-which then convolves one key per orbit; f_coeff reads product_coeff(g,
-g, g), and J_constant_term sums calT_k times that read at -k over one
-key k per orbit.  J and the N = 3 character scale by eta(tau)^5/eta(2 tau)
-and eta(tau)/eta(2 tau), each one `series.eta_quotient`, which carries
-its own q-power.
+the keys (e1, e2), as is calT; _weyl_orbit reads W(A2) off bilaurent._WEYL.
+f_series and J_series pass that group's orbits (and _swap_orbit's) to
+bl_mul, which then convolves one key per orbit; f_coeff reads
+product_coeff(g, g, g), and J_constant_term sums calT_k times that read
+at -k over one key k per orbit.  J and the N = 3 character scale by
+eta(tau)^5/eta(2 tau) and eta(tau)/eta(2 tau), each one
+`series.eta_quotient`, which carries its own q-power.
 """
 
 from functools import lru_cache
@@ -64,6 +64,7 @@ from .bilaurent import (
     bl_scalar_mul,
     product_coeff,
     _from_rows,
+    _WEYL,
 )
 
 __all__ = [
@@ -205,20 +206,19 @@ def s01_factor(qorder, zwindow):
 
 
 def _swap_orbit(key):
-    """The orbit of a key under {id, swap, -1, -swap}: a symmetry of any
-    product g(z1) g(z2) of one function g that is even in its unit."""
+    """The orbit of a key under {1, -w0} x {+-1}, w0 the longest element
+    of W(A2): a symmetry of g(z1) g(z2) for any g even in its unit."""
     e1, e2 = key
     return (e1, e2), (e2, e1), (-e1, -e2), (-e2, -e1)
 
 
 def _weyl_orbit(key):
-    """The orbit of a key under W(A2) x {+-1}, the 12-element group that
-    (e1, e2) -> (e2, e1), (e1, e2) -> (-e1, e2 - e1) and -1 generate: a
-    symmetry of g(z1) g(z2) g(z1 z2) for g even in its unit, and of calT."""
+    """The orbit {w k} u {-w k}, w in bilaurent._WEYL, of a key k under
+    W(A2) x {+-1}: a symmetry of g(z1) g(z2) g(z1 z2) for g even in its
+    unit, and of calT."""
     e1, e2 = key
-    d = e2 - e1
-    six = (e1, e2), (e2, e1), (-e1, d), (d, -e1), (-e2, -d), (-d, -e2)
-    return six + tuple((-a, -b) for a, b in six)
+    six = [(a * e1 + b * e2, c * e1 + d * e2) for _, ((a, b), (c, d)) in _WEYL]
+    return six + [(-x, -y) for x, y in six]
 
 
 def f_series(qorder):

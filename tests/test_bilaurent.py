@@ -20,6 +20,7 @@ from falsetheta.bilaurent import (
     expand_inverse_one_minus,
     bl_to_json,
     bl_from_json,
+    _WEYL,
 )
 from falsetheta.thetas import calT, f_series, t2t_factor, theta_hat, _swap_orbit, _weyl_orbit
 from falsetheta.identities import _build_E3, _t2t_sum
@@ -115,6 +116,12 @@ class TestStructure:
         d = bl_to_json(mono(1, 0, 0, 1, Rat(8)))
         del d[field]
         with pytest.raises(ValueError, match=f"no '{field}' field"):
+            bl_from_json(d)
+
+    @pytest.mark.parametrize("terms", [3, None, "e1", {"e1": "0", "e2": "0"}])
+    def test_json_terms_that_are_not_a_list_are_refused_by_name(self, terms):
+        d = dict(bl_to_json(mono(1, 0, 0, 1, Rat(8))), terms=terms)
+        with pytest.raises(ValueError, match="'terms' is not a list"):
             bl_from_json(d)
 
     @pytest.mark.parametrize("field", ["e1", "e2", "series"])
@@ -423,6 +430,42 @@ class TestOnUnit:
         a = bl_add(mono(1, 1, 0, 0, Rat(3)), mono(1, Rat(1, 2), Rat(-1, 2), 0, Rat(3)))
         with pytest.raises(ValueError, match=r"has the key \(1/2, -1/2\), off z1"):
             bl_on_unit(a, "z12")
+
+
+# -- the table of W(A2) ----------------------------------------------------------
+
+
+def _matmul(x, y):
+    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2))
+                 for i in range(2))
+
+
+def _act(m, e):
+    (a, b), (c, d) = m
+    return (a * e[0] + b * e[1], c * e[0] + d * e[1])
+
+
+class TestWeylTable:
+    ROOTS = {(s * d1, s * d2) for d1, d2 in UNIT_KEYS.values() for s in (1, -1)}
+
+    def test_is_a_group_of_six_matrices(self):
+        ms = [m for _, m in _WEYL]
+        assert len(set(ms)) == 6 and ((1, 0), (0, 1)) in ms
+        assert all(_matmul(x, y) in ms for x in ms for y in ms)
+
+    def test_each_sign_is_the_determinant_and_the_roots_go_to_roots(self):
+        for sign, m in _WEYL:
+            (a, b), (c, d) = m
+            assert sign == a * d - b * c, m
+            assert {_act(m, r) for r in self.ROOTS} == self.ROOTS, m
+
+    def test_three_elements_are_root_reflections(self):
+        # s_alpha negates alpha; -s_alpha, of the same sign, negates no root,
+        # so this tells W(A2) from the other groups of six root symmetries
+        reflections = [m for sign, m in _WEYL if sign == -1]
+        assert len(reflections) == 3
+        for m in reflections:
+            assert any(_act(m, r) == (-r[0], -r[1]) for r in self.ROOTS), m
 
 
 # -- one key per orbit against every key -----------------------------------------

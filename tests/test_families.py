@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from falsetheta import families
 from falsetheta.rat import Rat, rat_ceil
 from falsetheta.series import (
     PuiseuxSeries,
@@ -185,6 +186,50 @@ class TestGFamily:
     def test_invalid_p_rejected(self):
         with pytest.raises(ValueError):
             G_frak((0, 0), 1, Rat(5))
+
+
+# The six terms of W(A2) as they were written out before they were read off
+# bilaurent._WEYL: G_frak's bracket gradients C (rho - w rho), the Weyl
+# denominator's exponents rho - w rho, and coeff_F's orbit offsets w(n) - rho - r.
+_BRACKET = ((1, (0, 0)), (-1, (2, -1)), (-1, (-1, 2)), (1, (3, 0)), (1, (0, 3)), (-1, (2, 2)))
+_WEYL_DENOMINATOR = ((1, (0, 0)), (-1, (1, 0)), (-1, (0, 1)), (1, (2, 1)), (1, (1, 2)),
+                     (-1, (2, 2)))
+
+
+def _orbit_offset_rows(n1, n2, r1, r2):
+    return [
+        (1, n1 - 1 - r1, n2 - 1 - r2),
+        (-1, n2 - n1 - 1 - r1, n2 - 1 - r2),
+        (-1, n1 - 1 - r1, n1 - n2 - 1 - r2),
+        (1, -n2 - 1 - r1, n1 - n2 - 1 - r2),
+        (1, n2 - n1 - 1 - r1, -n1 - 1 - r2),
+        (-1, -n2 - 1 - r1, -n1 - 1 - r2),
+    ]
+
+
+class TestWeylTerms:
+    @pytest.mark.parametrize("build, want", [
+        (lambda: G_frak((0, 0), 2, 1), _BRACKET),
+        (lambda: F_constant_term(2, 1), _WEYL_DENOMINATOR),
+    ], ids=["G_frak", "F_constant_term"])
+    def test_the_summands_are_read_off_the_table(self, monkeypatch, build, want):
+        # each summand is one lattice_sum whose weight at (1, 1) is its sign
+        # and whose linear part is (-1, -1) plus its term: at p = 2 and
+        # lam = 0 for G_frak, by construction for F_constant_term
+        calls = []
+
+        def spy(form, linear, const, order, weight, lower=(None, None)):
+            calls.append((weight(1, 1), (linear[0] + 1, linear[1] + 1)))
+            return zero(order)
+
+        monkeypatch.setattr(families, "lattice_sum", spy)
+        build()
+        assert calls == list(want)
+
+    @given(st.tuples(*[st.integers(-30, 30)] * 4))
+    @settings(max_examples=200, deadline=None)
+    def test_the_orbit_offsets_are_read_off_the_table(self, nr):
+        assert list(families._orbit_offsets(*nr)) == _orbit_offset_rows(*nr)
 
 
 class TestCoefficientFamilies:

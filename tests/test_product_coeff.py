@@ -15,7 +15,7 @@ once, which the build counts at the end check.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from falsetheta import families, thetas
+from falsetheta import bilaurent, families, thetas
 from falsetheta.rat import Rat
 from falsetheta.series import PuiseuxSeries, eta_quotient, zero as q_zero
 from falsetheta.bilaurent import BiLaurentSeries, bl_mul, product_coeff
@@ -238,3 +238,10 @@ def test_an_H_frak_builds_one_s01_table(monkeypatch):
     tables = _counting(monkeypatch, families, "s01_factor")
     H_frak(Rat(1, 2), 1, Rat(6))
     assert len(tables) == 1
+
+
+def test_an_f_coeff_spreads_each_distinct_row_once(monkeypatch):
+    # g passed three times is laid out once: one spread per distinct row of g
+    spreads = _counting(monkeypatch, bilaurent, "_spread")
+    f_coeff(1, 0, Rat(15))
+    assert len(spreads) == len({id(c) for c in t2t_factor(Rat(15)).rows.values()}) == 29

@@ -697,6 +697,12 @@ def test_series_json_missing_a_field_is_refused_by_name(path, field):
         series_from_json(d)
 
 
+@pytest.mark.parametrize("terms", [3, None, "exp", {"exp": "0", "coeff": "1"}])
+def test_series_json_terms_that_are_not_a_list_are_refused_by_name(terms):
+    with pytest.raises(ValueError, match="'terms' is not a list"):
+        series_from_json({"order": "1", "terms": terms})
+
+
 @pytest.mark.parametrize("value, message", [
     ("1/0", "zero denominator"), (3, "expected a 'num/den' string")])
 @pytest.mark.parametrize("field", ["order", "exp", "coeff"])

@@ -1,6 +1,7 @@
 """Theta builders: product and sum forms, ratio factors, assembled kernels."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from falsetheta.rat import Rat
 from falsetheta.series import eta_quotient, monomial
@@ -240,6 +241,15 @@ class TestRatioFactors:
                         todo.append(g(e))
             assert set(orbit(key)) == seen, key
         assert len(set(orbit((1, 3)))) == size
+
+    @given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
+    @settings(max_examples=200, deadline=None)
+    def test_the_weyl_orbit_is_the_twelve_images_it_was_written_as(self, key):
+        # the twelve images as written out before they were read off _WEYL
+        e1, e2 = key
+        d = e2 - e1
+        six = (e1, e2), (e2, e1), (-e1, d), (d, -e1), (-e2, -d), (-d, -e2)
+        assert set(_weyl_orbit(key)) == {*six, *((-a, -b) for a, b in six)}
 
 
 def _plain_f(qorder):
