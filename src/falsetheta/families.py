@@ -6,7 +6,8 @@ layer: the two-variable lattice sums by `series.lattice_sum`, the
 rank-one sums by `series.quadratic_range`.  No box is guessed; exactly
 the indices with exponent below the truncation order are visited.  The
 hypergeometric inner sums A_m are each one list of ints, built term by
-term from their term ratio by `_A_table` on `series._divide`.
+term from their term ratio by `_A_table` on `series._divide`, once per
+G_hyper call into one table in z1 that `product_coeff` reads.
 
 W(A2) is one table, `bilaurent._WEYL`, of six signed matrices w.  With
 rho = (1, 1) and C the Cartan matrix, coeff_F's orbit offsets are
@@ -28,7 +29,7 @@ from .series import (
     _int_row,
     _zeros,
 )
-from .bilaurent import product_coeff, _WEYL
+from .bilaurent import product_coeff, _from_rows, _WEYL
 from .thetas import t2t_factor, s01_factor
 
 __all__ = [
@@ -219,6 +220,16 @@ def _A_table(m, order, quad=0):
     return _int_row(total, 0, 1, order)
 
 
+def _hyper_factor(order):
+    """h(u) = sum_m q^(|m|/2) A_|m| u^m, a series in z1 below order: one
+    _A_table row per |m| < 2 order, shared by u^m and u^-m.  It is the
+    inverse pair 1/((u q^(1/2), u^-1 q^(1/2); q)_oo)."""
+    rows = {}
+    for m in range(rat_ceil(2 * order)):
+        rows[(m, 0)] = rows[(-m, 0)] = _A_table(m, order - Rat(m, 2)).shift(Rat(m, 2))
+    return _from_rows(1, rows, order)
+
+
 def G_hyper(r, order):
     """Triple q-hypergeometric sum attached to an integer index pair r.
 
@@ -226,22 +237,11 @@ def G_hyper(r, order):
     q^(n1 + n2 + n3 + (|n4 - r1| + |n4 - r2| + |n4|)/2) /
     ((q)_{n1} (q)_{n1 + |n4 - r1|} (q)_{n2} (q)_{n2 + |n4 - r2|}
      (q)_{n3} (q)_{n3 + |n4|}),
-    that is sum over n4 of q^pre A_{|n4 - r1|} A_{|n4 - r2|} A_{|n4|}, with
-    pre the q-power above; each A_m is one `_A_table` call below order - pre.
+    the (r1, r2) coefficient of h(z1) h(z2) h(z1 z2), h = _hyper_factor.
     """
     r1, r2 = _check_r(r)
-    order = _positive_order(order)
-    out = q_zero(order)
-    med = sorted((0, r1, r2))[1]
-    for n4s in (count(med), count(med - 1, -1)):
-        for n4 in n4s:
-            ms = (abs(n4 - r1), abs(n4 - r2), abs(n4))
-            pre = Rat(sum(ms), 2)
-            if pre >= order:
-                break  # pre is convex in n4 and least at med
-            a1, a2, a3 = (_A_table(m, order - pre) for m in ms)
-            out = out + (a1 * a2 * a3).shift(pre)
-    return out
+    h = _hyper_factor(_positive_order(order))
+    return product_coeff(h, h, h, r1, r2)
 
 
 def H_frak(r1, r2, order):

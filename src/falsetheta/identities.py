@@ -404,10 +404,9 @@ def _build_E13(p, order):
 def _build_E14(p, order):
     r = p["r"]
     if p["part"] == "poch":
-        # the sixfold product, one inverse pair on each unit, read at one key
-        pair = unit_pochhammer(Rat(1, 2), 1, order + Rat(1, 2), inverse=True)
-        lhs = product_coeff(pair, pair, pair, r[0], r[1])
-        return lhs.truncate(order), G_hyper(r, order)
+        # the sixfold product read at one key, as G_hyper reads its own table
+        pair = unit_pochhammer(Rat(1, 2), 1, order, inverse=True)
+        return product_coeff(pair, pair, pair, r[0], r[1]), G_hyper(r, order)
     sh = Rat(1, 2) + Rat(2, 3) * quad_Q(Rat(r[0]), Rat(r[1]))
     lam = (Rat(r[0] + r[1], 3), Rat(2 * r[1] - r[0], 3))
     lhs = G_frak(lam, 2, order + sh)

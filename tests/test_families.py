@@ -1,5 +1,7 @@
 """Weighted lattice-sum families and their frozen expansions."""
 
+from itertools import count
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,8 +29,10 @@ from falsetheta.families import (
     rank_one_coeff,
     rogers_false_theta,
     _A_table,
+    _hyper_factor,
 )
 from falsetheta.identities import _build_E18
+from falsetheta.thetas import unit_pochhammer
 
 
 def series_dict(s):
@@ -269,8 +273,10 @@ class TestCoefficientFamilies:
 
     @pytest.mark.parametrize("order", [Rat(7, 2), Rat(6)])
     def test_hypergeometric_diagonal_symmetry(self, order):
-        # G_hyper(r) depends only on the set {0, r1, r2} up to translation
-        # and negation, which n4 -> n4 + t and n4 -> -n4 absorb
+        # G_hyper(r) is the z1^r1 z2^r2 coefficient of h(z1) h(z2) h(z1 z2),
+        # h(u) = h(1/u); the product is fixed by swapping z1 and z2, by
+        # inverting both, and by z2 -> (z1 z2)^-1 or z1 -> (z1 z2)^-1, each
+        # of which permutes its three factors
         built = {}
 
         def g(r):
@@ -284,7 +290,8 @@ class TestCoefficientFamilies:
                     assert g(s) == g((r1, r2)), ((r1, r2), s)
 
     def test_hypergeometric_far_index_is_zero(self):
-        # every n4 has (|n4 - r1| + |n4 - r2| + |n4|)/2 >= 10**9/2
+        # the z1^r1 z2^r2 coefficient of h(z1) h(z2) h(z1 z2) sums
+        # h_(r1-m) h_(r2-m) h_m, h_m from q^(|m|/2): each from q^(10**9/2)
         g = G_hyper((10**9, 0), Rat(1, 100))
         assert g.is_zero() and g.order == Rat(1, 100)
 
@@ -382,3 +389,52 @@ class TestATable:
         # with quad, the n = 1 term q^(2 + m) is the first after 1/(q)_m
         a = _A_table(1, 4, 1)
         assert dict(a.items()) == {Rat(0): 1, Rat(1): 1, Rat(2): 1, Rat(3): 2}
+
+
+def _G_hyper_by_n4(r, order):
+    """The triple sum as a walk over n4: q^pre A_|n4 - r1| A_|n4 - r2| A_|n4|,
+    pre = (|n4 - r1| + |n4 - r2| + |n4|)/2, each A_m built below order - pre,
+    for n4 outward from the median of 0, r1 and r2 until pre reaches order."""
+    r1, r2 = r
+    out = zero(order)
+    med = sorted((0, r1, r2))[1]
+    for n4s in (count(med), count(med - 1, -1)):
+        for n4 in n4s:
+            ms = (abs(n4 - r1), abs(n4 - r2), abs(n4))
+            pre = Rat(sum(ms), 2)
+            if pre >= order:
+                break  # pre is convex in n4 and least at med
+            a1, a2, a3 = (_A_table(m, order - pre) for m in ms)
+            out = out + (a1 * a2 * a3).shift(pre)
+    return out
+
+
+class TestHyperFactor:
+    @pytest.mark.parametrize(
+        "order", [Rat(1, 3), Rat(1, 2), Rat(7, 2), Rat(6), Rat(15), Rat(31, 2)], ids=str
+    )
+    def test_is_the_inverse_pochhammer_pair(self, order):
+        assert _hyper_factor(order) == unit_pochhammer(Rat(1, 2), 1, order, inverse=True)
+
+    @given(
+        r=st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+        order=st.integers(1, 16).map(lambda k: Rat(k, 2)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_G_hyper_against_the_n4_walk(self, r, order):
+        got, want = G_hyper(r, order), _G_hyper_by_n4(r, order)
+        assert got.terms == want.terms and got.order == want.order
+
+    @pytest.mark.parametrize(
+        "order, calls", [(Rat(1, 3), 1), (Rat(7, 2), 7), (Rat(15), 30)], ids=str
+    )
+    def test_one_call_builds_each_A_m_once(self, monkeypatch, order, calls):
+        made = []
+
+        def spy(m, order, quad=0):
+            made.append(m)
+            return _A_table(m, order, quad)
+
+        monkeypatch.setattr(families, "_A_table", spy)
+        G_hyper((0, 0), order)
+        assert sorted(made) == list(range(calls))

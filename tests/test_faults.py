@@ -4,11 +4,14 @@ must still make some identity fail.
 Each fault is patched into every falsetheta module that binds the faulty
 name, one at a time.  It must first change its kernel's own output on the
 input its probe names, so that a fault that does nothing cannot pass.  A
-kernel fault must then make at least one registered identity, verified at
-its default order, report `unequal` or raise.  A fault in the table of
-W(A2), `bilaurent._WEYL`, must be caught by E10, E11, E15b or E19, whose
-other sides never read the table: E7 compares two builders that both read
-it, so it alone cannot see such a fault.
+kernel fault must then make at least one identity of its list, verified at
+its default order, report `unequal` or raise: every registered identity,
+or for `product_coeff` E9, E10, E11, E13 and E15b, whose other sides never
+read it (E14's `poch` part and E15's `rescaled` part read it on both
+sides).  A fault in the table of W(A2), `bilaurent._WEYL`, must be caught
+by E10, E11, E15b or E19, whose other sides never read the table: E7
+compares two builders that both read it, so it alone cannot see such a
+fault.
 """
 
 import sys
@@ -17,6 +20,7 @@ import pytest
 
 from falsetheta import bilaurent, families, series
 from falsetheta.identities import registered_ids, verify_identity
+from falsetheta.rat import rat_ceil
 from falsetheta.thetas import t2t_factor
 
 
@@ -48,6 +52,33 @@ def _drop_the_point_2_1(lattice_sum):
 
 def _drop_the_last_index(quadratic_range):
     return lambda *args, **kwargs: quadratic_range(*args, **kwargs)[:-1]
+
+
+def _skip_the_last_factor(binomial_table):
+    def faulty(factors, order, start=None):
+        return binomial_table(list(factors)[:-1], order, start)
+    return faulty
+
+
+def _add_one_at_the_last_place(A_table):
+    """_A_table that adds 1 at the last integer exponent below the order."""
+    def faulty(m, order, quad=0):
+        a = A_table(m, order, quad)
+        return a + series.monomial(1, rat_ceil(order) - 1, a.order)
+    return faulty
+
+
+def _drop_key_0_of_the_third_factor(product_coeff):
+    def faulty(a, b, c, r1, r2):
+        rows = {k: row for k, row in c.rows.items() if k != (0, 0)}
+        c = bilaurent._from_rows(c.kd, rows, c.qorder, c.window)
+        return product_coeff(a, b, c, r1, r2)
+    return faulty
+
+
+def _swap_z2_and_z12(bl_on_unit):
+    swap = {"z2": "z12", "z12": "z2"}
+    return lambda a, unit: bl_on_unit(a, swap.get(unit, unit))
 
 
 def _flip_a_sign(weyl):
@@ -84,19 +115,47 @@ def _quadratic_range_probe():
     return series.quadratic_range(1, 0, 0, 10)
 
 
+def _binomial_table_probe():
+    return series._binomial_table([(1, 0, 1, 1), (1, 0, 2, 1)], 4)
+
+
+def _A_table_probe():
+    return families._A_table(0, 3)
+
+
+def _product_coeff_probe():
+    one = bilaurent.bl_monomial(1, 0, 0, 2)
+    return bilaurent.product_coeff(one, one, one, 0, 0)
+
+
+def _bl_on_unit_probe():
+    return bilaurent.bl_on_unit(bilaurent.bl_monomial(1, 1, 0, 2), "z2")
+
+
 def _orbit_offsets_probe():
     return families._orbit_offsets(3, 1, 0, 0)
 
 
+# each fault: (home module, name, fault, probe, the identities that must
+# catch it, None for every registered one)
 KERNEL_FAULTS = {
     "_mul_add drops one product at the last place":
-        ("_mul_add", _drop_last_product, _mul_add_probe),
+        (series, "_mul_add", _drop_last_product, _mul_add_probe, None),
     "_divide skips the last entry":
-        ("_divide", _divide_skipping_the_last_entry, _divide_probe),
+        (series, "_divide", _divide_skipping_the_last_entry, _divide_probe, None),
     "lattice_sum drops the point (2, 1)":
-        ("lattice_sum", _drop_the_point_2_1, _lattice_sum_probe),
+        (series, "lattice_sum", _drop_the_point_2_1, _lattice_sum_probe, None),
     "quadratic_range drops its last index":
-        ("quadratic_range", _drop_the_last_index, _quadratic_range_probe),
+        (series, "quadratic_range", _drop_the_last_index, _quadratic_range_probe, None),
+    "_binomial_table skips its last factor":
+        (series, "_binomial_table", _skip_the_last_factor, _binomial_table_probe, None),
+    "_A_table adds 1 at its last integer place":
+        (families, "_A_table", _add_one_at_the_last_place, _A_table_probe, None),
+    "product_coeff drops key 0 of its third factor":
+        (bilaurent, "product_coeff", _drop_key_0_of_the_third_factor, _product_coeff_probe,
+         ["E9", "E10", "E11", "E13", "E15b"]),
+    "bl_on_unit swaps z2 and z12":
+        (bilaurent, "bl_on_unit", _swap_z2_and_z12, _bl_on_unit_probe, None),
 }
 
 TABLE_FAULTS = {
@@ -139,12 +198,12 @@ def _first_failing(ids):
 
 @pytest.mark.parametrize("fault", KERNEL_FAULTS)
 def test_a_kernel_fault_makes_some_identity_fail(monkeypatch, fault):
-    name, make, probe = KERNEL_FAULTS[fault]
+    home, name, make, probe, ids = KERNEL_FAULTS[fault]
     before = probe()
-    modules = _patch_everywhere(monkeypatch, series, name, make)
-    assert series in modules and len(modules) > 1
+    modules = _patch_everywhere(monkeypatch, home, name, make)
+    assert home in modules and len(modules) > 1
     assert probe() != before
-    assert _first_failing(registered_ids()) is not None
+    assert _first_failing(ids or registered_ids()) is not None
 
 
 @pytest.mark.parametrize("fault", TABLE_FAULTS)
