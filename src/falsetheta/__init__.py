@@ -66,7 +66,6 @@ from .numeric import (
     eval_bilaurent,
     dedekind_sum,
     eta_multiplier,
-    jacobi_symbol,
     EtaMultiplierValidationError,
     TransformationResidual,
     check_transformation,

@@ -13,19 +13,30 @@ _MAX_TERMS terms, is refused before anything is summed.  Against
 (tests/test_numeric.py).
 Verification tolerances are 1e-8 relative.
 
+Theta, f, T and J are Jacobi forms (Eichler and Zagier, The Theory of
+Jacobi Forms, 1985, section 1), each described once by its row of
+_FORMS: level, weight k, index s Q* for Q*(z) = z1^2 + z1 z2 + z2^2
+(theta's z read as (z, 0)) and multiplier chi.  check_transformation
+computes every modular factor as chi(gamma) w^k e^(2 pi i s c Q*(z)/w)
+and every elliptic one as
+e^(-2 pi i s (tau Q*(m) + z1 (2 m1 + m2) + z2 (2 m2 + m1))), times
+(-1)^(m+l) for theta.
+
 The eta multiplier convention (Dedekind-sum formula plus the principal
 square-root branch) is validated against eta's own functional equation
-before any dependent modular check runs, so the convention is
-self-certifying rather than trusted.
+before every law whose multiplier reads an eta power, so the convention
+is self-certifying rather than trusted.
 """
 
 import cmath
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 from .rat import Rat
 from .series import _negative_range
@@ -40,7 +51,6 @@ __all__ = [
     "eval_bilaurent",
     "dedekind_sum",
     "eta_multiplier",
-    "jacobi_symbol",
     "EtaMultiplierValidationError",
     "TransformationResidual",
     "check_transformation",
@@ -279,31 +289,6 @@ def dedekind_sum(d, c):
     return Rat(sum((2 * k - c) * (2 * (k * d % c) - c) for k in range(1, c)), 4 * c * c)
 
 
-def jacobi_symbol(a, n):
-    """Jacobi symbol (a/n) for odd positive n."""
-    if not isinstance(n, int) or n <= 0 or n % 2 == 0:
-        raise ValueError("n must be an odd positive integer")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _jacobi_signed(a, d):
-    # Kronecker extension to odd negative lower entries
-    if d < 0:
-        return (-1 if a < 0 else 1) * jacobi_symbol(a, -d)
-    return jacobi_symbol(a, d)
-
-
 class EtaMultiplierValidationError(Exception):
     """The eta multiplier convention failed its functional-equation check."""
 
@@ -390,7 +375,19 @@ def complex_str(z):
     return f"{z.real:.12g}{sign}{abs(z.imag):.12g}i"
 
 
-_LEVELS = {"THETA": 1, "F": 2, "T": 6, "J": 6}  # each modular law's Gamma_0(level)
+# each evaluated function as a Jacobi form: modular on Gamma_0(level), of
+# weight k and index s Q*, with the multiplier of the eta quotient
+# prod_j eta(j tau)^eta[j], times (-3/d) if kronecker; its elliptic law
+# shifts z by m tau + l for m in step Z^2 (step Z for theta)
+_Form = namedtuple("_Form", "level weight index eta kronecker step")
+_FORMS = {
+    "THETA": _Form(1, Rat(1, 2), Rat(1, 2), {1: 3}, False, 1),
+    "F": _Form(2, 0, Rat(-1, 2), {1: -9, 2: 9}, False, 2),  # negative definite index
+    "T": _Form(6, 1, Rat(1, 2), {}, True, 2),
+    # J = eta(tau)^5/eta(2 tau) T f, and eta^5/eta(2 tau)'s row is weight 2,
+    # index 0, eta powers {1: 5, 2: -1}: J's row is the sum of the three
+    "J": _Form(6, 3, 0, {1: -4, 2: 8}, True, 2),
+}
 
 
 def _check_tolerance(tolerance):
@@ -417,14 +414,15 @@ def _check_gamma(gamma, level):
         raise ValueError(f"matrix not in Gamma_0({level})")
 
 
-def _check_shift(law, element):
+def _check_shift(law, element, step):
     """The shifts (m, l) of element as tuples of ints, checked before
     anything converts them.
 
     THETA_ELL shifts by integers, given plain or as the pairs (k, 0) that
-    the CLI parses from one integer.  The two-variable laws shift by
-    integer pairs with m in 2Z^2: completing the square in T's defining
-    sum shifts the summation index by (m1+m2, m1)/2.
+    the CLI parses from one integer, and returns them as such pairs.  The
+    two-variable laws shift by integer pairs with m in step Z^2: completing
+    the square in T's defining sum shifts the summation index by
+    (m1+m2, m1)/2.
     """
     m, l = (tuple(x) if isinstance(x, (tuple, list)) else (x,) for x in element)
     size = 1 if law == "THETA_ELL" else 2
@@ -432,34 +430,29 @@ def _check_shift(law, element):
         m, l = (x[:1] if x[1:] == (0,) else x for x in (m, l))
     if len(m) != size or len(l) != size or not all(isinstance(x, int) for x in m + l):
         raise ValueError(f"{law} shifts must be " + ("integers" if size == 1 else "integer pairs"))
-    if size == 2 and (m[0] % 2 or m[1] % 2):
-        raise ValueError("m must lie in 2Z^2 for this law")
-    return m, l
+    if any(x % step for x in m):
+        raise ValueError(f"m must lie in {step}Z^2 for this law")
+    return (m + (0,), l + (0,)) if size == 1 else (m, l)
 
 
 def _qstar(z1, z2):
     return z1 * z1 + z2 * z2 + z1 * z2
 
 
-def _half(gamma):
-    """The conjugate (a, 2b, c/2, d) of gamma, of determinant 1 iff c is even."""
+def _multiplier(form, gamma):
+    """form's multiplier chi(gamma): eta(j tau) at gamma is eta at
+    (a, j b, c/j, d) acting on j tau, so the eta quotient's is the product
+    of eta_multiplier(a, j b, c/j, d)^p over its powers {j: p}, each read
+    after the convention's self-check.  (-3/d) is 1 for d = 1 mod 3 and -1
+    otherwise, as every d of Gamma_0(6) is prime to 6."""
     a, b, c, d = gamma
-    if c % 2:
-        raise ValueError("matrix not in Gamma_0(2)")
-    return (a, 2 * b, c // 2, d)
-
-
-def _nu_f(gamma):
-    return eta_multiplier(_half(gamma)) ** 9 * eta_multiplier(gamma) ** -9
-
-
-def _mu_j(gamma):
-    # composed from the eta-quotient, lattice-theta and ratio multipliers
-    return (
-        _jacobi_signed(-3, gamma[3])
-        * eta_multiplier(gamma) ** -4
-        * eta_multiplier(_half(gamma)) ** 8
-    )
+    chi = -1 if form.kronecker and d % 3 != 1 else 1
+    for j, p in form.eta.items():
+        if c % j:
+            raise ValueError(f"matrix not in Gamma_0({j})")
+        eta_multiplier_self_check()
+        chi *= eta_multiplier((a, j * b, c // j, d)) ** p
+    return chi
 
 
 def check_transformation(law, element, z, tau, tolerance=1e-8):
@@ -481,63 +474,48 @@ def check_transformation(law, element, z, tau, tolerance=1e-8):
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
     kind, mode = law.split("_")
+    form = _FORMS[kind]
     if kind == "THETA":
         if isinstance(z, (tuple, list)):
             raise ValueError(f"{law} takes one z, not a pair")
         z = complex(z)
         _check_finite("z", z)
         params = {"tau": complex_str(tau), "z": complex_str(z)}
-        evaluator = eval_theta
+        z1, z2 = z, 0  # theta's z is read as (z, 0)
+        evaluator = lambda z, tau: eval_theta(z[0], tau)
     else:
         if not isinstance(z, (tuple, list)) or len(z) != 2:
             raise ValueError(f"{law} takes a pair z = (z1, z2)")
-        z = z1, z2 = complex(z[0]), complex(z[1])
+        z1, z2 = complex(z[0]), complex(z[1])
         _check_finite("z1", z1)
         _check_finite("z2", z2)
         params = {"tau": complex_str(tau), "z": [complex_str(z1), complex_str(z2)]}
         evaluator = {"F": eval_f, "T": eval_T, "J": eval_J}[kind]
+    s = float(form.index)
+    t0 = time.monotonic()
     if mode == "MOD":
         gamma = tuple(element)
-        _check_gamma(gamma, _LEVELS[kind])
+        _check_gamma(gamma, form.level)
         params["gamma"] = list(gamma)
         a, b, c, d = gamma
         w = c * tau + d
-    else:
-        m, l = _check_shift(law, element)
-        params["m"], params["l"] = (m[0], l[0]) if kind == "THETA" else (list(m), list(l))
-    t0 = time.monotonic()
-
-    if law == "THETA_MOD":
-        lhs = eval_theta(z / w, (a * tau + b) / w)
-        factor = (
-            eta_multiplier(gamma) ** 3
-            * cmath.sqrt(w)
-            * cmath.exp(1j * math.pi * c * z * z / w)
-        )
-    elif law == "THETA_ELL":
-        (m,), (l,) = m, l
-        lhs = eval_theta(z + m * tau + l, tau)
-        factor = (-1) ** ((m + l) & 1) * cmath.exp(_TWO_PI_I * (-tau * m * m / 2 - m * z))
-    elif mode == "MOD":
-        if kind != "T":
-            eta_multiplier_self_check()
         lhs = evaluator((z1 / w, z2 / w), (a * tau + b) / w)
-        phase = cmath.exp(1j * math.pi * c * _qstar(z1, z2) / w)
-        if kind == "F":
-            factor = _nu_f(gamma) / phase
-        elif kind == "T":
-            factor = _jacobi_signed(-3, d) * w * phase
-        else:
-            factor = _mu_j(gamma) * w ** 3
+        factor = (
+            _multiplier(form, gamma)
+            * cmath.sqrt(w) ** int(2 * form.weight)
+            * cmath.exp(_TWO_PI_I * s * c * _qstar(z1, z2) / w)
+        )
     else:
-        lhs = evaluator((z1 + m[0] * tau + l[0], z2 + m[1] * tau + l[1]), tau)
-        # f and T pick up inverse factors, so J, their product with an
-        # eta quotient, picks up none
-        sign = {"F": 1, "T": -1, "J": 0}[kind]
-        factor = cmath.exp(sign * _TWO_PI_I * (
-            tau * _qstar(*m) / 2 + z1 * (m[0] + m[1] / 2) + z2 * (m[1] + m[0] / 2)
+        m, l = _check_shift(law, element, form.step)
+        params["m"], params["l"] = (m[0], l[0]) if kind == "THETA" else (list(m), list(l))
+        (m1, m2), (l1, l2) = m, l
+        # theta, of characteristic (1/2, 1/2), alone picks up a sign
+        sign = (-1) ** ((m1 + l1) & 1) if kind == "THETA" else 1
+        lhs = evaluator((z1 + m1 * tau + l1, z2 + m2 * tau + l2), tau)
+        factor = sign * cmath.exp(-_TWO_PI_I * s * (
+            tau * _qstar(m1, m2) + z1 * (2 * m1 + m2) + z2 * (2 * m2 + m1)
         ))
-    rhs = evaluator(z, tau)
+    rhs = evaluator((z1, z2), tau)
 
     residual = abs(lhs - factor * rhs) / max(1.0, abs(rhs))
     ms = int((time.monotonic() - t0) * 1000)
@@ -561,19 +539,13 @@ def sample_points():
 def gamma_grid(level):
     """Five determinant-one matrices (a, b, c, d), c a positive multiple of level."""
     out = []
-    k = 1
-    while len(out) < 5:
-        c = level * k
+    for c in count(level, level):
         for d in range(1, 4 * c):
-            if math.gcd(d, c) != 1:
-                continue
-            a = pow(d, -1, c) if c > 1 else 1
-            b = (a * d - 1) // c
-            out.append((a, b, c, d))
-            if len(out) >= 5:
-                break
-        k += 1
-    return out
+            if math.gcd(d, c) == 1:
+                a = pow(d, -1, c) if c > 1 else 1
+                out.append((a, (a * d - 1) // c, c, d))
+                if len(out) == 5:
+                    return out
 
 
 def shift_grid(parity):
@@ -589,8 +561,9 @@ def transformation_grid(law):
         raise ValueError(f"unknown law {law!r}")
     kind, mode = law.split("_")
     pts = sample_points()
+    form = _FORMS[kind]
     if mode == "MOD":
-        elems = gamma_grid(_LEVELS[kind])
+        elems = gamma_grid(form.level)
     elif law == "T_ELL":
         # keep Q*(m) minimal and Im(tau) low: the automorphy factor grows
         # like |q|^(-Q*(m)/2) and magnifies double-precision roundoff
@@ -602,15 +575,10 @@ def transformation_grid(law):
             for z1, z2, tau in pts
         ]
     else:
-        elems = shift_grid(2)
+        elems = shift_grid(form.step)
         if kind == "THETA":
-            elems = [(m[0] // 2, l[0]) for m, l in elems]
-    combos = []
-    for z1, z2, tau in pts:
-        z = z1 if kind == "THETA" else (z1, z2)
-        for e in elems:
-            combos.append((e, z, tau))
-    return combos
+            elems = [(m[0], l[0]) for m, l in elems]
+    return [(e, z1 if kind == "THETA" else (z1, z2), tau) for z1, z2, tau in pts for e in elems]
 
 
 def run_transformation_checks(law, tolerance=1e-8):

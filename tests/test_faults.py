@@ -12,6 +12,11 @@ sides).  A fault in the table of W(A2), `bilaurent._WEYL`, must be caught
 by E10, E11, E15b or E19, whose other sides never read the table: E7
 compares two builders that both read it, so it alone cannot see such a
 fault.
+
+A fault in `product_coeff`'s order rule, claiming one power of q more than
+the rule gives, leaves every identity `equal`: each comparison stops below
+the order it was asked for, and the overclaimed step lies past it.  The
+deeper-build comparison of tests/test_truncation.py must catch it instead.
 """
 
 import sys
@@ -20,7 +25,7 @@ import pytest
 
 from falsetheta import bilaurent, families, series
 from falsetheta.identities import registered_ids, verify_identity
-from falsetheta.rat import rat_ceil
+from falsetheta.rat import Rat, rat_ceil
 from falsetheta.thetas import t2t_factor
 
 
@@ -93,6 +98,19 @@ def _duplicate_a_matrix(weyl):
 def _transpose_a_matrix(weyl):
     sign, ((a, b), (c, d)) = weyl[1]
     return (weyl[0], (sign, ((a, c), (b, d))), *weyl[2:])
+
+
+def _claim_one_more_q_step(product_coeff):
+    """product_coeff whose order rule gives one power of q more than it
+    should: it reads each factor as exact one q-step past its order."""
+    def further(f):
+        rows = bilaurent._map_rows(
+            f.rows, lambda c: series.PuiseuxSeries(dict(c.items()), c.order + 1))
+        return bilaurent._from_rows(f.kd, rows, f.qorder + 1, f.window)
+
+    def faulty(a, b, c, r1, r2):
+        return product_coeff(*map(further, (a, b, c)), r1, r2)
+    return faulty
 
 
 def _mul_add_probe():
@@ -213,3 +231,16 @@ def test_a_weyl_table_fault_is_caught_by_a_side_that_does_not_read_it(monkeypatc
     assert {bilaurent, families} <= set(modules) and len(modules) == 3
     assert _orbit_offsets_probe() != before
     assert _first_failing(["E10", "E11", "E15b", "E19"]) is not None
+
+
+@pytest.mark.parametrize("order,at", [(3, Rat(7, 2)), (9, Rat(19, 2))])
+def test_an_overclaimed_product_order_is_caught_by_a_deeper_build(monkeypatch, order, at):
+    before = _product_coeff_probe()
+    _patch_everywhere(monkeypatch, bilaurent, "product_coeff", _claim_one_more_q_step)
+    assert _product_coeff_probe().order == before.order + 1
+    # test_truncation's comparison of G_hyper((1, -1), order) with its
+    # deeper builds, at each of that file's DELTAS
+    shallow = families.G_hyper((1, -1), order)
+    for delta in (Rat(1, 2), Rat(1), Rat(3)):
+        d = shallow - families.G_hyper((1, -1), order + delta)
+        assert not d.is_zero() and d.valuation() == at, delta

@@ -9,9 +9,10 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from falsetheta.bilaurent import BiLaurentSeries, bl_on_unit
 from falsetheta.rat import Rat
-from falsetheta.series import lattice_rows, quadratic_range
-from falsetheta.thetas import f_series
+from falsetheta.series import eta_quotient, lattice_rows, quadratic_range
+from falsetheta.thetas import calT, f_series, theta_hat
 from falsetheta.numeric import (
     eval_theta,
     eval_eta,
@@ -23,18 +24,20 @@ from falsetheta.numeric import (
     dedekind_sum,
     eta_multiplier,
     eta_multiplier_self_check,
-    jacobi_symbol,
     check_transformation,
     run_transformation_checks,
     residual_report_to_json,
     sample_points,
     transformation_grid,
     LAW_IDS,
+    _FORMS,
     _MAX_TERMS,
     _TAIL,
+    _Form,
     _T_indices,
     _coset_sum,
     _eta_indices,
+    _multiplier,
     _theta_indices,
 )
 
@@ -383,15 +386,45 @@ class TestArithmetic:
             assert lhs == rhs, (c, d)
             found += 1
 
-    def test_jacobi_values(self):
-        assert jacobi_symbol(-3, 5) == -1
-        assert jacobi_symbol(-3, 7) == 1
-        assert jacobi_symbol(12, 1) == 1
-        assert jacobi_symbol(3, 9) == 0
 
-    def test_jacobi_rejects_even(self):
-        with pytest.raises(ValueError):
-            jacobi_symbol(2, 8)
+class TestForms:
+    """The rows of numeric._FORMS, from which every law is computed."""
+
+    def test_minus_3_over_d_is_the_kronecker_symbol(self):
+        from sympy.functions.combinatorial.numbers import kronecker_symbol
+
+        # T's multiplier is (-3/d) alone, and (a, b, 6, d) lies in Gamma_0(6)
+        for d in range(-600, 601):
+            if math.gcd(d, 6) == 1:
+                a = pow(d, -1, 6)
+                gamma = (a, (a * d - 1) // 6, 6, d)
+                assert _multiplier(_FORMS["T"], gamma) == kronecker_symbol(-3, d), d
+
+    def test_J_row_is_the_sum_of_its_factors_rows(self):
+        # J = eta(tau)^5/eta(2 tau) T f
+        eta5 = _Form(2, 2, 0, {1: 5, 2: -1}, False, None)
+        rows = (eta5, _FORMS["T"], _FORMS["F"])
+        powers = {}
+        for r in rows:
+            for j, p in r.eta.items():
+                powers[j] = powers.get(j, 0) + p
+        J = _FORMS["J"]
+        assert J.level == math.lcm(*(r.level for r in rows))
+        assert J.weight == sum(r.weight for r in rows)
+        assert J.index == sum(r.index for r in rows)
+        assert J.eta == {j: p for j, p in powers.items() if p}
+        assert J.kronecker == (sum(r.kronecker for r in rows) % 2 == 1)
+
+    @pytest.mark.parametrize("kind", sorted(_FORMS))
+    def test_each_level_is_a_multiple_of_what_its_multiplier_reads(self, kind):
+        form = _FORMS[kind]
+        assert all(form.level % j == 0 for j in form.eta)
+        assert not form.kronecker or form.level % 6 == 0
+
+    def test_theta_mod_runs_the_multiplier_self_check(self):
+        eta_multiplier_self_check.cache_clear()
+        check_transformation("THETA_MOD", (1, 1, 0, 1), Z, TAU)
+        assert eta_multiplier_self_check.cache_info().currsize == 1
 
 
 class TestEtaMultiplier:
@@ -532,3 +565,100 @@ class TestBridge:
 
         s = eta_quotient({1: 1}, Rat(40))
         assert abs(eval_q_series(s, TAU) - eval_eta(TAU)) < 1e-12
+
+
+# -- each formal object against its evaluator ---------------------------------
+#
+# theta_hat on each unit, calT and eta are theta-type sums: terms
+# +-e^(2 pi i (tau E + e1 z1 + e2 z2)), one per lattice point, yielded below
+# as (E, e1, e2) over a box that holds every term above 1e-300 at the
+# sample points.
+
+BRIDGE_ORDER = Rat(25)
+_UNITS = {"z1": (1, 0), "z2": (0, 1), "z12": (1, 1)}
+
+
+def _theta_lattice(k, unit):
+    d1, d2 = _UNITS[unit]
+    for j in range(-30, 30):
+        n = j + 0.5
+        yield k * n * n / 2, n * d1, n * d2
+
+
+def _calT_lattice():
+    for n1 in range(-20, 21):
+        for n2 in range(-20, 21):
+            yield 2 * (n1 * n1 - n1 * n2 + n2 * n2), n1 + n2, 2 * n1 - n2
+
+
+def _eta_lattice():
+    for k in range(-30, 31):
+        yield (6 * k + 1) ** 2 / 24, 0, 0
+
+
+# name: (the formal object at an order, its evaluator at (z1, z2, tau),
+# its lattice); theta_hat is i times theta
+BRIDGE = {
+    **{f"theta_hat_{k}_{unit}": (
+        lambda n, k=k, unit=unit: bl_on_unit(theta_hat(k, n), unit),
+        lambda z1, z2, tau, k=k, unit=unit: 1j * eval_theta(
+            _UNITS[unit][0] * z1 + _UNITS[unit][1] * z2, tau, k),
+        lambda k=k, unit=unit: _theta_lattice(k, unit),
+    ) for k in (1, 2) for unit in _UNITS},
+    "calT": (calT, lambda z1, z2, tau: eval_T((z1, z2), tau), _calT_lattice),
+    "eta": (lambda n: eta_quotient({1: 1}, n), lambda z1, z2, tau: eval_eta(tau), _eta_lattice),
+}
+
+
+def _bridge_tolerance(lattice, z1, z2, tau, order):
+    """A bound on |formal - evaluator| for a theta-type sum, to first order
+    in the unit roundoff u (Higham, ch. 3 and 4), and the number of the
+    lattice's terms below the order.
+
+    - The formal series holds the terms of E < order; the evaluator every
+      term of magnitude at least e^-41 (numeric._TAIL), and eval_T some
+      below it.  Their exact sums differ by at most the magnitudes of the
+      tail, the terms of E >= order, each at most |q|^order times its
+      z-part, and of the terms of E < order below e^-41.
+    - Either side forms a term's exponent from float parts of magnitude
+      at most 2 pi P, P = (|tau| + 1) E + (|e1| + |e2| + 1)(|z1| + |z2| + 1),
+      with at most 8 roundings; exp and the products add at most 12 u.  So
+      each side's term t is off by at most (12 + 16 pi P) u |t|.
+    - Either side adds at most n terms, the box's count (eval_T adds
+      2 (L + 3) products of coset sums, fewer), off by 2 n u sum |t|.
+    """
+    u, cut = 2.0**-53, math.exp(-2 * math.pi * float(_TAIL))
+    t, y1, y2 = tau.imag, z1.imag, z2.imag
+    zs = abs(z1) + abs(z2) + 1
+    n = below = 0
+    size = per_term = tail = small = 0.0
+    for E, e1, e2 in lattice():
+        mag = math.exp(-2 * math.pi * (t * E + e1 * y1 + e2 * y2))
+        n += 1
+        size += mag
+        per_term += (12 + 16 * math.pi * ((abs(tau) + 1) * E + (abs(e1) + abs(e2) + 1) * zs)) * mag
+        if E >= order:
+            tail += mag
+        else:
+            below += 1
+            small += mag if mag < cut else 0.0
+    return 2 * u * (per_term + 2 * n * size) + tail + small, below
+
+
+def _formal_terms(a):
+    rows = a.terms.values() if isinstance(a, BiLaurentSeries) else [a]
+    return sum(len(list(row.items())) for row in rows)
+
+
+@pytest.mark.parametrize("name", BRIDGE)
+@pytest.mark.parametrize(
+    "z1,z2,tau", [pytest.param(*p, id=f"sample{i}") for i, p in enumerate(sample_points())]
+)
+def test_formal_object_matches_its_evaluator(name, z1, z2, tau):
+    build, evaluate, lattice = BRIDGE[name]
+    a = build(BRIDGE_ORDER)
+    formal = (eval_bilaurent(a, z1, z2, tau) if isinstance(a, BiLaurentSeries)
+              else eval_q_series(a, tau))
+    tol, below = _bridge_tolerance(lattice, z1, z2, tau, BRIDGE_ORDER)
+    assert _formal_terms(a) == below  # the tolerance speaks of these terms
+    assert abs(formal - evaluate(z1, z2, tau)) <= tol
