@@ -230,7 +230,7 @@ def _hyper_factor(order):
     return _from_rows(1, rows, order)
 
 
-def G_hyper(r, order):
+def G_hyper(r, order, *, _table=None):
     """Triple q-hypergeometric sum attached to an integer index pair r.
 
     sum over n4 in Z and n1, n2, n3 >= 0 of
@@ -238,9 +238,13 @@ def G_hyper(r, order):
     ((q)_{n1} (q)_{n1 + |n4 - r1|} (q)_{n2} (q)_{n2 + |n4 - r2|}
      (q)_{n3} (q)_{n3 + |n4|}),
     the (r1, r2) coefficient of h(z1) h(z2) h(z1 z2), h = _hyper_factor.
+    A caller that reads several coefficients passes one _hyper_factor,
+    built at this order or deeper, as _table; it is read truncated to the
+    order, which gives the table built at the order itself.
     """
     r1, r2 = _check_r(r)
-    h = _hyper_factor(_positive_order(order))
+    order = _positive_order(order)
+    h = _hyper_factor(order) if _table is None else _table.truncate_q(order)
     return product_coeff(h, h, h, r1, r2)
 
 

@@ -14,6 +14,12 @@ within W less the other factors' largest key.  The engine compares
 every key of the two sides it is given, one- and two-variable alike, in
 one walk over their rows that finds the least differing exponent and
 counts the coefficients compared; a grid that compares none raises.
+
+The points of a grid build what they share once: a builder whose points
+share a kernel has a prepare(points, order), which verify_identity calls
+once for the points it builds, and which a bare build(point, order) calls
+for its own point.  A shared kernel serves the points of one side only,
+never the other side's route.
 """
 
 import fnmatch
@@ -71,6 +77,7 @@ from .families import (
     H_frak,
     F0_series,
     _A_table,
+    _hyper_factor,
 )
 
 __all__ = [
@@ -249,9 +256,83 @@ def _times_one_minus(terms, d):
     return {k: c for k, c in out.items() if c}
 
 
-def _ghyper_q2(r, order):
-    """G_hyper at the index pair r with q replaced by q^2."""
-    return G_hyper(tuple(r), order / 2).scale_q(2)
+def _ghyper_q2(r, order, table):
+    """G_hyper at the index pair r with q replaced by q^2, read from table,
+    a _hyper_factor at order / 2 or deeper."""
+    return G_hyper(tuple(r), order / 2, _table=table).scale_q(2)
+
+
+# -- shared kernels ------------------------------------------------------------
+# each prepare(points, order) builds once what the points share, for the
+# builder's third argument; each kernel is read by one side only
+
+
+def _shares(prepare):
+    """Make build(p, order, kernels) callable as build(p, order), with the
+    kernels of prepare([p], order); the result carries prepare."""
+    def wrap(build):
+        def build_point(p, order, kernels=None):
+            return build(p, order, prepare([p], order) if kernels is None else kernels)
+        build_point.prepare = prepare
+        return build_point
+    return wrap
+
+
+def _prepare_E1(points, order):
+    """theta_hat and theta_hat_sum in z1 for each k of the points."""
+    return {k: (theta_hat(k, order), theta_hat_sum(k, order)) for k in {p["k"] for p in points}}
+
+
+def _prepare_E2(points, order):
+    """For each m of the points: the left side before the sign of l, the
+    shifted theta_hat(1, B), and the right side's theta_hat(1, B2)."""
+    out = {}
+    for m in {p["m"] for p in points}:
+        # the keys n = j + 1/2 with n^2/2 + m n below the order, |n| <= Wt;
+        # their theta coefficients q^(n^2/2) lie below B
+        js = quadratic_range(Rat(1, 2), Rat(1, 2) + m, Rat(1, 8) + Rat(m, 2), order)
+        Wt = max(abs(j + Rat(1, 2)) for j in js)
+        B = order + abs(m) * Wt
+        lhs = bl_elliptic_shift(theta_hat(1, B).clip(Wt), m, 0)
+        out[m] = lhs, theta_hat(1, order + Rat(m * m, 2))
+    return out
+
+
+def _prepare_E5(points, order):
+    """E5's ratio sides in z1: the product theta_hat(u; 2 tau) (u q, u^-1 q;
+    q^2)_oo, and theta_hat(u; tau) times the scalar q^(1/8) (-q; q)_oo;
+    None if no point reads them."""
+    if all(p["part"] == "eta" for p in points):
+        return None
+    lhs = bl_mul(theta_hat(2, order), unit_pochhammer(1, 2, order))
+    scalar = pochhammer(-1, 1, 1, None, order - Rat(1, 8)).shift(Rat(1, 8))
+    return lhs, bl_scalar_mul(theta_hat(1, order), scalar)
+
+
+def _prepare_t2t(points, order):
+    """_t2t_sum in z1 for each variant of the points."""
+    return {v: _t2t_sum("z1", order, v) for v in {p["variant"] for p in points}}
+
+
+def _prepare_E14(points, order):
+    """The left side's inverse pair if a poch point reads it, and the right
+    side's _hyper_factor at the deepest order its points read: order for a
+    poch point, order / 2 for a lattice one."""
+    poch = any(p["part"] == "poch" for p in points)
+    pair = unit_pochhammer(Rat(1, 2), 1, order, inverse=True) if poch else None
+    return pair, _hyper_factor(order if poch else order / 2)
+
+
+def _E15b_shift(r):
+    """The q-shift of E15b's right side at the index pair r."""
+    return Rat(1, 2) + 2 * quad_Q(Rat(r[0]), Rat(r[1]))
+
+
+def _prepare_E15b(points, order):
+    """The right side's _hyper_factor at the deepest order its points read,
+    (order - shift) / 2; None if every point's right side vanishes."""
+    top = order - min(_E15b_shift(p["r"]) for p in points)
+    return _hyper_factor(top / 2) if top > 0 else None
 
 
 # -- identity builders ---------------------------------------------------------
@@ -259,31 +340,28 @@ def _ghyper_q2(r, order):
 # so a builder whose routes agree only on a key box clips both sides to it
 
 
-def _build_E1(p, order):
-    return tuple(bl_on_unit(b(p["k"], order), p["unit"]) for b in (theta_hat, theta_hat_sum))
+@_shares(_prepare_E1)
+def _build_E1(p, order, kernels):
+    return tuple(bl_on_unit(s, p["unit"]) for s in kernels[p["k"]])
 
 
-def _build_E2(p, order):
+@_shares(_prepare_E2)
+def _build_E2(p, order, kernels):
     m, l = p["m"], p["l"]
-    # the keys n = j + 1/2 with n^2/2 + m n below the order, |n| <= Wt;
-    # their theta coefficients q^(n^2/2) lie below B
-    js = quadratic_range(Rat(1, 2), Rat(1, 2) + m, Rat(1, 8) + Rat(m, 2), order)
-    Wt = max(abs(j + Rat(1, 2)) for j in js)
-    B = order + abs(m) * Wt
-    lhs = bl_elliptic_shift(theta_hat(1, B).clip(Wt), m, 0)
+    lhs, th = kernels[m]
     if l % 2:
         # integer shift: zeta^n picks up (-1)^l on the half-integer support
         lhs = bl_scalar_mul(lhs, -1)
     sign = -1 if (m + l) % 2 else 1
     B2 = order + Rat(m * m, 2)
     pre = bl_monomial(q_monomial(sign, -Rat(m * m, 2), B2 + 1), -m, 0, B2 + 1)
-    rhs = bl_mul(pre, theta_hat(1, B2))
+    rhs = bl_mul(pre, th)
     return lhs, rhs
 
 
-def _build_E3(p, order):
+@_shares(lambda points, order: _rho_double_sum(order, int(order)))
+def _build_E3(p, order, rho_sum):
     W = int(order)
-    rho_sum = _rho_double_sum(order, W)
     if p["part"] == "expansion":
         # middle route: sum over n of z1^n times a geometric series in z2 of window W
         terms = (bl_mul(bl_monomial(1, n, 0, order),
@@ -300,9 +378,9 @@ def _build_E3(p, order):
     return lhs.clip(K), rhs.clip(K)
 
 
-def _build_E4(p, order):
+@_shares(lambda points, order: _partial_fraction_sum(order, int(order)))
+def _build_E4(p, order, pf_sum):
     W = int(order)
-    pf_sum = _partial_fraction_sum(order, W)
     if p["part"] == "expansion":
         half = Rat(1, 2)
         terms = []
@@ -322,23 +400,21 @@ def _build_E4(p, order):
     return lhs.clip(K), rhs.clip(K)
 
 
-def _build_E5(p, order):
+@_shares(_prepare_E5)
+def _build_E5(p, order, ratio):
     if p["part"] == "eta":
         lhs = pochhammer(-1, 1, 1, None, order - Rat(1, 8)).shift(Rat(1, 8))
         lhs = (lhs * eta_quotient({1: 1}, order)).truncate(order)
         rhs = eta_quotient({2: 1}, order).shift(Rat(1, 12)).truncate(order)
         return lhs, rhs
     # theta_hat(u; 2tau) (u q, u^-1 q; q^2)_oo = theta_hat(u; tau) q^(1/8) (-q; q)_oo
-    unit = p["unit"]
-    lhs = bl_on_unit(bl_mul(theta_hat(2, order), unit_pochhammer(1, 2, order)), unit)
-    scalar = pochhammer(-1, 1, 1, None, order - Rat(1, 8)).shift(Rat(1, 8))
-    rhs = bl_scalar_mul(bl_on_unit(theta_hat(1, order), unit), scalar)
-    return lhs, rhs
+    return tuple(bl_on_unit(s, p["unit"]) for s in ratio)
 
 
-def _build_t2t(p, order):
+@_shares(_prepare_t2t)
+def _build_t2t(p, order, sums):
     u = p["unit"]
-    return bl_on_unit(t2t_factor(order), u), _t2t_sum(u, order, p["variant"])
+    return bl_on_unit(t2t_factor(order), u), bl_on_unit(sums[p["variant"]], u)
 
 
 def _build_E7(p, order):
@@ -401,38 +477,40 @@ def _build_E13(p, order):
     return _f_coeff_scaled(0, 0, order), G_frak_closed_p2((0, 0), order)
 
 
-def _build_E14(p, order):
-    r = p["r"]
+@_shares(_prepare_E14)
+def _build_E14(p, order, kernels):
+    r, (pair, table) = p["r"], kernels
     if p["part"] == "poch":
         # the sixfold product read at one key, as G_hyper reads its own table
-        pair = unit_pochhammer(Rat(1, 2), 1, order, inverse=True)
-        return product_coeff(pair, pair, pair, r[0], r[1]), G_hyper(r, order)
+        return product_coeff(pair, pair, pair, r[0], r[1]), G_hyper(r, order, _table=table)
     sh = Rat(1, 2) + Rat(2, 3) * quad_Q(Rat(r[0]), Rat(r[1]))
     lam = (Rat(r[0] + r[1], 3), Rat(2 * r[1] - r[0], 3))
     lhs = G_frak(lam, 2, order + sh)
-    rhs = (eta_product({1: 2, 2: 2}, order) * _ghyper_q2(r, order)).shift(sh)
+    rhs = (eta_product({1: 2, 2: 2}, order) * _ghyper_q2(r, order, table)).shift(sh)
     return lhs, rhs.truncate(min(rhs.order, lhs.order))
 
 
-def _build_E15(p, order):
+@_shares(lambda points, order: _hyper_factor(order / 2))
+def _build_E15(p, order, table):
     if p["part"] == "base":
         lhs = G_frak_closed_p2((0, 0), order + Rat(1, 2)).shift(-Rat(1, 2))
-        rhs = eta_product({1: 2, 2: 2}, order) * _ghyper_q2((0, 0), order)
+        rhs = eta_product({1: 2, 2: 2}, order) * _ghyper_q2((0, 0), order, table)
         return lhs, rhs
     r = p["r"]
     lhs = (eta_quotient({1: 3}, order) * f_coeff(r[0], r[1], order)).truncate(order)
-    rhs = (eta_quotient({2: 3}, order) * _ghyper_q2(r, order)).shift(Rat(1, 4))
+    rhs = (eta_quotient({2: 3}, order) * _ghyper_q2(r, order, table)).shift(Rat(1, 4))
     return lhs, rhs.truncate(order)
 
 
-def _build_E15b(p, order):
+@_shares(_prepare_E15b)
+def _build_E15b(p, order, table):
     r = p["r"]
-    sh = Rat(1, 2) + 2 * quad_Q(Rat(r[0]), Rat(r[1]))
+    sh = _E15b_shift(r)
     if sh >= order:
         # the right side vanishes below this order; the left must too
         return coeff_F(r, 2, order), q_zero(order)
     s = (2 * r[0] - r[1], r[0] + r[1])
-    rhs = (eta_product({1: 2, 2: 2}, order - sh) * _ghyper_q2(s, order - sh)).shift(sh)
+    rhs = (eta_product({1: 2, 2: 2}, order - sh) * _ghyper_q2(s, order - sh, table)).shift(sh)
     return coeff_F(r, 2, order), rhs
 
 
@@ -510,6 +588,12 @@ class _Identity:
     build: callable
     grid: list
     default_order: object
+
+    def prepare(self, points, order):
+        """The arguments after (point, order) of build for each of points:
+        (kernels,) for what they share at order, or () if build shares none."""
+        prepare = getattr(self.build, "prepare", None)
+        return () if prepare is None else (prepare(points, order),)
 
 
 def _int_pairs(bound):
@@ -722,8 +806,9 @@ def verify_identity(ident_id, params=None, order=None, corrupt=False):
     disc = None
     shown = {}
     compared = 0
+    shared = ident.prepare(grid, order)
     for point in grid:
-        lhs, rhs = ident.build(point, order)
+        lhs, rhs = ident.build(point, order, *shared)
         if corrupt:
             lhs, injected = _corrupt(lhs)
         d, n = _diff(lhs, rhs, order)

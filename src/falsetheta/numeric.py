@@ -20,7 +20,10 @@ _FORMS: level, weight k, index s Q* for Q*(z) = z1^2 + z1 z2 + z2^2
 computes every modular factor as chi(gamma) w^k e^(2 pi i s c Q*(z)/w)
 and every elliptic one as
 e^(-2 pi i s (tau Q*(m) + z1 (2 m1 + m2) + z2 (2 m2 + m1))), times
-(-1)^(m+l) for theta.
+(-1)^(m+l) for theta.  The residual is relative to factor * RHS, which
+an elliptic factor can make far larger than RHS.  run_transformation_checks
+gives check_transformation's reports over a law's grid, evaluating each
+sample point's unmoved side and each matrix's multiplier once.
 
 The eta multiplier convention (Dedekind-sum formula plus the principal
 square-root branch) is validated against eta's own functional equation
@@ -463,9 +466,18 @@ def check_transformation(law, element, z, tau, tolerance=1e-8):
     complex number for the THETA laws and a pair (z1, z2) for the others.
     Malformed input or tolerance, a nan or inf part of tau or z, or a
     point whose terms overflow a double raises ValueError.  The residual is
-    |LHS - factor * RHS| / max(1, |RHS|) with the exact automorphy factor
-    of the cited law.
+    |LHS - factor * RHS| / max(1, |factor * RHS|) with the exact automorphy
+    factor of the cited law: relative to the size of the two sides, which
+    an elliptic factor can make far larger than RHS.
     """
+    return _check(law, element, z, tau, tolerance, {}, {})
+
+
+def _check(law, element, z, tau, tolerance, multipliers, unmoved):
+    """check_transformation, which takes each matrix's multiplier from
+    multipliers and each point's unmoved side from unmoved, computing and
+    storing it there when it is missing: the checks of one grid share the
+    two dicts."""
     if law not in LAW_IDS:
         raise ValueError(f"unknown law {law!r}")
     _check_tolerance(tolerance)
@@ -500,8 +512,10 @@ def check_transformation(law, element, z, tau, tolerance=1e-8):
         a, b, c, d = gamma
         w = c * tau + d
         lhs = evaluator((z1 / w, z2 / w), (a * tau + b) / w)
+        if gamma not in multipliers:
+            multipliers[gamma] = _multiplier(form, gamma)
         factor = (
-            _multiplier(form, gamma)
+            multipliers[gamma]
             * cmath.sqrt(w) ** int(2 * form.weight)
             * cmath.exp(_TWO_PI_I * s * c * _qstar(z1, z2) / w)
         )
@@ -515,9 +529,11 @@ def check_transformation(law, element, z, tau, tolerance=1e-8):
         factor = sign * cmath.exp(-_TWO_PI_I * s * (
             tau * _qstar(m1, m2) + z1 * (2 * m1 + m2) + z2 * (2 * m2 + m1)
         ))
-    rhs = evaluator((z1, z2), tau)
+    if (z1, z2, tau) not in unmoved:
+        unmoved[z1, z2, tau] = evaluator((z1, z2), tau)
+    rhs = factor * unmoved[z1, z2, tau]
 
-    residual = abs(lhs - factor * rhs) / max(1.0, abs(rhs))
+    residual = abs(lhs - rhs) / max(1.0, abs(rhs))
     ms = int((time.monotonic() - t0) * 1000)
     return TransformationResidual(law, params, residual, tolerance, ms)
 
@@ -582,7 +598,11 @@ def transformation_grid(law):
 
 
 def run_transformation_checks(law, tolerance=1e-8):
+    """check_transformation at each (element, z, tau) of the law's grid,
+    evaluating each matrix's multiplier and each sample point's unmoved
+    side once."""
+    multipliers, unmoved = {}, {}
     return [
-        check_transformation(law, e, z, tau, tolerance)
+        _check(law, e, z, tau, tolerance, multipliers, unmoved)
         for e, z, tau in transformation_grid(law)
     ]

@@ -425,6 +425,21 @@ class TestHyperFactor:
         got, want = G_hyper(r, order), _G_hyper_by_n4(r, order)
         assert got.terms == want.terms and got.order == want.order
 
+    @given(
+        r=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        order=st.integers(1, 12).map(lambda k: Rat(k, 2)),
+        deeper=st.sampled_from([Rat(0), Rat(1, 2), Rat(3)]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_a_deeper_table_reads_as_the_table_at_the_order(self, r, order, deeper):
+        got = G_hyper(r, order, _table=_hyper_factor(order + deeper))
+        want = G_hyper(r, order)
+        assert got.terms == want.terms and got.order == want.order
+
+    def test_a_shallower_table_is_refused(self):
+        with pytest.raises(ValueError, match="cannot extend"):
+            G_hyper((0, 0), Rat(4), _table=_hyper_factor(Rat(3)))
+
     @pytest.mark.parametrize(
         "order, calls", [(Rat(1, 3), 1), (Rat(7, 2), 7), (Rat(15), 30)], ids=str
     )

@@ -13,6 +13,7 @@ from falsetheta.series import PuiseuxSeries, zero as q_zero
 from falsetheta.thetas import _unit_product
 from falsetheta.identities import (
     _REGISTRY,
+    _corrupt,
     _diff,
     _divide_one_minus,
     _int_poly,
@@ -382,3 +383,76 @@ def test_every_public_builder_is_reached_by_an_identity_or_allowed():
     reached = {name for code, name in codes.items() if code in seen}
     assert set(builders) - reached - set(_UNREACHED) == set()
     assert reached & set(_UNREACHED) == set()
+
+
+# -- shared kernels ------------------------------------------------------------
+
+_PREPARED = [i for i in registered_ids() if hasattr(_REGISTRY[i].build, "prepare")]
+
+
+def _report_of_bare_builds(ident, order, corrupt):
+    """(verdict, discrepancy, params) folded from each grid point built bare,
+    as verify_identity folds them: the first discrepancy wins."""
+    for point in identity_grid(ident):
+        lhs, rhs = _REGISTRY[ident].build(point, order)
+        if corrupt:
+            lhs, _ = _corrupt(lhs)
+        disc, _ = _diff(lhs, rhs, order)
+        if disc is not None:
+            return "unequal", disc, point
+    return "equal", None, {}
+
+
+def test_the_identities_that_share_kernels():
+    assert _PREPARED == ["E1", "E14", "E15", "E15b", "E2", "E3", "E4", "E5", "E6", "E6b"]
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("ident", _PREPARED)
+def test_a_grid_built_from_shared_kernels_reports_as_its_bare_points(ident, corrupt):
+    order = identity_default_order(ident)
+    rep = verify_identity(ident, order=order, corrupt=corrupt)
+    want = _report_of_bare_builds(ident, order, corrupt)
+    assert (rep.verdict, rep.discrepancy, rep.params) == want
+
+
+def _count_calls(monkeypatch, name, counted=lambda *args, **kwargs: True):
+    """Count the calls of a falsetheta function, patched in every module
+    that binds it, for which counted(*args, **kwargs) holds."""
+    calls = []
+    fn = getattr(identities, name)
+
+    def spy(*args, **kwargs):
+        if counted(*args, **kwargs):
+            calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("falsetheta") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def _inverse(*args, inverse=False):
+    return inverse
+
+
+@pytest.mark.parametrize("ident, name, calls", [
+    ("E15b", "_hyper_factor", 1),
+    ("E15", "_hyper_factor", 1),
+    ("E14", "_hyper_factor", 1),
+    ("E1", "theta_hat", 2),
+])
+def test_a_grid_builds_each_shared_kernel_once(monkeypatch, ident, name, calls):
+    made = _count_calls(monkeypatch, name)
+    assert verify_identity(ident, order=Rat(6)).verdict == "equal"
+    assert len(made) == calls, made
+
+
+def test_E14_builds_its_inverse_pair_once_and_a_lattice_point_none(monkeypatch):
+    pairs = _count_calls(monkeypatch, "unit_pochhammer", _inverse)
+    assert verify_identity("E14", order=Rat(6)).verdict == "equal"
+    assert len(pairs) == 1
+    pairs.clear()
+    assert verify_identity("E14", {"part": "lattice", "r": (1, -1)}, 7).verdict == "equal"
+    assert pairs == []

@@ -9,6 +9,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from falsetheta import numeric
 from falsetheta.bilaurent import BiLaurentSeries, bl_on_unit
 from falsetheta.rat import Rat
 from falsetheta.series import eta_quotient, lattice_rows, quadratic_range
@@ -545,11 +546,51 @@ class TestTransformationLaws:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             check_transformation(law, element, z, tau)
 
+    @pytest.mark.parametrize("law,element,z", [
+        ("THETA_ELL", (3, 2), Z),
+        ("T_ELL", ((-2, 4), (3, -1)), (Z, 0.1j)),
+    ])
+    def test_the_residual_is_relative_to_the_moved_side(self, law, element, z):
+        # the automorphy factor is about e^40 here; relative to |RHS| alone
+        # the rounding of factor * RHS read 963 and 2.3e6
+        rep = check_transformation(law, element, z, TAU)
+        assert rep.residual < 1e-13, rep.residual
+
     def test_residual_report_schema(self):
         rep = check_transformation("THETA_ELL", (1, 0), Z, TAU)
         d = residual_report_to_json(rep)
         assert set(d) == {"id", "params", "verdict", "residual", "tolerance", "ms"}
         assert d["verdict"] == "equal"
+
+
+_EVALUATORS = {"THETA": "eval_theta", "F": "eval_f", "T": "eval_T", "J": "eval_J"}
+
+
+class TestGrids:
+    @pytest.mark.parametrize("law", LAW_IDS)
+    def test_a_grid_reports_what_its_points_checked_one_at_a_time_report(self, law):
+        def fields(reps):
+            return [(r.law, r.params, r.residual, r.tolerance, r.verdict) for r in reps]
+
+        alone = [check_transformation(law, e, z, tau) for e, z, tau in transformation_grid(law)]
+        assert fields(run_transformation_checks(law)) == fields(alone)
+
+    @pytest.mark.parametrize("law", LAW_IDS)
+    def test_a_grid_evaluates_each_point_and_each_multiplier_once(self, law, monkeypatch):
+        calls = {"eval": 0, "multiplier": 0}
+
+        def counted(fn, what):
+            def spy(*args):
+                calls[what] += 1
+                return fn(*args)
+            return spy
+
+        name = _EVALUATORS[law.split("_")[0]]
+        monkeypatch.setattr(numeric, name, counted(getattr(numeric, name), "eval"))
+        monkeypatch.setattr(numeric, "_multiplier", counted(numeric._multiplier, "multiplier"))
+        run_transformation_checks(law)
+        # 25 moved sides and 5 unmoved ones; one multiplier per matrix
+        assert calls == {"eval": 30, "multiplier": 5 if law.endswith("MOD") else 0}
 
 
 class TestBridge:

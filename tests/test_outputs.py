@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from capture_outputs import CAPTURE_ORDERS, EXPAND_ARGS, GROUPS, PATH
+from capture_outputs import CAPTURE_ORDERS, EXPAND_ARGS, GROUPS, PATH, sides
 from falsetheta.cli import build_parser
 from falsetheta.identities import registered_ids
 
@@ -23,6 +23,14 @@ def test_outputs_match_the_stored_ones(group):
         assert value == stored.get(name), f"{name}: got {value}, stored {stored.get(name)}"
         got[name] = value
     assert list(got) == list(stored)
+
+
+def test_sides_built_from_their_grid_s_shared_kernels_match_the_stored_ones():
+    # the "sides" group builds each point bare
+    got = dict(sides(prepared=True))
+    for name, value in got.items():
+        assert value == STORED[name], name
+    assert list(got) == [name for name in STORED if name.startswith("sides ")]
 
 
 def test_every_entry_belongs_to_a_group():
