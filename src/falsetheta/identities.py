@@ -15,11 +15,11 @@ every key of the two sides it is given, one- and two-variable alike, in
 one walk over their rows that finds the least differing exponent and
 counts the coefficients compared; a grid that compares none raises.
 
-The points of a grid build what they share once: a builder whose points
-share a kernel has a prepare(points, order), which verify_identity calls
-once for the points it builds, and which a bare build(point, order) calls
-for its own point.  A shared kernel serves the points of one side only,
-never the other side's route.
+Each builder takes a grid: build(points, order) is a generator that
+builds once what its points share, then yields (lhs, rhs) for each point
+in turn, so a grid stops building at its first discrepancy; one point is
+build([point], order).  A table shared between points serves one side
+only, never the other side's route.
 """
 
 import fnmatch
@@ -262,259 +262,234 @@ def _ghyper_q2(r, order, table):
     return G_hyper(tuple(r), order / 2, _table=table).scale_q(2)
 
 
-# -- shared kernels ------------------------------------------------------------
-# each prepare(points, order) builds once what the points share, for the
-# builder's third argument; each kernel is read by one side only
+# -- identity builders ---------------------------------------------------------
+# each build(points, order) builds once what its points share, each shared
+# table read by one side only, then yields (lhs, rhs) for each point in
+# turn; the engine compares every key of both, so a builder whose routes
+# agree only on a key box clips both sides to it
 
 
-def _shares(prepare):
-    """Make build(p, order, kernels) callable as build(p, order), with the
-    kernels of prepare([p], order); the result carries prepare."""
-    def wrap(build):
-        def build_point(p, order, kernels=None):
-            return build(p, order, prepare([p], order) if kernels is None else kernels)
-        build_point.prepare = prepare
-        return build_point
-    return wrap
+def _build_E1(points, order):
+    # theta_hat and theta_hat_sum in z1 for each k of the points
+    sides = {k: (theta_hat(k, order), theta_hat_sum(k, order)) for k in {p["k"] for p in points}}
+    for p in points:
+        yield tuple(bl_on_unit(s, p["unit"]) for s in sides[p["k"]])
 
 
-def _prepare_E1(points, order):
-    """theta_hat and theta_hat_sum in z1 for each k of the points."""
-    return {k: (theta_hat(k, order), theta_hat_sum(k, order)) for k in {p["k"] for p in points}}
-
-
-def _prepare_E2(points, order):
-    """For each m of the points: the left side before the sign of l, the
-    shifted theta_hat(1, B), and the right side's theta_hat(1, B2)."""
-    out = {}
+def _build_E2(points, order):
+    shared = {}
     for m in {p["m"] for p in points}:
         # the keys n = j + 1/2 with n^2/2 + m n below the order, |n| <= Wt;
         # their theta coefficients q^(n^2/2) lie below B
         js = quadratic_range(Rat(1, 2), Rat(1, 2) + m, Rat(1, 8) + Rat(m, 2), order)
         Wt = max(abs(j + Rat(1, 2)) for j in js)
         B = order + abs(m) * Wt
+        # the left side before the sign of l, and the right side's theta
         lhs = bl_elliptic_shift(theta_hat(1, B).clip(Wt), m, 0)
-        out[m] = lhs, theta_hat(1, order + Rat(m * m, 2))
-    return out
+        shared[m] = lhs, theta_hat(1, order + Rat(m * m, 2))
+    for p in points:
+        m, l = p["m"], p["l"]
+        lhs, th = shared[m]
+        if l % 2:
+            # integer shift: zeta^n picks up (-1)^l on the half-integer support
+            lhs = bl_scalar_mul(lhs, -1)
+        sign = -1 if (m + l) % 2 else 1
+        B2 = order + Rat(m * m, 2)
+        pre = bl_monomial(q_monomial(sign, -Rat(m * m, 2), B2 + 1), -m, 0, B2 + 1)
+        yield lhs, bl_mul(pre, th)
 
 
-def _prepare_E5(points, order):
-    """E5's ratio sides in z1: the product theta_hat(u; 2 tau) (u q, u^-1 q;
-    q^2)_oo, and theta_hat(u; tau) times the scalar q^(1/8) (-q; q)_oo;
-    None if no point reads them."""
-    if all(p["part"] == "eta" for p in points):
-        return None
-    lhs = bl_mul(theta_hat(2, order), unit_pochhammer(1, 2, order))
-    scalar = pochhammer(-1, 1, 1, None, order - Rat(1, 8)).shift(Rat(1, 8))
-    return lhs, bl_scalar_mul(theta_hat(1, order), scalar)
-
-
-def _prepare_t2t(points, order):
-    """_t2t_sum in z1 for each variant of the points."""
-    return {v: _t2t_sum("z1", order, v) for v in {p["variant"] for p in points}}
-
-
-def _prepare_E14(points, order):
-    """The left side's inverse pair if a poch point reads it, and the right
-    side's _hyper_factor at the deepest order its points read: order for a
-    poch point, order / 2 for a lattice one."""
-    poch = any(p["part"] == "poch" for p in points)
-    pair = unit_pochhammer(Rat(1, 2), 1, order, inverse=True) if poch else None
-    return pair, _hyper_factor(order if poch else order / 2)
-
-
-def _E15b_shift(r):
-    """The q-shift of E15b's right side at the index pair r."""
-    return Rat(1, 2) + 2 * quad_Q(Rat(r[0]), Rat(r[1]))
-
-
-def _prepare_E15b(points, order):
-    """The right side's _hyper_factor at the deepest order its points read,
-    (order - shift) / 2; None if every point's right side vanishes."""
-    top = order - min(_E15b_shift(p["r"]) for p in points)
-    return _hyper_factor(top / 2) if top > 0 else None
-
-
-# -- identity builders ---------------------------------------------------------
-# each builder returns (lhs, rhs); the engine compares every key of both,
-# so a builder whose routes agree only on a key box clips both sides to it
-
-
-@_shares(_prepare_E1)
-def _build_E1(p, order, kernels):
-    return tuple(bl_on_unit(s, p["unit"]) for s in kernels[p["k"]])
-
-
-@_shares(_prepare_E2)
-def _build_E2(p, order, kernels):
-    m, l = p["m"], p["l"]
-    lhs, th = kernels[m]
-    if l % 2:
-        # integer shift: zeta^n picks up (-1)^l on the half-integer support
-        lhs = bl_scalar_mul(lhs, -1)
-    sign = -1 if (m + l) % 2 else 1
-    B2 = order + Rat(m * m, 2)
-    pre = bl_monomial(q_monomial(sign, -Rat(m * m, 2), B2 + 1), -m, 0, B2 + 1)
-    rhs = bl_mul(pre, th)
-    return lhs, rhs
-
-
-@_shares(lambda points, order: _rho_double_sum(order, int(order)))
-def _build_E3(p, order, rho_sum):
+def _build_E3(points, order):
     W = int(order)
-    if p["part"] == "expansion":
-        # middle route: sum over n of z1^n times a geometric series in z2 of window W
-        terms = (bl_mul(bl_monomial(1, n, 0, order),
-                        bl_on_unit(expand_inverse_one_minus(n, order, zwindow=W), "z2"))
-                 for n in range(-W, W + 1))
-        return bl_add(*terms).clip(W), rho_sum
-    # product route, division-free:
-    # eta^3 theta_hat(z1 z2) = rho-sum * theta_hat(z1) * theta_hat(z2)
-    B = order + Rat(1, 8)
-    lhs = bl_scalar_mul(bl_on_unit(theta_hat(1, B), "z12"), eta_quotient({1: 3}, B))
-    th1 = theta_hat(1, order)
-    rhs = bl_mul(bl_mul(rho_sum, th1), bl_on_unit(th1, "z2"))
-    K = W - Rat(max(abs(k1) for k1, _ in th1.rows), th1.kd)
-    return lhs.clip(K), rhs.clip(K)
+    rho_sum = _rho_double_sum(order, W)
+    for p in points:
+        if p["part"] == "expansion":
+            # middle route: sum over n of z1^n times a geometric series in z2 of window W
+            terms = (bl_mul(bl_monomial(1, n, 0, order),
+                            bl_on_unit(expand_inverse_one_minus(n, order, zwindow=W), "z2"))
+                     for n in range(-W, W + 1))
+            yield bl_add(*terms).clip(W), rho_sum
+            continue
+        # product route, division-free:
+        # eta^3 theta_hat(z1 z2) = rho-sum * theta_hat(z1) * theta_hat(z2)
+        B = order + Rat(1, 8)
+        lhs = bl_scalar_mul(bl_on_unit(theta_hat(1, B), "z12"), eta_quotient({1: 3}, B))
+        th1 = theta_hat(1, order)
+        rhs = bl_mul(bl_mul(rho_sum, th1), bl_on_unit(th1, "z2"))
+        K = W - Rat(max(abs(k1) for k1, _ in th1.rows), th1.kd)
+        yield lhs.clip(K), rhs.clip(K)
 
 
-@_shares(lambda points, order: _partial_fraction_sum(order, int(order)))
-def _build_E4(p, order, pf_sum):
+def _build_E4(points, order):
     W = int(order)
-    if p["part"] == "expansion":
-        half = Rat(1, 2)
-        terms = []
-        for n in quadratic_range(half, half, 0, order, 0):
-            sign = -1 if n % 2 else 1
-            for m in ((0,) if n == 0 else (n, -n)):
-                base = Rat(m * (m + 1), 2)
-                g = expand_inverse_one_minus(m, order - base, zwindow=W)
-                terms.append(bl_scalar_mul(g, q_monomial(sign, base, order)))
-        return bl_add(*terms).truncate_q(order), pf_sum
-    # zeta1^(-1/2) eta^3 = pf-sum * theta_hat(z1)
-    B = order + Rat(1, 8)
-    lhs = bl_monomial(eta_quotient({1: 3}, B), -Rat(1, 2), 0, B)
-    th = theta_hat(1, order)
-    rhs = bl_mul(pf_sum, th)
-    K = W - Rat(max(abs(k1) for k1, _ in th.rows), th.kd)
-    return lhs.clip(K), rhs.clip(K)
+    pf_sum = _partial_fraction_sum(order, W)
+    for p in points:
+        if p["part"] == "expansion":
+            half = Rat(1, 2)
+            terms = []
+            for n in quadratic_range(half, half, 0, order, 0):
+                sign = -1 if n % 2 else 1
+                for m in ((0,) if n == 0 else (n, -n)):
+                    base = Rat(m * (m + 1), 2)
+                    g = expand_inverse_one_minus(m, order - base, zwindow=W)
+                    terms.append(bl_scalar_mul(g, q_monomial(sign, base, order)))
+            yield bl_add(*terms).truncate_q(order), pf_sum
+            continue
+        # zeta1^(-1/2) eta^3 = pf-sum * theta_hat(z1)
+        B = order + Rat(1, 8)
+        lhs = bl_monomial(eta_quotient({1: 3}, B), -Rat(1, 2), 0, B)
+        th = theta_hat(1, order)
+        rhs = bl_mul(pf_sum, th)
+        K = W - Rat(max(abs(k1) for k1, _ in th.rows), th.kd)
+        yield lhs.clip(K), rhs.clip(K)
 
 
-@_shares(_prepare_E5)
-def _build_E5(p, order, ratio):
-    if p["part"] == "eta":
+def _build_E5(points, order):
+    if any(p["part"] != "eta" for p in points):
+        # theta_hat(u; 2tau) (u q, u^-1 q; q^2)_oo = theta_hat(u; tau) q^(1/8) (-q; q)_oo,
+        # both sides in z1
+        lhs = bl_mul(theta_hat(2, order), unit_pochhammer(1, 2, order))
+        scalar = pochhammer(-1, 1, 1, None, order - Rat(1, 8)).shift(Rat(1, 8))
+        ratio = lhs, bl_scalar_mul(theta_hat(1, order), scalar)
+    for p in points:
+        if p["part"] != "eta":
+            yield tuple(bl_on_unit(s, p["unit"]) for s in ratio)
+            continue
         lhs = pochhammer(-1, 1, 1, None, order - Rat(1, 8)).shift(Rat(1, 8))
         lhs = (lhs * eta_quotient({1: 1}, order)).truncate(order)
         rhs = eta_quotient({2: 1}, order).shift(Rat(1, 12)).truncate(order)
-        return lhs, rhs
-    # theta_hat(u; 2tau) (u q, u^-1 q; q^2)_oo = theta_hat(u; tau) q^(1/8) (-q; q)_oo
-    return tuple(bl_on_unit(s, p["unit"]) for s in ratio)
+        yield lhs, rhs
 
 
-@_shares(_prepare_t2t)
-def _build_t2t(p, order, sums):
-    u = p["unit"]
-    return bl_on_unit(t2t_factor(order), u), bl_on_unit(sums[p["variant"]], u)
+def _build_t2t(points, order):
+    # the right side in z1 for each variant of the points
+    sums = {v: _t2t_sum("z1", order, v) for v in {p["variant"] for p in points}}
+    for p in points:
+        u = p["unit"]
+        yield bl_on_unit(t2t_factor(order), u), bl_on_unit(sums[p["variant"]], u)
 
 
-def _build_E7(p, order):
-    r = p["r"]
-    return coeff_F(r, p["p"], order), G_frak(r, p["p"], order)
+def _build_E7(points, order):
+    for p in points:
+        r = p["r"]
+        yield coeff_F(r, p["p"], order), G_frak(r, p["p"], order)
 
 
-def _build_E8(p, order):
-    lam = tuple(rat(x) for x in p["lam"])
-    return G_frak(lam, 2, order), G_frak_rewrite_p2(lam, order)
+def _build_E8(points, order):
+    for p in points:
+        lam = tuple(rat(x) for x in p["lam"])
+        yield G_frak(lam, 2, order), G_frak_rewrite_p2(lam, order)
 
 
-def _build_E9(p, order):
-    r = p["r"]
-    return _f_coeff_scaled(r[0], r[1], order), G_frak_closed_p2(r, order)
+def _build_E9(points, order):
+    for p in points:
+        r = p["r"]
+        yield _f_coeff_scaled(r[0], r[1], order), G_frak_closed_p2(r, order)
 
 
-def _build_E10(p, order):
-    r = p["r"]
-    sh = Rat(2, 3) * quad_Q(Rat(r[0]), Rat(r[1]))
-    lam = (Rat(r[0] + r[1], 3), Rat(2 * r[1] - r[0], 3))
-    lhs = G_frak(lam, 2, order + sh).shift(-sh)
-    return lhs, _f_coeff_scaled(r[0], r[1], order)
+def _build_E10(points, order):
+    for p in points:
+        r = p["r"]
+        sh = Rat(2, 3) * quad_Q(Rat(r[0]), Rat(r[1]))
+        lam = (Rat(r[0] + r[1], 3), Rat(2 * r[1] - r[0], 3))
+        lhs = G_frak(lam, 2, order + sh).shift(-sh)
+        yield lhs, _f_coeff_scaled(r[0], r[1], order)
 
 
-def _build_E11(p, order):
-    r = p["r"]
-    sh = 2 * quad_Q(Rat(r[0]), Rat(r[1]))
-    rhs = _f_coeff_scaled(2 * r[0] - r[1], r[0] + r[1], order).shift(sh)
-    return coeff_F(r, 2, order), rhs.truncate(order)
+def _build_E11(points, order):
+    for p in points:
+        r = p["r"]
+        sh = 2 * quad_Q(Rat(r[0]), Rat(r[1]))
+        rhs = _f_coeff_scaled(2 * r[0] - r[1], r[0] + r[1], order).shift(sh)
+        yield coeff_F(r, 2, order), rhs.truncate(order)
 
 
-def _build_E12(p, order):
-    r1, r2 = rat(p["r1"]), rat(p["r2"])
-    sh = Rat(2, 3) * quad_Q(r1, r2)
-    lam = ((r1 + r2) / 3 - Rat(1, 2), (2 * r2 - r1) / 3 - Rat(1, 2))
-    rhs = G_frak(lam, 2, order + sh).shift(-sh)
-    return H_frak(r1, r2, order), rhs
+def _build_E12(points, order):
+    for p in points:
+        r1, r2 = rat(p["r1"]), rat(p["r2"])
+        sh = Rat(2, 3) * quad_Q(r1, r2)
+        lam = ((r1 + r2) / 3 - Rat(1, 2), (2 * r2 - r1) / 3 - Rat(1, 2))
+        rhs = G_frak(lam, 2, order + sh).shift(-sh)
+        yield H_frak(r1, r2, order), rhs
 
 
-def _build_E12b(p, order):
-    unit = p["unit"]
+def _build_E12b(points, order):
     W = int(order)
-    d1, d2 = UNIT_KEYS[unit]
-    t = bl_on_unit(t2t_factor(order + W + Rat(1, 2)), unit).clip(W)
-    shifted = bl_elliptic_shift(t, -d1, -d2)
-    pre = bl_monomial(
-        q_monomial(1, -Rat(1, 4), shifted.qorder + 1),
-        Rat(d1, 2),
-        Rat(d2, 2),
-        shifted.qorder + 1,
-    )
-    rhs = bl_mul(pre, shifted)
-    # s01 holds the keys |e| <= W, rhs the keys -W + 1/2 <= e <= W + 1/2
-    K = W - Rat(1, 2)
-    return bl_on_unit(s01_factor(order, W), unit).clip(K), rhs.clip(K)
+    for p in points:
+        unit = p["unit"]
+        d1, d2 = UNIT_KEYS[unit]
+        t = bl_on_unit(t2t_factor(order + W + Rat(1, 2)), unit).clip(W)
+        shifted = bl_elliptic_shift(t, -d1, -d2)
+        pre = bl_monomial(
+            q_monomial(1, -Rat(1, 4), shifted.qorder + 1),
+            Rat(d1, 2),
+            Rat(d2, 2),
+            shifted.qorder + 1,
+        )
+        rhs = bl_mul(pre, shifted)
+        # s01 holds the keys |e| <= W, rhs the keys -W + 1/2 <= e <= W + 1/2
+        K = W - Rat(1, 2)
+        yield bl_on_unit(s01_factor(order, W), unit).clip(K), rhs.clip(K)
 
 
-def _build_E13(p, order):
-    return _f_coeff_scaled(0, 0, order), G_frak_closed_p2((0, 0), order)
+def _build_E13(points, order):
+    for _ in points:
+        yield _f_coeff_scaled(0, 0, order), G_frak_closed_p2((0, 0), order)
 
 
-@_shares(_prepare_E14)
-def _build_E14(p, order, kernels):
-    r, (pair, table) = p["r"], kernels
-    if p["part"] == "poch":
-        # the sixfold product read at one key, as G_hyper reads its own table
-        return product_coeff(pair, pair, pair, r[0], r[1]), G_hyper(r, order, _table=table)
-    sh = Rat(1, 2) + Rat(2, 3) * quad_Q(Rat(r[0]), Rat(r[1]))
-    lam = (Rat(r[0] + r[1], 3), Rat(2 * r[1] - r[0], 3))
-    lhs = G_frak(lam, 2, order + sh)
-    rhs = (eta_product({1: 2, 2: 2}, order) * _ghyper_q2(r, order, table)).shift(sh)
-    return lhs, rhs.truncate(min(rhs.order, lhs.order))
+def _build_E14(points, order):
+    # the left side's inverse pair if a poch point reads it, and the right
+    # side's table at the deepest order its points read: order for a poch
+    # point, order / 2 for a lattice one
+    poch = any(p["part"] == "poch" for p in points)
+    pair = unit_pochhammer(Rat(1, 2), 1, order, inverse=True) if poch else None
+    table = _hyper_factor(order if poch else order / 2)
+    for p in points:
+        r = p["r"]
+        if p["part"] == "poch":
+            # the sixfold product read at one key, as G_hyper reads its own table
+            yield product_coeff(pair, pair, pair, r[0], r[1]), G_hyper(r, order, _table=table)
+            continue
+        sh = Rat(1, 2) + Rat(2, 3) * quad_Q(Rat(r[0]), Rat(r[1]))
+        lam = (Rat(r[0] + r[1], 3), Rat(2 * r[1] - r[0], 3))
+        lhs = G_frak(lam, 2, order + sh)
+        rhs = (eta_product({1: 2, 2: 2}, order) * _ghyper_q2(r, order, table)).shift(sh)
+        yield lhs, rhs.truncate(min(rhs.order, lhs.order))
 
 
-@_shares(lambda points, order: _hyper_factor(order / 2))
-def _build_E15(p, order, table):
-    if p["part"] == "base":
-        lhs = G_frak_closed_p2((0, 0), order + Rat(1, 2)).shift(-Rat(1, 2))
-        rhs = eta_product({1: 2, 2: 2}, order) * _ghyper_q2((0, 0), order, table)
-        return lhs, rhs
-    r = p["r"]
-    lhs = (eta_quotient({1: 3}, order) * f_coeff(r[0], r[1], order)).truncate(order)
-    rhs = (eta_quotient({2: 3}, order) * _ghyper_q2(r, order, table)).shift(Rat(1, 4))
-    return lhs, rhs.truncate(order)
+def _build_E15(points, order):
+    table = _hyper_factor(order / 2)
+    for p in points:
+        if p["part"] == "base":
+            lhs = G_frak_closed_p2((0, 0), order + Rat(1, 2)).shift(-Rat(1, 2))
+            rhs = eta_product({1: 2, 2: 2}, order) * _ghyper_q2((0, 0), order, table)
+            yield lhs, rhs
+            continue
+        r = p["r"]
+        lhs = (eta_quotient({1: 3}, order) * f_coeff(r[0], r[1], order)).truncate(order)
+        rhs = (eta_quotient({2: 3}, order) * _ghyper_q2(r, order, table)).shift(Rat(1, 4))
+        yield lhs, rhs.truncate(order)
 
 
-@_shares(_prepare_E15b)
-def _build_E15b(p, order, table):
-    r = p["r"]
-    sh = _E15b_shift(r)
-    if sh >= order:
-        # the right side vanishes below this order; the left must too
-        return coeff_F(r, 2, order), q_zero(order)
-    s = (2 * r[0] - r[1], r[0] + r[1])
-    rhs = (eta_product({1: 2, 2: 2}, order - sh) * _ghyper_q2(s, order - sh, table)).shift(sh)
-    return coeff_F(r, 2, order), rhs
+def _build_E15b(points, order):
+    # the right side's q-shift at each point, and its table at the deepest
+    # order the points read, (order - shift) / 2; none if every right side
+    # vanishes
+    shifts = [Rat(1, 2) + 2 * quad_Q(Rat(p["r"][0]), Rat(p["r"][1])) for p in points]
+    top = order - min(shifts)
+    table = _hyper_factor(top / 2) if top > 0 else None
+    for p, sh in zip(points, shifts):
+        r = p["r"]
+        if sh >= order:
+            # the right side vanishes below this order; the left must too
+            yield coeff_F(r, 2, order), q_zero(order)
+            continue
+        s = (2 * r[0] - r[1], r[0] + r[1])
+        rhs = (eta_product({1: 2, 2: 2}, order - sh) * _ghyper_q2(s, order - sh, table)).shift(sh)
+        yield coeff_F(r, 2, order), rhs
 
 
-def _build_E16(p, order):
+def _build_E16(points, order):
     rows = {
         (n, 0): q_monomial((-1) ** n, n * (n + 1), order)
         for n in quadratic_range(1, 1, 0, order, 0)
@@ -531,51 +506,58 @@ def _build_E16(p, order):
             total = totals.setdefault(m + n, [0] * top)
             total[n:] = map(add, total[n:], row)
     lhs = {(k, 0): _int_row(row, 0, 1, order) for k, row in totals.items()}
-    return _from_rows(1, lhs, order), rhs
+    lhs = _from_rows(1, lhs, order)
+    for _ in points:
+        yield lhs, rhs
 
 
-def _build_E17(p, order):
-    return F0_series(2, order), J_constant_term(order)
+def _build_E17(points, order):
+    for _ in points:
+        yield F0_series(2, order), J_constant_term(order)
 
 
-def _build_E18(p, order):
+def _build_E18(points, order):
     exponent = *_pQ(2, -Rat(1, 2), -Rat(1, 2)), order  # 2 Q(n - 1/2), as F0_series(2)
-    if p["part"] == "simplify":
-        # the quadratic-weight rewrite of F0's cubic weight at p = 2
-        return F0_series(2, order), lattice_sum(
-            *exponent,
-            lambda n1, n2: Rat(12 * n1 * n2 - 3 * n1 * n1 - 3 * n2 * n2 - n1 - n2, 4),
-        )
-    # internal antisymmetric vanishing: sum (n1+n2-1) q^(2Q(n-1/2)) = 0;
-    # n -> 1 - n keeps the exponent and negates the weight, so the points
-    # of positive weight sum to minus those of negative weight
-    return (lattice_sum(*exponent, lambda n1, n2: max(n1 + n2 - 1, 0)),
-            lattice_sum(*exponent, lambda n1, n2: max(1 - n1 - n2, 0)))
+    for p in points:
+        if p["part"] == "simplify":
+            # the quadratic-weight rewrite of F0's cubic weight at p = 2
+            yield F0_series(2, order), lattice_sum(
+                *exponent,
+                lambda n1, n2: Rat(12 * n1 * n2 - 3 * n1 * n1 - 3 * n2 * n2 - n1 - n2, 4),
+            )
+            continue
+        # internal antisymmetric vanishing: sum (n1+n2-1) q^(2Q(n-1/2)) = 0;
+        # n -> 1 - n keeps the exponent and negates the weight, so the points
+        # of positive weight sum to minus those of negative weight
+        yield (lattice_sum(*exponent, lambda n1, n2: max(n1 + n2 - 1, 0)),
+               lattice_sum(*exponent, lambda n1, n2: max(1 - n1 - n2, 0)))
 
 
-def _build_E19(p, order):
-    numer = {}  # the six signed unit monomials of the bracketed lattice summand
-    for s, e1, e2 in _orbit_offsets(p["n1"], p["n2"], 0, 0):
-        numer[e1, e2] = numer.get((e1, e2), 0) + s
+def _build_E19(points, order):
     # divide by the Weyl denominator prod (1 - z^-alpha) over the positive
     # roots alpha of A2 (the keys of UNIT_KEYS) one factor at a time, then
     # multiply the quotient back by each factor
     roots = [(-a1, -a2) for a1, a2 in UNIT_KEYS.values()]
-    quot = reduce(_divide_one_minus, roots, numer)
-    return _int_poly(reduce(_times_one_minus, roots, quot)), _int_poly(numer)
+    for p in points:
+        numer = {}  # the six signed unit monomials of the bracketed lattice summand
+        for s, e1, e2 in _orbit_offsets(p["n1"], p["n2"], 0, 0):
+            numer[e1, e2] = numer.get((e1, e2), 0) + s
+        quot = reduce(_divide_one_minus, roots, numer)
+        yield _int_poly(reduce(_times_one_minus, roots, quot)), _int_poly(numer)
 
 
-def _build_E20(p, order):
-    k = p["k"]
-    halves = ({}, {})
-    # n -> -n - 2k - 1 keeps the exponent and flips the sign, so the sum
-    # over n >= -k equals minus the sum over n <= -k - 1 at every exponent,
-    # negative ones included
-    for n in quadratic_range(Rat(1, 2), Rat(1, 2) + k, 0, order):
-        e = Rat(n * (n + 1), 2) + k * n
-        low = n < -k
-        halves[low][e] = -1 if (n + low) % 2 else 1
-    return PuiseuxSeries(halves[0], order), PuiseuxSeries(halves[1], order)
+def _build_E20(points, order):
+    for p in points:
+        k = p["k"]
+        halves = ({}, {})
+        # n -> -n - 2k - 1 keeps the exponent and flips the sign, so the sum
+        # over n >= -k equals minus the sum over n <= -k - 1 at every exponent,
+        # negative ones included
+        for n in quadratic_range(Rat(1, 2), Rat(1, 2) + k, 0, order):
+            e = Rat(n * (n + 1), 2) + k * n
+            low = n < -k
+            halves[low][e] = -1 if (n + low) % 2 else 1
+        yield PuiseuxSeries(halves[0], order), PuiseuxSeries(halves[1], order)
 
 
 # -- registry ------------------------------------------------------------------
@@ -588,12 +570,6 @@ class _Identity:
     build: callable
     grid: list
     default_order: object
-
-    def prepare(self, points, order):
-        """The arguments after (point, order) of build for each of points:
-        (kernels,) for what they share at order, or () if build shares none."""
-        prepare = getattr(self.build, "prepare", None)
-        return () if prepare is None else (prepare(points, order),)
 
 
 def _int_pairs(bound):
@@ -793,8 +769,10 @@ def verify_identity(ident_id, params=None, order=None, corrupt=False):
     compared, the places where either side is nonzero, are added up over
     the grid.  corrupt=True perturbs one mid-support coefficient of the
     left side; the report then carries the perturbed location as its
-    discrepancy (engine self-test support).  Raises ValueError for an
-    order <= 0, and for a whole grid that compares no coefficient.
+    discrepancy (engine self-test support).  The points are built by one
+    build(points, order), which stops at the first discrepancy.  Raises
+    ValueError for an order <= 0, for a builder that yields other than one
+    pair per point, and for a whole grid that compares no coefficient.
     """
     if ident_id not in _REGISTRY:
         raise KeyError(f"unknown identity {ident_id!r}")
@@ -806,9 +784,7 @@ def verify_identity(ident_id, params=None, order=None, corrupt=False):
     disc = None
     shown = {}
     compared = 0
-    shared = ident.prepare(grid, order)
-    for point in grid:
-        lhs, rhs = ident.build(point, order, *shared)
+    for point, (lhs, rhs) in zip(grid, ident.build(grid, order), strict=True):
         if corrupt:
             lhs, injected = _corrupt(lhs)
         d, n = _diff(lhs, rhs, order)

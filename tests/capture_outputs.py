@@ -6,7 +6,7 @@ Each entry maps a name to what the program gives for it:
 
 - "sides <id> <point>": the sha256 of both sides of one grid point at the
   identity's capture order, as bl_to_json or series_to_json; a point built
-  bare and one built from the kernels its grid shares give the same;
+  alone and one built with its whole grid give the same;
 - "report <id>": the identity's report_to_json at its capture order,
   without "ms";
 - "corrupt <id> <order>": the report of a corrupt=True run at order 8 and
@@ -81,13 +81,14 @@ def _report(rep):
 
 
 def sides(prepared=False):
-    """Each point built bare, or with prepared=True from the kernels its
-    whole grid shares, as verify_identity builds it."""
+    """Each point built alone, by build([point], order), or with
+    prepared=True by one build of its whole grid, as verify_identity
+    builds it."""
     for ident in registered_ids():
         entry, order = _REGISTRY[ident], Rat(CAPTURE_ORDERS[ident])
-        shared = entry.prepare(entry.grid, order) if prepared else ()
-        for point in entry.grid:
-            pair = entry.build(point, order, *shared)
+        pairs = (entry.build(entry.grid, order) if prepared
+                 else (next(entry.build([point], order)) for point in entry.grid))
+        for point, pair in zip(entry.grid, pairs, strict=True):
             yield (f"sides {ident} {json.dumps(point)}",
                    _sha(json.dumps([_side_json(s) for s in pair])))
 

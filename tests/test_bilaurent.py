@@ -87,7 +87,7 @@ class TestStructure:
         assert bl_to_json(b)["region"] == "INNER"
 
     def test_json_roundtrip_at_a_rational_window(self):
-        a = _build_E3({"part": "product"}, 20)[0]
+        a = next(_build_E3([{"part": "product"}], 20))[0]
         assert a.window == Rat(29, 2)
         d = json.loads(json.dumps(bl_to_json(a)))
         assert d["window"] == "29/2"

@@ -297,7 +297,7 @@ class TestCoefficientFamilies:
 
     def test_cubic_weight_forms_agree(self):
         # E18: F0_series at p = 2 against its quadratic-weight rewrite
-        general, simplified = _build_E18({"part": "simplify"}, Rat(20))
+        general, simplified = next(_build_E18([{"part": "simplify"}], Rat(20)))
         assert general == F0_series(2, Rat(20)) and general == simplified
 
 

@@ -25,7 +25,7 @@ import pytest
 
 from falsetheta import bilaurent, families, series
 from falsetheta.identities import registered_ids, verify_identity
-from falsetheta.rat import Rat, rat_ceil
+from falsetheta.rat import Rat, rat, rat_ceil
 from falsetheta.thetas import t2t_factor
 
 
@@ -100,6 +100,27 @@ def _transpose_a_matrix(weyl):
     return (weyl[0], (sign, ((a, c), (b, d))), *weyl[2:])
 
 
+def _drop_the_last_factor(eta_product):
+    """eta_product without the last factor (1 - q^j)^p of its list; a
+    fault in place of the kernel, so it does not call the original."""
+    def faulty(powers, order):
+        top = rat_ceil(rat(order))
+        factors = [(1, 0, j, p) for k, p in powers.items() for j in range(k, top, k)]
+        return series._binomial_series(factors[:-1], order)
+    return faulty
+
+
+def _add_one_at_the_end_of_a_long_row(spread):
+    """_spread that adds 1 to the last entry of a row longer than 3, in a
+    copy: with k = 1 and f = 1 the kernel returns its argument itself."""
+    def faulty(row, k, f=1):
+        out = list(spread(row, k, f))
+        if len(out) > 3:
+            out[-1] += 1
+        return out
+    return faulty
+
+
 def _claim_one_more_q_step(product_coeff):
     """product_coeff whose order rule gives one power of q more than it
     should: it reads each factor as exact one q-step past its order."""
@@ -135,6 +156,14 @@ def _quadratic_range_probe():
 
 def _binomial_table_probe():
     return series._binomial_table([(1, 0, 1, 1), (1, 0, 2, 1)], 4)
+
+
+def _eta_product_probe():
+    return series.eta_product({1: 1, 2: 1}, 6)
+
+
+def _spread_probe():
+    return series._spread([1, 2, 3, 4], 1)
 
 
 def _A_table_probe():
@@ -174,6 +203,10 @@ KERNEL_FAULTS = {
          ["E9", "E10", "E11", "E13", "E15b"]),
     "bl_on_unit swaps z2 and z12":
         (bilaurent, "bl_on_unit", _swap_z2_and_z12, _bl_on_unit_probe, None),
+    "eta_product drops its last factor":
+        (series, "eta_product", _drop_the_last_factor, _eta_product_probe, None),
+    "_spread adds 1 at the end of a long row":
+        (series, "_spread", _add_one_at_the_end_of_a_long_row, _spread_probe, None),
 }
 
 TABLE_FAULTS = {

@@ -1,5 +1,6 @@
 """Identity registry engine: verification, reports, mutation flagging."""
 
+import dataclasses
 import json
 import sys
 
@@ -134,7 +135,7 @@ def test_a_grid_that_compares_nothing_is_refused():
 def test_vanishing_sums_compare_at_every_grid_point(ident, order):
     # each side is one half of a sum that cancels, so neither is zero
     for point in identity_grid(ident):
-        lhs, rhs = _REGISTRY[ident].build(point, order)
+        lhs, rhs = next(_REGISTRY[ident].build([point], order))
         assert _diff(lhs, rhs, order)[1], point
     assert verify_identity(ident, order=order).verdict == "equal"
 
@@ -148,7 +149,7 @@ def _six_monomials(n1, n2):
 def test_E19_compares_over_its_whole_grid():
     # the points whose six-monomial numerator cancels compare nothing alone
     empty = [p for p in identity_grid("E19")
-             if not _diff(*_REGISTRY["E19"].build(p, Rat(1)), Rat(1))[1]]
+             if not _diff(*next(_REGISTRY["E19"].build([p], Rat(1))), Rat(1))[1]]
     assert len(empty) == 11
     assert all(not _six_monomials(p["n1"], p["n2"]).terms for p in empty)
     assert verify_identity("E19", order=1).verdict == "equal"
@@ -156,7 +157,7 @@ def test_E19_compares_over_its_whole_grid():
 
 def test_E19_right_side_is_the_sum_of_six_monomials():
     for p in identity_grid("E19"):
-        assert _REGISTRY["E19"].build(p, Rat(1))[1] == _six_monomials(p["n1"], p["n2"]), p
+        assert next(_REGISTRY["E19"].build([p], Rat(1)))[1] == _six_monomials(p["n1"], p["n2"]), p
 
 
 @given(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
@@ -214,7 +215,7 @@ _T2T_POINTS = [(i, p) for i in ("E6", "E6b") for p in identity_grid(i)]
 @pytest.mark.parametrize("ident, point", _T2T_POINTS,
                          ids=[f"{i}-{p['variant']}-{p['unit']}" for i, p in _T2T_POINTS])
 def test_each_theta_ratio_point_compares_and_is_equal(ident, point):
-    lhs, rhs = _REGISTRY[ident].build(point, Rat(8))
+    lhs, rhs = next(_REGISTRY[ident].build([point], Rat(8)))
     assert _diff(lhs, rhs, Rat(8))[1]
     assert verify_identity(ident, point, 8).verdict == "equal"
 
@@ -332,7 +333,7 @@ def _E16_left_by_terms(order):
 def test_E16_left_side_is_its_term_by_term_sum(order):
     # the default order is 25; the term ratio must hold past it too
     (point,) = identity_grid("E16")
-    got, _ = _REGISTRY["E16"].build(point, order)
+    got, _ = next(_REGISTRY["E16"].build([point], order))
     want = _E16_left_by_terms(order)
     fields = ("kd", "rows", "qorder", "window")
     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
@@ -343,7 +344,7 @@ def test_E2_left_side_claims_the_order_asked(order):
     # the theta is built just deep enough for the keys the shift brings
     # below the order, and the shift lowers its order by m times its window
     for point in identity_grid("E2"):
-        lhs, _ = _REGISTRY["E2"].build(point, order)
+        lhs, _ = next(_REGISTRY["E2"].build([point], order))
         assert lhs.qorder == order, point
 
 
@@ -377,7 +378,7 @@ def test_every_public_builder_is_reached_by_an_identity_or_allowed():
         for ident in registered_ids():
             order = min(identity_default_order(ident), Rat(4))
             for point in identity_grid(ident):
-                _REGISTRY[ident].build(point, order)
+                next(_REGISTRY[ident].build([point], order))
     finally:
         sys.setprofile(None)
     reached = {name for code, name in codes.items() if code in seen}
@@ -387,14 +388,12 @@ def test_every_public_builder_is_reached_by_an_identity_or_allowed():
 
 # -- shared kernels ------------------------------------------------------------
 
-_PREPARED = [i for i in registered_ids() if hasattr(_REGISTRY[i].build, "prepare")]
-
 
 def _report_of_bare_builds(ident, order, corrupt):
-    """(verdict, discrepancy, params) folded from each grid point built bare,
-    as verify_identity folds them: the first discrepancy wins."""
+    """(verdict, discrepancy, params) folded from each grid point built
+    alone, as verify_identity folds them: the first discrepancy wins."""
     for point in identity_grid(ident):
-        lhs, rhs = _REGISTRY[ident].build(point, order)
+        lhs, rhs = next(_REGISTRY[ident].build([point], order))
         if corrupt:
             lhs, _ = _corrupt(lhs)
         disc, _ = _diff(lhs, rhs, order)
@@ -403,12 +402,8 @@ def _report_of_bare_builds(ident, order, corrupt):
     return "equal", None, {}
 
 
-def test_the_identities_that_share_kernels():
-    assert _PREPARED == ["E1", "E14", "E15", "E15b", "E2", "E3", "E4", "E5", "E6", "E6b"]
-
-
 @pytest.mark.parametrize("corrupt", [False, True])
-@pytest.mark.parametrize("ident", _PREPARED)
+@pytest.mark.parametrize("ident", registered_ids())
 def test_a_grid_built_from_shared_kernels_reports_as_its_bare_points(ident, corrupt):
     order = identity_default_order(ident)
     rep = verify_identity(ident, order=order, corrupt=corrupt)
@@ -456,3 +451,31 @@ def test_E14_builds_its_inverse_pair_once_and_a_lattice_point_none(monkeypatch):
     pairs.clear()
     assert verify_identity("E14", {"part": "lattice", "r": (1, -1)}, 7).verdict == "equal"
     assert pairs == []
+
+
+def test_a_grid_stops_building_at_its_first_discrepancy(monkeypatch):
+    # each of E7's points builds its left side with coeff_F
+    made = _count_calls(monkeypatch, "coeff_F")
+    assert len(identity_grid("E7")) == 28
+    assert verify_identity("E7", corrupt=True).verdict == "unequal"
+    assert len(made) == 1
+
+
+def _one_pair_short(build):
+    return lambda points, order: build(points[1:], order)
+
+
+def _one_pair_over(build):
+    def over(points, order):
+        yield from build(points, order)
+        yield next(build(points[:1], order))
+    return over
+
+
+@pytest.mark.parametrize("stub, error", [(_one_pair_short, "shorter"), (_one_pair_over, "longer")])
+def test_a_builder_yields_one_pair_per_point(monkeypatch, stub, error):
+    # every pair E20 yields is equal, so only the count of pairs can fail
+    entry = _REGISTRY["E20"]
+    monkeypatch.setitem(_REGISTRY, "E20", dataclasses.replace(entry, build=stub(entry.build)))
+    with pytest.raises(ValueError, match=f"is {error} than"):
+        verify_identity("E20")

@@ -26,7 +26,7 @@ def test_outputs_match_the_stored_ones(group):
 
 
 def test_sides_built_from_their_grid_s_shared_kernels_match_the_stored_ones():
-    # the "sides" group builds each point bare
+    # the "sides" group builds each point alone
     got = dict(sides(prepared=True))
     for name, value in got.items():
         assert value == STORED[name], name

@@ -223,7 +223,7 @@ def _counting(monkeypatch, module, name):
 def test_an_E14_poch_point_builds_one_table(monkeypatch):
     # one inverse pair, read on all three units
     tables = _counting(monkeypatch, thetas, "_binomial_table")
-    _build_E14({"part": "poch", "r": (1, -1)}, Rat(7))
+    next(_build_E14([{"part": "poch", "r": (1, -1)}], Rat(7)))
     assert len(tables) == 1
 
 

@@ -47,9 +47,9 @@ def test_identity_sides_agree_with_a_deeper_build(ident):
     n = min(entry.default_order, Rat(8))
     bad = []
     for point in entry.grid:
-        sides = entry.build(point, n)
+        sides = next(entry.build([point], n))
         for delta in DELTAS:
-            for side, shallow, deep in zip("LR", sides, entry.build(point, n + delta)):
+            for side, shallow, deep in zip("LR", sides, next(entry.build([point], n + delta))):
                 d = _disagreement(shallow, deep)
                 if d is not None:
                     bad.append((point, delta, side, d))
