@@ -23,7 +23,9 @@ e^(-2 pi i s (tau Q*(m) + z1 (2 m1 + m2) + z2 (2 m2 + m1))), times
 (-1)^(m+l) for theta.  The residual is relative to factor * RHS, which
 an elliptic factor can make far larger than RHS.  run_transformation_checks
 gives check_transformation's reports over a law's grid, evaluating each
-sample point's unmoved side and each matrix's multiplier once.
+sample point's unmoved side and each matrix's multiplier once.  Every grid
+is read off its law's row: the five sample points times gamma_grid(level)
+or shift_grid(step).
 
 The eta multiplier convention (Dedekind-sum formula plus the principal
 square-root branch) is validated against eta's own functional equation
@@ -572,7 +574,10 @@ def shift_grid(parity):
 
 
 def transformation_grid(law):
-    """(element, z, tau) combinations for one law: 5 points x 5 elements."""
+    """(element, z, tau) combinations for one law: the 5 sample points x 5
+    elements read off the law's _FORMS row, gamma_grid(level) for a
+    modular law and shift_grid(step) for an elliptic one (theta takes z1
+    and the first entry of each shift)."""
     if law not in LAW_IDS:
         raise ValueError(f"unknown law {law!r}")
     kind, mode = law.split("_")
@@ -580,16 +585,6 @@ def transformation_grid(law):
     form = _FORMS[kind]
     if mode == "MOD":
         elems = gamma_grid(form.level)
-    elif law == "T_ELL":
-        # keep Q*(m) minimal and Im(tau) low: the automorphy factor grows
-        # like |q|^(-Q*(m)/2) and magnifies double-precision roundoff
-        small = [(2, 0), (0, 2), (-2, 0), (0, -2), (2, -2)]
-        ells = [(0, 0), (1, 0), (0, 1), (-1, 1), (1, 1)]
-        elems = list(zip(small, ells))
-        pts = [
-            (z1, z2, complex(tau.real, min(tau.imag, 0.9)))
-            for z1, z2, tau in pts
-        ]
     else:
         elems = shift_grid(form.step)
         if kind == "THETA":

@@ -29,6 +29,8 @@ from falsetheta.numeric import (
     run_transformation_checks,
     residual_report_to_json,
     sample_points,
+    gamma_grid,
+    shift_grid,
     transformation_grid,
     LAW_IDS,
     _FORMS,
@@ -215,7 +217,9 @@ def _oracle_points():
     """The sample points, the three transformed points of the two-variable
     modular grids with the smallest Im tau (about 0.003), and the shifted
     point of the T_ELL and of the J_ELL grid with T's largest term (there
-    Im z is about 2 Im tau, where eval_T's factors widen their ranges most)."""
+    Im z1 and Im z2 are about 2 Im tau, where eval_T's factors widen their
+    ranges most).  The two grids are the same, so the two shifted points
+    coincide; each law keeps its own case all the same."""
     moved = set()
     for law in ("F_MOD", "T_MOD", "J_MOD"):
         for (a, b, c, d), (z1, z2), tau in transformation_grid(law):
@@ -568,6 +572,24 @@ _EVALUATORS = {"THETA": "eval_theta", "F": "eval_f", "T": "eval_T", "J": "eval_J
 
 class TestGrids:
     @pytest.mark.parametrize("law", LAW_IDS)
+    def test_a_grid_is_the_sample_points_times_the_elements_of_its_row(self, law):
+        kind, mode = law.split("_")
+        form = _FORMS[kind]
+        if mode == "MOD":
+            elems = gamma_grid(form.level)
+        elif kind == "THETA":
+            elems = [(m1, l1) for (m1, m2), (l1, l2) in shift_grid(form.step)]
+            assert all(type(x) is int for e in elems for x in e)
+        else:
+            elems = shift_grid(form.step)
+        want = [
+            (e, z1 if kind == "THETA" else (z1, z2), tau)
+            for z1, z2, tau in sample_points()
+            for e in elems
+        ]
+        assert transformation_grid(law) == want
+
+    @pytest.mark.parametrize("law", LAW_IDS)
     def test_a_grid_reports_what_its_points_checked_one_at_a_time_report(self, law):
         def fields(reps):
             return [(r.law, r.params, r.residual, r.tolerance, r.verdict) for r in reps]
@@ -591,6 +613,27 @@ class TestGrids:
         run_transformation_checks(law)
         # 25 moved sides and 5 unmoved ones; one multiplier per matrix
         assert calls == {"eval": 30, "multiplier": 5 if law.endswith("MOD") else 0}
+
+
+# one wrong field of one _FORMS row, and the laws whose grids must see it
+_FORM_FAULTS = [
+    pytest.param("T", "index", Rat(1, 4), ("T_MOD", "T_ELL"), id="T-index"),
+    pytest.param("T", "kronecker", False, ("T_MOD",), id="T-kronecker"),
+    pytest.param("T", "weight", 2, ("T_MOD",), id="T-weight"),
+    pytest.param("F", "eta", {1: -9, 2: 8}, ("F_MOD",), id="F-eta"),
+    pytest.param("J", "index", Rat(1, 2), ("J_MOD", "J_ELL"), id="J-index"),
+    pytest.param("THETA", "index", Rat(1, 4), ("THETA_MOD", "THETA_ELL"), id="THETA-index"),
+]
+
+
+@pytest.mark.parametrize("kind,field,value,laws", _FORM_FAULTS)
+def test_a_wrong_form_row_makes_its_grids_unequal(kind, field, value, laws, monkeypatch):
+    # the numeric counterpart of tests/test_faults.py: each law is computed
+    # from its row, so a wrong row must show on the grid
+    assert all(r.verdict == "equal" for law in laws for r in run_transformation_checks(law))
+    monkeypatch.setitem(_FORMS, kind, _FORMS[kind]._replace(**{field: value}))
+    for law in laws:
+        assert any(r.verdict == "unequal" for r in run_transformation_checks(law)), law
 
 
 class TestBridge:
