@@ -27,8 +27,9 @@ A caller that knows a product to be symmetric under a group acting
 linearly on the keys passes bl_mul the keyword-only `orbit`, a map from
 a key to the keys of its orbit: one key per orbit is convolved, and the
 keys of the orbit share one series object.  Shared rows stay shared:
-bl_scalar_mul, truncate_q, clip and bl_to_json map each row object once,
-through _map_rows, and _layout spreads it once.
+bl_scalar_mul, truncate_q, clip, bl_to_json and _json_text, which writes
+bl_to_json's document as text, map each row object once, through
+_map_rows, and _layout spreads it once.
 
 The optional `window` W marks a clip: keys outside |e1|, |e2| <= W were
 dropped, so their coefficients are unknown and reading one raises.  It
@@ -41,6 +42,7 @@ reads as zero.  Callers choose a window as an analysis parameter and
 pair it with a compatible q-order.
 """
 
+import json
 from math import gcd, lcm
 
 from .rat import Rat, rat, rat_floor, rat_str, ratio_str, parse_rat
@@ -396,17 +398,38 @@ def _key_strs(a, fn):
             for (k1, k2), x in sorted(_map_rows(a.rows, fn).items())]
 
 
-def bl_to_json(a):
-    """The series as a JSON-ready dict.  Each distinct row object is
-    serialized once: keys that share a row share one "series" dict.  A
-    window that is an integer is written as that int, any other as its
-    "num/den" string."""
+def _json_head(a):
+    """The fields of bl_to_json's document before its terms.  A window that
+    is an integer is written as that int, any other as its "num/den" string."""
     w = a.window
     if w is not None:
         w = rat(w)
         w = w.numerator if w.denominator == 1 else rat_str(w)
+    return {"region": ANNULUS, "qorder": rat_str(a.qorder), "window": w}
+
+
+def bl_to_json(a):
+    """The series as a JSON-ready dict.  Each distinct row object is
+    serialized once: keys that share a row share one "series" dict."""
     terms = [{"e1": e1, "e2": e2, "series": j} for e1, e2, j in _key_strs(a, series_to_json)]
-    return {"region": ANNULUS, "qorder": rat_str(a.qorder), "window": w, "terms": terms}
+    return dict(_json_head(a), terms=terms)
+
+
+# A one-token stand-in for each "series" value in _json_text's document,
+# and the depth of such a value there: {"terms": [{"series": {...}}]}.
+_SLOT = "\0"
+_ROW_INDENT = "\n" + " " * 6
+
+
+def _json_text(a):
+    """json.dumps(bl_to_json(a), indent=2), with each distinct row encoded
+    once: the document is encoded with a slot in place of every "series",
+    and each row's text, indented to its depth, is put into its slots."""
+    keys = _key_strs(a, lambda c: json.dumps(series_to_json(c), indent=2)
+                     .replace("\n", _ROW_INDENT))
+    doc = dict(_json_head(a), terms=[{"e1": e1, "e2": e2, "series": _SLOT} for e1, e2, _ in keys])
+    head, *tails = json.dumps(doc, indent=2).split(json.dumps(_SLOT))
+    return head + "".join(text + tail for (_, _, text), tail in zip(keys, tails))
 
 
 def _window_from_json(w):

@@ -12,7 +12,7 @@ import sys
 
 from .rat import Rat, rat_str, parse_rat, _positive_order
 from .series import PuiseuxSeries, eta_quotient, series_to_json, _term_strs
-from .bilaurent import ANNULUS, bl_on_unit, bl_to_json, _key_strs
+from .bilaurent import ANNULUS, bl_on_unit, _json_text, _key_strs
 from . import thetas, families
 from .identities import (
     registered_ids,
@@ -117,36 +117,6 @@ def _expand_series(args):
     return _SERIES[args.name](args, order)
 
 
-# A one-token stand-in for each "series" value in the document JSON, and
-# the depth of a "series" value there: {"terms": [{"series": {...}}]}.
-_SLOT = "\0"
-_SLOT_JSON = json.dumps(_SLOT)
-_SERIES_INDENT = "\n" + " " * 6
-
-
-def _bl_json_text(s):
-    """json.dumps(bl_to_json(s), indent=2), with each distinct row encoded once.
-
-    bl_to_json gives keys that share a row one "series" dict.  Each such
-    dict is encoded once and re-indented to its depth; the document is
-    encoded once with a slot in place of every "series", and the row texts
-    are put into the slots.
-    """
-    doc = bl_to_json(s)
-    # texts: id(series dict) -> its text; _map_rows dedupes rows, and these
-    # are bl_to_json's dicts, which keys that share a row already share
-    texts, rows = {}, []
-    for t in doc["terms"]:
-        j = t["series"]
-        text = texts.get(id(j))
-        if text is None:
-            text = texts[id(j)] = json.dumps(j, indent=2).replace("\n", _SERIES_INDENT)
-        rows.append(text)
-    slotted = dict(doc, terms=[dict(t, series=_SLOT) for t in doc["terms"]])
-    head, *tails = json.dumps(slotted, indent=2).split(_SLOT_JSON)
-    return head + "".join(r + tail for r, tail in zip(rows, tails))
-
-
 def _print_series(s, fmt, out):
     if isinstance(s, PuiseuxSeries):
         if fmt == "json":
@@ -156,7 +126,7 @@ def _print_series(s, fmt, out):
                       + f"+ O(q^({rat_str(s.order)}))\n")
         return
     if fmt == "json":
-        out.write(_bl_json_text(s) + "\n")
+        out.write(_json_text(s) + "\n")
     else:
         for e1, e2, r in _key_strs(s, repr):
             out.write(f"zeta1^({e1}) zeta2^({e2}): {r}\n")

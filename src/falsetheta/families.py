@@ -76,7 +76,7 @@ def _check_p(p):
 
 def _check_r(r):
     r1, r2 = r
-    if not (isinstance(r1, int) and isinstance(r2, int)):
+    if not (type(r1) is int and type(r2) is int):  # a bool is not an index
         raise ValueError("r must be a pair of integers")
     return r1, r2
 

@@ -194,8 +194,8 @@ def _partial_fraction_sum(order, W):
     return _from_rows(1, rows, order, W)
 
 
-def _t2t_sum(unit, order, variant):
-    """theta(z; 2 tau)/theta(z; tau) on one unit, the oracle of t2t_factor's
+def _t2t_sum(order, variant):
+    """theta(z; 2 tau)/theta(z; tau), u = z1, the oracle of t2t_factor's
     product, as q^(1/8) times an eta product times sum_a u^(+-a) B_a(q).
 
     "closed": B_a = sum_{k >= 0} (-1)^k q^(k^2 + (2a+1)k + a), and
@@ -203,7 +203,6 @@ def _t2t_sum(unit, order, variant):
     sum of _A_table, and (-q; q)_oo; "quad": its quadratic variant
     (quad=1), and 1/(q; q)_oo.
     """
-    d1, d2 = UNIT_KEYS[unit]
     rows = {}
     # the key u^m, |m| = a, has exponents from a up; a < order
     for a in range(rat_ceil(order)):
@@ -213,7 +212,7 @@ def _t2t_sum(unit, order, variant):
         else:
             b = _A_table(a, (order - a) / 2, variant == "quad").scale_q(2).shift(a)
         for m in ((a, -a) if a else (0,)):
-            rows[(m * d1, m * d2)] = b
+            rows[(m, 0)] = b
     body = _from_rows(1, rows, order)
     powers = {"closed": {1: -1, 2: -1}, "poch": {1: -1, 2: 1}, "quad": {1: -1}}[variant]
     return bl_scalar_mul(body, eta_product(powers, order - Rat(1, 8)).shift(Rat(1, 8)))
@@ -362,11 +361,12 @@ def _build_E5(points, order):
 
 
 def _build_t2t(points, order):
-    # the right side in z1 for each variant of the points
-    sums = {v: _t2t_sum("z1", order, v) for v in {p["variant"] for p in points}}
+    # both sides in z1: the product once, the sum once per variant of the points
+    lhs = t2t_factor(order)
+    sums = {v: _t2t_sum(order, v) for v in {p["variant"] for p in points}}
     for p in points:
         u = p["unit"]
-        yield bl_on_unit(t2t_factor(order), u), bl_on_unit(sums[p["variant"]], u)
+        yield bl_on_unit(lhs, u), bl_on_unit(sums[p["variant"]], u)
 
 
 def _build_E7(points, order):
@@ -414,22 +414,16 @@ def _build_E12(points, order):
 
 
 def _build_E12b(points, order):
+    # both sides in z1: s01(u) = q^(-1/4) u^(1/2) t2t(u q^-1)
     W = int(order)
+    t = bl_elliptic_shift(t2t_factor(order + W + Rat(1, 2)).clip(W), -1, 0)
+    B = t.qorder + 1
+    rhs = bl_mul(bl_monomial(q_monomial(1, -Rat(1, 4), B), Rat(1, 2), 0, B), t)
+    # s01 holds the keys |e| <= W, rhs the keys -W + 1/2 <= e <= W + 1/2
+    K = W - Rat(1, 2)
+    sides = s01_factor(order, W).clip(K), rhs.clip(K)
     for p in points:
-        unit = p["unit"]
-        d1, d2 = UNIT_KEYS[unit]
-        t = bl_on_unit(t2t_factor(order + W + Rat(1, 2)), unit).clip(W)
-        shifted = bl_elliptic_shift(t, -d1, -d2)
-        pre = bl_monomial(
-            q_monomial(1, -Rat(1, 4), shifted.qorder + 1),
-            Rat(d1, 2),
-            Rat(d2, 2),
-            shifted.qorder + 1,
-        )
-        rhs = bl_mul(pre, shifted)
-        # s01 holds the keys |e| <= W, rhs the keys -W + 1/2 <= e <= W + 1/2
-        K = W - Rat(1, 2)
-        yield bl_on_unit(s01_factor(order, W), unit).clip(K), rhs.clip(K)
+        yield tuple(bl_on_unit(s, p["unit"]) for s in sides)
 
 
 def _build_E13(points, order):
@@ -814,7 +808,8 @@ def run_suite(pattern="*", order_overrides=None, jobs=1):
     """Verify every identity whose id matches the filter.
 
     The filter is a shell-style pattern, with "|" separating
-    alternatives; a pattern that matches no id raises ValueError.
+    alternatives; a pattern that matches no id raises ValueError, as does
+    an order_overrides key that the pattern does not select.
     Reports come back sorted by id regardless of execution order.  jobs,
     an int of at least 1, is the number of worker processes; with jobs > 1
     the identities run in parallel in spawned workers, each with its own
@@ -829,6 +824,9 @@ def run_suite(pattern="*", order_overrides=None, jobs=1):
     ids = [i for i in registered_ids() if any(fnmatch.fnmatch(i, a) for a in alts)]
     if not ids:
         raise ValueError(f"no identity matches the pattern {pattern!r}")
+    stray = sorted(set(order_overrides) - set(ids))
+    if stray:
+        raise ValueError(f"the pattern {pattern!r} selects none of the overridden ids {stray}")
     orders = [order_overrides.get(i) for i in ids]
 
     if jobs > 1 and len(ids) > 1:

@@ -410,9 +410,8 @@ def _check_finite(name, x):
 
 def _check_gamma(gamma, level):
     a, b, c, d = gamma
-    for x in gamma:
-        if not isinstance(x, int):
-            raise ValueError("matrix entries must be integers")
+    if not all(type(x) is int for x in gamma):  # a bool is not an entry
+        raise ValueError("matrix entries must be integers")
     if a * d - b * c != 1:
         raise ValueError("matrix must have determinant 1")
     if c % level != 0:
@@ -433,7 +432,7 @@ def _check_shift(law, element, step):
     size = 1 if law == "THETA_ELL" else 2
     if size == 1:
         m, l = (x[:1] if x[1:] == (0,) else x for x in (m, l))
-    if len(m) != size or len(l) != size or not all(isinstance(x, int) for x in m + l):
+    if len(m) != size or len(l) != size or not all(type(x) is int for x in m + l):
         raise ValueError(f"{law} shifts must be " + ("integers" if size == 1 else "integer pairs"))
     if any(x % step for x in m):
         raise ValueError(f"m must lie in {step}Z^2 for this law")

@@ -230,7 +230,7 @@ class TestMulAgainstPairwiseProducts:
 
     @pytest.mark.parametrize(
         "build", [lambda u, n: bl_on_unit(t2t_factor(n), u),
-                  lambda u, n: _t2t_sum(u, n, "closed")],
+                  lambda u, n: bl_on_unit(_t2t_sum(n, "closed"), u)],
         ids=["product", "closed"],
     )
     def test_the_factors_of_f_and_J(self, build):

@@ -257,6 +257,16 @@ class TestCoefficientFamilies:
         for p in (2, 3):
             assert F_constant_term(p, Rat(15)) == coeff_F((0, 0), p, Rat(15))
 
+    @pytest.mark.parametrize("build", [
+        lambda r: G_hyper(r, Rat(3)),
+        lambda r: coeff_F(r, 2, Rat(3)),
+        lambda r: G_frak_closed_p2(r, Rat(3)),
+    ], ids=["G_hyper", "coeff_F", "G_frak_closed_p2"])
+    @pytest.mark.parametrize("r", [(True, False), (0, True)])
+    def test_a_bool_is_not_an_integer_index(self, build, r):
+        with pytest.raises(ValueError, match="r must be a pair of integers"):
+            build(r)
+
     def test_half_index_family_leading(self):
         h = H_frak(Rat(1, 2), 0, Rat(5))
         assert series_dict(h) == {

@@ -106,6 +106,15 @@ def test_suite_rejects_a_pattern_that_matches_nothing(pattern):
         run_suite(pattern=pattern)
 
 
+@pytest.mark.parametrize("pattern, overrides, stray", [
+    ("E19", {"E19": 1, "E6B": 3}, "'E6B'"),
+    ("E19|E20", {"E6": 3, "E19": 1, "E2": 3}, "'E2', 'E6'"),
+], ids=["one", "two"])
+def test_suite_refuses_an_override_its_pattern_does_not_select(pattern, overrides, stray):
+    with pytest.raises(ValueError, match=f"overridden ids \\[{stray}\\]"):
+        run_suite(pattern=pattern, order_overrides=overrides)
+
+
 def test_suite_is_deterministic_under_jobs():
     seq = run_suite(pattern="E19|E20", jobs=1)
     par = run_suite(pattern="E19|E20", jobs=4)
@@ -437,11 +446,22 @@ def _inverse(*args, inverse=False):
     ("E15", "_hyper_factor", 1),
     ("E14", "_hyper_factor", 1),
     ("E1", "theta_hat", 2),
+    ("E6", "t2t_factor", 1),
+    ("E6b", "t2t_factor", 1),
+    ("E12b", "t2t_factor", 1),
+    ("E12b", "s01_factor", 1),
 ])
 def test_a_grid_builds_each_shared_kernel_once(monkeypatch, ident, name, calls):
     made = _count_calls(monkeypatch, name)
     assert verify_identity(ident, order=Rat(6)).verdict == "equal"
     assert len(made) == calls, made
+
+
+@pytest.mark.parametrize("unit", ["z1", "z2", "z12"])
+def test_E12b_holds_on_every_unit(unit):
+    # both sides are built in z1 and moved, so the half-shift is u -> u q^-1
+    # on every unit, z1 z2 included
+    assert verify_identity("E12b", {"unit": unit}, 6).verdict == "equal"
 
 
 def test_E14_builds_its_inverse_pair_once_and_a_lattice_point_none(monkeypatch):

@@ -513,6 +513,19 @@ class TestTransformationLaws:
         with pytest.raises(ValueError):
             check_transformation(law, element, z, TAU)
 
+    @pytest.mark.parametrize("law,element", [
+        ("THETA_MOD", (True, False, False, True)),
+        ("F_MOD", (1, 0, 2, True)),
+        ("THETA_ELL", (True, 0)),
+        ("THETA_ELL", ((1, 0), (False, 0))),
+        ("F_ELL", ((0, 0), (True, 0))),
+        ("J_ELL", ((2, 0), (0, False))),
+    ])
+    def test_a_bool_is_not_an_integer_entry(self, law, element):
+        z = Z if law.startswith("THETA") else (Z, 0.1j)
+        with pytest.raises(ValueError, match="must be integer"):
+            check_transformation(law, element, z, TAU)
+
     def test_theta_shift_pairs_with_zero_second_entry_are_integers(self):
         pair = check_transformation("THETA_ELL", ((1, 0), (1, 0)), Z, TAU)
         plain = check_transformation("THETA_ELL", (1, 1), Z, TAU)

@@ -67,7 +67,7 @@ _BUILDERS = {
     "theta01": lambda n: thetas.theta01(2, n),
     "calT": thetas.calT,
     "t2t_factor": thetas.t2t_factor,
-    "t2t_sum_closed": lambda n: _t2t_sum("z1", n, "closed"),
+    "t2t_sum_closed": lambda n: _t2t_sum(n, "closed"),
     "f_series": thetas.f_series,
     "f_coeff": lambda n: thetas.f_coeff(1, -1, n),
     "J_series": thetas.J_series,
